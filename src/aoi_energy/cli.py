@@ -7,8 +7,10 @@ certificates), ``check`` (re-run the certificates on saved artifacts),
 baselines at every point, appending rows to a results CSV).
 
 Exit codes: 0 success, 2 usage or malformed input, 3 solver non-convergence,
-4 structural violation, 5 truncation inadequacy (including exact evaluations
-that hit visible boundary mass).
+4 structural violation, 5 truncation inadequacy: ``solve --check-truncation``
+finds the age cap too small, or exact evaluation (which is over the
+untruncated chain) meets a policy whose age tail never dies, so its average
+cost is infinite.
 """
 
 from __future__ import annotations
@@ -125,29 +127,17 @@ def _evaluate_with_fallback(
     sim: SimConfig,
     mc_seed: int,
 ) -> tuple[EvalReport, int, str]:
-    """Exact where possible, Monte Carlo otherwise.
+    """Exact evaluation, or Monte Carlo seeded with ``mc_seed`` when it refuses.
 
-    Exact evaluation retries with a doubled age cap (from max(aoi_cap, 400),
-    twice) when the boundary carries visible mass; policies whose age tail
-    dies too slowly for that fall back to simulation. Returns the report,
-    the seed to record, and a note describing any deviation.
+    Exact evaluation refuses only a policy whose age tail never dies
+    (infinite average cost). Returns the report, the seed to record, and a
+    note describing any deviation.
     """
-    base_cap = max(params.aoi_cap, 400)
-    for rung, cap in enumerate((base_cap, 2 * base_cap, 4 * base_cap)):
-        try:
-            report = evaluate_exact(spec, replace(params, aoi_cap=cap))
-            note = "" if rung == 0 else f"eval_aoi_cap={cap}"
-            return report, sim.seed, note
-        except BoundaryMassError:
-            continue
-    mc = SimConfig(
-        horizon=sim.horizon,
-        replications=sim.replications,
-        warmup=sim.warmup,
-        seed=mc_seed,
-        initial_state=sim.initial_state,
-    )
-    return simulate(spec, params, mc), mc_seed, "mc_fallback=boundary_mass"
+    try:
+        return evaluate_exact(spec, params), sim.seed, ""
+    except BoundaryMassError:
+        mc = replace(sim, seed=mc_seed)
+        return simulate(spec, params, mc), mc_seed, "mc_fallback=boundary_mass"
 
 
 def run_sweep(spec: SweepSpec) -> None:
@@ -286,11 +276,7 @@ def run_eval(args: argparse.Namespace) -> int:
         elif args.method == "mc":
             report = simulate(policy, params, sim)
         else:
-            try:
-                report = evaluate_exact(policy, params)
-            except BoundaryMassError:
-                report = simulate(policy, params, sim)
-                note = "mc_fallback=boundary_mass"
+            report, _, note = _evaluate_with_fallback(policy, params, sim, sim.seed)
         print(
             f"{label}: avg_total {report.avg_total_cost!r} "
             f"(aoi {report.avg_aoi!r}, energy {report.avg_weighted_energy!r}, "
@@ -364,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument(
         "--method", choices=("auto", "exact", "mc"), default="auto",
-        help="auto tries exact first and falls back to Monte Carlo",
+        help="exact is over the untruncated chain; auto falls back to Monte Carlo "
+        "only for a policy whose age tail never dies (infinite exact cost)",
     )
     p_eval.add_argument("--out", default=None, help="append result rows to this CSV")
 

@@ -2,12 +2,15 @@
 
 Seeded Monte Carlo simulates the real chain (age unbounded, battery finite)
 and reports replication means with a 95% confidence halfwidth. Exact
-evaluation builds the policy-induced kernel on the truncated grid, finds the
-stationary distribution of the recurrent class reachable from the start
-state by an iterative fixed point, and integrates the stage cost; it refuses
-when the truncation boundary carries visible mass. Exhaustive enumeration
-scores every deterministic stationary policy on desk-size instances, which
-serves as a ground-truth oracle for the solver.
+evaluation works on the same untruncated chain: age resets on delivery and
+otherwise grows by one, so the chain renews at each delivery, and the
+average cost follows from the stationary law of a small renewal kernel over
+the battery (and slot phase) plus closed forms for the age tail. A policy
+whose age tail never dies (delivery not certain, e.g. never transmitting)
+has infinite cost and is refused. Exhaustive enumeration scores every
+deterministic stationary policy of the truncated-saturating chain the
+solver works on, on desk-size instances, as a ground-truth oracle for the
+solver.
 """
 
 from __future__ import annotations
@@ -22,15 +25,7 @@ import scipy.sparse as sp
 from scipy import stats
 from scipy.sparse import csgraph
 
-from .model import (
-    Action,
-    RandomStream,
-    State,
-    SystemParams,
-    _successors,
-    state_index,
-    states,
-)
+from .model import RandomStream, State, SystemParams
 from .policies import (
     EnergyFirst,
     Periodic,
@@ -40,7 +35,6 @@ from .policies import (
     ThresholdPolicy,
     ZeroWait,
 )
-from .solver import ConvergenceError
 
 __all__ = [
     "SimConfig",
@@ -78,7 +72,7 @@ CSV_COLUMNS = [
 
 
 class BoundaryMassError(RuntimeError):
-    """Stationary mass at the age cap is too large for the answer to be exact."""
+    """The policy's age tail never dies, so its average cost is infinite."""
 
     def __init__(self, message: str, mass: float):
         super().__init__(message)
@@ -296,37 +290,32 @@ def simulate(spec: PolicySpec, params: SystemParams, cfg: SimConfig) -> EvalRepo
     )
 
 
-def stationary_distribution(
-    kernel: sp.spmatrix,
-    start: int,
-    residual_tol: float = 1e-12,
-    max_iters: int = 1_000_000,
-) -> np.ndarray:
+def stationary_distribution(kernel: sp.spmatrix | np.ndarray, start: int) -> np.ndarray:
     """Stationary vector of the closed class reachable from ``start``.
 
     Exactly one closed communicating class must be reachable, else
-    :class:`ReducibilityError` names one state per competing class. The fixed
-    point is found by iterating the half-lazy map mu <- (mu + mu P)/2, which
-    shares P's stationary vector but is immune to periodic cycling; the
-    reported residual ||mu P - mu||_1 is measured against P itself. Small
-    classes are driven by repeated squaring of the lazy map, large ones by
-    vector iteration.
+    :class:`ReducibilityError` names one state per competing class. On that
+    class, mu P = mu with sum(mu) = 1 is solved directly: one balance
+    equation of the singular system is replaced by the normalisation, which
+    makes it nonsingular for an irreducible class. Rounding below zero is
+    clipped.
     """
-    kernel = sp.csr_matrix(kernel)
-    n = kernel.shape[0]
-    if kernel.shape != (n, n):
-        raise ValueError(f"kernel must be square, got {kernel.shape}")
+    dense = kernel.toarray() if sp.issparse(kernel) else np.asarray(kernel, dtype=float)
+    n = dense.shape[0]
+    if dense.shape != (n, n):
+        raise ValueError(f"kernel must be square, got {dense.shape}")
     if not 0 <= start < n:
         raise ValueError(f"start index {start} outside [0, {n})")
 
-    order = csgraph.breadth_first_order(kernel, start, directed=True, return_predecessors=False)
+    graph = sp.csr_matrix(dense)
+    order = csgraph.breadth_first_order(graph, start, directed=True, return_predecessors=False)
     reachable = np.zeros(n, dtype=bool)
     reachable[order] = True
-    n_comp, labels = csgraph.connected_components(kernel, directed=True, connection="strong")
-    coo = kernel.tocoo()
-    crossing = labels[coo.row] != labels[coo.col]
+    n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    rows, cols = np.nonzero(dense)
+    crossing = labels[rows] != labels[cols]
     closed = np.ones(n_comp, dtype=bool)
-    closed[np.unique(labels[coo.row[crossing]])] = False
+    closed[np.unique(labels[rows[crossing]])] = False
     reachable_closed = [int(c) for c in np.unique(labels[reachable]) if closed[c]]
     if len(reachable_closed) != 1:
         offending = [int(np.flatnonzero(labels == c)[0]) for c in reachable_closed]
@@ -337,134 +326,122 @@ def stationary_distribution(
         )
 
     member = np.flatnonzero(labels == reachable_closed[0])
-    sub = kernel[member][:, member].tocsr()
     m = member.size
-    mu = np.full(m, 1.0 / m)
-    transpose = sub.T.tocsr()
-
-    if m <= 64:
-        lazy = 0.5 * (np.eye(m) + sub.toarray())
-        for _ in range(200):
-            mu = lazy[0] / lazy[0].sum()
-            residual = float(np.abs(transpose @ mu - mu).sum())
-            if residual < residual_tol:
-                break
-            lazy = lazy @ lazy
-            lazy /= lazy.sum(axis=1, keepdims=True)
-        else:
-            raise ConvergenceError(
-                f"stationary fixed point stuck at residual {residual:.3e}",
-                span=residual,
-                iterations=200,
-            )
-    else:
-        for iteration in range(max_iters):
-            pushed = transpose @ mu
-            residual = float(np.abs(pushed - mu).sum())
-            if residual < residual_tol:
-                break
-            mu = 0.5 * (mu + pushed)
-            mu /= mu.sum()
-        else:
-            raise ConvergenceError(
-                f"stationary fixed point at residual {residual:.3e} after {max_iters} "
-                "iterations",
-                span=residual,
-                iterations=max_iters,
-            )
-
+    balance = np.eye(m) - dense[np.ix_(member, member)].T
+    balance[-1] = 1.0
+    mu = np.clip(np.linalg.solve(balance, np.eye(m)[-1]), 0.0, None)
     full = np.zeros(n)
     full[member] = mu / mu.sum()
     return full
 
 
-def _policy_kernel(
-    spec: PolicySpec, params: SystemParams, initial_state: State
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Kernel, per-state age and weighted-energy costs, boundary mask, start.
+def _battery_moves(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """One-slot battery kernels for idling and for transmitting.
 
-    Periodic policies get a slot-phase coordinate so the chain is honestly
-    time-homogeneous; Randomized policies mix the two action kernels.
+    The same law as ``bellman_qvalues``: a transmission spends one unit when
+    charged (the backup pays otherwise), then harvest is credited as when
+    idling.
     """
-    n_base = params.n_states
     width = params.battery_cap + 1
-    backup = params.energy_weight * params.backup_cost
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    charge = np.eye(width, k=1)
+    charge[-1, -1] = 1.0
+    idle = (1.0 - params.harvest_prob) * np.eye(width) + params.harvest_prob * charge
+    return idle, idle[np.maximum(np.arange(width) - 1, 0)]
 
+
+def _age_actions(
+    spec: PolicySpec, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transmit probability per age and auxiliary state, and the moves of that state.
+
+    The auxiliary state is the battery level, or (phase, battery) for
+    ``Periodic``, whose phase advances every slot. Row d-1 of the returned
+    action array holds age d; its last row holds for every older age too.
+    """
+    idle, tx = _battery_moves(params)
+    width = params.battery_cap + 1
     if isinstance(spec, Periodic):
-        n = n_base * spec.period
-        aoi_vec = np.empty(n)
-        energy_vec = np.zeros(n)
-        boundary = np.zeros(n, dtype=bool)
-        for ph in range(spec.period):
-            action = Action.TRANSMIT if ph == spec.phase else Action.IDLE
-            nxt_ph = (ph + 1) % spec.period
-            base, nxt_base = ph * n_base, nxt_ph * n_base
-            for s in states(params):
-                i = base + state_index(s, params)
-                aoi_vec[i] = s.aoi
-                boundary[i] = s.aoi == params.aoi_cap
-                if action == Action.TRANSMIT and s.battery == 0:
-                    energy_vec[i] = backup
-                for nxt, prob in _successors(s, action, params):
-                    rows.append(i)
-                    cols.append(nxt_base + state_index(nxt, params))
-                    vals.append(prob)
-        start = state_index(initial_state, params)
-    elif isinstance(spec, Randomized):
-        n = n_base
-        aoi_vec = np.empty(n)
-        energy_vec = np.zeros(n)
-        boundary = np.zeros(n, dtype=bool)
-        branches = [(1.0 - spec.p_tx, Action.IDLE), (spec.p_tx, Action.TRANSMIT)]
-        for s in states(params):
-            i = state_index(s, params)
-            aoi_vec[i] = s.aoi
-            boundary[i] = s.aoi == params.aoi_cap
-            if s.battery == 0:
-                energy_vec[i] = spec.p_tx * backup
-            for weight, action in branches:
-                if weight == 0.0:
-                    continue
-                for nxt, prob in _successors(s, action, params):
-                    rows.append(i)
-                    cols.append(state_index(nxt, params))
-                    vals.append(weight * prob)
-        start = state_index(initial_state, params)
-    else:
-        thresholds = _as_thresholds(spec, params)
-        if thresholds is not None:
-            table = thresholds.to_table(params)
-        elif isinstance(spec, PolicyTable):
-            if spec.actions.shape != params.grid_shape:
-                raise ValueError(
-                    f"policy table shape {spec.actions.shape}, expected {params.grid_shape}"
-                )
-            table = spec
-        else:
-            raise TypeError(f"unknown policy spec {spec!r}")
-        n = n_base
-        aoi_vec = np.empty(n)
-        energy_vec = np.zeros(n)
-        boundary = np.zeros(n, dtype=bool)
-        actions = table.actions
-        for s in states(params):
-            i = state_index(s, params)
-            aoi_vec[i] = s.aoi
-            boundary[i] = s.aoi == params.aoi_cap
-            action = Action(int(actions[s.aoi - 1, s.battery]))
-            if action == Action.TRANSMIT and s.battery == 0:
-                energy_vec[i] = backup
-            for nxt, prob in _successors(s, action, params):
-                rows.append(i)
-                cols.append(state_index(nxt, params))
-                vals.append(prob)
-        start = state_index(initial_state, params)
+        advance = np.roll(np.eye(spec.period), 1, axis=1)
+        on_phase = np.arange(spec.period) == spec.phase
+        actions = np.repeat(on_phase, width)[None, :].astype(float)
+        return actions, np.kron(advance, idle), np.kron(advance, tx)
+    if isinstance(spec, PolicyTable):
+        if spec.battery_cap != params.battery_cap:
+            raise ValueError(
+                f"policy table covers battery 0..{spec.battery_cap}, "
+                f"params expect 0..{params.battery_cap}"
+            )
+        return spec.actions.astype(float), idle, tx
+    if isinstance(spec, Randomized):
+        return np.full((1, width), spec.p_tx), idle, tx
+    thresholds = _as_thresholds(spec, params)
+    if thresholds is None:
+        raise TypeError(f"unknown policy spec {spec!r}")
+    bounds = np.array([math.inf if t is None else t for t in thresholds.thresholds])
+    finite = bounds[np.isfinite(bounds)]
+    depth = int(finite.max()) if finite.size else 1
+    actions = np.arange(1, depth + 1)[:, None] >= bounds[None, :]
+    return actions.astype(float), idle, tx
 
-    kernel = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return kernel, aoi_vec, energy_vec, boundary, start
+
+def _reaching(edges: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """States with a path along the boolean adjacency ``edges`` into ``targets``."""
+    hit = targets.copy()
+    while True:
+        grown = hit | edges[:, hit].any(axis=1)
+        if (grown == hit).all():
+            return hit
+        hit = grown
+
+
+def _cycles(
+    actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: SystemParams,
+    walk: np.ndarray, first_age: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sums over one delivery cycle for each starting row of ``walk``.
+
+    ``walk`` is the occupation of the auxiliary states at ``first_age``.
+    Until the next delivery it evolves by the no-delivery kernel
+    T_d = diag(1-a_d) idle + p diag(a_d) tx. Before the last action row the
+    ages are walked one by one; from there T is constant, and the tail sums
+    use N = (I-T)^-1: visits = walk N, and sum_k k walk T^k = (walk N - walk) N.
+    Returns the delivery law (rows of the renewal kernel), the expected
+    cycle length, age sum and weighted backup spend, and a mask of rows
+    from which delivery is not certain: their walk reaches states from
+    which the tail never leaks.
+    """
+    p = params.erasure_prob
+    n = idle.shape[0]
+    empty = np.arange(n) % (params.battery_cap + 1) == 0
+    length = np.zeros(walk.shape[0])
+    age_sum = np.zeros(walk.shape[0])
+    sent = np.zeros_like(walk)
+    age = first_age
+    while age < len(actions):
+        a = actions[age - 1]
+        length += walk.sum(axis=1)
+        age_sum += age * walk.sum(axis=1)
+        sent += walk * a
+        walk = (walk * (1.0 - a)) @ idle + p * (walk * a) @ tx
+        age += 1
+
+    a = actions[-1]
+    stay = (1.0 - a)[:, None] * idle + p * a[:, None] * tx
+    leaks = (a > 0.0) & (p < 1.0)
+    edges = stay > 0.0
+    good = ~_reaching(edges, ~_reaching(edges, leaks))
+    trapped = (walk[:, ~good] > 0.0).any(axis=1)
+    fundamental = np.linalg.inv(np.eye(good.sum()) - stay[np.ix_(good, good)])
+    entry = walk[:, good]
+    visits = entry @ fundamental
+    later = (visits - entry) @ fundamental
+    length += visits.sum(axis=1)
+    age_sum += age * visits.sum(axis=1) + later.sum(axis=1)
+    sent[:, good] += visits * a[good]
+
+    deliveries = (1.0 - p) * sent @ tx
+    spend = params.energy_weight * params.backup_cost * (sent @ empty)
+    return deliveries, length, age_sum, spend, trapped
 
 
 def evaluate_exact(
@@ -472,32 +449,50 @@ def evaluate_exact(
     params: SystemParams,
     *,
     initial_state: State = State(1, 0),
-    residual_tol: float = 1e-12,
-    boundary_tol: float | None = 1e-9,
-    max_iters: int = 1_000_000,
 ) -> EvalReport:
-    """Stationary average cost of a policy on the truncated chain.
+    """Stationary average cost of a policy on the untruncated age axis.
 
-    Raises :class:`BoundaryMassError` when the stationary probability of the
-    age cap exceeds ``boundary_tol`` (the cap is too small for this policy);
-    pass ``boundary_tol=None`` to score the truncated chain as-is, which is
-    what the enumeration oracle needs.
+    Age resets to 1 on delivery and otherwise grows by one, so the chain
+    renews at each delivery. The renewal kernel M over the auxiliary state
+    at age 1 (see :func:`_age_actions`), and the expected length, age sum
+    and backup spend of a cycle, come from :func:`_cycles`; the cost is
+    nu (A + E) / nu L with nu the stationary law of M on the class reachable
+    from ``initial_state``. ``aoi_cap`` plays no part, except through a
+    ``PolicyTable``'s rows.
+
+    Raises :class:`BoundaryMassError` (mass 1) when delivery from a
+    reachable state is not certain, as for a policy that never transmits:
+    the age tail never dies and the average cost is infinite.
     """
-    if not (1 <= initial_state.aoi <= params.aoi_cap):
-        raise ValueError(f"initial aoi {initial_state.aoi} outside [1, {params.aoi_cap}]")
-    if not 0 <= initial_state.battery <= params.battery_cap:
-        raise ValueError(f"initial battery {initial_state.battery} outside the grid")
-    kernel, aoi_vec, energy_vec, boundary, start = _policy_kernel(spec, params, initial_state)
-    mu = stationary_distribution(kernel, start, residual_tol=residual_tol, max_iters=max_iters)
-    mass = float(mu[boundary].sum())
-    if boundary_tol is not None and mass > boundary_tol:
-        raise BoundaryMassError(
-            f"stationary mass {mass:.3e} at aoi_cap={params.aoi_cap} exceeds "
-            f"{boundary_tol:.1e}; increase the cap for this policy",
-            mass=mass,
+    _check_initial(initial_state, params)
+    actions, idle, tx = _age_actions(spec, params)
+    n = idle.shape[0]
+    deliveries, length, age_sum, spend, trapped = _cycles(
+        actions, idle, tx, params, np.eye(n), 1
+    )
+    start = initial_state.battery
+    if initial_state.aoi > 1:
+        # The first cycle starts mid-way: one more row, entered only at the start.
+        first, *_, first_trapped = _cycles(
+            actions, idle, tx, params, np.eye(n)[[start]], initial_state.aoi
         )
-    avg_aoi = float(mu @ aoi_vec)
-    avg_energy = float(mu @ energy_vec)
+        deliveries = np.block([[deliveries, np.zeros((n, 1))], [first, np.zeros((1, 1))]])
+        trapped = np.append(trapped, first_trapped)
+        start = n
+
+    reached = csgraph.breadth_first_order(
+        sp.csr_matrix(deliveries), start, directed=True, return_predecessors=False
+    )
+    if trapped[reached].any():
+        raise BoundaryMassError(
+            f"the age tail never dies: from {initial_state} this policy reaches states "
+            "from which delivery is not certain, so its average age is infinite",
+            mass=1.0,
+        )
+    nu = stationary_distribution(deliveries, start)[:n]
+    cycle = float(nu @ length)
+    avg_aoi = float(nu @ age_sum) / cycle
+    avg_energy = float(nu @ spend) / cycle
     return EvalReport(
         avg_total_cost=avg_aoi + avg_energy,
         avg_aoi=avg_aoi,
@@ -507,20 +502,34 @@ def evaluate_exact(
     )
 
 
+def _truncated_kernels(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Idle and transmit kernels of the chain with age saturating at ``aoi_cap``.
+
+    States are in :func:`~aoi_energy.model.states` order, age-major.
+    """
+    cap = params.aoi_cap
+    idle, tx = _battery_moves(params)
+    older = np.eye(cap, k=1)
+    older[-1, -1] = 1.0
+    fresh = np.zeros((cap, cap))
+    fresh[:, 0] = 1.0
+    p = params.erasure_prob
+    return np.kron(older, idle), np.kron(p * older + (1.0 - p) * fresh, tx)
+
+
 def enumerate_optimal(
     params: SystemParams,
     *,
     tie_tol: float = 1e-9,
-    residual_tol: float = 1e-12,
 ) -> tuple[PolicyTable, float]:
     """Best deterministic stationary policy by brute force.
 
-    Scores all 2^(states) action tables with :func:`evaluate_exact` on the
-    truncated chain (boundary guard off, since at desk scale the cap always
-    carries mass) and returns the cheapest. Cost ties within ``tie_tol``
-    resolve to the table with fewer Transmit entries, then the lowest
-    bitmask. Refuses instances above 24 states: the policy count doubles per
-    state, so anything larger is no longer a desk-size oracle.
+    Scores all 2^(states) action tables on the truncated-saturating chain at
+    ``params.aoi_cap`` (the model the solver works on) from the start state
+    (1, 0), and returns the cheapest. Cost ties within ``tie_tol`` resolve
+    to the table with fewer Transmit entries, then the lowest bitmask.
+    Refuses instances above 24 states: the policy count doubles per state,
+    so anything larger is no longer a desk-size oracle.
     """
     n = params.n_states
     if n > 24:
@@ -530,16 +539,16 @@ def enumerate_optimal(
             f"2^{n} policies)"
         )
     shape = params.grid_shape
+    idle, tx = _truncated_kernels(params)
+    ages = np.repeat(np.arange(1.0, params.aoi_cap + 1), shape[1])
+    backup = params.energy_weight * params.backup_cost * (np.arange(n) % shape[1] == 0)
     count = 1 << n
     costs = np.empty(count)
     bit_weights = 1 << np.arange(n)
     for mask in range(count):
-        bits = ((mask & bit_weights) > 0).astype(np.int8)
-        table = PolicyTable(bits.reshape(shape))
-        report = evaluate_exact(
-            table, params, residual_tol=residual_tol, boundary_tol=None
-        )
-        costs[mask] = report.avg_total_cost
+        bits = (mask & bit_weights) > 0
+        mu = stationary_distribution(np.where(bits[:, None], tx, idle), 0)
+        costs[mask] = mu @ ages + mu @ (bits * backup)
     best_cost = float(costs.min())
     tied = np.flatnonzero(costs <= best_cost + tie_tol)
     best_mask = int(min(tied, key=lambda m: (int(m).bit_count(), int(m))))

@@ -93,10 +93,10 @@ class SystemParams:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be a finite nonnegative real, got {value!r}")
-        if not (isinstance(self.battery_cap, int) and self.battery_cap >= 1):
-            raise ValueError(f"battery_cap must be an integer >= 1, got {self.battery_cap!r}")
-        if not (isinstance(self.aoi_cap, int) and self.aoi_cap >= 2):
-            raise ValueError(f"aoi_cap must be an integer >= 2, got {self.aoi_cap!r}")
+        for name, low in (("battery_cap", 1), ("aoi_cap", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def validate_for_solve(self) -> None:
         """Reject parameter corners where the Bellman problem degenerates.
@@ -145,12 +145,13 @@ class SystemParams:
         missing = required - data.keys()
         if missing:
             raise ValueError(f"parameter JSON missing keys: {sorted(missing)}")
+        # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
         for key in ("p", "lambda", "omega", "c_r"):
-            if not isinstance(data[key], (int, float)) or not math.isfinite(data[key]):
-                raise ValueError(f"parameter {key!r} must be a finite real")
+            if type(data[key]) not in (int, float) or not math.isfinite(data[key]):
+                raise ValueError(f"parameter {key!r} must be a finite real, got {data[key]!r}")
         for key in ("battery_cap", "aoi_cap"):
-            if not isinstance(data[key], int):
-                raise ValueError(f"parameter {key!r} must be an integer")
+            if type(data[key]) is not int:
+                raise ValueError(f"parameter {key!r} must be an integer, got {data[key]!r}")
         return cls(
             erasure_prob=float(data["p"]),
             harvest_prob=float(data["lambda"]),

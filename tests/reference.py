@@ -1,0 +1,102 @@
+"""Independent oracle for exact evaluation: the chain on the truncated grid.
+
+The policy-induced kernel is built state by state from the model's
+``transition`` on the (aoi_cap x battery) grid, where age saturates at the
+cap; ``Periodic`` gets a slot-phase coordinate and ``Randomized`` mixes the
+two action kernels. Its stationary law is found by iterating the half-lazy
+map from the start state. Where the stationary mass at the cap is
+negligible, the truncated chain's cost equals the untruncated one that
+``evaluate_exact`` computes by the renewal recursion, so the two can be
+compared; where it is not, the oracle still scores the truncated chain the
+solver works on.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from aoi_energy import (
+    Action,
+    Periodic,
+    Randomized,
+    State,
+    SystemParams,
+    decide,
+    state_index,
+    states,
+    transition,
+)
+
+
+def transmit_probability(spec, state: State, phase: int) -> float:
+    """Chance that ``spec`` transmits at ``state`` in a slot of the given phase."""
+    if isinstance(spec, Periodic):
+        return 1.0 if phase == spec.phase else 0.0
+    if isinstance(spec, Randomized):
+        return spec.p_tx
+    return float(decide(spec, state, phase, None))
+
+
+def truncated_chain(spec, params: SystemParams):
+    """Kernel, per-state age and weighted backup cost, and the cap mask.
+
+    States are phase-major, then in ``states`` order; the start state
+    (1, 0) in phase 0 has index 0.
+    """
+    period = spec.period if isinstance(spec, Periodic) else 1
+    n_base = params.n_states
+    n = n_base * period
+    backup = params.energy_weight * params.backup_cost
+    aoi = np.empty(n)
+    energy = np.zeros(n)
+    at_cap = np.zeros(n, dtype=bool)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for phase in range(period):
+        next_base = ((phase + 1) % period) * n_base
+        for s in states(params):
+            i = phase * n_base + state_index(s, params)
+            aoi[i] = s.aoi
+            at_cap[i] = s.aoi == params.aoi_cap
+            tx = transmit_probability(spec, s, phase)
+            if s.battery == 0:
+                energy[i] = tx * backup
+            for weight, action in ((1.0 - tx, Action.IDLE), (tx, Action.TRANSMIT)):
+                if weight == 0.0:
+                    continue
+                for nxt, prob in transition(s, action, params):
+                    rows.append(i)
+                    cols.append(next_base + state_index(nxt, params))
+                    vals.append(weight * prob)
+    kernel = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return kernel, aoi, energy, at_cap
+
+
+def iterated_stationary(
+    kernel: sp.csr_matrix, start: int, residual_tol: float = 1e-12, max_iters: int = 1_000_000
+) -> np.ndarray:
+    """Fixed point of mu <- (mu + mu P)/2 from a point mass at ``start``.
+
+    The half-lazy map shares P's stationary vectors but cannot cycle on a
+    periodic chain; the residual ||mu P - mu||_1 is measured against P.
+    Started at ``start``, it converges to the stationary law of the closed
+    class reached from there, when there is only one.
+    """
+    transpose = kernel.T.tocsr()
+    mu = np.zeros(kernel.shape[0])
+    mu[start] = 1.0
+    for _ in range(max_iters):
+        pushed = transpose @ mu
+        if np.abs(pushed - mu).sum() < residual_tol:
+            return mu / mu.sum()
+        mu = 0.5 * (mu + pushed)
+    raise AssertionError(f"no stationary fixed point after {max_iters} iterations")
+
+
+def truncated_cost(spec, params: SystemParams) -> tuple[float, float, float]:
+    """(mean age, mean weighted backup cost, stationary mass at the cap) from (1, 0)."""
+    kernel, aoi, energy, at_cap = truncated_chain(spec, params)
+    mu = iterated_stationary(kernel, 0)
+    return float(mu @ aoi), float(mu @ energy), float(mu[at_cap].sum())

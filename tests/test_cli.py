@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from aoi_energy import (
     ValueTable,
     ZeroWait,
     read_value_csv,
+    simulate,
     write_value_csv,
 )
 from aoi_energy.cli import (
@@ -148,6 +150,16 @@ def test_solve_malformed_params(tmp_path, capsys):
     assert main(["solve", "--params", str(bad)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("key", ["p", "lambda", "omega", "c_r", "battery_cap", "aoi_cap"])
+def test_params_reject_json_booleans(tmp_path, capsys, key):
+    payload = json.loads(SOLVE_PARAMS.to_json())
+    payload[key] = True
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["eval", "--params", str(bad), "--policies", "zero-wait"]) == EXIT_USAGE
+    assert f"{key!r} must be" in capsys.readouterr().err
+
+
 def test_solve_nonconvergence_exit(tmp_path, capsys):
     code = main(
         [
@@ -262,20 +274,19 @@ def test_eval_mc_is_seed_deterministic(tmp_path):
 
 
 def test_eval_exact_refuses_boundary_mass(tmp_path, capsys):
-    fat = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.8, aoi_cap=40)
     code = main(
         [
             "eval",
             "--params",
-            params_file(tmp_path, fat),
+            params_file(tmp_path, EVAL_PARAMS),
             "--policies",
-            "random:0.02",
+            "random:0",
             "--method",
             "exact",
         ]
     )
     assert code == EXIT_TRUNCATION
-    assert "mass" in capsys.readouterr().err
+    assert "never dies" in capsys.readouterr().err
 
 
 def test_eval_auto_falls_back_to_monte_carlo(tmp_path, capsys):
@@ -287,7 +298,7 @@ def test_eval_auto_falls_back_to_monte_carlo(tmp_path, capsys):
             "--params",
             params_file(tmp_path, fat),
             "--policies",
-            "random:0.02",
+            "random:0.02,random:0",
             "--horizon",
             "3000",
             "--reps",
@@ -297,9 +308,12 @@ def test_eval_auto_falls_back_to_monte_carlo(tmp_path, capsys):
         ]
     )
     assert code == EXIT_OK
-    (row,) = read_rows(out)
-    assert row["method"] == METHOD_MONTE_CARLO
-    assert row["note"] == "mc_fallback=boundary_mass"
+    heavy, never = read_rows(out)
+    assert heavy["method"] == METHOD_EXACT
+    assert heavy["note"] == ""
+    assert float(heavy["avg_aoi"]) == pytest.approx(250.0, rel=1e-12)  # 1/(0.02 * 0.2)
+    assert never["method"] == METHOD_MONTE_CARLO
+    assert never["note"] == "mc_fallback=boundary_mass"
 
 
 def test_eval_unknown_policy(tmp_path, capsys):
@@ -316,23 +330,35 @@ def test_eval_bad_horizon(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# exact-first ladder
+# exact first, Monte Carlo only for infinite age tails
 
 
-def test_ladder_widens_cap_until_exact_works():
+def test_exact_needs_no_cap_ladder():
     lossy = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.96, aoi_cap=100)
     sim = SimConfig(horizon=2000, replications=2, seed=5)
     report, seed, note = _evaluate_with_fallback(ZeroWait(), lossy, sim, mc_seed=99)
     assert report.method == METHOD_EXACT
     assert seed == sim.seed
-    assert note == "eval_aoi_cap=800"
-    assert report.avg_aoi == pytest.approx(25.0, abs=1e-6)  # 1/(1-p)
+    assert note == ""
+    assert report.avg_aoi == pytest.approx(25.0, rel=1e-12)  # 1/(1-p)
 
 
-def test_ladder_gives_up_and_simulates():
+def test_heavy_tail_is_exact_and_agrees_with_monte_carlo():
+    lossy = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.8, aoi_cap=100)
+    sim = SimConfig(horizon=100_000, replications=20, seed=5)
+    report, seed, note = _evaluate_with_fallback(Randomized(0.02), lossy, sim, mc_seed=99)
+    assert report.method == METHOD_EXACT
+    assert (seed, note) == (sim.seed, "")
+    assert report.avg_aoi == pytest.approx(250.0, rel=1e-12)  # 1/(0.02 * 0.2)
+    # Same bar as the other Monte Carlo cross-checks: three CI halfwidths.
+    mc = simulate(Randomized(0.02), lossy, sim)
+    assert abs(mc.avg_total_cost - report.avg_total_cost) <= 3 * mc.ci_halfwidth_95
+
+
+def test_fallback_simulates_only_infinite_tails():
     lossy = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.8, aoi_cap=100)
     sim = SimConfig(horizon=2000, replications=2, seed=5)
-    report, seed, note = _evaluate_with_fallback(Randomized(0.02), lossy, sim, mc_seed=99)
+    report, seed, note = _evaluate_with_fallback(Randomized(0.0), lossy, sim, mc_seed=99)
     assert report.method == METHOD_MONTE_CARLO
     assert seed == 99
     assert note == "mc_fallback=boundary_mass"
@@ -401,11 +427,13 @@ def test_sweep_clamps_perfect_channel_for_the_solver(tmp_path, capsys):
 def test_sweep_notes_monte_carlo_fallback(tmp_path, capsys):
     pfile = params_file(tmp_path, SWEEP_PARAMS)
     out = tmp_path / "rows.csv"
-    assert main(sweep_args(pfile, out, "p", "0.8", "random:0.02")) == EXIT_OK
-    (row,) = read_rows(out)
-    assert row["method"] == METHOD_MONTE_CARLO
-    assert row["note"] == "mc_fallback=boundary_mass"
-    assert row["seed"] != "3"  # per-point derived seed, not the master
+    assert main(sweep_args(pfile, out, "p", "0.8", "random:0.02,random:0")) == EXIT_OK
+    heavy, never = read_rows(out)
+    assert heavy["method"] == METHOD_EXACT
+    assert (heavy["note"], heavy["seed"]) == ("", "3")
+    assert never["method"] == METHOD_MONTE_CARLO
+    assert never["note"] == "mc_fallback=boundary_mass"
+    assert never["seed"] != "3"  # per-point derived seed, not the master
 
 
 def test_sweep_abort_writes_nothing(tmp_path, capsys):

@@ -44,6 +44,7 @@ from aoi_energy import (
     write_report_rows,
 )
 from conftest import BENCH
+from reference import truncated_cost
 
 EVAL_BENCH = dataclasses.replace(BENCH, aoi_cap=400)
 
@@ -59,6 +60,10 @@ MID = SystemParams(
     battery_cap=3,
     aoi_cap=300,
 )
+
+MID_400 = dataclasses.replace(MID, aoi_cap=400)
+
+LOSSY = dataclasses.replace(MID, erasure_prob=0.9, harvest_prob=0.1, aoi_cap=40)
 
 DESK = SystemParams(
     erasure_prob=0.5,
@@ -112,28 +117,95 @@ def test_exact_agrees_with_monte_carlo(spec):
     assert abs(mc.avg_total_cost - exact.avg_total_cost) <= 3 * mc.ci_halfwidth_95
 
 
+@pytest.mark.parametrize("params", [EVAL_BENCH, MID, LOSSY], ids=["bench", "mid", "lossy"])
+def test_closed_forms_hold_to_rounding(params):
+    p, lam = params.erasure_prob, params.harvest_prob
+    zero_wait = evaluate_exact(ZeroWait(), params)
+    target = 1.0 / (1.0 - p) + params.energy_weight * params.backup_cost * (1.0 - lam)
+    assert zero_wait.avg_total_cost == pytest.approx(target, rel=0.0, abs=1e-12)
+    assert zero_wait.avg_aoi == pytest.approx(1.0 / (1.0 - p), rel=0.0, abs=1e-12)
+    assert abs(evaluate_exact(EnergyFirst(), params).avg_weighted_energy) <= 1e-12
+    assert evaluate_exact(Randomized(1.0), params) == zero_wait
+
+
+def table_policy(params):
+    """Not threshold-shaped: with charge, transmit at ages 1, 3 and 5 on; empty, from 6 on."""
+    actions = np.ones(params.grid_shape, dtype=np.int8)
+    actions[:5, 0] = 0
+    actions[1:5:2, 1:] = 0
+    return PolicyTable(actions)
+
+
+@pytest.mark.parametrize("params", [EVAL_BENCH, MID_400], ids=["bench", "mid"])
+@pytest.mark.parametrize(
+    "kind", ["zero-wait", "energy-first", "periodic", "random", "threshold", "table"]
+)
+def test_exact_matches_truncated_oracle(params, kind):
+    battery = params.battery_cap
+    spec = {
+        "zero-wait": ZeroWait(),
+        "energy-first": EnergyFirst(),
+        "periodic": Periodic(3, 1),
+        "random": Randomized(0.5),
+        "threshold": ThresholdPolicy(thresholds=(6,) + (3,) * (battery - 1) + (1,)),
+        "table": table_policy(params),
+    }[kind]
+    age, energy, mass = truncated_cost(spec, params)
+    assert mass <= 1e-9  # the cap is invisible, so both score the same chain
+    report = evaluate_exact(spec, params)
+    assert report.avg_aoi == pytest.approx(age, rel=1e-9)
+    assert report.avg_weighted_energy == pytest.approx(energy, rel=1e-9, abs=1e-12)
+    assert report.avg_total_cost == pytest.approx(age + energy, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
-# boundary-mass guard
+# infinite age tails
 
 
-def test_never_transmitting_parks_mass_at_the_cap():
-    params = dataclasses.replace(MID, aoi_cap=50)
-    with pytest.raises(BoundaryMassError) as err:
-        evaluate_exact(Randomized(0.0), params)
-    assert err.value.mass == pytest.approx(1.0, abs=1e-9)
-    ungated = evaluate_exact(Randomized(0.0), params, boundary_tol=None)
-    assert ungated.avg_total_cost == pytest.approx(50.0, abs=1e-9)
-    assert ungated.avg_weighted_energy == 0.0
+@pytest.mark.parametrize(
+    "spec,params",
+    [
+        (Randomized(0.0), MID),
+        (ThresholdPolicy(thresholds=(None,) * 4), MID),
+        (EnergyFirst(), dataclasses.replace(MID, harvest_prob=0.0, erasure_prob=1.0)),
+        (ThresholdPolicy(thresholds=(2, 2, 2, None)), MID),
+    ],
+    ids=["random-0", "never", "energy-first-no-harvest", "none-at-full-battery"],
+)
+def test_never_transmitting_has_infinite_cost(spec, params):
+    with pytest.raises(BoundaryMassError, match="never dies") as err:
+        evaluate_exact(spec, params)
+    assert err.value.mass == 1.0
 
 
-def test_heavy_tail_trips_guard_and_cap_growth_clears_it():
-    lossy = dataclasses.replace(MID, erasure_prob=0.9, aoi_cap=40)
-    with pytest.raises(BoundaryMassError) as err:
-        evaluate_exact(ZeroWait(), lossy)
-    assert 0.0 < err.value.mass < 1.0
-    roomy = dataclasses.replace(lossy, aoi_cap=600)
-    report = evaluate_exact(ZeroWait(), roomy)
-    assert report.avg_aoi == pytest.approx(10.0, abs=1e-6)  # 1/(1-p)
+def test_unreachable_idle_state_keeps_cost_finite():
+    # Transmitting at every lower charge keeps the battery at 0 or 1, so the
+    # never-transmitting full battery is never reached from (1, 0) ...
+    spec = ThresholdPolicy(thresholds=(1, 1, 1, None))
+    report = evaluate_exact(spec, MID)
+    assert report.avg_total_cost == pytest.approx(
+        evaluate_exact(ZeroWait(), MID).avg_total_cost, rel=0.0, abs=1e-12
+    )
+    # ... but starting there, delivery is never certain.
+    with pytest.raises(BoundaryMassError):
+        evaluate_exact(spec, MID, initial_state=State(1, 3))
+
+
+def test_start_age_only_selects_the_class():
+    spec = ThresholdPolicy(thresholds=(4, 3, 2, 1))
+    fresh = evaluate_exact(spec, MID)
+    for start in (State(2, 0), State(50, 3), State(MID.aoi_cap + 7, 1)):
+        later = evaluate_exact(spec, MID, initial_state=start)
+        assert later.avg_total_cost == pytest.approx(fresh.avg_total_cost, rel=1e-12)
+    with pytest.raises(ValueError):
+        evaluate_exact(spec, MID, initial_state=State(0, 0))
+
+
+def test_heavy_tail_is_exact_at_any_cap():
+    for cap in (40, 600):
+        lossy = dataclasses.replace(MID, erasure_prob=0.9, aoi_cap=cap)
+        report = evaluate_exact(ZeroWait(), lossy)
+        assert report.avg_aoi == pytest.approx(10.0, rel=0.0, abs=1e-12)  # 1/(1-p)
 
 
 def test_eval_report_decomposition_enforced():
@@ -183,8 +255,8 @@ def test_absorbing_singleton():
 
 
 def test_large_birth_death_chain_geometric():
-    """100 states forces the sparse iteration path; detailed balance gives a
-    geometric stationary law with ratio up/down."""
+    """Detailed balance gives a geometric stationary law with ratio up/down,
+    spanning 37 orders of magnitude over 100 states."""
     n, up, down = 100, 0.3, 0.7
     kernel = np.zeros((n, n))
     for i in range(n):
@@ -234,8 +306,9 @@ def test_enumeration_free_energy_keeps_zero_wait_optimal():
     free = dataclasses.replace(DESK, energy_weight=0.0)
     _, best = enumerate_optimal(free)
     always = PolicyTable(np.ones(free.grid_shape, dtype=np.int8))
-    report = evaluate_exact(always, free, boundary_tol=None)
-    assert report.avg_total_cost <= best + 1e-9
+    age, energy, _ = truncated_cost(always, free)  # the chain enumeration scores
+    assert energy == 0.0
+    assert age <= best + 1e-9
 
 
 def test_enumeration_huge_weight_never_buys_energy():

@@ -256,6 +256,8 @@ def test_params_json_rejects_bad_payloads(text):
         ("backup_cost", math.inf),
         ("battery_cap", 0),
         ("aoi_cap", 1),
+        ("battery_cap", True),
+        ("aoi_cap", True),
     ],
 )
 def test_params_validation(field, value):
