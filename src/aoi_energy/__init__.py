@@ -61,7 +61,6 @@ from .solver import (
     check_truncation_adequacy,
     extract_thresholds,
     greedy_policy,
-    greedy_policy_shortcircuit,
     read_value_csv,
     solve,
     write_value_csv,

@@ -6,11 +6,11 @@ certificates), ``check`` (re-run the certificates on saved artifacts),
 (solve along one parameter axis and score the solved policy against the
 baselines at every point, appending rows to a results CSV).
 
-Exit codes: 0 success, 2 usage or malformed input, 3 solver non-convergence,
-4 structural violation, 5 truncation inadequacy: ``solve --check-truncation``
-finds the age cap too small, or exact evaluation (which is over the
-untruncated chain) meets a policy whose age tail never dies, so its average
-cost is infinite.
+Exit codes: 0 success, 2 usage, malformed input or an instance too large for
+memory, 3 solver non-convergence, 4 structural violation, 5 truncation
+inadequacy: ``solve --check-truncation`` finds the age cap too small, or
+exact evaluation (which is over the untruncated chain) meets a policy whose
+age tail never dies, so its average cost is infinite.
 """
 
 from __future__ import annotations
@@ -392,6 +392,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_TRUNCATION
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        params = _apply_overrides(_load_params(args.params), args)
+        print(
+            f"error: out of memory for the {params.aoi_cap} x {params.battery_cap + 1} "
+            f"(aoi_cap x battery levels) grid of {params.n_states} states",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "solve",
     "bellman_qvalues",
     "greedy_policy",
-    "greedy_policy_shortcircuit",
     "extract_thresholds",
     "check_truncation_adequacy",
     "write_value_csv",
@@ -184,26 +183,6 @@ def greedy_policy(v: ValueTable, q: QTable, params: SystemParams) -> PolicyTable
     if q.values.shape[:2] != v.values.shape or v.values.shape != params.grid_shape:
         raise ValueError("value, q and params grids disagree")
     return PolicyTable((q.values[:, :, 1] < q.values[:, :, 0]).astype(np.int8))
-
-
-def greedy_policy_shortcircuit(q: QTable, params: SystemParams) -> PolicyTable:
-    """Policy extraction that inherits Transmit from the next-younger age.
-
-    Scans ages upward per battery level and skips the argmin once a Transmit
-    has appeared below; under a submodular action advantage this agrees with
-    the full argmin, and the test suite verifies that it does.
-    """
-    cap, width = params.grid_shape
-    if q.values.shape != (cap, width, 2):
-        raise ValueError(f"q table shape {q.values.shape}, expected {(cap, width, 2)}")
-    actions = np.zeros((cap, width), dtype=np.int8)
-    for battery in range(width):
-        transmitting = False
-        for row in range(cap):
-            if not transmitting:
-                transmitting = bool(q.values[row, battery, 1] < q.values[row, battery, 0])
-            actions[row, battery] = 1 if transmitting else 0
-    return PolicyTable(actions)
 
 
 def extract_thresholds(policy: PolicyTable, params: SystemParams) -> ThresholdPolicy:

@@ -1,24 +1,35 @@
-"""Independent oracle for exact evaluation: the chain on the truncated grid.
+"""Independent oracles the package is checked against.
 
-The policy-induced kernel is built state by state from the model's
-``transition`` on the (aoi_cap x battery) grid, where age saturates at the
-cap; ``Periodic`` gets a slot-phase coordinate and ``Randomized`` mixes the
-two action kernels. Its stationary law is found by iterating the half-lazy
+Exact evaluation: the policy-induced kernel is built state by state from
+the model's ``transition`` on the (aoi_cap x battery) grid, where age
+saturates at the cap; ``Periodic`` gets a slot-phase coordinate and
+``Randomized`` mixes the two action kernels. Its stationary law is found by iterating the half-lazy
 map from the start state. Where the stationary mass at the cap is
 negligible, the truncated chain's cost equals the untruncated one that
 ``evaluate_exact`` computes by the renewal recursion, so the two can be
 compared; where it is not, the oracle still scores the truncated chain the
 solver works on.
+
+Class analysis: scipy's breadth-first search and strongly connected
+components find the reachable set and the closed classes of a kernel, for
+the package's dense closure to agree with.
+
+Policy extraction: a short-circuit scan that inherits Transmit from the
+next-younger age, which agrees with the full argmin when the action
+advantage is submodular.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from aoi_energy import (
     Action,
     Periodic,
+    PolicyTable,
+    QTable,
     Randomized,
     State,
     SystemParams,
@@ -100,3 +111,43 @@ def truncated_cost(spec, params: SystemParams) -> tuple[float, float, float]:
     kernel, aoi, energy, at_cap = truncated_chain(spec, params)
     mu = iterated_stationary(kernel, 0)
     return float(mu @ aoi), float(mu @ energy), float(mu[at_cap].sum())
+
+
+def csgraph_classes(kernel: np.ndarray, start: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Reachable mask from ``start`` and the closed classes reachable from it.
+
+    Each class is its sorted member indices; classes are ordered by their
+    lowest member. A strongly connected component is closed when no edge
+    leaves it.
+    """
+    graph = sp.csr_matrix(kernel)
+    n = graph.shape[0]
+    order = csgraph.breadth_first_order(graph, start, directed=True, return_predecessors=False)
+    reachable = np.zeros(n, dtype=bool)
+    reachable[order] = True
+    n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    rows, cols = graph.nonzero()
+    closed = np.ones(n_comp, dtype=bool)
+    closed[np.unique(labels[rows[labels[rows] != labels[cols]]])] = False
+    classes = [np.flatnonzero(labels == c) for c in np.unique(labels[reachable]) if closed[c]]
+    return reachable, sorted(classes, key=lambda members: members[0])
+
+
+def greedy_policy_shortcircuit(q: QTable, params: SystemParams) -> PolicyTable:
+    """Policy extraction that inherits Transmit from the next-younger age.
+
+    Scans ages upward per battery level and skips the argmin once a Transmit
+    has appeared below; under a submodular action advantage this agrees with
+    the full argmin.
+    """
+    cap, width = params.grid_shape
+    if q.values.shape != (cap, width, 2):
+        raise ValueError(f"q table shape {q.values.shape}, expected {(cap, width, 2)}")
+    actions = np.zeros((cap, width), dtype=np.int8)
+    for battery in range(width):
+        transmitting = False
+        for row in range(cap):
+            if not transmitting:
+                transmitting = bool(q.values[row, battery, 1] < q.values[row, battery, 0])
+            actions[row, battery] = 1 if transmitting else 0
+    return PolicyTable(actions)

@@ -533,5 +533,34 @@ def test_console_script_help():
         assert subcommand in result.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    """The command line starts on numpy alone: importing it pulls in no scipy module."""
+    probe = (
+        "import sys, aoi_energy.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
+    """A grid too large for memory exits 2 naming its size (no real allocation here)."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("aoi_energy.cli.solve", exhausted)
+    huge = dataclasses.replace(SOLVE_PARAMS, aoi_cap=10**9, battery_cap=10**4)
+    pfile = params_file(tmp_path, huge)
+    assert main(["solve", "--params", pfile, "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "out of memory" in err
+    assert "1000000000 x 10001" in err
+    assert "10001000000000 states" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE

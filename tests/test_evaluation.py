@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy import stats
 
 from aoi_energy import (
     BoundaryMassError,
@@ -43,8 +44,9 @@ from aoi_energy import (
     stationary_distribution,
     write_report_rows,
 )
+from aoi_energy.evaluation import _reachable_classes, _t_quantile_975
 from conftest import BENCH
-from reference import truncated_cost
+from reference import csgraph_classes, truncated_cost
 
 EVAL_BENCH = dataclasses.replace(BENCH, aoi_cap=400)
 
@@ -291,6 +293,32 @@ def test_stationary_input_guards():
         stationary_distribution(sp.csr_matrix(np.ones((2, 3))), 0)
 
 
+def random_kernels(count, max_states=40):
+    """Seeded random nonnegative kernels of 1..max_states states with a start
+    state; sparse ones fall apart into several closed classes and transient
+    states, dense ones are mostly one class."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(count):
+        n = int(rng.integers(1, max_states + 1))
+        density = rng.choice([0.02, 0.05, 0.1, 0.3])
+        yield rng.random((n, n)) * (rng.random((n, n)) < density), int(rng.integers(n))
+
+
+def test_class_analysis_matches_csgraph_oracle():
+    class_counts = set()
+    for kernel, start in random_kernels(600):
+        reachable, classes = _reachable_classes(kernel != 0.0, start)
+        want_reachable, want_classes = csgraph_classes(kernel, start)
+        assert np.array_equal(reachable, want_reachable)
+        assert [c.tolist() for c in classes] == [c.tolist() for c in want_classes]
+        if len(want_classes) > 1:
+            with pytest.raises(ReducibilityError) as err:
+                stationary_distribution(kernel, start)
+            assert err.value.offending == [int(c[0]) for c in want_classes]
+        class_counts.add(min(len(want_classes), 2))
+    assert class_counts == {1, 2}
+
+
 # ---------------------------------------------------------------------------
 # enumeration oracle
 
@@ -343,6 +371,15 @@ def test_simulate_is_seed_deterministic():
     assert a == b
     c = simulate(ZeroWait(), MID, dataclasses.replace(cfg, seed=13))
     assert c.avg_total_cost != a.avg_total_cost
+
+
+def test_t_quantile_matches_scipy():
+    dfs = np.arange(1, 1001)
+    ours = [_t_quantile_975(int(df)) for df in dfs]
+    np.testing.assert_allclose(ours, stats.t.ppf(0.975, dfs), rtol=1e-12, atol=0.0)
+    large = [10**4, 10**5, 10**6]
+    ours = [_t_quantile_975(df) for df in large]
+    np.testing.assert_allclose(ours, stats.t.ppf(0.975, large), rtol=1e-9, atol=0.0)
 
 
 def test_single_replication_has_no_interval():

@@ -15,12 +15,12 @@ from aoi_energy import (
     check_truncation_adequacy,
     extract_thresholds,
     greedy_policy,
-    greedy_policy_shortcircuit,
     read_value_csv,
     solve,
     write_value_csv,
 )
 from conftest import BENCH, EPSILON
+from reference import greedy_policy_shortcircuit
 
 SMALL = SystemParams(
     erasure_prob=0.3,
