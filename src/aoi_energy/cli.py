@@ -198,8 +198,10 @@ def _load_params(path: str) -> SystemParams:
         return SystemParams.from_json(handle.read())
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+def _tolerance(text: str) -> float:
+    if not 0.0 <= float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return float(text)
 
 
 def _apply_overrides(params: SystemParams, args: argparse.Namespace) -> SystemParams:
@@ -210,7 +212,7 @@ def _apply_overrides(params: SystemParams, args: argparse.Namespace) -> SystemPa
 
 def run_solve(args: argparse.Namespace) -> int:
     params = _apply_overrides(_load_params(args.params), args)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
     try:
         v, q = solve(params, cfg)
     except ConvergenceError as exc:
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epsilon", type=float, default=1e-9, help="span stopping tolerance")
             p.add_argument("--max-iters", type=int, default=500_000)
             p.add_argument(
-                "--structure-tol", type=float, default=DEFAULT_TOLERANCE,
+                "--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE,
                 help="certificate tolerance",
             )
         p.add_argument("--aoi-cap", type=int, default=None, help="override the age cap")
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="re-run structure certificates on saved values")
     p_check.add_argument("--params", required=True)
     p_check.add_argument("--values", required=True, help="value CSV from solve")
-    p_check.add_argument("--structure-tol", type=float, default=DEFAULT_TOLERANCE)
+    p_check.add_argument("--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     p_eval = sub.add_parser("eval", help="evaluate explicit policies")
     common(p_eval, mc=True)

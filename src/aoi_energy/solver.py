@@ -7,12 +7,19 @@ raw difference T(V) - V (whose min and max bracket the optimal gain), and
 subtracts the reference entry so the iterates stay bounded. Convergence is
 declared when the span drops to ``epsilon``; the returned gain is the
 midpoint of the final difference's extremes.
+
+Sweeps run battery-major on a Fortran-ordered iterate, so one age older is
+the next element of ``V.T``; lam*V and (1-lam)*V are padded for the age and
+battery saturation and every neighbour is a slice. The float association of
+the backup is part of its contract: results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,8 +75,10 @@ class SolverConfig:
     init_value: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not math.isfinite(self.init_value):
+            raise ValueError(f"init_value must be finite, got {self.init_value!r}")
         if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
@@ -102,36 +111,46 @@ def _resolve_reference(cfg: SolverConfig, params: SystemParams) -> State:
     return ref
 
 
-def bellman_qvalues(values: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous backup: (idle, transmit) state-action values.
+@lru_cache(maxsize=16)
+def _age_rows(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    ages = np.arange(1, params.aoi_cap + 1, dtype=float)
+    on_backup = ages + params.energy_weight * params.backup_cost
+    ages.flags.writeable = on_backup.flags.writeable = False
+    return ages, on_backup
 
-    Vectorized over the whole (aoi, battery) grid; age increments saturate at
-    the top row, harvest credit lands after the transmit spend.
+
+def bellman_qvalues(values: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous backup: fresh (idle, transmit) state-action tables.
+
+    With V' the table one age older (saturating at the cap) and the transmit
+    mix S = lam*V[spent+1] + (1-lam)*V[spent], built once on unshifted ages,
+    exactly ``q_idle = (age + lam*V'[charged]) + (1-lam)*V'`` and
+    ``q_tx = ((age + backup) + p*S') + (1-p)*S[age 1]``. Accepts C- or
+    Fortran-ordered ``values``.
     """
     cap, width = params.aoi_cap, params.battery_cap + 1
     if values.shape != (cap, width):
         raise ValueError(f"value table shape {values.shape}, expected {(cap, width)}")
-    lam = params.harvest_prob
-    p = params.erasure_prob
-    q_levels = np.arange(width)
-    charged = np.minimum(q_levels + 1, params.battery_cap)
-    spent = np.maximum(q_levels - 1, 0)
-    ages = np.arange(1, cap + 1, dtype=float)[:, None]
+    lam, p = params.harvest_prob, params.erasure_prob
+    scaled = np.empty((width + 1, cap + 1))
+    np.multiply(values.T, lam, out=scaled[:width, :cap])
+    scaled[width, :cap] = scaled[width - 1, :cap]
+    scaled[:, cap] = scaled[:, cap - 1]
+    rest = np.empty((width, cap + 1))
+    np.multiply(values.T, 1.0 - lam, out=rest[:, :cap])
+    rest[:, cap] = rest[:, cap - 1]
+    mix = np.empty((width, cap + 1))
+    np.add(scaled[1:width], rest[: width - 1], out=mix[1:])
+    mix[0] = mix[1]  # spent = max(q - 1, 0): empty and one-unit batteries agree
 
-    aged = np.empty_like(values)
-    aged[:-1] = values[1:]
-    aged[-1] = values[-1]
-    fresh = values[0]
-
-    q_idle = ages + lam * aged[:, charged] + (1.0 - lam) * aged
-    backup_penalty = params.energy_weight * params.backup_cost * (q_levels == 0)
-    q_tx = (
-        ages
-        + backup_penalty
-        + p * (lam * aged[:, spent + 1] + (1.0 - lam) * aged[:, spent])
-        + (1.0 - p) * (lam * fresh[spent + 1] + (1.0 - lam) * fresh[spent])
-    )
-    return q_idle, q_tx
+    ages, on_backup = _age_rows(params)
+    q_idle = np.add(ages, scaled[1:, 1:])
+    q_idle += rest[:, 1:]
+    q_tx = np.multiply(mix[:, 1:], p)
+    q_tx[0] += on_backup
+    q_tx[1:] += ages  # backup is paid only at q = 0; age + 0.0 is age, bit for bit
+    q_tx += ((1.0 - p) * mix[:, 0])[:, None]
+    return q_idle.T, q_tx.T
 
 
 def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueTable, QTable]:
@@ -140,27 +159,28 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
     Returns the anchored value table (with the gain estimate) and the
     state-action table recomputed from the converged values. Raises
     :class:`ConvergenceError` carrying the last span when ``max_iters``
-    sweeps do not suffice.
+    sweeps do not suffice. Each sweep writes into the same buffers.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
     ref = _resolve_reference(cfg, params)
     ref_idx = (ref.aoi - 1, ref.battery)
 
-    values = np.full(params.grid_shape, float(cfg.init_value))
+    values = np.full(params.grid_shape, float(cfg.init_value), order="F")
     values -= values[ref_idx]
+    updated, diff = np.empty_like(values), np.empty_like(values)
     gain = np.nan
     span = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         q_idle, q_tx = bellman_qvalues(values, params)
-        updated = np.minimum(q_idle, q_tx)
-        diff = updated - values
+        np.minimum(q_idle, q_tx, out=updated)
+        np.subtract(updated, values, out=diff)
         high = float(diff.max())
         low = float(diff.min())
         span = high - low
         gain = 0.5 * (high + low)
-        values = updated - updated[ref_idx]
+        np.subtract(updated, updated[ref_idx], out=values)
         if span <= cfg.epsilon:
             break
     else:
@@ -170,8 +190,9 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
             iterations=cfg.max_iters,
         )
 
+    values = np.ascontiguousarray(values)
     q_idle, q_tx = bellman_qvalues(values, params)
-    q_values = np.stack([q_idle, q_tx], axis=-1)
+    q_values = np.ascontiguousarray(np.stack([q_idle, q_tx], axis=-1))
     return (
         ValueTable(values=values, gain=float(gain), iterations=iterations, final_span=float(span)),
         QTable(values=q_values),

@@ -15,6 +15,16 @@ BENCH = SystemParams(
     aoi_cap=200,
 )
 
+# A small mid-range instance: four battery levels, age cap 300.
+MID = SystemParams(
+    erasure_prob=0.25,
+    harvest_prob=0.45,
+    energy_weight=4.0,
+    backup_cost=2.0,
+    battery_cap=3,
+    aoi_cap=300,
+)
+
 EPSILON = 1e-9
 
 

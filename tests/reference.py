@@ -14,6 +14,10 @@ Class analysis: scipy's breadth-first search and strongly connected
 components find the reachable set and the closed classes of a kernel, for
 the package's dense closure to agree with.
 
+Bellman backup and relative value iteration: the age-major kernel that
+gathers each neighbour with fancy indexing, and the plain loop over it; the
+package's battery-major kernel and in-place loop must agree bit for bit.
+
 Policy extraction: a short-circuit scan that inherits Transmit from the
 next-younger age, which agrees with the full argmin when the action
 advantage is submodular.
@@ -27,10 +31,12 @@ from scipy.sparse import csgraph
 
 from aoi_energy import (
     Action,
+    ConvergenceError,
     Periodic,
     PolicyTable,
     QTable,
     Randomized,
+    SolverConfig,
     State,
     SystemParams,
     decide,
@@ -151,3 +157,67 @@ def greedy_policy_shortcircuit(q: QTable, params: SystemParams) -> PolicyTable:
                 transmitting = bool(q.values[row, battery, 1] < q.values[row, battery, 0])
             actions[row, battery] = 1 if transmitting else 0
     return PolicyTable(actions)
+
+
+def bellman_qvalues_gathered(
+    values: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous backup on the age-major grid by fancy-index gathers.
+
+    Age increments saturate at the top row, harvest credit lands after the
+    transmit spend.
+    """
+    cap, width = params.aoi_cap, params.battery_cap + 1
+    if values.shape != (cap, width):
+        raise ValueError(f"value table shape {values.shape}, expected {(cap, width)}")
+    lam = params.harvest_prob
+    p = params.erasure_prob
+    q_levels = np.arange(width)
+    charged = np.minimum(q_levels + 1, params.battery_cap)
+    spent = np.maximum(q_levels - 1, 0)
+    ages = np.arange(1, cap + 1, dtype=float)[:, None]
+
+    aged = np.empty_like(values)
+    aged[:-1] = values[1:]
+    aged[-1] = values[-1]
+    fresh = values[0]
+
+    q_idle = ages + lam * aged[:, charged] + (1.0 - lam) * aged
+    backup_penalty = params.energy_weight * params.backup_cost * (q_levels == 0)
+    q_tx = (
+        ages
+        + backup_penalty
+        + p * (lam * aged[:, spent + 1] + (1.0 - lam) * aged[:, spent])
+        + (1.0 - p) * (lam * fresh[spent + 1] + (1.0 - lam) * fresh[spent])
+    )
+    return q_idle, q_tx
+
+
+def relative_value_iteration(params: SystemParams, cfg: SolverConfig):
+    """(values, q_values, gain, iterations, final_span) by the plain RVI loop.
+
+    Re-anchors at ``cfg.reference_state`` (default (1, battery_cap)) after
+    every sweep, with a fresh table each time.
+    """
+    params.validate_for_solve()
+    ref = cfg.reference_state if cfg.reference_state is not None else State(1, params.battery_cap)
+    ref_idx = (ref.aoi - 1, ref.battery)
+    values = np.full(params.grid_shape, float(cfg.init_value))
+    values -= values[ref_idx]
+    gain = np.nan
+    span = np.inf
+    for iterations in range(1, cfg.max_iters + 1):
+        q_idle, q_tx = bellman_qvalues_gathered(values, params)
+        updated = np.minimum(q_idle, q_tx)
+        diff = updated - values
+        high = float(diff.max())
+        low = float(diff.min())
+        span = high - low
+        gain = 0.5 * (high + low)
+        values = updated - updated[ref_idx]
+        if span <= cfg.epsilon:
+            break
+    else:
+        raise ConvergenceError("reference RVI ran out of sweeps", span=span, iterations=iterations)
+    q_idle, q_tx = bellman_qvalues_gathered(values, params)
+    return values, np.stack([q_idle, q_tx], axis=-1), float(gain), iterations, float(span)

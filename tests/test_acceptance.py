@@ -9,6 +9,7 @@ tolerance, visible even under captured pytest output.
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -109,14 +110,27 @@ def point_label(params):
     )
 
 
+def fuller_transmits_sooner(thresholds):
+    """Thresholds do not increase with battery level; None (never) counts as infinity."""
+    ages = [math.inf if t is None else t for t in thresholds.thresholds]
+    return all(low >= high for low, high in zip(ages, ages[1:]))
+
+
 def test_criterion_1_threshold_structure(grid, capsys):
     bad = [g for g in grid if g.thresholds is None]
-    detail = "; ".join(f"{point_label(g.params)}: {g.shape_error}" for g in bad[:3])
+    rising = [
+        g for g in grid if g.thresholds is not None and not fuller_transmits_sooner(g.thresholds)
+    ]
+    detail = "; ".join(
+        [f"{point_label(g.params)}: {g.shape_error}" for g in bad[:3]]
+        + [f"{point_label(g.params)}: thresholds {g.thresholds.thresholds}" for g in rising[:3]]
+    )
     announce(
         capsys,
         1,
-        f"greedy policy is threshold-shaped at all {len(grid)} grid points",
-        not bad,
+        f"greedy policy is threshold-shaped, with thresholds non-increasing in battery, "
+        f"at all {len(grid)} grid points",
+        not bad and not rising,
         detail,
     )
 

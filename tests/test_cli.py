@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aoi_energy
@@ -174,6 +175,48 @@ def test_solve_nonconvergence_exit(tmp_path, capsys):
     )
     assert code == EXIT_NO_CONVERGENCE
     assert "converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("solve", "--epsilon", "inf"),
+        ("solve", "--epsilon", "nan"),
+        ("solve", "--structure-tol", "nan"),
+        ("solve", "--structure-tol", "inf"),
+        ("solve", "--structure-tol", "-1e-8"),
+        ("check", "--structure-tol", "nan"),
+        ("check", "--structure-tol", "-inf"),
+        ("sweep", "--epsilon", "inf"),
+        ("sweep", "--structure-tol", "nan"),
+        ("sweep", "--structure-tol", "inf"),
+    ],
+)
+def test_hostile_tolerances_fail_before_any_work(
+    tmp_path, capsys, monkeypatch, command, option, value
+):
+    """Exit 2 before the solver or the certificates run, and write no file."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{command} {option} {value} reached the solver")
+
+    for name in ("solve", "bellman_qvalues", "certify_structure"):
+        monkeypatch.setattr(aoi_energy.cli, name, must_not_run)
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    out = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", "--params", pfile, "--out", str(out)]
+    elif command == "check":
+        values = tmp_path / "values.csv"
+        zeros = np.zeros(SOLVE_PARAMS.grid_shape)
+        write_value_csv(str(values), ValueTable(zeros, gain=0.0, iterations=0, final_span=0.0))
+        argv = ["check", "--params", pfile, "--values", str(values)]
+    else:
+        argv = sweep_args(pfile, out, "omega", "2.0", "zero-wait,solved")
+    assert main(argv + [f"{option}={value}"]) == EXIT_USAGE
+    assert option.lstrip("-") in capsys.readouterr().err
+    inputs = {"params.json", "values.csv"} if command == "check" else {"params.json"}
+    assert {path.name for path in tmp_path.iterdir()} == inputs
 
 
 # ---------------------------------------------------------------------------

@@ -45,22 +45,13 @@ from aoi_energy import (
     write_report_rows,
 )
 from aoi_energy.evaluation import _reachable_classes, _t_quantile_975
-from conftest import BENCH
+from conftest import BENCH, MID
 from reference import csgraph_classes, truncated_cost
 
 EVAL_BENCH = dataclasses.replace(BENCH, aoi_cap=400)
 
 ZERO_WAIT_COST = 1.0 / (1.0 - BENCH.erasure_prob) + (
     BENCH.energy_weight * BENCH.backup_cost * (1.0 - BENCH.harvest_prob)
-)
-
-MID = SystemParams(
-    erasure_prob=0.25,
-    harvest_prob=0.45,
-    energy_weight=4.0,
-    backup_cost=2.0,
-    battery_cap=3,
-    aoi_cap=300,
 )
 
 MID_400 = dataclasses.replace(MID, aoi_cap=400)

@@ -1,7 +1,12 @@
 """Solver tests: iteration mechanics, greedy extraction, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aoi_energy import (
     ConvergenceError,
@@ -19,8 +24,8 @@ from aoi_energy import (
     solve,
     write_value_csv,
 )
-from conftest import BENCH, EPSILON
-from reference import greedy_policy_shortcircuit
+from conftest import BENCH, EPSILON, MID
+from reference import bellman_qvalues_gathered, greedy_policy_shortcircuit, relative_value_iteration
 
 SMALL = SystemParams(
     erasure_prob=0.3,
@@ -177,11 +182,97 @@ def test_solve_rejects_bad_inputs():
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(epsilon=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(init_value=bad)
+    with pytest.raises(ValueError):
+        SolverConfig(init_value=float("-inf"))
 
 
 def test_bellman_qvalues_shape_guard():
     with pytest.raises(ValueError):
         bellman_qvalues(np.zeros((3, 3)), SMALL)
+
+
+# ---------------------------------------------------------------------------
+# the battery-major kernel against the gathered oracle, bit for bit
+
+
+def same_bits(a, b):
+    """Equal shapes and equal IEEE bit patterns (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+def assert_kernel_matches_oracle(table, params):
+    before = table.copy()
+    got = bellman_qvalues(table, params)
+    expected = bellman_qvalues_gathered(np.ascontiguousarray(table), params)
+    assert np.array_equal(table, before)  # the input is not written to
+    for new, old in zip(got, expected):
+        assert same_bits(new, old)
+
+
+@pytest.mark.parametrize("battery_cap, aoi_cap", [(1, 2), (2, 4), (3, 30), (20, 200), (20, 400)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_bellman_qvalues_matches_gathered_oracle(battery_cap, aoi_cap, order):
+    params = dataclasses.replace(SMALL, battery_cap=battery_cap, aoi_cap=aoi_cap)
+    rng = np.random.default_rng(1000 * battery_cap + aoi_cap)
+    table = np.asarray(rng.normal(scale=100.0, size=params.grid_shape), order=order)
+    assert table.flags.f_contiguous == (order == "F")
+    assert_kernel_matches_oracle(table, params)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    battery_cap=st.integers(1, 6),
+    aoi_cap=st.integers(2, 40),
+    erasure=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    harvest=st.floats(0.0, 1.0),
+    weight=st.floats(0.0, 1e3),
+    cost=st.floats(0.0, 1e3),
+    order=st.sampled_from("CF"),
+    data=st.data(),
+)
+def test_bellman_qvalues_property(
+    battery_cap, aoi_cap, erasure, harvest, weight, cost, order, data
+):
+    params = SystemParams(
+        erasure_prob=erasure,
+        harvest_prob=harvest,
+        energy_weight=weight,
+        backup_cost=cost,
+        battery_cap=battery_cap,
+        aoi_cap=aoi_cap,
+    )
+    table = data.draw(arrays(np.float64, params.grid_shape, elements=st.floats(-1e6, 1e6)))
+    assert_kernel_matches_oracle(np.asarray(table, order=order), params)
+
+
+B1_CAP2 = dataclasses.replace(SMALL, battery_cap=1, aoi_cap=2)
+
+
+@pytest.mark.parametrize(
+    "params, cfg",
+    [
+        (BENCH, SolverConfig(epsilon=EPSILON)),
+        (MID, SolverConfig()),
+        (B1_CAP2, SolverConfig()),
+        (SMALL, SolverConfig(reference_state=State(17, 2))),
+        (SMALL, SolverConfig(init_value=-12.5)),
+    ],
+    ids=["readme", "mid", "b1-cap2", "reference-state", "init-value"],
+)
+def test_solve_matches_reference_rvi(params, cfg):
+    v, q = solve(params, cfg)
+    values, q_values, gain, iterations, span = relative_value_iteration(params, cfg)
+    assert same_bits(v.values, values)
+    assert same_bits(q.values, q_values)
+    assert (v.gain, v.iterations, v.final_span) == (gain, iterations, span)
+    assert v.values.flags.c_contiguous and q.values.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
