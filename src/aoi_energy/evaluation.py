@@ -1,16 +1,17 @@
 """Policy evaluation three ways.
 
 Seeded Monte Carlo simulates the real chain (age unbounded, battery finite)
-and reports replication means with a 95% confidence halfwidth. Exact
-evaluation works on the same untruncated chain: age resets on delivery and
-otherwise grows by one, so the chain renews at each delivery, and the
-average cost follows from the stationary law of a small renewal kernel over
-the battery (and slot phase) plus closed forms for the age tail. A policy
-whose age tail never dies (delivery not certain, e.g. never transmitting)
-has infinite cost and is refused. Exhaustive enumeration scores every
-deterministic stationary policy of the truncated-saturating chain the
-solver works on, on desk-size instances, as a ground-truth oracle for the
-solver.
+and reports replication means with a 95% confidence halfwidth. It runs the
+slot rule as a finite automaton, one lookup per word of k slots, with the
+same bits as stepping slot by slot. Exact evaluation works on the same
+untruncated chain: age resets on delivery and otherwise grows by one, so the
+chain renews at each delivery, and the average cost follows from the
+stationary law of a small renewal kernel over the battery (and slot phase)
+plus closed forms for the age tail. A policy whose age tail never dies
+(delivery not certain, e.g. never transmitting) has infinite cost and is
+refused. Exhaustive enumeration scores every deterministic stationary policy
+of the truncated-saturating chain the solver works on, on desk-size
+instances, as a ground-truth oracle for the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RandomStream, State, SystemParams
+from .model import RandomStream, State, SystemParams, check_grid
 from .policies import (
     EnergyFirst,
     Periodic,
@@ -129,25 +130,42 @@ class EvalReport:
             )
 
 
-def _as_thresholds(spec: PolicySpec, params: SystemParams) -> ThresholdPolicy | None:
-    """Threshold form of a policy, when it has one.
+# Int32 entries of the k-slot word table; past about this size its lookups leave the cache.
+_WORD_ENTRIES = 1 << 17
+# Slots drawn and walked per pass, which bounds the working memory of a replication.
+_CHUNK_SLOTS = 1 << 16
 
-    ZeroWait transmits from age 1 at every charge; EnergyFirst transmits from
-    age 1 whenever the battery is nonempty and never on backup.
+
+def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
+    """Transmit flags of a state-driven policy, by age row and battery level.
+
+    Row d-1 holds age d and the last row every older age too. The rows run
+    to the largest finite threshold (1 when there is none; ZeroWait and
+    EnergyFirst are thresholds of 1), or over a ``PolicyTable``'s rows.
+    None for ``Periodic`` and ``Randomized``, which decide by slot index or
+    coin.
     """
     width = params.battery_cap + 1
+    if isinstance(spec, (Periodic, Randomized)):
+        return None
+    if isinstance(spec, (ThresholdPolicy, PolicyTable)) and spec.battery_cap != params.battery_cap:
+        raise ValueError(
+            f"policy covers battery 0..{spec.battery_cap}, params expect 0..{params.battery_cap}"
+        )
+    if isinstance(spec, PolicyTable):
+        check_grid(spec.aoi_cap, width, "policy table rows x battery levels")
+        return spec.actions.astype(bool)
     if isinstance(spec, ZeroWait):
-        return ThresholdPolicy(thresholds=(1,) * width)
-    if isinstance(spec, EnergyFirst):
-        return ThresholdPolicy(thresholds=(None,) + (1,) * params.battery_cap)
-    if isinstance(spec, ThresholdPolicy):
-        if spec.battery_cap != params.battery_cap:
-            raise ValueError(
-                f"threshold policy covers battery 0..{spec.battery_cap}, "
-                f"params expect 0..{params.battery_cap}"
-            )
-        return spec
-    return None
+        bounds = [1] * width
+    elif isinstance(spec, EnergyFirst):
+        bounds = [math.inf] + [1] * params.battery_cap
+    elif isinstance(spec, ThresholdPolicy):
+        bounds = [math.inf if t is None else t for t in spec.thresholds]
+    else:
+        raise TypeError(f"unknown policy spec {spec!r}")
+    depth = max((t for t in bounds if t != math.inf), default=1)
+    check_grid(depth, width, "threshold age rows x battery levels")
+    return np.arange(1, depth + 1)[:, None] >= np.array(bounds)[None, :]
 
 
 def _check_initial(state: State, params: SystemParams) -> None:
@@ -155,99 +173,92 @@ def _check_initial(state: State, params: SystemParams) -> None:
         raise ValueError(f"invalid initial state {state}")
 
 
+def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
+    """The slot rule, once, as a finite automaton; and its k-slot word table.
+
+    The state is z = (min(age, D) - 1) (B + 1) + battery, D the row count of
+    :func:`_transmit_rows` (1 for Periodic and Randomized). A slot's symbol
+    is s = harvest + 2 erased + 4 outside, the outside bit being the
+    Periodic phase hit or the Randomized coin. Over all (s, z), at s n_z + z,
+    ``step`` is the next state and ``flags`` has bit 0 set when the slot
+    pays the backup, bit 1 when it delivers. The list ``walk`` maps w + z to
+    the state k slots on, for the word w = sum_i s_i weights[i] with
+    weights[i] = n^i n_z over n symbols; k is the longest fitting
+    ``_WORD_ENTRIES`` (at least 1).
+    """
+    width = params.battery_cap + 1
+    rows = _transmit_rows(spec, params)
+    act = np.arange(2)[:, None, None] > np.zeros((1, width)) if rows is None else rows[None]
+    depth = act.shape[1]
+    sym = np.arange(4 * act.shape[0])[:, None, None]
+    row, battery = np.arange(depth)[:, None], np.arange(width)
+    tx = act[sym >> 2, row, battery]
+    delivered = tx & ((sym & 2) == 0)
+    charge = np.minimum(battery - (tx & (battery > 0)) + (sym & 1), width - 1)
+    older = np.where(delivered, 0, np.minimum(row + 1, depth - 1))
+    step = (older * width + charge).reshape(sym.size, -1).astype(np.int32)
+    flags = (tx & (battery == 0)) | delivered << 1
+    words, k = step, 1
+    while words.size * sym.size <= _WORD_ENTRIES:
+        words, k = step[:, words].reshape(-1, step.shape[1]), k + 1
+    weights = sym.size ** np.arange(k) * step.shape[1]
+    return step.ravel(), flags.ravel().astype(np.uint8), words.ravel().tolist(), weights
+
+
 def _simulate_rep(
-    spec: PolicySpec, params: SystemParams, cfg: SimConfig, rng: RandomStream
+    spec: PolicySpec, params: SystemParams, cfg: SimConfig, rng: RandomStream, automaton
 ) -> tuple[float, float]:
     """One replication; returns (mean age, mean weighted backup cost).
 
-    Pre-draws the harvest and erasure Bernoullis (and the transmit coin for
-    Randomized) for the whole horizon, then steps the chain in a tight loop.
-    The age is never truncated here.
+    Draws the harvest row, then the erasure row, then (for Randomized) the
+    transmit coins over the whole horizon, in chunks, as one symbol per
+    slot. A pass of the :func:`_automaton` walk in Python advances k slots
+    per step; k vectorised steps then recover each slot's flags. The age is
+    never truncated: over the counted slots it sums t - (latest delivery
+    before t), an exact integer taken in closed form between deliveries,
+    with the start age counted as a delivery that many slots before slot 0.
     """
-    horizon = cfg.horizon
-    warm = cfg.resolved_warmup
-    lam = params.harvest_prob
-    cap_b = params.battery_cap
-    harvest = (rng.random(horizon) < lam).tolist()
-    erase = (rng.random(horizon) < params.erasure_prob).tolist()
+    step, flags, walk, weights = automaton
+    k, n_z = weights.size, int(weights[0])
+    horizon, warm = cfg.horizon, cfg.resolved_warmup
+    symbols = np.zeros(-(-horizon // k) * k, np.uint8)
+    coins = [(4, spec.p_tx)] if isinstance(spec, Randomized) else []
+    for bit, prob in [(1, params.harvest_prob), (2, params.erasure_prob)] + coins:
+        for lo in range(0, horizon, _CHUNK_SLOTS):
+            part = symbols[lo : min(lo + _CHUNK_SLOTS, horizon)]
+            part += (rng.random(part.size) < prob) * np.uint8(bit)
+    if isinstance(spec, Periodic):
+        symbols[spec.phase : horizon : spec.period] += 4
 
     age, battery = cfg.initial_state
-    age_sum = 0
-    pay_count = 0
-
-    thresholds = _as_thresholds(spec, params)
-    if thresholds is not None:
-        bound = [math.inf if t is None else t for t in thresholds.thresholds]
-        for t in range(horizon):
-            transmit = age >= bound[battery]
-            counted = t >= warm
-            if counted:
-                age_sum += age
-            if transmit:
-                if battery:
-                    battery -= 1
-                elif counted:
-                    pay_count += 1
-                age = 1 if not erase[t] else age + 1
-            else:
-                age += 1
-            if harvest[t] and battery < cap_b:
-                battery += 1
-    elif isinstance(spec, Periodic):
-        period, phase = spec.period, spec.phase
-        for t in range(horizon):
-            transmit = t % period == phase
-            counted = t >= warm
-            if counted:
-                age_sum += age
-            if transmit:
-                if battery:
-                    battery -= 1
-                elif counted:
-                    pay_count += 1
-                age = 1 if not erase[t] else age + 1
-            else:
-                age += 1
-            if harvest[t] and battery < cap_b:
-                battery += 1
-    elif isinstance(spec, Randomized):
-        coins = (rng.random(horizon) < spec.p_tx).tolist()
-        for t in range(horizon):
-            transmit = coins[t]
-            counted = t >= warm
-            if counted:
-                age_sum += age
-            if transmit:
-                if battery:
-                    battery -= 1
-                elif counted:
-                    pay_count += 1
-                age = 1 if not erase[t] else age + 1
-            else:
-                age += 1
-            if harvest[t] and battery < cap_b:
-                battery += 1
-    elif isinstance(spec, PolicyTable):
-        grid = spec.actions.tolist()
-        top = spec.aoi_cap - 1
-        for t in range(horizon):
-            row = age - 1 if age <= top else top
-            transmit = grid[row][battery]
-            counted = t >= warm
-            if counted:
-                age_sum += age
-            if transmit:
-                if battery:
-                    battery -= 1
-                elif counted:
-                    pay_count += 1
-                age = 1 if not erase[t] else age + 1
-            else:
-                age += 1
-            if harvest[t] and battery < cap_b:
-                battery += 1
-    else:
-        raise TypeError(f"unknown policy spec {spec!r}")
+    width = params.battery_cap + 1
+    z = (min(age, n_z // width) - 1) * width + battery
+    last = -age  # latest delivery slot
+    age_sum = pay_count = 0
+    span = _CHUNK_SLOTS // k * k
+    for lo in range(0, horizon, span):
+        block = symbols[lo : lo + span].reshape(-1, k)
+        start = z
+        ends = [z := walk[w + z] for w in (block @ weights).tolist()]
+        state = np.array([start] + ends[:-1], np.int32)
+        codes = block.astype(np.int32) * n_z
+        out = np.empty(block.shape, np.uint8)
+        for i in range(k):
+            at = codes[:, i] + state
+            out[:, i], state = flags[at], step[at]
+        out = out.ravel()[: horizon - lo]
+        first = min(max(warm - lo, 0), out.size)
+        pay_count += np.count_nonzero(out[first:] & 1)
+        hits = np.flatnonzero(out >= 2)
+        cut = int(np.searchsorted(hits, first))
+        last = lo + int(hits[cut - 1]) if cut else last
+        marks = np.append(hits[cut:], out.size - 1)
+        gaps = np.diff(marks)
+        # Ages run x-last..m-last up to the first mark m, then 1..g over each gap g.
+        x, m = lo + first, lo + int(marks[0])
+        runs = int(gaps @ gaps) + int(marks[-1] - marks[0])
+        age_sum += ((m - x + 1) * (m + x - 2 * last) + runs) // 2
+        last = lo + int(marks[-2]) if marks.size > 1 else last
 
     slots = horizon - warm
     backup_rate = params.energy_weight * params.backup_cost * pay_count / slots
@@ -307,15 +318,18 @@ def simulate(spec: PolicySpec, params: SystemParams, cfg: SimConfig) -> EvalRepo
     Student-t 95% interval over the replication means, which assumes those
     means are near normal: for heavy-tailed ages at few replications it
     under-covers (``random:0.02`` at p=0.8, 8 replications of 200k slots,
-    missed the exact 250 by 3.0 halfwidths at seed 5).
+    missed the exact 250 by 3.0 halfwidths at seed 5). A policy whose (age
+    rows x battery levels) grid exceeds ``MAX_GRID_STATES`` (2^20), such as a
+    threshold of 10^9, is refused with ``ValueError`` before any allocation.
     """
     _check_initial(cfg.initial_state, params)
+    automaton = _automaton(spec, params)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     age_means = np.empty(cfg.replications)
     energy_means = np.empty(cfg.replications)
     for i, child in enumerate(children):
         age_means[i], energy_means[i] = _simulate_rep(
-            spec, params, cfg, np.random.default_rng(child)
+            spec, params, cfg, np.random.default_rng(child), automaton
         )
     avg_aoi = float(age_means.mean())
     avg_energy = float(energy_means.mean())
@@ -432,23 +446,9 @@ def _age_actions(
         on_phase = np.arange(spec.period) == spec.phase
         actions = np.repeat(on_phase, width)[None, :].astype(float)
         return actions, np.kron(advance, idle), np.kron(advance, tx)
-    if isinstance(spec, PolicyTable):
-        if spec.battery_cap != params.battery_cap:
-            raise ValueError(
-                f"policy table covers battery 0..{spec.battery_cap}, "
-                f"params expect 0..{params.battery_cap}"
-            )
-        return spec.actions.astype(float), idle, tx
     if isinstance(spec, Randomized):
         return np.full((1, width), spec.p_tx), idle, tx
-    thresholds = _as_thresholds(spec, params)
-    if thresholds is None:
-        raise TypeError(f"unknown policy spec {spec!r}")
-    bounds = np.array([math.inf if t is None else t for t in thresholds.thresholds])
-    finite = bounds[np.isfinite(bounds)]
-    depth = int(finite.max()) if finite.size else 1
-    actions = np.arange(1, depth + 1)[:, None] >= bounds[None, :]
-    return actions.astype(float), idle, tx
+    return _transmit_rows(spec, params).astype(float), idle, tx
 
 
 def _cycles(

@@ -42,6 +42,18 @@ RandomStream = np.random.Generator
 
 _PROB_ATOL = 1e-12
 
+# Largest (age rows x battery levels) grid the solver or the simulator builds.
+MAX_GRID_STATES = 1 << 20
+
+
+def check_grid(rows: int, width: int, what: str) -> None:
+    """Refuse a grid above :data:`MAX_GRID_STATES` states before it is allocated."""
+    if rows * width > MAX_GRID_STATES:
+        raise ValueError(
+            f"the {rows} x {width} ({what}) grid of {rows * width} states exceeds "
+            f"the limit of {MAX_GRID_STATES} states"
+        )
+
 
 class Action(IntEnum):
     """The two per-slot decisions."""
@@ -93,6 +105,11 @@ class SystemParams:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be a finite nonnegative real, got {value!r}")
+        if not math.isfinite(self.energy_weight * self.backup_cost):
+            raise ValueError(
+                f"energy_weight * backup_cost overflows: {self.energy_weight!r} * "
+                f"{self.backup_cost!r} is not a finite backup penalty"
+            )
         for name, low in (("battery_cap", 1), ("aoi_cap", 2)):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
@@ -104,8 +121,9 @@ class SystemParams:
         Solving needs 0 < erasure_prob < 1: at 0 every transmission succeeds
         and at 1 none does, and both corners are reserved for evaluation-only
         experiments. energy_weight = 0 is allowed (the always-transmit test
-        regime).
+        regime). The grid may hold at most :data:`MAX_GRID_STATES` states.
         """
+        check_grid(self.aoi_cap, self.battery_cap + 1, "aoi_cap x battery levels")
         if not 0.0 < self.erasure_prob < 1.0:
             raise ValueError(
                 "solving requires 0 < erasure_prob < 1; "

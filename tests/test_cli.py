@@ -26,6 +26,7 @@ from aoi_energy import (
     simulate,
     write_value_csv,
 )
+from aoi_energy.model import MAX_GRID_STATES
 from aoi_energy.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -603,6 +604,75 @@ def test_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "out of memory" in err
     assert "1000000000 x 10001" in err
     assert "10001000000000 states" in err
+
+
+def refuse_allocation(monkeypatch):
+    """Make the numpy constructors a grid would be built with fail if called."""
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("an array was allocated before the size check")
+
+    for name in ("full", "empty", "zeros", "arange"):
+        monkeypatch.setattr(np, name, allocated)
+
+
+def test_solve_grid_over_the_bound_is_refused_before_allocation(tmp_path, monkeypatch, capsys):
+    wide = dataclasses.replace(SOLVE_PARAMS, aoi_cap=300_000)
+    assert wide.n_states > MAX_GRID_STATES
+    pfile = params_file(tmp_path, wide)
+    refuse_allocation(monkeypatch)
+    assert main(["solve", "--params", pfile, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "300000 x 5" in err and "exceeds" in err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
+def test_grid_bound_admits_its_limit():
+    edge = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 2)
+    edge.validate_for_solve()
+    with pytest.raises(ValueError, match="exceeds"):
+        dataclasses.replace(edge, aoi_cap=edge.aoi_cap + 1).validate_for_solve()
+
+
+@pytest.mark.parametrize("method", ["mc", "exact"])
+def test_eval_threshold_over_the_bound_is_refused_before_allocation(
+    tmp_path, monkeypatch, capsys, method
+):
+    """A threshold of 10^9 would need 10^9 age rows: exit 2 naming the grid, no MemoryError.
+
+    The simulator builds nothing before the check; exact evaluation builds
+    only its battery-sized kernels first.
+    """
+    pfile = params_file(tmp_path, EVAL_PARAMS)
+    policy = tmp_path / "far.json"
+    policy.write_text(ThresholdPolicy(thresholds=(10**9, 1, 1, 1)).to_json())
+    if method == "mc":
+        refuse_allocation(monkeypatch)
+    argv = ["eval", "--params", pfile, "--policies", f"threshold:{policy}", "--method", method,
+            "--horizon", "100", "--reps", "2"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "1000000000 x 4" in err and "exceeds" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "eval", "sweep"])
+def test_overflowing_backup_penalty_is_usage_error(tmp_path, capsys, command):
+    """omega * c_r = 1e200 * 1e200 is inf: refused at validation, before any output."""
+    data = json.loads(SOLVE_PARAMS.to_json())
+    data.update({"omega": 1e200, "c_r": 1e200})
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["solve", "--params", str(pfile), "--out", str(out)],
+        "eval": ["eval", "--params", str(pfile), "--policies", "zero-wait", "--out", str(out)],
+        "sweep": sweep_args(str(pfile), out, "p", "0.3", "zero-wait,solved"),
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    assert "overflows" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+    with pytest.raises(ValueError, match="overflows"):
+        dataclasses.replace(SOLVE_PARAMS, energy_weight=1e200, backup_cost=1e200)
 
 
 def test_missing_subcommand_is_usage_error(capsys):

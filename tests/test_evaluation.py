@@ -11,9 +11,13 @@ import csv
 import dataclasses
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from aoi_energy import (
@@ -44,6 +48,7 @@ from aoi_energy import (
     stationary_distribution,
     write_report_rows,
 )
+from aoi_energy import evaluation
 from aoi_energy.evaluation import _reachable_classes, _t_quantile_975
 from conftest import BENCH, MID
 from reference import csgraph_classes, truncated_cost
@@ -461,6 +466,73 @@ def test_fast_loops_match_reference_stepping(spec):
     )
     cfg = SimConfig(horizon=5_000, replications=1, seed=77)
     report = simulate(spec, params, cfg)
+    ref_age, ref_energy = reference_replication(spec, params, cfg)
+    assert report.avg_aoi == ref_age
+    assert report.avg_weighted_energy == ref_energy
+
+
+@st.composite
+def policy_specs(draw, battery_cap):
+    """Any of the six policy kinds over batteries 0..battery_cap."""
+    width = battery_cap + 1
+    kind = draw(st.sampled_from(["zero-wait", "energy-first", "periodic", "random",
+                                 "threshold", "table"]))
+    if kind == "zero-wait":
+        return ZeroWait()
+    if kind == "energy-first":
+        return EnergyFirst()
+    if kind == "periodic":
+        period = draw(st.integers(1, 6))
+        return Periodic(period, draw(st.integers(0, period - 1)))
+    if kind == "random":
+        return Randomized(draw(st.sampled_from([0.0, 1.0, 0.3, 0.77])))
+    if kind == "threshold":
+        levels = st.none() | st.integers(1, 7)
+        return ThresholdPolicy(tuple(draw(st.lists(levels, min_size=width, max_size=width))))
+    rows = draw(st.integers(2, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=rows * width, max_size=rows * width))
+    return PolicyTable(np.array(bits, dtype=np.int8).reshape(rows, width))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    battery_cap=st.sampled_from([1, 1, 2, 3, 6]),
+    erasure=st.sampled_from([0.0, 1.0, 0.25, 0.6]),
+    harvest=st.sampled_from([0.0, 1.0, 0.4, 0.85]),
+    horizon=st.sampled_from([1, 2, 3, 5, 7, 64, 101]) | st.integers(1, 2_500),
+    chunk=st.sampled_from([evaluation._CHUNK_SLOTS, 16, 40]),
+    warm_kind=st.sampled_from(["zero", "default", "last", "any"]),
+    start_age=st.sampled_from([1, 2, 5, 9, 10**9]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_automaton_matches_reference_stepping_property(
+    battery_cap, erasure, harvest, horizon, chunk, warm_kind, start_age, seed, data
+):
+    """The k-slot automaton gives the per-slot oracle's means bit for bit.
+
+    Start ages above every threshold and table row, horizons shorter than
+    one word or not a multiple of its length, and (through a small chunk)
+    deliveries and the warm-up boundary on either side of a chunk edge.
+    """
+    params = SystemParams(
+        erasure_prob=erasure,
+        harvest_prob=harvest,
+        energy_weight=2.0,
+        backup_cost=1.5,
+        battery_cap=battery_cap,
+        aoi_cap=5,
+    )
+    spec = data.draw(policy_specs(battery_cap))
+    warmup = {
+        "zero": 0, "default": None, "last": horizon - 1,
+        "any": data.draw(st.integers(0, horizon - 1)),
+    }[warm_kind]
+    battery = data.draw(st.integers(0, battery_cap))
+    cfg = SimConfig(horizon=horizon, replications=1, warmup=warmup, seed=seed,
+                    initial_state=State(start_age, battery))
+    with mock.patch.object(evaluation, "_CHUNK_SLOTS", chunk):
+        report = simulate(spec, params, cfg)
     ref_age, ref_energy = reference_replication(spec, params, cfg)
     assert report.avg_aoi == ref_age
     assert report.avg_weighted_energy == ref_energy
