@@ -26,7 +26,6 @@ from aoi_energy import (
     simulate,
     write_value_csv,
 )
-from aoi_energy.model import MAX_GRID_STATES
 from aoi_energy.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -37,6 +36,7 @@ from aoi_energy.cli import (
     _evaluate_with_fallback,
     main,
 )
+from aoi_energy.model import MAX_GRID_STATES
 
 SOLVE_PARAMS = SystemParams(
     erasure_prob=0.3,

@@ -10,7 +10,6 @@ probability 1-lambda, so the backup is paid at rate omega*c_r*(1-lambda).
 import csv
 import dataclasses
 import math
-
 from unittest import mock
 
 import numpy as np
@@ -496,7 +495,7 @@ def policy_specs(draw, battery_cap):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
-    battery_cap=st.sampled_from([1, 1, 2, 3, 6]),
+    battery_cap=st.sampled_from([1, 2, 3, 6]),
     erasure=st.sampled_from([0.0, 1.0, 0.25, 0.6]),
     harvest=st.sampled_from([0.0, 1.0, 0.4, 0.85]),
     horizon=st.sampled_from([1, 2, 3, 5, 7, 64, 101]) | st.integers(1, 2_500),
