@@ -33,7 +33,7 @@ from .evaluation import (
     simulate,
     write_report_rows,
 )
-from .model import SystemParams
+from .model import SystemParams, check_grid
 from .policies import PolicySpec, parse_policy_spec, policy_label
 from .solver import (
     ConvergenceError,
@@ -213,6 +213,8 @@ def _apply_overrides(params: SystemParams, args: argparse.Namespace) -> SystemPa
 def run_solve(args: argparse.Namespace) -> int:
     params = _apply_overrides(_load_params(args.params), args)
     cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+    if args.check_truncation:
+        check_grid(2 * params.aoi_cap, params.battery_cap + 1, "doubled aoi_cap x battery levels")
     try:
         v, q = solve(params, cfg)
     except ConvergenceError as exc:
@@ -397,11 +399,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MemoryError:
         params = _apply_overrides(_load_params(args.params), args)
-        print(
-            f"error: out of memory for the {params.aoi_cap} x {params.battery_cap + 1} "
-            f"(aoi_cap x battery levels) grid of {params.n_states} states",
-            file=sys.stderr,
-        )
+        grid = (f"the {params.aoi_cap} x {params.battery_cap + 1} (aoi_cap x battery levels) "
+                f"grid of {params.n_states} states")
+        tail = f" or the Monte Carlo horizon of {vars(args).get('horizon')} slots (a byte per slot)"
+        what = {"eval": "exact evaluation" + tail, "sweep": grid + tail}.get(args.command, grid)
+        print(f"error: out of memory for {what}", file=sys.stderr)
         return EXIT_USAGE
 
 

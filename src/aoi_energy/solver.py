@@ -8,10 +8,11 @@ subtracts the reference entry so the iterates stay bounded. Convergence is
 declared when the span drops to ``epsilon``; the returned gain is the
 midpoint of the final difference's extremes.
 
-Sweeps run battery-major on a Fortran-ordered iterate, so one age older is
-the next element of ``V.T``; lam*V and (1-lam)*V are padded for the age and
-battery saturation and every neighbour is a slice. The float association of
-the backup is part of its contract: results are reproducible bit for bit.
+Sweeps run in one flat workspace: V battery-major, padded by a saturation
+column (age ``cap``) and row (battery ``min(q+1, B)``), so one age older is
+offset +1 and one battery up +(cap+1). Pad slots of a result are garbage: the
+span skips them and V's pads are refreshed after each sweep. The backup's
+float association is part of its contract: results repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,12 +111,53 @@ def _resolve_reference(cfg: SolverConfig, params: SystemParams) -> State:
     return ref
 
 
-@lru_cache(maxsize=16)
-def _age_rows(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    ages = np.arange(1, params.aoi_cap + 1, dtype=float)
-    on_backup = ages + params.energy_weight * params.backup_cost
-    ages.flags.writeable = on_backup.flags.writeable = False
-    return ages, on_backup
+class _Workspace:
+    """Flat padded buffers and views for the sweeps on one grid, built once.
+
+    ``values[q*(cap+1) + d-1]`` holds V(d, q), then the saturation row and one
+    slot never written. ``backup`` runs ``steps`` to fill ``q_idle``, ``q_tx``;
+    pad slots of a result hold garbage. Every buffer a sweep writes is from ``alloc``.
+    """
+
+    alloc = staticmethod(np.zeros)
+
+    def __init__(self, params: SystemParams, table: np.ndarray):
+        cap, width = params.grid_shape
+        row, n = cap + 1, width * (cap + 1)
+        lam, p = params.harvest_prob, params.erasure_prob
+        values, scaled = self.alloc(n + row + 1), self.alloc(n + row + 1)
+        rest, mix, fresh = self.alloc(n + 1), self.alloc(n + 1), self.alloc(width)[:, None]
+        self.q_idle, self.q_tx = self.alloc(n), self.alloc(n)
+        costs = np.tile(np.arange(1.0, row + 1), width + 1)
+        costs[:cap] += params.energy_weight * params.backup_cost  # only row 0 pays the backup
+        ages, stage = costs[row:], costs[:n]  # idle and transmit stage costs
+        self.cap, self.row, self.real = cap, row, values[:n]
+        self.grid, tx_rows = values[:n].reshape(width, row), self.q_tx.reshape(width, row)
+        self.pads = ((self.grid[:, cap], self.grid[:, cap - 1]), (values[n:-1], self.grid[-1]))
+        self.diff_pad = (tx_rows[:, cap], tx_rows[:, cap - 1])
+        self.steps = (
+            (np.multiply, values, lam, scaled),
+            (np.multiply, values[: n + 1], 1.0 - lam, rest),
+            (np.add, scaled[row : n + 1], rest[: n + 1 - row], mix[row:]),  # S at q >= 1
+            (np.add, scaled[row : 2 * row], rest[:row], mix[:row]),  # S at q = 0 equals q = 1
+            (np.add, ages, scaled[row + 1 :], self.q_idle),
+            (np.add, self.q_idle, rest[1:], self.q_idle),  # (age + lam*V'[charged]) + (1-lam)*V'
+            (np.multiply, mix[1:], p, self.q_tx),
+            (np.add, self.q_tx, stage, self.q_tx),  # p*S' + (age + backup)
+            (np.multiply, mix[:n].reshape(width, row)[:, :1], 1.0 - p, fresh),
+            (np.add, tx_rows, fresh, tx_rows),  # ... + (1-p)*S[age 1]
+        )
+        self.grid[:, :cap] = table.T
+        for pad, source in self.pads:
+            np.copyto(pad, source)
+
+    def backup(self) -> None:
+        for ufunc, a, b, out in self.steps:
+            ufunc(a, b, out=out)
+
+    def table(self, flat: np.ndarray) -> np.ndarray:
+        """A fresh (aoi_cap, battery levels) table of the real entries of ``flat``."""
+        return flat.reshape(-1, self.row)[:, : self.cap].T.copy()
 
 
 def bellman_qvalues(values: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -128,29 +169,11 @@ def bellman_qvalues(values: np.ndarray, params: SystemParams) -> tuple[np.ndarra
     ``q_tx = ((age + backup) + p*S') + (1-p)*S[age 1]``. Accepts C- or
     Fortran-ordered ``values``.
     """
-    cap, width = params.aoi_cap, params.battery_cap + 1
-    if values.shape != (cap, width):
-        raise ValueError(f"value table shape {values.shape}, expected {(cap, width)}")
-    lam, p = params.harvest_prob, params.erasure_prob
-    scaled = np.empty((width + 1, cap + 1))
-    np.multiply(values.T, lam, out=scaled[:width, :cap])
-    scaled[width, :cap] = scaled[width - 1, :cap]
-    scaled[:, cap] = scaled[:, cap - 1]
-    rest = np.empty((width, cap + 1))
-    np.multiply(values.T, 1.0 - lam, out=rest[:, :cap])
-    rest[:, cap] = rest[:, cap - 1]
-    mix = np.empty((width, cap + 1))
-    np.add(scaled[1:width], rest[: width - 1], out=mix[1:])
-    mix[0] = mix[1]  # spent = max(q - 1, 0): empty and one-unit batteries agree
-
-    ages, on_backup = _age_rows(params)
-    q_idle = np.add(ages, scaled[1:, 1:])
-    q_idle += rest[:, 1:]
-    q_tx = np.multiply(mix[:, 1:], p)
-    q_tx[0] += on_backup
-    q_tx[1:] += ages  # backup is paid only at q = 0; age + 0.0 is age, bit for bit
-    q_tx += ((1.0 - p) * mix[:, 0])[:, None]
-    return q_idle.T, q_tx.T
+    if values.shape != params.grid_shape:
+        raise ValueError(f"value table shape {values.shape}, expected {params.grid_shape}")
+    ws = _Workspace(params, values)
+    ws.backup()
+    return ws.table(ws.q_idle), ws.table(ws.q_tx)
 
 
 def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueTable, QTable]:
@@ -159,28 +182,26 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
     Returns the anchored value table (with the gain estimate) and the
     state-action table recomputed from the converged values. Raises
     :class:`ConvergenceError` carrying the last span when ``max_iters``
-    sweeps do not suffice. Each sweep writes into the same buffers.
+    sweeps do not suffice. Every sweep works in one :class:`_Workspace`.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
     ref = _resolve_reference(cfg, params)
-    ref_idx = (ref.aoi - 1, ref.battery)
-
-    values = np.full(params.grid_shape, float(cfg.init_value), order="F")
-    values -= values[ref_idx]
-    updated, diff = np.empty_like(values), np.empty_like(values)
-    gain = np.nan
-    span = np.inf
-    iterations = 0
+    init = np.float64(cfg.init_value)
+    ws = _Workspace(params, init - init)  # a uniform table re-anchored at the reference
+    ref_at = ref.battery * ws.row + ref.aoi - 1
+    updated, diff = ws.q_idle, ws.q_tx  # T(V) and T(V) - V overwrite the backup
+    gain, span, iterations = np.nan, np.inf, 0
     for iterations in range(1, cfg.max_iters + 1):
-        q_idle, q_tx = bellman_qvalues(values, params)
-        np.minimum(q_idle, q_tx, out=updated)
-        np.subtract(updated, values, out=diff)
-        high = float(diff.max())
-        low = float(diff.min())
-        span = high - low
-        gain = 0.5 * (high + low)
-        np.subtract(updated, updated[ref_idx], out=values)
+        ws.backup()
+        np.minimum(updated, ws.q_tx, out=updated)
+        np.subtract(updated, ws.real, out=diff)
+        np.copyto(*ws.diff_pad)
+        high, low = float(diff.max()), float(diff.min())
+        span, gain = high - low, 0.5 * (high + low)
+        np.subtract(updated, updated[ref_at], out=ws.real)
+        for pad, source in ws.pads:  # age column first, then the battery row
+            np.copyto(pad, source)
         if span <= cfg.epsilon:
             break
     else:
@@ -190,13 +211,10 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
             iterations=cfg.max_iters,
         )
 
-    values = np.ascontiguousarray(values)
-    q_idle, q_tx = bellman_qvalues(values, params)
-    q_values = np.ascontiguousarray(np.stack([q_idle, q_tx], axis=-1))
-    return (
-        ValueTable(values=values, gain=float(gain), iterations=iterations, final_span=float(span)),
-        QTable(values=q_values),
-    )
+    ws.backup()
+    q_values = np.stack([ws.table(ws.q_idle), ws.table(ws.q_tx)], axis=-1)
+    v = ValueTable(ws.table(ws.real), float(gain), iterations, float(span))
+    return v, QTable(values=q_values)
 
 
 def greedy_policy(v: ValueTable, q: QTable, params: SystemParams) -> PolicyTable:

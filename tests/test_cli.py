@@ -15,6 +15,7 @@ import aoi_energy
 from aoi_energy import (
     METHOD_EXACT,
     METHOD_MONTE_CARLO,
+    ConvergenceError,
     Randomized,
     SimConfig,
     StructureReport,
@@ -632,6 +633,61 @@ def test_grid_bound_admits_its_limit():
     edge.validate_for_solve()
     with pytest.raises(ValueError, match="exceeds"):
         dataclasses.replace(edge, aoi_cap=edge.aoi_cap + 1).validate_for_solve()
+
+
+def truncation_args(tmp_path, params):
+    pfile = params_file(tmp_path, params)
+    return ["solve", "--params", pfile, "--out", str(tmp_path / "out"), "--check-truncation"]
+
+
+def test_doubled_grid_over_the_bound_is_refused_before_any_solve(tmp_path, monkeypatch, capsys):
+    """--check-truncation needs twice the rows: refused before the first solve writes anything."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve ran before the doubled grid was checked")
+
+    monkeypatch.setattr("aoi_energy.cli.solve", unreachable)
+    tall = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 2)
+    tall.validate_for_solve()  # the first solve's grid alone is within the bound
+    assert main(truncation_args(tmp_path, tall)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{MAX_GRID_STATES} x 2" in err and "exceeds" in err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
+def test_doubled_grid_bound_admits_its_limit(tmp_path, monkeypatch, capsys):
+    """At 2 * aoi_cap * (B+1) == the bound the first solve starts; one row more is refused."""
+
+    def stub(*args, **kwargs):
+        raise ConvergenceError("stub solve", span=1.0, iterations=1)
+
+    monkeypatch.setattr("aoi_energy.cli.solve", stub)
+    edge = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 4)
+    assert main(truncation_args(tmp_path, edge)) == EXIT_NO_CONVERGENCE
+    over = dataclasses.replace(edge, aoi_cap=edge.aoi_cap + 1)
+    assert main(truncation_args(tmp_path, over)) == EXIT_USAGE
+    assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_out_of_memory_in_the_simulator_names_the_horizon(tmp_path, monkeypatch, capsys, command):
+    """A Monte Carlo run that exhausts memory blames its horizon, not only the aoi_cap grid."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("aoi_energy.evaluation._simulate_rep", exhausted)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    argv = {
+        "eval": ["eval", "--params", pfile, "--policies", "zero-wait", "--method", "mc",
+                 "--horizon", "3000", "--reps", "2"],
+        "sweep": sweep_args(pfile, tmp_path / "rows.csv", "p", "0.8", "random:0"),
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "Monte Carlo horizon of 3000 slots" in err
+    assert ("100 x 4 (aoi_cap x battery levels)" in err) == (command == "sweep")
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("method", ["mc", "exact"])

@@ -22,6 +22,7 @@ from aoi_energy import (
     greedy_policy,
     read_value_csv,
     solve,
+    solver,
     write_value_csv,
 )
 from conftest import BENCH, EPSILON, MID
@@ -254,25 +255,49 @@ def test_bellman_qvalues_property(
 
 B1_CAP2 = dataclasses.replace(SMALL, battery_cap=1, aoi_cap=2)
 
+# The last five sit next to the workspace's pads: the reference state on the
+# saturated age row at the top and the empty battery, and the corners where
+# lam*V or (1-lam)*V is all zeros or the backup costs nothing.
+RVI_CASES = {
+    "readme": (BENCH, SolverConfig(epsilon=EPSILON)),
+    "mid": (MID, SolverConfig()),
+    "b1-cap2": (B1_CAP2, SolverConfig()),
+    "reference-state": (SMALL, SolverConfig(reference_state=State(17, 2))),
+    "init-value": (SMALL, SolverConfig(init_value=-12.5)),
+    "reference-cap-full": (SMALL, SolverConfig(reference_state=State(SMALL.aoi_cap, 4))),
+    "reference-cap-empty": (SMALL, SolverConfig(reference_state=State(SMALL.aoi_cap, 0))),
+    "lam-0": (dataclasses.replace(SMALL, harvest_prob=0.0), SolverConfig()),
+    "lam-1": (dataclasses.replace(SMALL, harvest_prob=1.0), SolverConfig()),
+    "omega-0": (dataclasses.replace(SMALL, energy_weight=0.0), SolverConfig()),
+}
 
-@pytest.mark.parametrize(
-    "params, cfg",
-    [
-        (BENCH, SolverConfig(epsilon=EPSILON)),
-        (MID, SolverConfig()),
-        (B1_CAP2, SolverConfig()),
-        (SMALL, SolverConfig(reference_state=State(17, 2))),
-        (SMALL, SolverConfig(init_value=-12.5)),
-    ],
-    ids=["readme", "mid", "b1-cap2", "reference-state", "init-value"],
-)
-def test_solve_matches_reference_rvi(params, cfg):
+
+def assert_solve_matches_reference_rvi(params, cfg):
     v, q = solve(params, cfg)
     values, q_values, gain, iterations, span = relative_value_iteration(params, cfg)
     assert same_bits(v.values, values)
     assert same_bits(q.values, q_values)
     assert (v.gain, v.iterations, v.final_span) == (gain, iterations, span)
     assert v.values.flags.c_contiguous and q.values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("params, cfg", RVI_CASES.values(), ids=RVI_CASES.keys())
+def test_solve_matches_reference_rvi(params, cfg):
+    assert_solve_matches_reference_rvi(params, cfg)
+
+
+@pytest.mark.parametrize("params, cfg", RVI_CASES.values(), ids=RVI_CASES.keys())
+def test_poisoned_workspace_changes_no_bit(monkeypatch, params, cfg):
+    """Every workspace buffer starts as NaN, so a pad slot or a slot the
+    backup never writes that reached a real entry would show in the values,
+    the action values, the gain or the span."""
+    monkeypatch.setattr(solver._Workspace, "alloc", staticmethod(lambda size: np.full(size, np.nan)))
+    assert_solve_matches_reference_rvi(params, cfg)
+    rng = np.random.default_rng(params.aoi_cap)
+    for order in "CF":
+        assert_kernel_matches_oracle(
+            np.asarray(rng.normal(scale=100.0, size=params.grid_shape), order=order), params
+        )
 
 
 # ---------------------------------------------------------------------------
