@@ -2,16 +2,18 @@
 
 Seeded Monte Carlo simulates the real chain (age unbounded, battery finite)
 and reports replication means with a 95% confidence halfwidth. It runs the
-slot rule as a finite automaton, one lookup per word of k slots, with the
-same bits as stepping slot by slot. Exact evaluation works on the same
-untruncated chain: age resets on delivery and otherwise grows by one, so the
-chain renews at each delivery, and the average cost follows from the
-stationary law of a small renewal kernel over the battery (and slot phase)
-plus closed forms for the age tail. A policy whose age tail never dies
-(delivery not certain, e.g. never transmitting) has infinite cost and is
-refused. Exhaustive enumeration scores every deterministic stationary policy
-of the truncated-saturating chain the solver works on, on desk-size
-instances, as a ground-truth oracle for the solver.
+slot rule as a finite automaton over words of k slots, walked in lanes that
+advance together from guessed starts, a wrong guess being walked again, so
+the bits are the same as stepping slot by slot. Exact evaluation works on
+the same untruncated chain: age resets on delivery and otherwise grows by
+one, so the chain renews at each delivery, and the average cost follows
+from the stationary law of a small renewal kernel over the battery (and
+slot phase) plus closed forms for the age tail. A policy whose age tail
+never dies (delivery not certain, e.g. never transmitting) has infinite
+cost and is refused. Exhaustive enumeration scores every deterministic
+stationary policy of the truncated-saturating chain the solver works on, on
+desk-size instances, in batched solves, as a ground-truth oracle for the
+solver.
 """
 
 from __future__ import annotations
@@ -85,9 +87,18 @@ class ReducibilityError(RuntimeError):
         self.offending = offending
 
 
+# Slots per replication: the simulator keeps one byte per slot, so 1 GiB of symbols.
+MAX_HORIZON = 1 << 30
+# Entries of the dense (phase, battery) kernel that exact evaluation builds for Periodic.
+MAX_PERIODIC_ENTRIES = 1 << 22
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run shape; warmup defaults to a tenth of the horizon."""
+    """Monte Carlo run shape; warmup defaults to a tenth of the horizon.
+
+    The horizon may be at most :data:`MAX_HORIZON` slots.
+    """
 
     horizon: int
     replications: int = 1
@@ -98,6 +109,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.horizon, int) and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(
+                f"horizon of {self.horizon} slots exceeds the limit of {MAX_HORIZON} slots "
+                "(a byte per slot)"
+            )
         if not (isinstance(self.replications, int) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
         warm = self.resolved_warmup
@@ -132,8 +148,15 @@ class EvalReport:
 
 # Int32 entries of the k-slot word table; past about this size its lookups leave the cache.
 _WORD_ENTRIES = 1 << 17
-# Slots drawn and walked per pass, which bounds the working memory of a replication.
+# Slots drawn per random-number call, which bounds the float buffers of a replication.
 _CHUNK_SLOTS = 1 << 16
+# Slots walked per span; its word codes, states and flags take 12 bytes per word.
+_SPAN_SLOTS = 1 << 18
+# Words per lane of the speculative walk, and words walked from state 0 to guess a lane's start.
+_LANE_WORDS = 256
+_LOOKBACK_WORDS = 128
+# Action tables scored per batched solve by enumeration.
+_ENUM_BLOCK = 1 << 10
 
 
 def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
@@ -174,17 +197,18 @@ def _check_initial(state: State, params: SystemParams) -> None:
 
 
 def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
-    """The slot rule, once, as a finite automaton; and its k-slot word table.
+    """The slot rule, once, as a finite automaton over words of k slots.
 
     The state is z = (min(age, D) - 1) (B + 1) + battery, D the row count of
     :func:`_transmit_rows` (1 for Periodic and Randomized). A slot's symbol
     is s = harvest + 2 erased + 4 outside, the outside bit being the
-    Periodic phase hit or the Randomized coin. Over all (s, z), at s n_z + z,
-    ``step`` is the next state and ``flags`` has bit 0 set when the slot
-    pays the backup, bit 1 when it delivers. The list ``walk`` maps w + z to
-    the state k slots on, for the word w = sum_i s_i weights[i] with
-    weights[i] = n^i n_z over n symbols; k is the longest fitting
-    ``_WORD_ENTRIES`` (at least 1).
+    Periodic phase hit or the Randomized coin. A slot's flags have bit 0 set
+    when it pays the backup, bit 1 when it delivers. The word of k slots
+    s_0..s_{k-1} has the code w = n_z sum_i s_i n^i over n symbols, and at
+    w + z the list ``walk`` (and the int32 array ``table``) holds the state
+    k slots on, and ``outcomes`` the flags of slot i at bits 2i and 2i+1.
+    k is the longest fitting ``_WORD_ENTRIES`` (at least 1). Returns
+    (walk, table, outcomes, n, n_z, k).
     """
     width = params.battery_cap + 1
     rows = _transmit_rows(spec, params)
@@ -196,13 +220,57 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     delivered = tx & ((sym & 2) == 0)
     charge = np.minimum(battery - (tx & (battery > 0)) + (sym & 1), width - 1)
     older = np.where(delivered, 0, np.minimum(row + 1, depth - 1))
-    step = (older * width + charge).reshape(sym.size, -1).astype(np.int32)
-    flags = (tx & (battery == 0)) | delivered << 1
-    words, k = step, 1
+    n_z = depth * width
+    step = (older * width + charge).reshape(sym.size, n_z).astype(np.int32)
+    flags = ((tx & (battery == 0)) | delivered << 1).reshape(sym.size, n_z).astype(np.uint32)
+    words, outcomes, k = step, flags, 1
     while words.size * sym.size <= _WORD_ENTRIES:
-        words, k = step[:, words].reshape(-1, step.shape[1]), k + 1
-    weights = sym.size ** np.arange(k) * step.shape[1]
-    return step.ravel(), flags.ravel().astype(np.uint8), words.ravel().tolist(), weights
+        # The new slot k comes after the word: its symbol is the top digit.
+        words, outcomes, k = (
+            step[:, words].reshape(-1, n_z),
+            (outcomes | flags[:, words] << 2 * k).reshape(-1, n_z),
+            k + 1,
+        )
+    table = words.ravel()
+    return table.tolist(), table, outcomes.ravel(), sym.size, n_z, k
+
+
+def _lane_walk(codes: np.ndarray, z: int, walk: list, table: np.ndarray) -> tuple[np.ndarray, int]:
+    """The state before each word of ``codes`` walked from ``z``, and the state after the last.
+
+    A speculative data-parallel walk (Mytkowicz, Musuvathi and Schulte,
+    ASPLOS 2014). The words are cut into lanes of ``_LANE_WORDS``. Each
+    lane after the first starts from a guess: the state reached by walking
+    the last ``_LOOKBACK_WORDS`` words of the lane before it from state 0.
+    All lanes then advance together, one gather from ``table`` per word
+    position. The lanes are checked in order against the true end of the
+    lane before, and one whose guess was wrong is walked again, whole, with
+    the Python list walk. The automaton is deterministic, so a lane whose
+    guess was right already holds the true states, and the result is exact.
+    """
+    size, width = codes.size, _LANE_WORDS
+    lanes = -(-size // width)
+    grid = np.zeros((lanes, width), np.int32)  # row j is lane j; padding words are all zero
+    grid.reshape(-1)[:size] = codes
+    guess = np.zeros(lanes, np.int32)
+    for i in range(width - min(_LOOKBACK_WORDS, width), width):
+        guess[1:] = table[grid[:-1, i] + guess[1:]]
+    guess[0] = z
+    starts = np.empty_like(grid)
+    state = guess
+    for i in range(width):
+        starts[:, i] = state
+        state = table[grid[:, i] + state]
+    ends = state.tolist()
+    for j, start in enumerate(guess.tolist()):
+        if start == z:
+            z = ends[j]
+        else:
+            path = [z]
+            path += [z := walk[w + z] for w in grid[j].tolist()]
+            starts[j] = path[:-1]
+    starts = starts.reshape(-1)[:size]
+    return starts, walk[int(codes[-1]) + int(starts[-1])]
 
 
 def _simulate_rep(
@@ -212,14 +280,15 @@ def _simulate_rep(
 
     Draws the harvest row, then the erasure row, then (for Randomized) the
     transmit coins over the whole horizon, in chunks, as one symbol per
-    slot. A pass of the :func:`_automaton` walk in Python advances k slots
-    per step; k vectorised steps then recover each slot's flags. The age is
-    never truncated: over the counted slots it sums t - (latest delivery
-    before t), an exact integer taken in closed form between deliveries,
-    with the start age counted as a delivery that many slots before slot 0.
+    slot. Span by span, the symbols become word codes of the
+    :func:`_automaton`, :func:`_lane_walk` gives the state before each word,
+    and one lookup of ``outcomes`` per word gives the flags of its k slots.
+    The age is never truncated: over the counted slots it sums
+    t - (latest delivery before t), an exact integer taken in closed form
+    between deliveries, with the start age counted as a delivery that many
+    slots before slot 0.
     """
-    step, flags, walk, weights = automaton
-    k, n_z = weights.size, int(weights[0])
+    walk, table, outcomes, n_sym, n_z, k = automaton
     horizon, warm = cfg.horizon, cfg.resolved_warmup
     symbols = np.zeros(-(-horizon // k) * k, np.uint8)
     coins = [(4, spec.p_tx)] if isinstance(spec, Randomized) else []
@@ -235,34 +304,48 @@ def _simulate_rep(
     z = (min(age, n_z // width) - 1) * width + battery
     last = -age  # latest delivery slot
     age_sum = pay_count = 0
-    span = _CHUNK_SLOTS // k * k
+    shifts = np.arange(0, 2 * k, 2, dtype=np.uint32)
+    per = max(_CHUNK_SLOTS // k, 1)  # words tallied at a time
+    span = max(_SPAN_SLOTS // k, 1) * k
     for lo in range(0, horizon, span):
         block = symbols[lo : lo + span].reshape(-1, k)
-        start = z
-        ends = [z := walk[w + z] for w in (block @ weights).tolist()]
-        state = np.array([start] + ends[:-1], np.int32)
-        codes = block.astype(np.int32) * n_z
-        out = np.empty(block.shape, np.uint8)
-        for i in range(k):
-            at = codes[:, i] + state
-            out[:, i], state = flags[at], step[at]
-        out = out.ravel()[: horizon - lo]
-        first = min(max(warm - lo, 0), out.size)
-        pay_count += np.count_nonzero(out[first:] & 1)
-        hits = np.flatnonzero(out >= 2)
-        cut = int(np.searchsorted(hits, first))
-        last = lo + int(hits[cut - 1]) if cut else last
-        marks = np.append(hits[cut:], out.size - 1)
-        gaps = np.diff(marks)
-        # Ages run x-last..m-last up to the first mark m, then 1..g over each gap g.
-        x, m = lo + first, lo + int(marks[0])
-        runs = int(gaps @ gaps) + int(marks[-1] - marks[0])
-        age_sum += ((m - x + 1) * (m + x - 2 * last) + runs) // 2
-        last = lo + int(marks[-2]) if marks.size > 1 else last
+        codes = block[:, -1].astype(np.int32)
+        for i in range(k - 2, -1, -1):
+            codes *= n_sym
+            codes += block[:, i]
+        codes *= n_z
+        starts, z = _lane_walk(codes, z, walk, table)
+        found = outcomes[codes + starts]
+        for word in range(0, found.size, per):
+            at = lo + word * k
+            out = (found[word : word + per, None] >> shifts).astype(np.uint8) & 3
+            pays, ages, last = _tally(out.ravel()[: horizon - at], at, warm, last)
+            pay_count += pays
+            age_sum += ages
 
     slots = horizon - warm
     backup_rate = params.energy_weight * params.backup_cost * pay_count / slots
     return age_sum / slots, backup_rate
+
+
+def _tally(out: np.ndarray, lo: int, warm: int, last: int) -> tuple[int, int, int]:
+    """Backup payments and age sum over the counted slots of ``out``, and the latest delivery.
+
+    ``out`` holds the flags of slots lo, lo+1, ...; slots before ``warm``
+    are not counted, and ``last`` is the latest delivery slot before lo.
+    """
+    first = min(max(warm - lo, 0), out.size)
+    pays = np.count_nonzero(out[first:] & 1)
+    hits = np.flatnonzero(out >= 2)
+    cut = int(np.searchsorted(hits, first))
+    last = lo + int(hits[cut - 1]) if cut else last
+    marks = np.append(hits[cut:], out.size - 1)
+    gaps = np.diff(marks)
+    # Ages run x-last..m-last up to the first mark m, then 1..g over each gap g.
+    x, m = lo + first, lo + int(marks[0])
+    runs = int(gaps @ gaps) + int(marks[-1] - marks[0])
+    ages = ((m - x + 1) * (m + x - 2 * last) + runs) // 2
+    return pays, ages, lo + int(marks[-2]) if marks.size > 1 else last
 
 
 def _beta_fraction(a: float, x: float) -> float:
@@ -321,6 +404,8 @@ def simulate(spec: PolicySpec, params: SystemParams, cfg: SimConfig) -> EvalRepo
     missed the exact 250 by 3.0 halfwidths at seed 5). A policy whose (age
     rows x battery levels) grid exceeds ``MAX_GRID_STATES`` (2^20), such as a
     threshold of 10^9, is refused with ``ValueError`` before any allocation.
+    Each replication walks its symbols in spans of ``_SPAN_SLOTS`` with
+    :func:`_lane_walk`, and keeps one byte per slot of the horizon.
     """
     _check_initial(cfg.initial_state, params)
     automaton = _automaton(spec, params)
@@ -351,13 +436,13 @@ def simulate(spec: PolicySpec, params: SystemParams, cfg: SimConfig) -> EvalRepo
 
 
 def _closure(edges: np.ndarray) -> np.ndarray:
-    """Reflexive transitive closure of the boolean adjacency ``edges``.
+    """Reflexive transitive closure of the boolean adjacency ``edges``, or of each in a stack.
 
     Entry (i, j) is True when j can be reached from i in zero or more
     steps. Each squaring doubles the path length covered, so about log2(n)
     dense products reach the fixed point.
     """
-    reach = edges | np.eye(edges.shape[0], dtype=bool)
+    reach = edges | np.eye(edges.shape[-1], dtype=bool)
     while True:
         weights = reach.astype(np.float32)
         grown = weights @ weights > 0.0
@@ -438,10 +523,20 @@ def _age_actions(
     The auxiliary state is the battery level, or (phase, battery) for
     ``Periodic``, whose phase advances every slot. Row d-1 of the returned
     action array holds age d; its last row holds for every older age too.
+    A ``Periodic`` kernel is dense over period x (B+1) states, and one of
+    more than :data:`MAX_PERIODIC_ENTRIES` entries is refused with
+    ``ValueError`` before it is built.
     """
     idle, tx = _battery_moves(params)
     width = params.battery_cap + 1
     if isinstance(spec, Periodic):
+        n = spec.period * width
+        if n * n > MAX_PERIODIC_ENTRIES:
+            raise ValueError(
+                f"exact evaluation of a period of {spec.period} needs a dense {n} x {n} "
+                f"(phase x battery levels) kernel of {n * n} entries, which exceeds the "
+                f"limit of {MAX_PERIODIC_ENTRIES} entries"
+            )
         advance = np.roll(np.eye(spec.period), 1, axis=1)
         on_phase = np.arange(spec.period) == spec.phase
         actions = np.repeat(on_phase, width)[None, :].astype(float)
@@ -571,6 +666,50 @@ def _truncated_kernels(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(older, idle), np.kron(p * older + (1.0 - p) * fresh, tx)
 
 
+def _table_costs(params: SystemParams) -> np.ndarray:
+    """Average cost of every action table on the truncated-saturating chain, by bitmask.
+
+    Bit i of the mask is the action at state i (in
+    :func:`~aoi_energy.model.states` order); the chain starts at (1, 0),
+    state 0. The tables are scored ``_ENUM_BLOCK`` at a time. A block's
+    kernels are stacked and closed under reachability at once; exactly one
+    closed class must be reachable from state 0, else the lowest failing
+    mask goes to :func:`stationary_distribution`, which raises
+    :class:`ReducibilityError` for it. The rows of the states that state 0
+    cannot reach are then pointed at state 0, which leaves that class the
+    only closed one and the rest transient, so each balance system, with its
+    last equation replaced by the normalisation, is nonsingular, and the
+    whole block is one batched solve. Transient states get zero mass up to
+    rounding, as on the class alone.
+    """
+    n = params.n_states
+    idle, tx = _truncated_kernels(params)
+    width = params.battery_cap + 1
+    ages = np.repeat(np.arange(1.0, params.aoi_cap + 1), width)
+    backup = params.energy_weight * params.backup_cost * (np.arange(n) % width == 0)
+    unit = np.eye(n)
+    costs = np.empty(1 << n)
+    for lo in range(0, costs.size, _ENUM_BLOCK):
+        masks = np.arange(lo, min(lo + _ENUM_BLOCK, costs.size))
+        bits = (masks[:, None] >> np.arange(n) & 1).astype(bool)
+        kernels = np.where(bits[:, :, None], tx, idle)
+        reach = _closure(kernels != 0.0)
+        recurrent = ~(reach & ~reach.swapaxes(1, 2)).any(axis=2)
+        held = reach[:, 0] & recurrent
+        # One class: every reachable recurrent state reaches every other.
+        single = (reach | ~held[:, :, None] | ~held[:, None, :]).all(axis=(1, 2))
+        for mask in masks[~single]:
+            stationary_distribution(kernels[mask - lo], 0)
+        kernels[~reach[:, 0]] = unit[0]
+        balance = unit - kernels.swapaxes(1, 2)
+        balance[:, -1] = 1.0
+        rhs = np.broadcast_to(unit[-1], (masks.size, n))[..., None]
+        mu = np.clip(np.linalg.solve(balance, rhs)[..., 0], 0.0, None)
+        mu /= mu.sum(axis=1, keepdims=True)
+        costs[lo : lo + masks.size] = mu @ ages + (mu * bits) @ backup
+    return costs
+
+
 def enumerate_optimal(
     params: SystemParams,
     *,
@@ -580,10 +719,13 @@ def enumerate_optimal(
 
     Scores all 2^(states) action tables on the truncated-saturating chain at
     ``params.aoi_cap`` (the model the solver works on) from the start state
-    (1, 0), and returns the cheapest. Cost ties within ``tie_tol`` resolve
-    to the table with fewer Transmit entries, then the lowest bitmask.
-    Refuses instances above 24 states: the policy count doubles per state,
-    so anything larger is no longer a desk-size oracle.
+    (1, 0), in batched solves (see :func:`_table_costs`), and returns the
+    cheapest. Cost ties within ``tie_tol`` resolve to the table with fewer
+    Transmit entries, then the lowest bitmask. Raises
+    :class:`ReducibilityError` for the lowest mask whose chain reaches more
+    than one closed class. Refuses instances above 24 states: the policy
+    count doubles per state, so anything larger is no longer a desk-size
+    oracle.
     """
     n = params.n_states
     if n > 24:
@@ -592,22 +734,12 @@ def enumerate_optimal(
             f"(aoi_cap={params.aoi_cap} x battery levels {params.battery_cap + 1}: "
             f"2^{n} policies)"
         )
-    shape = params.grid_shape
-    idle, tx = _truncated_kernels(params)
-    ages = np.repeat(np.arange(1.0, params.aoi_cap + 1), shape[1])
-    backup = params.energy_weight * params.backup_cost * (np.arange(n) % shape[1] == 0)
-    count = 1 << n
-    costs = np.empty(count)
-    bit_weights = 1 << np.arange(n)
-    for mask in range(count):
-        bits = (mask & bit_weights) > 0
-        mu = stationary_distribution(np.where(bits[:, None], tx, idle), 0)
-        costs[mask] = mu @ ages + mu @ (bits * backup)
+    costs = _table_costs(params)
     best_cost = float(costs.min())
     tied = np.flatnonzero(costs <= best_cost + tie_tol)
     best_mask = int(min(tied, key=lambda m: (int(m).bit_count(), int(m))))
-    bits = ((best_mask & bit_weights) > 0).astype(np.int8)
-    return PolicyTable(bits.reshape(shape)), float(costs[best_mask])
+    bits = (best_mask >> np.arange(n) & 1).astype(np.int8)
+    return PolicyTable(bits.reshape(params.grid_shape)), float(costs[best_mask])
 
 
 def report_row_values(

@@ -18,6 +18,10 @@ Bellman backup and relative value iteration: the age-major kernel that
 gathers each neighbour with fancy indexing, and the plain loop over it; the
 package's battery-major kernel and in-place loop must agree bit for bit.
 
+Enumeration: every action table scored one at a time, each through
+``stationary_distribution`` on its own kernel, which the batched scoring
+of ``enumerate_optimal`` must match.
+
 Policy extraction: a short-circuit scan that inherits Transmit from the
 next-younger age, which agrees with the full argmin when the action
 advantage is submodular.
@@ -41,9 +45,11 @@ from aoi_energy import (
     SystemParams,
     decide,
     state_index,
+    stationary_distribution,
     states,
     transition,
 )
+from aoi_energy.evaluation import _truncated_kernels
 
 
 def transmit_probability(spec, state: State, phase: int) -> float:
@@ -117,6 +123,27 @@ def truncated_cost(spec, params: SystemParams) -> tuple[float, float, float]:
     kernel, aoi, energy, at_cap = truncated_chain(spec, params)
     mu = iterated_stationary(kernel, 0)
     return float(mu @ aoi), float(mu @ energy), float(mu[at_cap].sum())
+
+
+def enumeration_costs(params: SystemParams) -> np.ndarray:
+    """Cost of every action table on the truncated-saturating chain, indexed by bitmask.
+
+    One ``stationary_distribution`` call per table, from the start state
+    (1, 0); the first mask whose chain reaches more than one closed class
+    raises its ``ReducibilityError``.
+    """
+    n = params.n_states
+    width = params.battery_cap + 1
+    idle, tx = _truncated_kernels(params)
+    ages = np.repeat(np.arange(1.0, params.aoi_cap + 1), width)
+    backup = params.energy_weight * params.backup_cost * (np.arange(n) % width == 0)
+    costs = np.empty(1 << n)
+    bit_weights = 1 << np.arange(n)
+    for mask in range(costs.size):
+        bits = (mask & bit_weights) > 0
+        mu = stationary_distribution(np.where(bits[:, None], tx, idle), 0)
+        costs[mask] = mu @ ages + mu @ (bits * backup)
+    return costs
 
 
 def csgraph_classes(kernel: np.ndarray, start: int) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -37,6 +37,8 @@ from aoi_energy.cli import (
     _evaluate_with_fallback,
     main,
 )
+from aoi_energy import evaluation
+from aoi_energy.evaluation import MAX_HORIZON, MAX_PERIODIC_ENTRIES
 from aoi_energy.model import MAX_GRID_STATES
 
 SOLVE_PARAMS = SystemParams(
@@ -688,6 +690,75 @@ def test_out_of_memory_in_the_simulator_names_the_horizon(tmp_path, monkeypatch,
     assert "out of memory" in err and "Monte Carlo horizon of 3000 slots" in err
     assert ("100 x 4 (aoi_cap x battery levels)" in err) == (command == "sweep")
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_horizon_over_the_bound_is_refused_before_allocation(
+    tmp_path, monkeypatch, capsys, command
+):
+    """A horizon above MAX_HORIZON slots exits 2 naming the bound, before any array exists."""
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    argv = {
+        "eval": ["eval", "--params", pfile, "--policies", "zero-wait", "--method", "mc",
+                 "--horizon", "3000", "--reps", "2", "--out", str(tmp_path / "rows.csv")],
+        "sweep": sweep_args(pfile, tmp_path / "rows.csv", "p", "0.8", "zero-wait"),
+    }[command]
+    argv[argv.index("--horizon") + 1] = str(MAX_HORIZON + 1)
+    refuse_allocation(monkeypatch)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"horizon of {MAX_HORIZON + 1} slots exceeds the limit of {MAX_HORIZON} slots" in err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
+def test_horizon_bound_admits_its_limit():
+    assert SimConfig(horizon=MAX_HORIZON).horizon == 1 << 30
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        SimConfig(horizon=MAX_HORIZON + 1)
+
+
+# The README instance: 21 battery levels, so period 97 gives a 2037 x 2037 kernel.
+README_PARAMS = SystemParams(
+    erasure_prob=0.2,
+    harvest_prob=0.5,
+    energy_weight=10.0,
+    backup_cost=2.0,
+    battery_cap=20,
+    aoi_cap=200,
+)
+
+
+@pytest.mark.parametrize("period, method", [(98, "exact"), (1000, "auto")])
+def test_periodic_kernel_over_the_bound_is_refused_before_kron(
+    tmp_path, monkeypatch, capsys, period, method
+):
+    """Exact evaluation of a long period exits 2 naming the bound; np.kron is never called."""
+
+    def kron(*args, **kwargs):
+        raise AssertionError("the kernel was built before the size check")
+
+    monkeypatch.setattr(evaluation.np, "kron", kron)
+    pfile = params_file(tmp_path, README_PARAMS)
+    argv = ["eval", "--params", pfile, "--policies", f"periodic:{period}", "--method", method]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    n = period * 21
+    assert f"dense {n} x {n}" in err and f"limit of {MAX_PERIODIC_ENTRIES} entries" in err
+
+
+def test_periodic_kernel_bound_admits_period_97(tmp_path, monkeypatch):
+    """At (97 * 21)^2 <= 2^22 the check passes and the kernel is built."""
+
+    class Built(Exception):
+        pass
+
+    def kron(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(evaluation.np, "kron", kron)
+    pfile = params_file(tmp_path, README_PARAMS)
+    with pytest.raises(Built):
+        main(["eval", "--params", pfile, "--policies", "periodic:97", "--method", "exact"])
 
 
 @pytest.mark.parametrize("method", ["mc", "exact"])

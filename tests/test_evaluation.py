@@ -50,7 +50,7 @@ from aoi_energy import (
 from aoi_energy import evaluation
 from aoi_energy.evaluation import _reachable_classes, _t_quantile_975
 from conftest import BENCH, MID
-from reference import csgraph_classes, truncated_cost
+from reference import csgraph_classes, enumeration_costs, truncated_cost
 
 EVAL_BENCH = dataclasses.replace(BENCH, aoi_cap=400)
 
@@ -342,6 +342,69 @@ def test_enumeration_huge_weight_never_buys_energy():
     assert not table.actions[:, 0].any()
 
 
+def seeded_enumeration_case(p_kind, lam_kind, seed):
+    """A small instance with p and lambda at 0, 1 or an interior draw."""
+    rng = np.random.default_rng(seed)
+    interior = {"0": lambda: 0.0, "1": lambda: 1.0, "u": lambda: float(rng.uniform(0.05, 0.95))}
+    return SystemParams(
+        erasure_prob=interior[p_kind](),
+        harvest_prob=interior[lam_kind](),
+        energy_weight=float(rng.uniform(0.0, 5.0)),
+        backup_cost=float(rng.uniform(0.5, 3.0)),
+        battery_cap=int(rng.integers(1, 3)),
+        aoi_cap=int(rng.integers(2, 5)),
+    )
+
+
+ENUM_B2 = dataclasses.replace(DESK, energy_weight=1.0, battery_cap=2)
+ENUMERATION_CASES = {
+    "desk": DESK,
+    "B=1": dataclasses.replace(DESK, energy_weight=1.0),
+    "B=2": ENUM_B2,
+    "p=1,B=2": dataclasses.replace(ENUM_B2, erasure_prob=1.0),
+    **{
+        f"p={p_kind},lam={lam_kind},seed={seed}": seeded_enumeration_case(p_kind, lam_kind, seed)
+        for seed, (p_kind, lam_kind) in enumerate(
+            (p_kind, lam_kind) for p_kind in "01u" for lam_kind in "01u"
+        )
+    },
+}
+
+
+def scored_or_refused(score, params):
+    """``score(params)``, or the message and offending states of its ReducibilityError."""
+    try:
+        return score(params), None
+    except ReducibilityError as exc:
+        return None, (str(exc), exc.offending)
+
+
+@pytest.mark.parametrize("params", ENUMERATION_CASES.values(), ids=ENUMERATION_CASES.keys())
+def test_batched_enumeration_matches_per_table_oracle(params):
+    """Every table's cost to 1e-12 relative, the same chosen table, and the same refusals."""
+    expected, expected_error = scored_or_refused(enumeration_costs, params)
+    costs, error = scored_or_refused(evaluation._table_costs, params)
+    assert error == expected_error
+    if expected_error is not None:
+        with pytest.raises(ReducibilityError, match="closed recurrent classes"):
+            enumerate_optimal(params)
+        return
+    np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=0.0)
+    tied = np.flatnonzero(expected <= expected.min() + 1e-9)
+    mask = int(min(tied, key=lambda m: (int(m).bit_count(), int(m))))
+    table, best = enumerate_optimal(params)
+    assert table.actions.ravel().tolist() == [mask >> i & 1 for i in range(params.n_states)]
+    assert best == pytest.approx(expected[mask], rel=1e-12, abs=0.0)
+
+
+def test_enumeration_cases_cover_refusals():
+    """The oracle refuses some of the cases above and scores the rest."""
+    refused = {name for name, params in ENUMERATION_CASES.items()
+               if scored_or_refused(enumeration_costs, params)[1] is not None}
+    assert refused and refused != set(ENUMERATION_CASES)
+    assert {"desk", "B=1", "B=2"}.isdisjoint(refused)
+
+
 def test_enumeration_refuses_large_instances():
     big = SystemParams(
         erasure_prob=0.5,
@@ -500,19 +563,25 @@ def policy_specs(draw, battery_cap):
     harvest=st.sampled_from([0.0, 1.0, 0.4, 0.85]),
     horizon=st.sampled_from([1, 2, 3, 5, 7, 64, 101]) | st.integers(1, 2_500),
     chunk=st.sampled_from([evaluation._CHUNK_SLOTS, 16, 40]),
+    span=st.sampled_from([evaluation._SPAN_SLOTS, 16, 40]),
+    lane=st.sampled_from([1, 2, 3, 8, evaluation._LANE_WORDS]),
+    look=st.sampled_from([0, 1, 4, evaluation._LOOKBACK_WORDS]),
     warm_kind=st.sampled_from(["zero", "default", "last", "any"]),
     start_age=st.sampled_from([1, 2, 5, 9, 10**9]),
     seed=st.integers(0, 2**16),
     data=st.data(),
 )
 def test_automaton_matches_reference_stepping_property(
-    battery_cap, erasure, harvest, horizon, chunk, warm_kind, start_age, seed, data
+    battery_cap, erasure, harvest, horizon, chunk, span, lane, look, warm_kind, start_age,
+    seed, data,
 ):
     """The k-slot automaton gives the per-slot oracle's means bit for bit.
 
     Start ages above every threshold and table row, horizons shorter than
-    one word or not a multiple of its length, and (through a small chunk)
-    deliveries and the warm-up boundary on either side of a chunk edge.
+    one word or not a multiple of its length, and (through small chunks and
+    spans) deliveries and the warm-up boundary on either side of a tally
+    chunk edge or a walk span edge. Small lanes and lookbacks make spans of
+    many lanes, whose guessed starts are often wrong and get repaired.
     """
     params = SystemParams(
         erasure_prob=erasure,
@@ -530,11 +599,75 @@ def test_automaton_matches_reference_stepping_property(
     battery = data.draw(st.integers(0, battery_cap))
     cfg = SimConfig(horizon=horizon, replications=1, warmup=warmup, seed=seed,
                     initial_state=State(start_age, battery))
-    with mock.patch.object(evaluation, "_CHUNK_SLOTS", chunk):
+    with mock.patch.multiple(evaluation, _CHUNK_SLOTS=chunk, _SPAN_SLOTS=span,
+                             _LANE_WORDS=lane, _LOOKBACK_WORDS=look):
         report = simulate(spec, params, cfg)
     ref_age, ref_energy = reference_replication(spec, params, cfg)
     assert report.avg_aoi == ref_age
     assert report.avg_weighted_energy == ref_energy
+
+
+# The README instance with a harvest every slot: under ZeroWait the battery
+# never moves, so walks from different battery levels never merge.
+NEVER_MERGING = SystemParams(
+    erasure_prob=0.2,
+    harvest_prob=1.0,
+    energy_weight=10.0,
+    backup_cost=2.0,
+    battery_cap=20,
+    aoi_cap=200,
+)
+
+
+@pytest.mark.parametrize("lane, look", [(evaluation._LANE_WORDS, evaluation._LOOKBACK_WORDS),
+                                        (3, 1), (8, 0)])
+def test_never_merging_walk_matches_reference_stepping(lane, look):
+    """Every lane's guessed start is wrong and is repaired; the means stay bit for bit."""
+    walk, table, _, n_sym, n_z, k = evaluation._automaton(ZeroWait(), NEVER_MERGING)
+    digits = np.arange(n_sym**k)[:, None] // n_sym ** np.arange(k) % n_sym
+    words = np.flatnonzero((digits & 1).all(axis=1)) * n_z  # every slot harvests
+    assert (table[words + 5] == 5).all()  # the true walk stays at battery 5
+    assert (table[words] != 5).all()  # a walk from state 0 never reaches it
+    assert (table[words + table[words]] == table[words]).all()  # nor leaves where it lands
+    cfg = SimConfig(horizon=4 * lane * k + 7, replications=1, warmup=11, seed=5,
+                    initial_state=State(1, 5))
+    walked = []
+
+    def lane_walk(*args):
+        starts, end = real_lane_walk(*args)
+        walked.extend(starts.tolist())
+        return starts, end
+
+    real_lane_walk = evaluation._lane_walk
+    with mock.patch.multiple(evaluation, _LANE_WORDS=lane, _LOOKBACK_WORDS=look,
+                             _lane_walk=lane_walk):
+        report = simulate(ZeroWait(), NEVER_MERGING, cfg)
+    # Battery levels 1 and 5 have the same flags here, so check the states themselves.
+    assert len(walked) >= 4 * lane and set(walked) == {5}
+    ref_age, ref_energy = reference_replication(ZeroWait(), NEVER_MERGING, cfg)
+    assert report.avg_aoi == ref_age
+    assert report.avg_weighted_energy == ref_energy
+
+
+@pytest.mark.parametrize("lane", [1, 2, 3, 8])
+@pytest.mark.parametrize("look", [0, 1, 4])
+def test_lane_walk_matches_list_walk(lane, look):
+    """On a random automaton: the list walk's state before each word and after the last."""
+    rng = np.random.default_rng(lane * 10 + look)
+    n_z, n_words = 7, 5
+    table = rng.integers(0, n_z, n_words * n_z).astype(np.int32)
+    walk = table.tolist()
+    for size in (1, lane, lane + 1, 5 * lane + 2, 200):
+        codes = (rng.integers(0, n_words, size) * n_z).astype(np.int32)
+        z = int(rng.integers(0, n_z))
+        expected = []
+        for w in codes.tolist():
+            expected.append(z)
+            z = walk[w + z]
+        with mock.patch.multiple(evaluation, _LANE_WORDS=lane, _LOOKBACK_WORDS=look):
+            starts, end = evaluation._lane_walk(codes, expected[0], walk, table)
+        assert starts.tolist() == expected
+        assert end == z
 
 
 # ---------------------------------------------------------------------------
