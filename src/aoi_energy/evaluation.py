@@ -150,7 +150,7 @@ class EvalReport:
 _WORD_ENTRIES = 1 << 17
 # Slots drawn per random-number call, which bounds the float buffers of a replication.
 _CHUNK_SLOTS = 1 << 16
-# Slots walked per span; its word codes, states and flags take 12 bytes per word.
+# Slots walked per span; its word buffers take some 20 bytes per word.
 _SPAN_SLOTS = 1 << 18
 # Words per lane of the speculative walk, and words walked from state 0 to guess a lane's start.
 _LANE_WORDS = 256
@@ -305,8 +305,8 @@ def _simulate_rep(
     last = -age  # latest delivery slot
     age_sum = pay_count = 0
     shifts = np.arange(0, 2 * k, 2, dtype=np.uint32)
-    per = max(_CHUNK_SLOTS // k, 1)  # words tallied at a time
-    span = max(_SPAN_SLOTS // k, 1) * k
+    per = _CHUNK_SLOTS // k  # words tallied at a time
+    span = _SPAN_SLOTS // k * k
     for lo in range(0, horizon, span):
         block = symbols[lo : lo + span].reshape(-1, k)
         codes = block[:, -1].astype(np.int32)
