@@ -7,10 +7,11 @@ certificates), ``check`` (re-run the certificates on saved artifacts),
 baselines at every point, appending rows to a results CSV).
 
 Exit codes: 0 success, 2 usage, malformed input or an instance too large for
-memory, 3 solver non-convergence, 4 structural violation, 5 truncation
-inadequacy: ``solve --check-truncation`` finds the age cap too small, or
-exact evaluation (which is over the untruncated chain) meets a policy whose
-age tail never dies, so its average cost is infinite.
+memory, 3 solver non-convergence (at the given or the doubled age cap), 4
+structural violation, 5 truncation inadequacy: ``solve --check-truncation``
+finds the age cap too small, or exact evaluation (which is over the
+untruncated chain) meets a policy whose age tail never dies, so its average
+cost is infinite.
 """
 
 from __future__ import annotations
@@ -243,7 +244,13 @@ def run_solve(args: argparse.Namespace) -> int:
         print("structure certificate failed", file=sys.stderr)
         return EXIT_STRUCTURE
     if args.check_truncation:
-        if not check_truncation_adequacy(thresholds, params, cfg):
+        try:
+            adequate = check_truncation_adequacy(thresholds, params, cfg, v.values)
+        except ConvergenceError as exc:
+            print(f"doubled aoi_cap={2 * params.aoi_cap} solve did not converge: {exc}",
+                  file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        if not adequate:
             print(
                 f"aoi_cap={params.aoi_cap} is inadequate: doubling it moves thresholds",
                 file=sys.stderr,
@@ -338,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None, help="output directory (default: cwd)")
     p_solve.add_argument(
         "--check-truncation", action="store_true",
-        help="re-solve at twice the age cap and require identical thresholds",
+        help="re-solve at twice the age cap, from this solution, and require the "
+             "thresholds to stay optimal there (ties within --epsilon allowed)",
     )
 
     p_check = sub.add_parser("check", help="re-run structure certificates on saved values")
@@ -402,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
         grid = (f"the {params.aoi_cap} x {params.battery_cap + 1} (aoi_cap x battery levels) "
                 f"grid of {params.n_states} states")
         tail = f" or the Monte Carlo horizon of {vars(args).get('horizon')} slots (a byte per slot)"
+        if vars(args).get("check_truncation"):
+            grid += (f" or the doubled {2 * params.aoi_cap} x {params.battery_cap + 1} grid "
+                     f"of {2 * params.n_states} states")
         what = {"eval": "exact evaluation" + tail, "sweep": grid + tail}.get(args.command, grid)
         print(f"error: out of memory for {what}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,6 +8,11 @@ subtracts the reference entry so the iterates stay bounded. Convergence is
 declared when the span drops to ``epsilon``; the returned gain is the
 midpoint of the final difference's extremes.
 
+A solve starts from zero, or from a given table re-anchored at the
+reference state; RVI reaches the same fixed point from any start (Puterman
+1994, section 8.5), so a nearby table only shortens the run. The truncation
+check uses this: it re-solves at twice the age cap from the cap solution.
+
 Sweeps run in one flat workspace: V battery-major, padded by a saturation
 column (age ``cap``) and row (battery ``min(q+1, B)``), so one age older is
 offset +1 and one battery up +(cap+1). Pad slots of a result are garbage: the
@@ -66,19 +71,15 @@ class SolverConfig:
     """Knobs of the relative value iteration.
 
     ``reference_state`` defaults to (1, battery_cap), the cheapest corner.
-    ``init_value`` fills the starting table uniformly.
     """
 
     epsilon: float = 1e-9
     max_iters: int = 500_000
     reference_state: State | None = None
-    init_value: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if not math.isfinite(self.init_value):
-            raise ValueError(f"init_value must be finite, got {self.init_value!r}")
         if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
@@ -176,19 +177,25 @@ def bellman_qvalues(values: np.ndarray, params: SystemParams) -> tuple[np.ndarra
     return ws.table(ws.q_idle), ws.table(ws.q_tx)
 
 
-def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueTable, QTable]:
+def solve(
+    params: SystemParams, cfg: SolverConfig | None = None, start: np.ndarray | None = None
+) -> tuple[ValueTable, QTable]:
     """Relative value iteration to a span of ``cfg.epsilon``.
 
-    Returns the anchored value table (with the gain estimate) and the
-    state-action table recomputed from the converged values. Raises
-    :class:`ConvergenceError` carrying the last span when ``max_iters``
-    sweeps do not suffice. Every sweep works in one :class:`_Workspace`.
+    Starts from ``start`` (finite, on the params grid) re-anchored at the
+    reference state, or from zero. Returns the anchored value table (with
+    the gain estimate) and the state-action table recomputed from the
+    converged values. Raises :class:`ConvergenceError` carrying the last
+    span when ``max_iters`` sweeps do not suffice. Every sweep works in one
+    :class:`_Workspace`.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
     ref = _resolve_reference(cfg, params)
-    init = np.float64(cfg.init_value)
-    ws = _Workspace(params, init - init)  # a uniform table re-anchored at the reference
+    start = np.zeros(params.grid_shape) if start is None else np.asarray(start, dtype=np.float64)
+    if start.shape != params.grid_shape or not np.isfinite(start).all():
+        raise ValueError(f"start table must be finite with shape {params.grid_shape}")
+    ws = _Workspace(params, start - start[ref.aoi - 1, ref.battery])
     ref_at = ref.battery * ws.row + ref.aoi - 1
     updated, diff = ws.q_idle, ws.q_tx  # T(V) and T(V) - V overwrite the backup
     gain, span, iterations = np.nan, np.inf, 0
@@ -255,17 +262,28 @@ def extract_thresholds(policy: PolicyTable, params: SystemParams) -> ThresholdPo
 
 
 def check_truncation_adequacy(
-    tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
+    tp: ThresholdPolicy,
+    params: SystemParams,
+    cfg: SolverConfig | None = None,
+    values: np.ndarray | None = None,
 ) -> bool:
-    """True when doubling ``aoi_cap`` reproduces the same thresholds.
+    """True when ``tp`` stays optimal after doubling ``aoi_cap``.
 
-    Also requires every finite threshold to sit strictly below the original
+    The doubled grid is solved with the same ``cfg``, starting from
+    ``values`` (the cap solution's table, its top age row repeated up to
+    twice the cap) when given, else from zero. ``tp`` passes when it is
+    greedy for the doubled state-action table within ``cfg.epsilon`` at
+    every state: a threshold may move only where the doubled solve cannot
+    tell the two actions apart, an exact tie that rounding breaks either
+    way. Every finite threshold must also sit strictly below the original
     cap; a threshold pinned at the boundary is a truncation artifact.
     """
+    cfg = cfg if cfg is not None else SolverConfig()
     doubled = replace(params, aoi_cap=2 * params.aoi_cap)
-    v2, q2 = solve(doubled, cfg)
-    tp2 = extract_thresholds(greedy_policy(v2, q2, doubled), doubled)
-    if tp2.thresholds != tp.thresholds:
+    start = None if values is None else np.pad(values, ((0, params.aoi_cap), (0, 0)), "edge")
+    _, q2 = solve(doubled, cfg, start)
+    chosen = np.take_along_axis(q2.values, tp.to_table(doubled).actions[..., None], axis=-1)
+    if (chosen[..., 0] - q2.values.min(axis=-1)).max() > cfg.epsilon:
         return False
     return all(t < params.aoi_cap for t in tp.thresholds if t is not None)
 

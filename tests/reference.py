@@ -220,16 +220,17 @@ def bellman_qvalues_gathered(
     return q_idle, q_tx
 
 
-def relative_value_iteration(params: SystemParams, cfg: SolverConfig):
+def relative_value_iteration(params: SystemParams, cfg: SolverConfig, start=None):
     """(values, q_values, gain, iterations, final_span) by the plain RVI loop.
 
-    Re-anchors at ``cfg.reference_state`` (default (1, battery_cap)) after
-    every sweep, with a fresh table each time.
+    Starts from ``start`` (default zero) and re-anchors at
+    ``cfg.reference_state`` (default (1, battery_cap)) before the first
+    sweep and after every sweep, with a fresh table each time.
     """
     params.validate_for_solve()
     ref = cfg.reference_state if cfg.reference_state is not None else State(1, params.battery_cap)
     ref_idx = (ref.aoi - 1, ref.battery)
-    values = np.full(params.grid_shape, float(cfg.init_value))
+    values = np.zeros(params.grid_shape) if start is None else np.array(start, dtype=float)
     values -= values[ref_idx]
     gain = np.nan
     span = np.inf

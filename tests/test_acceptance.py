@@ -97,7 +97,7 @@ def grid():
                     thresholds, shape_error = None, str(exc)
                 certificate = certify_structure(v, q, params, CERT_TOL)
                 adequate = thresholds is not None and check_truncation_adequacy(
-                    thresholds, params, SOLVER_CFG
+                    thresholds, params, SOLVER_CFG, v.values
                 )
                 points.append(GridPoint(params, thresholds, shape_error, certificate, adequate))
     return points
@@ -318,8 +318,9 @@ def test_criterion_6_degenerate_corners(capsys):
 # One documented exception: at this corner the empty-battery indifference
 # age (~181) sits close enough to the cap that the cap-200 solve puts the
 # q=0 threshold one slot higher (182) than every larger cap does (181).
-# All other thresholds match and the gains agree to ~1e-8, but the check
-# demands exact identity, so cap 200 is genuinely inadequate there.
+# All other thresholds match and the gains agree to ~1e-8, but at age 181
+# the doubled solve prefers transmitting by 0.88, far more than the epsilon
+# the check forgives at a tie, so cap 200 is genuinely inadequate there.
 KNOWN_INADEQUATE = (0.9, 0.9, 100.0)
 
 
@@ -331,7 +332,7 @@ def test_criterion_7_truncation_adequacy(grid, capsys):
     with capsys.disabled():
         print(
             f"[acceptance 7] age cap 200 is adequate (doubling it moves no "
-            f"threshold) at all {len(grid)} grid points: "
+            f"threshold beyond a tie within epsilon) at all {len(grid)} grid points: "
             f"{'PASS' if ok else 'FAIL'}{suffix}"
         )
     if ok:

@@ -37,7 +37,7 @@ from aoi_energy.cli import (
     _evaluate_with_fallback,
     main,
 )
-from aoi_energy import evaluation
+from aoi_energy import evaluation, solver
 from aoi_energy.evaluation import MAX_HORIZON, MAX_PERIODIC_ENTRIES
 from aoi_energy.model import MAX_GRID_STATES
 
@@ -669,6 +669,36 @@ def test_doubled_grid_bound_admits_its_limit(tmp_path, monkeypatch, capsys):
     over = dataclasses.replace(edge, aoi_cap=edge.aoi_cap + 1)
     assert main(truncation_args(tmp_path, over)) == EXIT_USAGE
     assert "exceeds" in capsys.readouterr().err
+
+
+def fail_doubled_solve(monkeypatch, params, error):
+    """Let the first solve run; make the doubled-cap solve of the check raise ``error``."""
+    real_solve = solver.solve
+
+    def doubled_fails(p, cfg=None, start=None):
+        if p.aoi_cap == 2 * params.aoi_cap:
+            raise error
+        return real_solve(p, cfg, start)
+
+    monkeypatch.setattr(solver, "solve", doubled_fails)
+
+
+def test_doubled_solve_nonconvergence_names_the_doubled_cap(tmp_path, monkeypatch, capsys):
+    roomy = dataclasses.replace(CRAMPED, aoi_cap=20)
+    fail_doubled_solve(monkeypatch, roomy, ConvergenceError("stub span", span=1.0, iterations=9))
+    assert main(truncation_args(tmp_path, roomy)) == EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert "gain" in captured.out  # the solve at the given cap finished
+    assert "doubled aoi_cap=40 solve did not converge: stub span" in captured.err
+
+
+def test_out_of_memory_in_the_doubled_solve_names_the_doubled_grid(tmp_path, monkeypatch, capsys):
+    roomy = dataclasses.replace(CRAMPED, aoi_cap=20)
+    fail_doubled_solve(monkeypatch, roomy, MemoryError())
+    assert main(truncation_args(tmp_path, roomy)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "20 x 3 (aoi_cap x battery levels)" in err
+    assert "doubled 40 x 3 grid of 120 states" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])

@@ -186,10 +186,14 @@ def test_solve_rejects_bad_inputs():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             SolverConfig(epsilon=bad)
-        with pytest.raises(ValueError):
-            SolverConfig(init_value=bad)
-    with pytest.raises(ValueError):
-        SolverConfig(init_value=float("-inf"))
+    for bad in (float("inf"), float("nan"), float("-inf")):
+        start = np.zeros(SMALL.grid_shape)
+        start[7, 2] = bad
+        with pytest.raises(ValueError, match="start table"):
+            solve(SMALL, SolverConfig(), start)
+    for shape in ((SMALL.aoi_cap + 1, SMALL.battery_cap + 1), SMALL.grid_shape[::-1], (3,)):
+        with pytest.raises(ValueError, match="start table"):
+            solve(SMALL, SolverConfig(), np.zeros(shape))
 
 
 def test_bellman_qvalues_shape_guard():
@@ -255,44 +259,64 @@ def test_bellman_qvalues_property(
 
 B1_CAP2 = dataclasses.replace(SMALL, battery_cap=1, aoi_cap=2)
 
-# The last five sit next to the workspace's pads: the reference state on the
-# saturated age row at the top and the empty battery, and the corners where
-# lam*V or (1-lam)*V is all zeros or the backup costs nothing.
+# "init-value" starts from a seeded random table, Fortran-ordered, which the
+# solve re-anchors at the reference state. The last five sit next to the
+# workspace's pads: the reference state on the saturated age row at the top
+# and the empty battery, and the corners where lam*V or (1-lam)*V is all
+# zeros or the backup costs nothing.
 RVI_CASES = {
-    "readme": (BENCH, SolverConfig(epsilon=EPSILON)),
-    "mid": (MID, SolverConfig()),
-    "b1-cap2": (B1_CAP2, SolverConfig()),
-    "reference-state": (SMALL, SolverConfig(reference_state=State(17, 2))),
-    "init-value": (SMALL, SolverConfig(init_value=-12.5)),
-    "reference-cap-full": (SMALL, SolverConfig(reference_state=State(SMALL.aoi_cap, 4))),
-    "reference-cap-empty": (SMALL, SolverConfig(reference_state=State(SMALL.aoi_cap, 0))),
-    "lam-0": (dataclasses.replace(SMALL, harvest_prob=0.0), SolverConfig()),
-    "lam-1": (dataclasses.replace(SMALL, harvest_prob=1.0), SolverConfig()),
-    "omega-0": (dataclasses.replace(SMALL, energy_weight=0.0), SolverConfig()),
+    "readme": (BENCH, SolverConfig(epsilon=EPSILON), None),
+    "mid": (MID, SolverConfig(), None),
+    "b1-cap2": (B1_CAP2, SolverConfig(), None),
+    "reference-state": (SMALL, SolverConfig(reference_state=State(17, 2)), None),
+    "init-value": (
+        SMALL,
+        SolverConfig(),
+        np.asfortranarray(np.random.default_rng(125).normal(scale=50.0, size=SMALL.grid_shape)),
+    ),
+    "reference-cap-full": (SMALL, SolverConfig(reference_state=State(SMALL.aoi_cap, 4)), None),
+    "reference-cap-empty": (SMALL, SolverConfig(reference_state=State(SMALL.aoi_cap, 0)), None),
+    "lam-0": (dataclasses.replace(SMALL, harvest_prob=0.0), SolverConfig(), None),
+    "lam-1": (dataclasses.replace(SMALL, harvest_prob=1.0), SolverConfig(), None),
+    "omega-0": (dataclasses.replace(SMALL, energy_weight=0.0), SolverConfig(), None),
 }
 
 
-def assert_solve_matches_reference_rvi(params, cfg):
-    v, q = solve(params, cfg)
-    values, q_values, gain, iterations, span = relative_value_iteration(params, cfg)
+def assert_solve_matches_reference_rvi(params, cfg, start):
+    before = None if start is None else start.copy()
+    v, q = solve(params, cfg, start)
+    values, q_values, gain, iterations, span = relative_value_iteration(params, cfg, start)
     assert same_bits(v.values, values)
     assert same_bits(q.values, q_values)
     assert (v.gain, v.iterations, v.final_span) == (gain, iterations, span)
     assert v.values.flags.c_contiguous and q.values.flags.c_contiguous
+    assert start is None or same_bits(start, before)  # the start table is not written to
 
 
-@pytest.mark.parametrize("params, cfg", RVI_CASES.values(), ids=RVI_CASES.keys())
-def test_solve_matches_reference_rvi(params, cfg):
-    assert_solve_matches_reference_rvi(params, cfg)
+@pytest.mark.parametrize("params, cfg, start", RVI_CASES.values(), ids=RVI_CASES.keys())
+def test_solve_matches_reference_rvi(params, cfg, start):
+    assert_solve_matches_reference_rvi(params, cfg, start)
 
 
-@pytest.mark.parametrize("params, cfg", RVI_CASES.values(), ids=RVI_CASES.keys())
-def test_poisoned_workspace_changes_no_bit(monkeypatch, params, cfg):
+def test_start_table_changes_the_run_not_the_answer():
+    """A random start takes a different path to the zero start's fixed point."""
+    _, cfg, start = RVI_CASES["init-value"]
+    cold, _ = solve(SMALL, cfg)
+    warm, _ = solve(SMALL, cfg, start)
+    assert warm.iterations != cold.iterations
+    assert warm.gain == pytest.approx(cold.gain, abs=1e-8)
+    assert np.allclose(warm.values, cold.values, atol=1e-6)
+    again, _ = solve(SMALL, cfg, cold.values)  # the fixed point itself converges at once
+    assert again.iterations == 1
+
+
+@pytest.mark.parametrize("params, cfg, start", RVI_CASES.values(), ids=RVI_CASES.keys())
+def test_poisoned_workspace_changes_no_bit(monkeypatch, params, cfg, start):
     """Every workspace buffer starts as NaN, so a pad slot or a slot the
     backup never writes that reached a real entry would show in the values,
     the action values, the gain or the span."""
     monkeypatch.setattr(solver._Workspace, "alloc", staticmethod(lambda size: np.full(size, np.nan)))
-    assert_solve_matches_reference_rvi(params, cfg)
+    assert_solve_matches_reference_rvi(params, cfg, start)
     rng = np.random.default_rng(params.aoi_cap)
     for order in "CF":
         assert_kernel_matches_oracle(
@@ -343,6 +367,58 @@ def test_truncation_adequacy_at_benchmark(bench_solution):
     v, q = bench_solution
     thresholds = extract_thresholds(greedy_policy(v, q, BENCH), BENCH)
     assert check_truncation_adequacy(thresholds, BENCH, SolverConfig())
+
+
+def test_truncation_check_forgives_only_unresolved_ties():
+    """A threshold may move only where the doubled solve's two actions tie within epsilon.
+
+    At p=0.5, lambda=0.9, omega=10 the doubled solve, started from the cap
+    solution, transmits at battery 15 from age 2 rather than 1; the two
+    actions there differ by about 5e-13, so the cap's threshold is as good.
+    At the (0.9, 0.9, 100) corner the empty-battery threshold moves from 182
+    to 181 across a gap of 0.88, and CRAMPED hides a threshold behind its cap.
+    """
+    cfg = SolverConfig(epsilon=EPSILON)
+    tie = dataclasses.replace(BENCH, erasure_prob=0.5, harvest_prob=0.9, energy_weight=10.0)
+    v, q = solve(tie, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, tie), tie)
+    doubled = dataclasses.replace(tie, aoi_cap=2 * tie.aoi_cap)
+    v2, q2 = solve(doubled, cfg, np.pad(v.values, ((0, tie.aoi_cap), (0, 0)), "edge"))
+    moved = extract_thresholds(greedy_policy(v2, q2, doubled), doubled).thresholds
+    assert (thresholds.thresholds[15], moved[15]) == (1, 2)  # the tie this test is about
+    assert 0.0 < q2.values[0, 15, 1] - q2.values[0, 15, 0] < 1e-11
+    assert check_truncation_adequacy(thresholds, tie, cfg, v.values)
+
+    corner = dataclasses.replace(BENCH, erasure_prob=0.9, harvest_prob=0.9, energy_weight=100.0)
+    v, q = solve(corner, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, corner), corner)
+    assert thresholds.thresholds[0] == 182
+    assert not check_truncation_adequacy(thresholds, corner, cfg, v.values)
+
+    v, q = solve(CRAMPED, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, CRAMPED), CRAMPED)
+    assert not check_truncation_adequacy(thresholds, CRAMPED, cfg, v.values)
+
+
+def test_warm_doubled_solve_is_short_and_reaches_the_cold_gain(monkeypatch, bench_solution):
+    """Started from the cap solution, the doubled solve needs few sweeps (1,529 from zero)."""
+    v, q = bench_solution
+    thresholds = extract_thresholds(greedy_policy(v, q, BENCH), BENCH)
+    cfg = SolverConfig(epsilon=EPSILON)
+    cold_solve, doubled_runs = solver.solve, []
+
+    def recording(params, cfg=None, start=None):
+        result = cold_solve(params, cfg, start)
+        doubled_runs.append(result[0])
+        return result
+
+    monkeypatch.setattr(solver, "solve", recording)
+    assert check_truncation_adequacy(thresholds, BENCH, cfg, v.values)
+    (warm,) = doubled_runs
+    assert warm.values.shape == (2 * BENCH.aoi_cap, BENCH.battery_cap + 1)
+    assert warm.iterations <= 50
+    cold, _ = cold_solve(dataclasses.replace(BENCH, aoi_cap=2 * BENCH.aoi_cap), cfg)
+    assert abs(warm.gain - cold.gain) <= 1e-9
 
 
 def test_truncation_inadequacy_detected():
