@@ -17,7 +17,6 @@ from .evaluation import (
     METHOD_MONTE_CARLO,
     ReducibilityError,
     SimConfig,
-    append_report_row,
     enumerate_optimal,
     evaluate_exact,
     report_row_values,
@@ -25,19 +24,7 @@ from .evaluation import (
     stationary_distribution,
     write_report_rows,
 )
-from .model import (
-    Action,
-    State,
-    StepOutcome,
-    SystemParams,
-    TransitionDist,
-    index_state,
-    sample_step,
-    stage_cost,
-    state_index,
-    states,
-    transition,
-)
+from .model import State, SystemParams
 from .policies import (
     EnergyFirst,
     Periodic,
@@ -46,8 +33,6 @@ from .policies import (
     Randomized,
     ThresholdPolicy,
     ZeroWait,
-    decide,
-    is_markov_stationary,
     parse_policy_spec,
     policy_label,
 )

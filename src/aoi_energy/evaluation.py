@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RandomStream, State, SystemParams, check_grid
+from .model import State, SystemParams, check_grid
 from .policies import (
     EnergyFirst,
     Periodic,
@@ -45,7 +45,6 @@ __all__ = [
     "evaluate_exact",
     "enumerate_optimal",
     "stationary_distribution",
-    "append_report_row",
     "CSV_COLUMNS",
     "METHOD_MONTE_CARLO",
     "METHOD_EXACT",
@@ -274,7 +273,7 @@ def _lane_walk(codes: np.ndarray, z: int, walk: list, table: np.ndarray) -> tupl
 
 
 def _simulate_rep(
-    spec: PolicySpec, params: SystemParams, cfg: SimConfig, rng: RandomStream, automaton
+    spec: PolicySpec, params: SystemParams, cfg: SimConfig, rng: np.random.Generator, automaton
 ) -> tuple[float, float]:
     """One replication; returns (mean age, mean weighted backup cost).
 
@@ -464,18 +463,17 @@ def _reachable_classes(edges: np.ndarray, start: int) -> tuple[np.ndarray, list[
     return reach[start], [np.flatnonzero(reach[head]) for head in heads]
 
 
-def stationary_distribution(kernel, start: int) -> np.ndarray:
+def stationary_distribution(kernel: np.ndarray, start: int) -> np.ndarray:
     """Stationary vector of the closed class reachable from ``start``.
 
-    ``kernel`` is a square array, or anything with ``.toarray()`` such as a
-    sparse matrix. Exactly one closed communicating class must be
-    reachable, else :class:`ReducibilityError` names the lowest state of
-    each competing class. On that class, mu P = mu with sum(mu) = 1 is
-    solved directly: one balance equation of the singular system is
-    replaced by the normalisation, which makes it nonsingular for an
-    irreducible class. Rounding below zero is clipped.
+    ``kernel`` is a dense square array. Exactly one closed communicating
+    class must be reachable, else :class:`ReducibilityError` names the
+    lowest state of each competing class. On that class, mu P = mu with
+    sum(mu) = 1 is solved directly: one balance equation of the singular
+    system is replaced by the normalisation, which makes it nonsingular for
+    an irreducible class. Rounding below zero is clipped.
     """
-    dense = np.asarray(kernel.toarray() if hasattr(kernel, "toarray") else kernel, dtype=float)
+    dense = np.asarray(kernel, dtype=float)
     n = dense.shape[0]
     if dense.shape != (n, n):
         raise ValueError(f"kernel must be square, got {dense.shape}")

@@ -12,6 +12,10 @@ rescues an already-empty battery.
 The age axis is truncated at ``aoi_cap`` for finite-state computation: age
 increments saturate there. Whether the truncation is adequate is checked by
 the solver, not assumed here.
+
+This module holds the parameters and the state; the slot law is written
+where it runs, once per algorithm: the solver's Bellman backup, the battery
+kernels of exact evaluation and enumeration, and the simulator's automaton.
 """
 
 from __future__ import annotations
@@ -19,28 +23,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import IntEnum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-import numpy as np
-
-__all__ = [
-    "Action",
-    "State",
-    "SystemParams",
-    "TransitionDist",
-    "StepOutcome",
-    "transition",
-    "stage_cost",
-    "sample_step",
-    "states",
-    "state_index",
-    "index_state",
-]
-
-RandomStream = np.random.Generator
-
-_PROB_ATOL = 1e-12
+__all__ = ["State", "SystemParams"]
 
 # Largest (age rows x battery levels) grid the solver or the simulator builds.
 MAX_GRID_STATES = 1 << 20
@@ -53,13 +38,6 @@ def check_grid(rows: int, width: int, what: str) -> None:
             f"the {rows} x {width} ({what}) grid of {rows * width} states exceeds "
             f"the limit of {MAX_GRID_STATES} states"
         )
-
-
-class Action(IntEnum):
-    """The two per-slot decisions."""
-
-    IDLE = 0
-    TRANSMIT = 1
 
 
 class State(NamedTuple):
@@ -138,19 +116,6 @@ class SystemParams:
     def grid_shape(self) -> tuple[int, int]:
         return (self.aoi_cap, self.battery_cap + 1)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.erasure_prob,
-                "lambda": self.harvest_prob,
-                "omega": self.energy_weight,
-                "c_r": self.backup_cost,
-                "battery_cap": self.battery_cap,
-                "aoi_cap": self.aoi_cap,
-            },
-            allow_nan=False,
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "SystemParams":
         def reject_constant(token: str) -> float:
@@ -178,148 +143,3 @@ class SystemParams:
             battery_cap=data["battery_cap"],
             aoi_cap=data["aoi_cap"],
         )
-
-
-@dataclass(frozen=True)
-class TransitionDist:
-    """Exact successor distribution with at most four support points."""
-
-    entries: tuple[tuple[State, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) > 4:
-            raise ValueError(f"transition support has {len(self.entries)} points, expected <= 4")
-        seen = set()
-        total = 0.0
-        for state, prob in self.entries:
-            if state in seen:
-                raise ValueError(f"duplicate successor state {state}")
-            seen.add(state)
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"probability {prob!r} for {state} outside [0, 1]")
-            total += prob
-        if abs(total - 1.0) > _PROB_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_PROB_ATOL}")
-
-    def as_dict(self) -> dict[State, float]:
-        return dict(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[State, float]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Everything observable from one simulated slot."""
-
-    next_state: State
-    delivered: bool
-    energy_arrived: bool
-    reliable_cost_paid: float
-    stage_cost: float
-
-
-def _require_valid_state(state: State, params: SystemParams) -> None:
-    if not (1 <= state.aoi <= params.aoi_cap):
-        raise ValueError(f"aoi {state.aoi} outside [1, {params.aoi_cap}]")
-    if not (0 <= state.battery <= params.battery_cap):
-        raise ValueError(f"battery {state.battery} outside [0, {params.battery_cap}]")
-
-
-def _successors(state: State, action: Action, params: SystemParams) -> list[tuple[State, float]]:
-    """Raw successor list; probability-zero branches dropped, duplicates merged."""
-    lam = params.harvest_prob
-    p = params.erasure_prob
-    aged = min(state.aoi + 1, params.aoi_cap)
-    if action == Action.IDLE:
-        charged = min(state.battery + 1, params.battery_cap)
-        raw = [
-            (State(aged, charged), lam),
-            (State(aged, state.battery), 1.0 - lam),
-        ]
-    else:
-        # Battery after the spend: one unit if charged, else the backup pays
-        # and the battery stays empty. Harvest credit lands afterwards.
-        spent = max(state.battery - 1, 0)
-        raw = [
-            (State(aged, spent + 1), p * lam),
-            (State(1, spent + 1), (1.0 - p) * lam),
-            (State(aged, spent), p * (1.0 - lam)),
-            (State(1, spent), (1.0 - p) * (1.0 - lam)),
-        ]
-    merged: dict[State, float] = {}
-    for nxt, prob in raw:
-        if prob > 0.0:
-            merged[nxt] = merged.get(nxt, 0.0) + prob
-    return list(merged.items())
-
-
-def transition(state: State, action: Action, params: SystemParams) -> TransitionDist:
-    """Exact one-slot successor distribution of ``(aoi, battery)``.
-
-    Idling ages the update and may charge the battery. Transmitting spends
-    one unit (backup when empty), ages the update on erasure and resets the
-    age to 1 on delivery. Age saturates at ``params.aoi_cap``.
-    """
-    _require_valid_state(state, params)
-    return TransitionDist(tuple(_successors(state, Action(action), params)))
-
-
-def stage_cost(state: State, action: Action, params: SystemParams) -> float:
-    """Per-slot cost: current age plus the weighted backup-energy charge."""
-    _require_valid_state(state, params)
-    cost = float(state.aoi)
-    if action == Action.TRANSMIT and state.battery == 0:
-        cost += params.energy_weight * params.backup_cost
-    return cost
-
-
-def sample_step(
-    state: State, action: Action, params: SystemParams, rng: RandomStream
-) -> StepOutcome:
-    """Draw one slot of the chain; ``next_state`` follows ``transition``.
-
-    Draw order is fixed: the harvest Bernoulli first, then (only when
-    transmitting) the erasure Bernoulli.
-    """
-    _require_valid_state(state, params)
-    action = Action(action)
-    energy_arrived = bool(rng.random() < params.harvest_prob)
-    delivered = False
-    paid = 0.0
-    spend = 0
-    if action == Action.TRANSMIT:
-        delivered = bool(rng.random() >= params.erasure_prob)
-        if state.battery > 0:
-            spend = 1
-        else:
-            paid = params.backup_cost
-    next_battery = min(state.battery - spend + int(energy_arrived), params.battery_cap)
-    next_aoi = 1 if delivered else min(state.aoi + 1, params.aoi_cap)
-    return StepOutcome(
-        next_state=State(next_aoi, next_battery),
-        delivered=delivered,
-        energy_arrived=energy_arrived,
-        reliable_cost_paid=paid,
-        stage_cost=float(state.aoi) + params.energy_weight * paid,
-    )
-
-
-def states(params: SystemParams) -> Iterator[State]:
-    """All grid states, age-major: (1,0), (1,1), ..., (aoi_cap, battery_cap)."""
-    for aoi in range(1, params.aoi_cap + 1):
-        for battery in range(params.battery_cap + 1):
-            yield State(aoi, battery)
-
-
-def state_index(state: State, params: SystemParams) -> int:
-    """Flat age-major index matching :func:`states` order."""
-    return (state.aoi - 1) * (params.battery_cap + 1) + state.battery
-
-
-def index_state(index: int, params: SystemParams) -> State:
-    width = params.battery_cap + 1
-    return State(index // width + 1, index % width)

@@ -5,7 +5,7 @@ A policy spec is any of six kinds: ``ZeroWait`` (transmit every slot),
 each slot), ``EnergyFirst`` (transmit whenever the battery is charged, so the
 backup supply is never touched), a ``ThresholdPolicy`` (transmit once the age
 reaches a per-battery-level threshold), or an explicit ``PolicyTable``.
-``decide`` evaluates any of them at a state and slot index.
+Each kind is plain data; the evaluators read its actions off it directly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import Action, RandomStream, State, SystemParams
+from .model import SystemParams
 
 __all__ = [
     "PolicyTable",
@@ -27,8 +27,6 @@ __all__ = [
     "Randomized",
     "EnergyFirst",
     "PolicySpec",
-    "decide",
-    "is_markov_stationary",
     "parse_policy_spec",
     "policy_label",
 ]
@@ -38,9 +36,8 @@ __all__ = [
 class PolicyTable:
     """Deterministic stationary policy as a dense (aoi, battery) action grid.
 
-    ``actions[d - 1, q]`` is the action at age d, battery q. Lookups at ages
-    beyond the grid use the top row, which is the natural extension for the
-    saturating-age chain.
+    ``actions[d - 1, q]`` is the action at age d, battery q. Exact evaluation
+    and the simulator apply the top row at every older age too.
     """
 
     actions: np.ndarray
@@ -61,22 +58,14 @@ class PolicyTable:
     def battery_cap(self) -> int:
         return self.actions.shape[1] - 1
 
-    def action(self, state: State) -> Action:
-        if state.aoi < 1:
-            raise ValueError(f"aoi {state.aoi} < 1")
-        row = min(state.aoi, self.aoi_cap) - 1
-        return Action(int(self.actions[row, state.battery]))
-
-    def transmit_count(self) -> int:
-        return int(self.actions.sum())
-
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
     """Transmit exactly when age >= threshold for the current battery level.
 
     ``thresholds[q]`` is the age threshold at battery q; ``None`` means the
-    policy never transmits at that battery level.
+    policy never transmits at that battery level. A bool (JSON ``true``) is
+    refused, not read as 1.
     """
 
     thresholds: tuple[int | None, ...]
@@ -88,7 +77,7 @@ class ThresholdPolicy:
         for q, value in enumerate(self.thresholds):
             if value is None:
                 cleaned.append(None)
-            elif isinstance(value, (int, np.integer)) and value >= 1:
+            elif isinstance(value, (int, np.integer)) and type(value) is not bool and value >= 1:
                 cleaned.append(int(value))
             else:
                 raise ValueError(f"threshold at battery {q} must be an integer >= 1 or None")
@@ -97,14 +86,6 @@ class ThresholdPolicy:
     @property
     def battery_cap(self) -> int:
         return len(self.thresholds) - 1
-
-    def action(self, state: State) -> Action:
-        if state.aoi < 1:
-            raise ValueError(f"aoi {state.aoi} < 1")
-        threshold = self.thresholds[state.battery]
-        if threshold is not None and state.aoi >= threshold:
-            return Action.TRANSMIT
-        return Action.IDLE
 
     def to_table(self, params: SystemParams) -> PolicyTable:
         if params.battery_cap != self.battery_cap:
@@ -134,20 +115,6 @@ class ThresholdPolicy:
             writer.writerow(["q", "threshold"])
             for q, value in enumerate(self.thresholds):
                 writer.writerow([q, "never" if value is None else value])
-
-    @classmethod
-    def read_csv(cls, path: str) -> "ThresholdPolicy":
-        rows: dict[int, int | None] = {}
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames != ["q", "threshold"]:
-                raise ValueError(f"unexpected threshold CSV header {reader.fieldnames}")
-            for row in reader:
-                value = row["threshold"]
-                rows[int(row["q"])] = None if value == "never" else int(value)
-        if sorted(rows) != list(range(len(rows))):
-            raise ValueError("threshold CSV battery levels are not contiguous from 0")
-        return cls(thresholds=tuple(rows[q] for q in sorted(rows)))
 
 
 @dataclass(frozen=True)
@@ -186,32 +153,6 @@ class Randomized:
 
 
 PolicySpec = Union[ZeroWait, Periodic, Randomized, EnergyFirst, ThresholdPolicy, PolicyTable]
-
-
-def decide(spec: PolicySpec, s: State, t: int, rng: RandomStream) -> Action:
-    """Action of ``spec`` at state ``s`` in slot ``t``.
-
-    ``rng`` is consulted only by ``Randomized``. Ages are not capped here, so
-    the same call serves the untruncated simulated chain.
-    """
-    if s.aoi < 1 or s.battery < 0:
-        raise ValueError(f"invalid state {s}")
-    if isinstance(spec, ZeroWait):
-        return Action.TRANSMIT
-    if isinstance(spec, EnergyFirst):
-        return Action.TRANSMIT if s.battery > 0 else Action.IDLE
-    if isinstance(spec, Periodic):
-        return Action.TRANSMIT if t % spec.period == spec.phase else Action.IDLE
-    if isinstance(spec, Randomized):
-        return Action.TRANSMIT if rng.random() < spec.p_tx else Action.IDLE
-    if isinstance(spec, (ThresholdPolicy, PolicyTable)):
-        return spec.action(s)
-    raise TypeError(f"unknown policy spec {spec!r}")
-
-
-def is_markov_stationary(spec: PolicySpec) -> bool:
-    """True when the policy is a deterministic function of the state alone."""
-    return not isinstance(spec, (Periodic, Randomized))
 
 
 def parse_policy_spec(text: str) -> PolicySpec:

@@ -1,17 +1,17 @@
 """Average-cost solver: relative value iteration and threshold extraction.
 
 The optimality equation for the long-run average cost is solved by value
-iteration with re-anchoring at a reference state. Each sweep applies the
-Bellman operator synchronously over the whole grid, measures the span of the
-raw difference T(V) - V (whose min and max bracket the optimal gain), and
-subtracts the reference entry so the iterates stay bounded. Convergence is
-declared when the span drops to ``epsilon``; the returned gain is the
-midpoint of the final difference's extremes.
+iteration with re-anchoring at (1, battery_cap), the cheapest corner. Each
+sweep applies the Bellman operator synchronously over the whole grid,
+measures the span of the raw difference T(V) - V (whose min and max bracket
+the optimal gain), and subtracts the anchor entry so the iterates stay
+bounded. Convergence is declared when the span drops to ``epsilon``; the
+returned gain is the midpoint of the final difference's extremes.
 
-A solve starts from zero, or from a given table re-anchored at the
-reference state; RVI reaches the same fixed point from any start (Puterman
-1994, section 8.5), so a nearby table only shortens the run. The truncation
-check uses this: it re-solves at twice the age cap from the cap solution.
+A solve starts from zero, or from a given table re-anchored the same way;
+RVI reaches the same fixed point from any start (Puterman 1994, section
+8.5), so a nearby table only shortens the run. The truncation check uses
+this: it re-solves at twice the age cap from the cap solution.
 
 Sweeps run in one flat workspace: V battery-major, padded by a saturation
 column (age ``cap``) and row (battery ``min(q+1, B)``), so one age older is
@@ -35,8 +35,6 @@ __all__ = [
     "SolverConfig",
     "ValueTable",
     "QTable",
-    "ThresholdPolicy",
-    "PolicyTable",
     "ConvergenceError",
     "ThresholdStructureError",
     "solve",
@@ -68,14 +66,10 @@ class ThresholdStructureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the relative value iteration.
-
-    ``reference_state`` defaults to (1, battery_cap), the cheapest corner.
-    """
+    """Knobs of the relative value iteration."""
 
     epsilon: float = 1e-9
     max_iters: int = 500_000
-    reference_state: State | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -86,7 +80,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Converged relative values (reference entry pinned to zero) and gain."""
+    """Converged relative values (V(1, battery_cap) pinned to zero) and gain."""
 
     values: np.ndarray
     gain: float
@@ -103,13 +97,6 @@ class QTable:
     """
 
     values: np.ndarray
-
-
-def _resolve_reference(cfg: SolverConfig, params: SystemParams) -> State:
-    ref = cfg.reference_state if cfg.reference_state is not None else State(1, params.battery_cap)
-    if not (1 <= ref.aoi <= params.aoi_cap and 0 <= ref.battery <= params.battery_cap):
-        raise ValueError(f"reference state {ref} outside the grid")
-    return ref
 
 
 class _Workspace:
@@ -182,8 +169,8 @@ def solve(
 ) -> tuple[ValueTable, QTable]:
     """Relative value iteration to a span of ``cfg.epsilon``.
 
-    Starts from ``start`` (finite, on the params grid) re-anchored at the
-    reference state, or from zero. Returns the anchored value table (with
+    Starts from ``start`` (finite, on the params grid) re-anchored at
+    (1, battery_cap), or from zero. Returns the anchored value table (with
     the gain estimate) and the state-action table recomputed from the
     converged values. Raises :class:`ConvergenceError` carrying the last
     span when ``max_iters`` sweeps do not suffice. Every sweep works in one
@@ -191,12 +178,11 @@ def solve(
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
-    ref = _resolve_reference(cfg, params)
     start = np.zeros(params.grid_shape) if start is None else np.asarray(start, dtype=np.float64)
     if start.shape != params.grid_shape or not np.isfinite(start).all():
         raise ValueError(f"start table must be finite with shape {params.grid_shape}")
-    ws = _Workspace(params, start - start[ref.aoi - 1, ref.battery])
-    ref_at = ref.battery * ws.row + ref.aoi - 1
+    ws = _Workspace(params, start - start[0, -1])
+    ref_at = params.battery_cap * ws.row  # V(1, battery_cap) in the flat workspace
     updated, diff = ws.q_idle, ws.q_tx  # T(V) and T(V) - V overwrite the backup
     gain, span, iterations = np.nan, np.inf, 0
     for iterations in range(1, cfg.max_iters + 1):
@@ -300,14 +286,17 @@ def write_value_csv(path: str, v: ValueTable) -> None:
 
 
 def read_value_csv(path: str) -> np.ndarray:
-    """Rebuild the dense value grid from (delta, q, value) rows."""
+    """Rebuild the dense value grid from (delta, q, value) rows; every value must be finite."""
     entries: dict[tuple[int, int], float] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != ["delta", "q", "value"]:
             raise ValueError(f"unexpected value CSV header {reader.fieldnames}")
         for row in reader:
-            entries[(int(row["delta"]), int(row["q"]))] = float(row["value"])
+            cell, value = (int(row["delta"]), int(row["q"])), float(row["value"])
+            if not math.isfinite(value):
+                raise ValueError(f"value CSV cell (delta, q) = {cell} is not finite: {value!r}")
+            entries[cell] = value
     if not entries:
         raise ValueError("value CSV has no rows")
     cap = max(d for d, _ in entries)

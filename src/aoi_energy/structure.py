@@ -81,23 +81,6 @@ class StructureReport:
         }
         return json.dumps(payload, allow_nan=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "StructureReport":
-        data = json.loads(text)
-        witness = data["witness"]
-        return cls(
-            monotone_in_aoi=data["monotone_in_aoi"],
-            monotone_in_battery=data["monotone_in_battery"],
-            increment_lower_bound=data["increment_lower_bound"],
-            cross_increment=data["cross_increment"],
-            submodular_q=data["submodular_q"],
-            worst_violation=data["worst_violation"],
-            witness=None
-            if witness is None
-            else (State(*witness[0]), State(*witness[1])),
-            tolerance=data["tolerance"],
-        )
-
 
 def _summarize(
     name: str,

@@ -1,9 +1,16 @@
 """Independent oracles the package is checked against.
 
+Model: the slot law per state. ``transition`` is the exact successor law
+(age saturating at ``aoi_cap``), ``sample_step`` draws one slot, and
+``decide`` gives any policy's action at a state and slot, ages uncapped.
+The package's three statements of the law (the solver's backup, the
+evaluation kernels, the simulator's automaton) are checked against these.
+Readers of the files the CLI writes live here too.
+
 Exact evaluation: the policy-induced kernel is built state by state from
-the model's ``transition`` on the (aoi_cap x battery) grid, where age
-saturates at the cap; ``Periodic`` gets a slot-phase coordinate and
-``Randomized`` mixes the two action kernels. Its stationary law is found by iterating the half-lazy
+``transition`` on the (aoi_cap x battery) grid, where age saturates at the
+cap; ``Periodic`` gets a slot-phase coordinate and ``Randomized`` mixes the
+two action kernels. Its stationary law is found by iterating the half-lazy
 map from the start state. Where the stationary mass at the cap is
 negligible, the truncated chain's cost equals the untruncated one that
 ``evaluate_exact`` computes by the renewal recursion, so the two can be
@@ -15,8 +22,9 @@ components find the reachable set and the closed classes of a kernel, for
 the package's dense closure to agree with.
 
 Bellman backup and relative value iteration: the age-major kernel that
-gathers each neighbour with fancy indexing, and the plain loop over it; the
-package's battery-major kernel and in-place loop must agree bit for bit.
+gathers each neighbour with fancy indexing, and the plain loop over it,
+anchored at (1, battery_cap) as the solver is; the package's battery-major
+kernel and in-place loop must agree bit for bit.
 
 Enumeration: every action table scored one at a time, each through
 ``stationary_distribution`` on its own kernel, which the batched scoring
@@ -29,27 +37,240 @@ advantage is submodular.
 
 from __future__ import annotations
 
+import csv
+import json
+from dataclasses import asdict
+from enum import IntEnum
+from typing import Iterator, NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from aoi_energy import (
-    Action,
     ConvergenceError,
+    EnergyFirst,
     Periodic,
     PolicyTable,
     QTable,
     Randomized,
     SolverConfig,
     State,
+    StructureReport,
     SystemParams,
-    decide,
-    state_index,
+    ThresholdPolicy,
+    ZeroWait,
     stationary_distribution,
-    states,
-    transition,
 )
 from aoi_energy.evaluation import _truncated_kernels
+
+_PROB_ATOL = 1e-12
+
+
+class Action(IntEnum):
+    """The two per-slot decisions."""
+
+    IDLE = 0
+    TRANSMIT = 1
+
+
+class TransitionDist(tuple):
+    """Exact successor distribution: at most four distinct (state, probability) pairs."""
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        probs = [prob for _, prob in self]
+        if len(self) > 4 or len(dict(self)) < len(self):
+            raise ValueError(f"transition support {[s for s, _ in self]} repeats or exceeds 4")
+        if not all(0.0 <= p <= 1.0 for p in probs) or abs(sum(probs) - 1.0) > _PROB_ATOL:
+            raise ValueError(f"probabilities {probs} are not a distribution within {_PROB_ATOL}")
+        return self
+
+    def as_dict(self) -> dict[State, float]:
+        return dict(self)
+
+
+class StepOutcome(NamedTuple):
+    """Everything observable from one simulated slot."""
+
+    next_state: State
+    delivered: bool
+    energy_arrived: bool
+    reliable_cost_paid: float
+    stage_cost: float
+
+
+def _require_valid_state(state: State, params: SystemParams) -> None:
+    if not (1 <= state.aoi <= params.aoi_cap):
+        raise ValueError(f"aoi {state.aoi} outside [1, {params.aoi_cap}]")
+    if not (0 <= state.battery <= params.battery_cap):
+        raise ValueError(f"battery {state.battery} outside [0, {params.battery_cap}]")
+
+
+def _successors(state: State, action: Action, params: SystemParams) -> list[tuple[State, float]]:
+    """Raw successor list; probability-zero branches dropped, duplicates merged."""
+    lam = params.harvest_prob
+    p = params.erasure_prob
+    aged = min(state.aoi + 1, params.aoi_cap)
+    if action == Action.IDLE:
+        charged = min(state.battery + 1, params.battery_cap)
+        raw = [
+            (State(aged, charged), lam),
+            (State(aged, state.battery), 1.0 - lam),
+        ]
+    else:
+        # Battery after the spend: one unit if charged, else the backup pays
+        # and the battery stays empty. Harvest credit lands afterwards.
+        spent = max(state.battery - 1, 0)
+        raw = [
+            (State(aged, spent + 1), p * lam),
+            (State(1, spent + 1), (1.0 - p) * lam),
+            (State(aged, spent), p * (1.0 - lam)),
+            (State(1, spent), (1.0 - p) * (1.0 - lam)),
+        ]
+    merged: dict[State, float] = {}
+    for nxt, prob in raw:
+        if prob > 0.0:
+            merged[nxt] = merged.get(nxt, 0.0) + prob
+    return list(merged.items())
+
+
+def transition(state: State, action: Action, params: SystemParams) -> TransitionDist:
+    """Exact one-slot successor distribution of ``(aoi, battery)``.
+
+    Idling ages the update and may charge the battery. Transmitting spends
+    one unit (backup when empty), ages the update on erasure and resets the
+    age to 1 on delivery. Age saturates at ``params.aoi_cap``.
+    """
+    _require_valid_state(state, params)
+    return TransitionDist(tuple(_successors(state, Action(action), params)))
+
+
+def stage_cost(state: State, action: Action, params: SystemParams) -> float:
+    """Per-slot cost: current age plus the weighted backup-energy charge."""
+    _require_valid_state(state, params)
+    cost = float(state.aoi)
+    if action == Action.TRANSMIT and state.battery == 0:
+        cost += params.energy_weight * params.backup_cost
+    return cost
+
+
+def sample_step(
+    state: State, action: Action, params: SystemParams, rng: np.random.Generator
+) -> StepOutcome:
+    """Draw one slot of the chain; ``next_state`` follows ``transition``.
+
+    Draw order is fixed: the harvest Bernoulli first, then (only when
+    transmitting) the erasure Bernoulli.
+    """
+    _require_valid_state(state, params)
+    action = Action(action)
+    energy_arrived = bool(rng.random() < params.harvest_prob)
+    delivered = False
+    paid = 0.0
+    spend = 0
+    if action == Action.TRANSMIT:
+        delivered = bool(rng.random() >= params.erasure_prob)
+        if state.battery > 0:
+            spend = 1
+        else:
+            paid = params.backup_cost
+    next_battery = min(state.battery - spend + int(energy_arrived), params.battery_cap)
+    next_aoi = 1 if delivered else min(state.aoi + 1, params.aoi_cap)
+    return StepOutcome(
+        next_state=State(next_aoi, next_battery),
+        delivered=delivered,
+        energy_arrived=energy_arrived,
+        reliable_cost_paid=paid,
+        stage_cost=float(state.aoi) + params.energy_weight * paid,
+    )
+
+
+def states(params: SystemParams) -> Iterator[State]:
+    """All grid states, age-major: (1,0), (1,1), ..., (aoi_cap, battery_cap)."""
+    for aoi in range(1, params.aoi_cap + 1):
+        for battery in range(params.battery_cap + 1):
+            yield State(aoi, battery)
+
+
+def state_index(state: State, params: SystemParams) -> int:
+    """Flat age-major index matching :func:`states` order."""
+    return (state.aoi - 1) * (params.battery_cap + 1) + state.battery
+
+
+def index_state(index: int, params: SystemParams) -> State:
+    width = params.battery_cap + 1
+    return State(index // width + 1, index % width)
+
+
+def state_action(spec: ThresholdPolicy | PolicyTable, state: State) -> Action:
+    """Action of a threshold policy or a table; ages beyond a table use its top row."""
+    if state.aoi < 1:
+        raise ValueError(f"aoi {state.aoi} < 1")
+    if isinstance(spec, PolicyTable):
+        row = min(state.aoi, spec.aoi_cap) - 1
+        return Action(int(spec.actions[row, state.battery]))
+    threshold = spec.thresholds[state.battery]
+    if threshold is not None and state.aoi >= threshold:
+        return Action.TRANSMIT
+    return Action.IDLE
+
+
+def transmit_count(table: PolicyTable) -> int:
+    return int(table.actions.sum())
+
+
+def decide(spec, s: State, t: int, rng: np.random.Generator) -> Action:
+    """Action of ``spec`` at state ``s`` in slot ``t``; ``rng`` only serves ``Randomized``."""
+    if s.aoi < 1 or s.battery < 0:
+        raise ValueError(f"invalid state {s}")
+    if isinstance(spec, ZeroWait):
+        return Action.TRANSMIT
+    if isinstance(spec, EnergyFirst):
+        return Action.TRANSMIT if s.battery > 0 else Action.IDLE
+    if isinstance(spec, Periodic):
+        return Action.TRANSMIT if t % spec.period == spec.phase else Action.IDLE
+    if isinstance(spec, Randomized):
+        return Action.TRANSMIT if rng.random() < spec.p_tx else Action.IDLE
+    if isinstance(spec, (ThresholdPolicy, PolicyTable)):
+        return state_action(spec, s)
+    raise TypeError(f"unknown policy spec {spec!r}")
+
+
+def is_markov_stationary(spec) -> bool:
+    """True when the policy is a deterministic function of the state alone."""
+    return not isinstance(spec, (Periodic, Randomized))
+
+
+def params_to_json(params: SystemParams) -> str:
+    """The parameter JSON that ``SystemParams.from_json`` reads."""
+    keys = {"erasure_prob": "p", "harvest_prob": "lambda", "energy_weight": "omega",
+            "backup_cost": "c_r"}
+    return json.dumps({keys.get(k, k): v for k, v in asdict(params).items()}, allow_nan=False)
+
+
+def read_threshold_csv(path: str) -> ThresholdPolicy:
+    """Read back what ``ThresholdPolicy.write_csv`` wrote."""
+    rows: dict[int, int | None] = {}
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames != ["q", "threshold"]:
+            raise ValueError(f"unexpected threshold CSV header {reader.fieldnames}")
+        for row in reader:
+            value = row["threshold"]
+            rows[int(row["q"])] = None if value == "never" else int(value)
+    if sorted(rows) != list(range(len(rows))):
+        raise ValueError("threshold CSV battery levels are not contiguous from 0")
+    return ThresholdPolicy(thresholds=tuple(rows[q] for q in sorted(rows)))
+
+
+def structure_report_from_json(text: str) -> StructureReport:
+    """Read back what ``StructureReport.to_json`` wrote."""
+    data = json.loads(text)
+    witness = data["witness"]
+    if witness is not None:
+        witness = (State(*witness[0]), State(*witness[1]))
+    return StructureReport(**{**data, "witness": witness})
 
 
 def transmit_probability(spec, state: State, phase: int) -> float:
@@ -223,13 +444,12 @@ def bellman_qvalues_gathered(
 def relative_value_iteration(params: SystemParams, cfg: SolverConfig, start=None):
     """(values, q_values, gain, iterations, final_span) by the plain RVI loop.
 
-    Starts from ``start`` (default zero) and re-anchors at
-    ``cfg.reference_state`` (default (1, battery_cap)) before the first
-    sweep and after every sweep, with a fresh table each time.
+    Starts from ``start`` (default zero) and re-anchors at (1, battery_cap)
+    before the first sweep and after every sweep, with a fresh table each
+    time.
     """
     params.validate_for_solve()
-    ref = cfg.reference_state if cfg.reference_state is not None else State(1, params.battery_cap)
-    ref_idx = (ref.aoi - 1, ref.battery)
+    ref_idx = (0, params.battery_cap)
     values = np.zeros(params.grid_shape) if start is None else np.array(start, dtype=float)
     values -= values[ref_idx]
     gain = np.nan

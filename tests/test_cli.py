@@ -18,7 +18,6 @@ from aoi_energy import (
     ConvergenceError,
     Randomized,
     SimConfig,
-    StructureReport,
     SystemParams,
     ThresholdPolicy,
     ValueTable,
@@ -40,6 +39,7 @@ from aoi_energy.cli import (
 from aoi_energy import evaluation, solver
 from aoi_energy.evaluation import MAX_HORIZON, MAX_PERIODIC_ENTRIES
 from aoi_energy.model import MAX_GRID_STATES
+from reference import params_to_json, read_threshold_csv, structure_report_from_json
 
 SOLVE_PARAMS = SystemParams(
     erasure_prob=0.3,
@@ -75,7 +75,7 @@ CRAMPED = SystemParams(
 
 def params_file(tmp_path, params, name="params.json"):
     path = tmp_path / name
-    path.write_text(params.to_json() + "\n")
+    path.write_text(params_to_json(params) + "\n")
     return str(path)
 
 
@@ -97,8 +97,8 @@ def test_solve_writes_all_artifacts(tmp_path, capsys):
     assert values.shape == SOLVE_PARAMS.grid_shape
     thresholds = ThresholdPolicy.from_json((out / "thresholds.json").read_text())
     assert thresholds.battery_cap == SOLVE_PARAMS.battery_cap
-    assert ThresholdPolicy.read_csv(str(out / "thresholds.csv")) == thresholds
-    report = StructureReport.from_json((out / "structure_report.json").read_text())
+    assert read_threshold_csv(str(out / "thresholds.csv")) == thresholds
+    report = structure_report_from_json((out / "structure_report.json").read_text())
     assert report.all_pass
 
     printed = capsys.readouterr().out
@@ -157,7 +157,7 @@ def test_solve_malformed_params(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["p", "lambda", "omega", "c_r", "battery_cap", "aoi_cap"])
 def test_params_reject_json_booleans(tmp_path, capsys, key):
-    payload = json.loads(SOLVE_PARAMS.to_json())
+    payload = json.loads(params_to_json(SOLVE_PARAMS))
     payload[key] = True
     bad = tmp_path / "bool.json"
     bad.write_text(json.dumps(payload))
@@ -235,7 +235,7 @@ def test_check_round_trip(tmp_path, capsys):
 
     code = main(["check", "--params", pfile, "--values", str(out / "values.csv")])
     assert code == EXIT_OK
-    assert StructureReport.from_json(capsys.readouterr().out).all_pass
+    assert structure_report_from_json(capsys.readouterr().out).all_pass
 
     # Inflating the age-1 row breaks growth in age, which check must flag.
     values = read_value_csv(str(out / "values.csv"))
@@ -247,7 +247,7 @@ def test_check_round_trip(tmp_path, capsys):
     )
     code = main(["check", "--params", pfile, "--values", str(tampered)])
     assert code == EXIT_STRUCTURE
-    assert not StructureReport.from_json(capsys.readouterr().out).all_pass
+    assert not structure_report_from_json(capsys.readouterr().out).all_pass
 
 
 def test_check_rejects_malformed_values(tmp_path, capsys):
@@ -255,6 +255,19 @@ def test_check_rejects_malformed_values(tmp_path, capsys):
     bad = tmp_path / "values.csv"
     bad.write_text("x,y,z\n1,2,3\n")
     assert main(["check", "--params", pfile, "--values", str(bad)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_check_refuses_non_finite_value_cell(tmp_path, capsys, cell):
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    cap, width = SOLVE_PARAMS.grid_shape
+    rows = [f"{d},{q},{cell if (d, q) == (2, 3) else d}" for d in range(1, cap + 1)
+            for q in range(width)]
+    bad = tmp_path / "values.csv"
+    bad.write_text("\n".join(["delta,q,value", *rows]) + "\n")
+    assert main(["check", "--params", pfile, "--values", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "(delta, q) = (2, 3) is not finite" in err and "JSON" not in err
 
 
 def test_check_rejects_grid_mismatch(tmp_path, capsys):
@@ -791,6 +804,16 @@ def test_periodic_kernel_bound_admits_period_97(tmp_path, monkeypatch):
         main(["eval", "--params", pfile, "--policies", "periodic:97", "--method", "exact"])
 
 
+def test_eval_refuses_json_true_threshold(tmp_path, capsys):
+    """JSON true is a bool, not the threshold 1."""
+    pfile = params_file(tmp_path, dataclasses.replace(EVAL_PARAMS, battery_cap=1))
+    policy = tmp_path / "tp.json"
+    policy.write_text('{"thresholds": [true, 2]}')
+    argv = ["eval", "--params", pfile, "--policies", f"threshold:{policy}", "--method", "exact"]
+    assert main(argv) == EXIT_USAGE
+    assert "threshold at battery 0 must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["mc", "exact"])
 def test_eval_threshold_over_the_bound_is_refused_before_allocation(
     tmp_path, monkeypatch, capsys, method
@@ -815,7 +838,7 @@ def test_eval_threshold_over_the_bound_is_refused_before_allocation(
 @pytest.mark.parametrize("command", ["solve", "eval", "sweep"])
 def test_overflowing_backup_penalty_is_usage_error(tmp_path, capsys, command):
     """omega * c_r = 1e200 * 1e200 is inf: refused at validation, before any output."""
-    data = json.loads(SOLVE_PARAMS.to_json())
+    data = json.loads(params_to_json(SOLVE_PARAMS))
     data.update({"omega": 1e200, "c_r": 1e200})
     pfile = tmp_path / "params.json"
     pfile.write_text(json.dumps(data))

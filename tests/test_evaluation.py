@@ -14,7 +14,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -35,8 +34,6 @@ from aoi_energy import (
     SystemParams,
     ThresholdPolicy,
     ZeroWait,
-    append_report_row,
-    decide,
     enumerate_optimal,
     evaluate_exact,
     extract_thresholds,
@@ -48,9 +45,9 @@ from aoi_energy import (
     write_report_rows,
 )
 from aoi_energy import evaluation
-from aoi_energy.evaluation import _reachable_classes, _t_quantile_975
+from aoi_energy.evaluation import _reachable_classes, _t_quantile_975, append_report_row
 from conftest import BENCH, MID
-from reference import csgraph_classes, enumeration_costs, truncated_cost
+from reference import csgraph_classes, decide, enumeration_costs, truncated_cost
 
 EVAL_BENCH = dataclasses.replace(BENCH, aoi_cap=400)
 
@@ -229,7 +226,7 @@ def test_eval_report_decomposition_enforced():
 
 
 def stationary(kernel, start=0):
-    mu = stationary_distribution(sp.csr_matrix(np.asarray(kernel, dtype=float)), start)
+    mu = stationary_distribution(np.asarray(kernel, dtype=float), start)
     assert mu.min() >= 0.0
     assert abs(mu.sum() - 1.0) <= 1e-12
     return mu
@@ -285,7 +282,7 @@ def test_stationary_input_guards():
     with pytest.raises(ValueError):
         stationary([[1.0]], start=3)
     with pytest.raises(ValueError):
-        stationary_distribution(sp.csr_matrix(np.ones((2, 3))), 0)
+        stationary_distribution(np.ones((2, 3)), 0)
 
 
 def random_kernels(count, max_states=40):

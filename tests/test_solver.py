@@ -27,6 +27,7 @@ from aoi_energy import (
 )
 from conftest import BENCH, EPSILON, MID
 from reference import bellman_qvalues_gathered, greedy_policy_shortcircuit, relative_value_iteration
+from reference import state_action
 
 SMALL = SystemParams(
     erasure_prob=0.3,
@@ -91,8 +92,8 @@ def test_benchmark_policy_idles_on_fresh_updates(bench_solution):
     v, q = bench_solution
     policy = greedy_policy(v, q, BENCH)
     for battery in range(1, BENCH.battery_cap):
-        assert policy.action(State(1, battery)) == 0
-    assert policy.action(State(1, BENCH.battery_cap)) == 1
+        assert state_action(policy, State(1, battery)) == 0
+    assert state_action(policy, State(1, BENCH.battery_cap)) == 1
 
 
 def test_greedy_matches_thresholds_everywhere(bench_solution):
@@ -156,16 +157,6 @@ def test_solve_reports_non_convergence_with_span():
     assert err.value.span > 0.0
 
 
-def test_reference_state_only_shifts_values():
-    ref = State(5, 0)
-    v_default, _ = solve(SMALL, SolverConfig())
-    v_moved, _ = solve(SMALL, SolverConfig(reference_state=ref))
-    assert v_moved.values[ref.aoi - 1, ref.battery] == 0.0
-    assert v_moved.gain == pytest.approx(v_default.gain, abs=1e-6)
-    shifted = v_default.values - v_default.values[ref.aoi - 1, ref.battery]
-    assert np.allclose(v_moved.values, shifted, atol=1e-6)
-
-
 def test_solve_rejects_bad_inputs():
     degenerate = SystemParams(
         erasure_prob=0.0,
@@ -177,8 +168,6 @@ def test_solve_rejects_bad_inputs():
     )
     with pytest.raises(ValueError):
         solve(degenerate, SolverConfig())
-    with pytest.raises(ValueError):
-        solve(SMALL, SolverConfig(reference_state=State(99, 0)))
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
@@ -260,22 +249,18 @@ def test_bellman_qvalues_property(
 B1_CAP2 = dataclasses.replace(SMALL, battery_cap=1, aoi_cap=2)
 
 # "init-value" starts from a seeded random table, Fortran-ordered, which the
-# solve re-anchors at the reference state. The last five sit next to the
-# workspace's pads: the reference state on the saturated age row at the top
-# and the empty battery, and the corners where lam*V or (1-lam)*V is all
-# zeros or the backup costs nothing.
+# solve re-anchors at (1, battery_cap). The last three sit next to the
+# workspace's pads: the corners where lam*V or (1-lam)*V is all zeros or the
+# backup costs nothing.
 RVI_CASES = {
     "readme": (BENCH, SolverConfig(epsilon=EPSILON), None),
     "mid": (MID, SolverConfig(), None),
     "b1-cap2": (B1_CAP2, SolverConfig(), None),
-    "reference-state": (SMALL, SolverConfig(reference_state=State(17, 2)), None),
     "init-value": (
         SMALL,
         SolverConfig(),
         np.asfortranarray(np.random.default_rng(125).normal(scale=50.0, size=SMALL.grid_shape)),
     ),
-    "reference-cap-full": (SMALL, SolverConfig(reference_state=State(SMALL.aoi_cap, 4)), None),
-    "reference-cap-empty": (SMALL, SolverConfig(reference_state=State(SMALL.aoi_cap, 0)), None),
     "lam-0": (dataclasses.replace(SMALL, harvest_prob=0.0), SolverConfig(), None),
     "lam-1": (dataclasses.replace(SMALL, harvest_prob=1.0), SolverConfig(), None),
     "omega-0": (dataclasses.replace(SMALL, energy_weight=0.0), SolverConfig(), None),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from aoi_energy import (
-    Action,
     QTable,
     SolverConfig,
     State,
@@ -16,11 +15,9 @@ from aoi_energy import (
     check_value_increments,
     check_value_monotone,
     solve,
-    stage_cost,
-    states,
-    transition,
 )
 from conftest import BENCH
+from reference import Action, stage_cost, states, structure_report_from_json, transition
 
 TOL = 1e-8
 
@@ -143,7 +140,7 @@ def test_certify_aggregates_planted_failure():
 def test_report_json_round_trip(bench_solution):
     v, q = bench_solution
     report = certify_structure(v, q, BENCH, TOL)
-    back = StructureReport.from_json(report.to_json())
+    back = structure_report_from_json(report.to_json())
     assert back == report
     assert isinstance(back.witness[0], State)
 
