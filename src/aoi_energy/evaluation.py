@@ -652,7 +652,7 @@ def evaluate_exact(
 def _truncated_kernels(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Idle and transmit kernels of the chain with age saturating at ``aoi_cap``.
 
-    States are in :func:`~aoi_energy.model.states` order, age-major.
+    States are age-major: (d, q) has index (d-1)*(B+1) + q.
     """
     cap = params.aoi_cap
     idle, tx = _battery_moves(params)
@@ -667,10 +667,10 @@ def _truncated_kernels(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 def _table_costs(params: SystemParams) -> np.ndarray:
     """Average cost of every action table on the truncated-saturating chain, by bitmask.
 
-    Bit i of the mask is the action at state i (in
-    :func:`~aoi_energy.model.states` order); the chain starts at (1, 0),
-    state 0. The tables are scored ``_ENUM_BLOCK`` at a time. A block's
-    kernels are stacked and closed under reachability at once; exactly one
+    Bit i of the mask is the action at state i (age-major, as in
+    :func:`_truncated_kernels`); the chain starts at (1, 0), state 0. The
+    tables are scored ``_ENUM_BLOCK`` at a time. A block's kernels are
+    stacked and closed under reachability at once; exactly one
     closed class must be reachable from state 0, else the lowest failing
     mask goes to :func:`stationary_distribution`, which raises
     :class:`ReducibilityError` for it. The rows of the states that state 0

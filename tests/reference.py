@@ -5,7 +5,7 @@ Model: the slot law per state. ``transition`` is the exact successor law
 ``decide`` gives any policy's action at a state and slot, ages uncapped.
 The package's three statements of the law (the solver's backup, the
 evaluation kernels, the simulator's automaton) are checked against these.
-Readers of the files the CLI writes live here too.
+So do the (de)serialisers of CLI files that the package never needs.
 
 Exact evaluation: the policy-induced kernel is built state by state from
 ``transition`` on the (aoi_cap x battery) grid, where age saturates at the

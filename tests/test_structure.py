@@ -7,7 +7,6 @@ from aoi_energy import (
     QTable,
     SolverConfig,
     State,
-    StructureReport,
     SystemParams,
     bellman_qvalues,
     certify_structure,
