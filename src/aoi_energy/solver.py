@@ -8,6 +8,15 @@ the optimal gain), and subtracts the anchor entry so the iterates stay
 bounded. Convergence is declared when the span drops to ``epsilon``; the
 returned gain is the midpoint of the final difference's extremes.
 
+The full span pass runs only on sweeps that may stop. A sweep first forms
+the difference at the two slots that held the extremes at the last full
+pass, a lower bound on the span: for any i, j, fl(d_i - d_j) <= fl(max -
+min), since rounding is monotone. While that bound exceeds ``epsilon`` the
+plain loop could not stop either, so the pass is skipped; NaN fails the
+comparison and takes the pass. The last sweep ``max_iters`` allows always
+takes it, so values, gain, sweep count and span stay bit for bit those of
+the loop that measures every sweep.
+
 A solve starts from zero, or from a given table re-anchored the same way;
 RVI reaches the same fixed point from any start (Puterman 1994, section
 8.5), so a nearby table only shortens the run. The truncation check uses
@@ -175,6 +184,11 @@ def solve(
     converged values. Raises :class:`ConvergenceError` carrying the last
     span when ``max_iters`` sweeps do not suffice. Every sweep works in one
     :class:`_Workspace`.
+
+    A sweep measures the full span only when the two-slot bound at the last
+    extremes, ``(T(V) - V)[hi] - (T(V) - V)[lo]``, is at most ``epsilon``
+    (or NaN), or on the last allowed sweep. The bound never exceeds the
+    span, so a skipped sweep is one the full measure would not stop at.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
@@ -183,19 +197,27 @@ def solve(
         raise ValueError(f"start table must be finite with shape {params.grid_shape}")
     ws = _Workspace(params, start - start[0, -1])
     ref_at = params.battery_cap * ws.row  # V(1, battery_cap) in the flat workspace
-    updated, diff = ws.q_idle, ws.q_tx  # T(V) and T(V) - V overwrite the backup
+    updated, diff, real = ws.q_idle, ws.q_tx, ws.real  # T(V) and T(V) - V overwrite the backup
     gain, span, iterations = np.nan, np.inf, 0
-    for iterations in range(1, cfg.max_iters + 1):
+    hi = lo = 0  # real slots of the last full check's extremes; equal, so sweep 1 checks
+    epsilon, last = cfg.epsilon, cfg.max_iters
+    for iterations in range(1, last + 1):
         ws.backup()
         np.minimum(updated, ws.q_tx, out=updated)
-        np.subtract(updated, ws.real, out=diff)
-        np.copyto(*ws.diff_pad)
-        high, low = float(diff.max()), float(diff.min())
-        span, gain = high - low, 0.5 * (high + low)
-        np.subtract(updated, updated[ref_at], out=ws.real)
+        # span >= this bound, as rounding is monotone; NaN fails the test and checks
+        bound = (updated[hi] - real[hi]) - (updated[lo] - real[lo])
+        if not bound > epsilon or iterations == last:
+            np.subtract(updated, real, out=diff)
+            np.copyto(*ws.diff_pad)
+            high, low = float(diff.max()), float(diff.min())
+            span, gain = high - low, 0.5 * (high + low)
+            # First occurrences, never a pad: each diff pad copies the real slot
+            # just before it, and a pad of ``updated`` is garbage.
+            hi, lo = int(diff.argmax()), int(diff.argmin())
+        np.subtract(updated, updated[ref_at], out=real)
         for pad, source in ws.pads:  # age column first, then the battery row
             np.copyto(pad, source)
-        if span <= cfg.epsilon:
+        if span <= epsilon:
             break
     else:
         raise ConvergenceError(
@@ -276,13 +298,10 @@ def check_truncation_adequacy(
 
 def write_value_csv(path: str, v: ValueTable) -> None:
     """Dump values as (delta, q, value) rows, age-major, full float precision."""
-    cap, width = v.values.shape
+    rows = v.values.tolist()
+    lines = [f"{d},{q},{x!r}\n" for d, row in enumerate(rows, 1) for q, x in enumerate(row)]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["delta", "q", "value"])
-        for row in range(cap):
-            for battery in range(width):
-                writer.writerow([row + 1, battery, repr(float(v.values[row, battery]))])
+        handle.write("delta,q,value\n" + "".join(lines))
 
 
 def read_value_csv(path: str) -> np.ndarray:

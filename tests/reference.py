@@ -5,7 +5,9 @@ Model: the slot law per state. ``transition`` is the exact successor law
 ``decide`` gives any policy's action at a state and slot, ages uncapped.
 The package's three statements of the law (the solver's backup, the
 evaluation kernels, the simulator's automaton) are checked against these.
-So do the (de)serialisers of CLI files that the package never needs.
+So do the (de)serialisers of CLI files that the package never needs, and
+the ``csv.writer`` form of the value CSV writer, which the package's
+joined-string writer must match byte for byte.
 
 Exact evaluation: the policy-induced kernel is built state by state from
 ``transition`` on the (aoi_cap x battery) grid, where age saturates at the
@@ -237,16 +239,22 @@ def decide(spec, s: State, t: int, rng: np.random.Generator) -> Action:
     raise TypeError(f"unknown policy spec {spec!r}")
 
 
-def is_markov_stationary(spec) -> bool:
-    """True when the policy is a deterministic function of the state alone."""
-    return not isinstance(spec, (Periodic, Randomized))
-
-
 def params_to_json(params: SystemParams) -> str:
     """The parameter JSON that ``SystemParams.from_json`` reads."""
     keys = {"erasure_prob": "p", "harvest_prob": "lambda", "energy_weight": "omega",
             "backup_cost": "c_r"}
     return json.dumps({keys.get(k, k): v for k, v in asdict(params).items()}, allow_nan=False)
+
+
+def write_value_csv_rows(path: str, v) -> None:
+    """Value CSV through ``csv.writer``, one ``repr(float(cell))`` per row, age-major."""
+    cap, width = v.values.shape
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["delta", "q", "value"])
+        for row in range(cap):
+            for battery in range(width):
+                writer.writerow([row + 1, battery, repr(float(v.values[row, battery]))])
 
 
 def read_threshold_csv(path: str) -> ThresholdPolicy:

@@ -17,8 +17,7 @@ from aoi_energy import (
     policy_label,
     simulate,
 )
-from reference import (Action, decide, is_markov_stationary, read_threshold_csv, state_action,
-                       transmit_count)
+from reference import Action, decide, read_threshold_csv, state_action, transmit_count
 
 PARAMS = SystemParams(
     erasure_prob=0.2,
@@ -95,15 +94,6 @@ def test_threshold_battery_mismatch_rejected():
     spec = ThresholdPolicy(thresholds=(1, 1))
     with pytest.raises(ValueError):
         spec.to_table(PARAMS)
-
-
-def test_markov_stationarity_classification():
-    assert is_markov_stationary(ZeroWait())
-    assert is_markov_stationary(EnergyFirst())
-    assert is_markov_stationary(ThresholdPolicy(thresholds=(1, 1)))
-    assert is_markov_stationary(PolicyTable(np.zeros((2, 2), dtype=np.int8)))
-    assert not is_markov_stationary(Periodic(5))
-    assert not is_markov_stationary(Randomized(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from aoi_energy import (
     State,
     SystemParams,
     ThresholdStructureError,
+    ValueTable,
     bellman_qvalues,
     check_truncation_adequacy,
     extract_thresholds,
@@ -27,7 +28,7 @@ from aoi_energy import (
 )
 from conftest import BENCH, EPSILON, MID
 from reference import bellman_qvalues_gathered, greedy_policy_shortcircuit, relative_value_iteration
-from reference import state_action
+from reference import state_action, write_value_csv_rows
 
 SMALL = SystemParams(
     erasure_prob=0.3,
@@ -104,8 +105,6 @@ def test_greedy_matches_thresholds_everywhere(bench_solution):
 
 
 def test_greedy_ties_resolve_to_idle():
-    from aoi_energy import ValueTable
-
     params = SystemParams(
         erasure_prob=0.2,
         harvest_prob=0.5,
@@ -151,10 +150,18 @@ def test_solve_is_bitwise_reproducible():
 
 
 def test_solve_reports_non_convergence_with_span():
-    with pytest.raises(ConvergenceError) as err:
-        solve(SMALL, SolverConfig(max_iters=3))
-    assert err.value.iterations == 3
-    assert err.value.span > 0.0
+    """The last allowed sweep always measures the full span, so the error
+    carries the plain loop's span bit for bit, whichever sweeps were skipped."""
+    for params in (SMALL, BENCH):
+        for max_iters in (1, 2, 3, 57):
+            cfg = SolverConfig(max_iters=max_iters)
+            with pytest.raises(ConvergenceError) as err:
+                solve(params, cfg)
+            with pytest.raises(ConvergenceError) as expected:
+                relative_value_iteration(params, cfg)
+            assert err.value.iterations == expected.value.iterations == max_iters
+            assert same_bits(np.float64(err.value.span), np.float64(expected.value.span))
+            assert err.value.span > 0.0
 
 
 def test_solve_rejects_bad_inputs():
@@ -244,6 +251,58 @@ def test_bellman_qvalues_property(
     )
     table = data.draw(arrays(np.float64, params.grid_shape, elements=st.floats(-1e6, 1e6)))
     assert_kernel_matches_oracle(np.asarray(table, order=order), params)
+
+
+def rvi_outcome(run, params, cfg, start):
+    """(values, q, gain, iterations, span) of a converged run, or the
+    (iterations, span) of its ConvergenceError."""
+    try:
+        return run(params, cfg, start)
+    except ConvergenceError as err:
+        return err.iterations, np.float64(err.span)
+
+
+def solve_outcome(params, cfg, start):
+    v, q = solve(params, cfg, start)
+    return v.values, q.values, v.gain, v.iterations, v.final_span
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    battery_cap=st.integers(1, 4),
+    aoi_cap=st.integers(2, 12),
+    erasure=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    harvest=st.floats(0.0, 1.0),
+    weight=st.floats(0.0, 1e3),
+    cost=st.floats(0.0, 1e3),
+    scale=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from("CF"),
+    epsilon=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    max_iters=st.integers(1, 3000),
+)
+def test_solve_matches_reference_rvi_property(
+    battery_cap, aoi_cap, erasure, harvest, weight, cost, scale, seed, order, epsilon, max_iters
+):
+    """Random start tables make the extremes of T(V) - V jump between
+    sweeps, so the skipped span passes must still stop, or run out, exactly
+    where the plain loop does."""
+    params = SystemParams(
+        erasure_prob=erasure,
+        harvest_prob=harvest,
+        energy_weight=weight,
+        backup_cost=cost,
+        battery_cap=battery_cap,
+        aoi_cap=aoi_cap,
+    )
+    cfg = SolverConfig(epsilon=epsilon, max_iters=max_iters)
+    rng = np.random.default_rng(seed)
+    start = np.asarray(rng.normal(scale=scale, size=params.grid_shape), order=order)
+    got = rvi_outcome(solve_outcome, params, cfg, start)
+    expected = rvi_outcome(relative_value_iteration, params, cfg, start)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert same_bits(np.asarray(a), np.asarray(b))
 
 
 B1_CAP2 = dataclasses.replace(SMALL, battery_cap=1, aoi_cap=2)
@@ -434,6 +493,16 @@ def test_value_csv_round_trip(tmp_path, bench_solution):
     back = read_value_csv(str(path))
     assert back.shape == v.values.shape
     assert np.array_equal(back, v.values)  # repr round-trips floats exactly
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_value_csv_matches_csv_writer_bytes(tmp_path, order):
+    cells = [-0.0, 0.0, 1e-300, 5e-324, -5e-324, 1.7976931348623157e308, -1e308, 3.0, -7.0,
+             2.0**53, 1e16, 0.1, 1 / 3, 123456.789, float("inf"), float("nan")]
+    v = ValueTable(np.asarray(np.reshape(cells, (4, 4)), order=order), 0.0, 0, 0.0)
+    write_value_csv(str(tmp_path / "joined.csv"), v)
+    write_value_csv_rows(str(tmp_path / "rows.csv"), v)
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_value_csv_rejects_wrong_header(tmp_path):
