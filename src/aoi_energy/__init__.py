@@ -38,7 +38,6 @@ from .policies import (
 )
 from .solver import (
     ConvergenceError,
-    QTable,
     SolverConfig,
     ThresholdStructureError,
     ValueTable,

@@ -38,10 +38,8 @@ from .model import SystemParams, check_grid
 from .policies import PolicySpec, parse_policy_spec, policy_label
 from .solver import (
     ConvergenceError,
-    QTable,
     SolverConfig,
     ThresholdStructureError,
-    ValueTable,
     bellman_qvalues,
     check_truncation_adequacy,
     extract_thresholds,
@@ -144,13 +142,15 @@ def _evaluate_with_fallback(
 def run_sweep(spec: SweepSpec) -> None:
     """Solve along the axis and score every policy at every grid point.
 
-    Any solver failure, threshold-structure failure, or certificate failure
+    Policy specs are parsed once, before the first solve. Any solver
+    failure, threshold-structure failure, or certificate failure
     aborts the whole sweep naming the offending grid point; nothing is
     written in that case. Output rows are buffered and written once, in axis
     order and then policy order, so equal seeds give byte-identical files.
     """
     rows: list[list] = []
     solver_cfg = SolverConfig(epsilon=spec.epsilon, max_iters=spec.max_iters)
+    parsed = [None if text == "solved" else parse_policy_spec(text) for text in spec.policies]
     for point_idx, value in enumerate(spec.values):
         point = _point_params(spec.fixed, spec.axis, value)
         solver_point = point
@@ -176,20 +176,15 @@ def run_sweep(spec: SweepSpec) -> None:
             raise StructureViolationError(
                 f"sweep aborted at {where}: certificate failed, {certificate.to_json()}"
             )
-        for policy_idx, text in enumerate(spec.policies):
-            if text == "solved":
-                policy: PolicySpec = thresholds
-                label = "solved"
-            else:
-                policy = parse_policy_spec(text)
-                label = policy_label(policy)
+        for policy_idx, policy in enumerate(parsed):
+            label = "solved" if policy is None else policy_label(policy)
             report, seed, note = _evaluate_with_fallback(
-                policy,
+                thresholds if policy is None else policy,
                 point,
                 spec.sim,
                 _derived_seed(spec.sim.seed, point_idx, policy_idx),
             )
-            notes = ";".join(n for n in ((solved_note if text == "solved" else ""), note) if n)
+            notes = ";".join(n for n in ((solved_note if policy is None else ""), note) if n)
             rows.append(report_row_values(label, point, report, seed, notes))
     write_report_rows(spec.out_path, rows)
 
@@ -267,10 +262,8 @@ def run_check(args: argparse.Namespace) -> int:
         raise ValueError(
             f"value CSV grid {values.shape} does not match params grid {params.grid_shape}"
         )
-    q_idle, q_tx = bellman_qvalues(values, params)
-    v = ValueTable(values=values, gain=float("nan"), iterations=0, final_span=float("nan"))
-    q = QTable(values=np.stack([q_idle, q_tx], axis=-1))
-    report = certify_structure(v, q, params, args.structure_tol)
+    q = np.stack(bellman_qvalues(values, params), axis=-1)
+    report = certify_structure(values, q, params, args.structure_tol)
     print(report.to_json())
     return EXIT_OK if report.all_pass else EXIT_STRUCTURE
 
@@ -336,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--aoi-cap", type=int, default=None, help="override the age cap")
         if mc:
-            p.add_argument("--horizon", type=int, default=200_000, help="slots per replication")
+            p.add_argument("--horizon", type=int, default=200_000,
+                           help="slots per replication; the first tenth is uncounted warm-up")
             p.add_argument("--reps", type=int, default=10, help="Monte Carlo replications")
             p.add_argument("--seed", type=int, default=0)
 

@@ -1,16 +1,18 @@
 """Policy evaluation three ways.
 
-Seeded Monte Carlo simulates the real chain (age unbounded, battery finite)
-and reports replication means with a 95% confidence halfwidth. It runs the
-slot rule as a finite automaton over words of k slots, walked in lanes that
-advance together from guessed starts, a wrong guess being walked again, so
-the bits are the same as stepping slot by slot. Exact evaluation works on
-the same untruncated chain: age resets on delivery and otherwise grows by
-one, so the chain renews at each delivery, and the average cost follows
-from the stationary law of a small renewal kernel over the battery (and
-slot phase) plus closed forms for the age tail. A policy whose age tail
-never dies (delivery not certain, e.g. never transmitting) has infinite
-cost and is refused. Exhaustive enumeration scores every deterministic
+Both score the chain from (1, 0), age 1 with an empty battery. Seeded
+Monte Carlo simulates the real chain (age unbounded, battery finite),
+leaves the first tenth of each replication uncounted, and reports
+replication means with a 95% confidence halfwidth. It runs the slot rule
+as a finite automaton over words of k slots, walked in lanes that advance
+together from guessed starts, a wrong guess being walked again, so the
+bits are the same as stepping slot by slot. Exact evaluation works on the
+same untruncated chain: age resets on delivery and otherwise grows by one,
+so the chain renews at each delivery, and the average cost follows from
+the stationary law of a small renewal kernel over the battery (and slot
+phase) plus closed forms for the age tail. A policy whose age tail never
+dies (delivery not certain, e.g. never transmitting) has infinite cost and
+is refused. Exhaustive enumeration scores every deterministic
 stationary policy of the truncated-saturating chain the solver works on, on
 desk-size instances, in batched solves, as a ground-truth oracle for the
 solver.
@@ -94,16 +96,14 @@ MAX_PERIODIC_ENTRIES = 1 << 22
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run shape; warmup defaults to a tenth of the horizon.
+    """Monte Carlo run shape: replications start at (1, 0), the first tenth uncounted.
 
-    The horizon may be at most :data:`MAX_HORIZON` slots.
+    The horizon may be at most :data:`MAX_HORIZON` slots; the seed is an integer >= 0.
     """
 
     horizon: int
     replications: int = 1
-    warmup: int | None = None
     seed: int = 0
-    initial_state: State = State(1, 0)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.horizon, int) and self.horizon >= 1):
@@ -115,13 +115,8 @@ class SimConfig:
             )
         if not (isinstance(self.replications, int) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
-        warm = self.resolved_warmup
-        if not 0 <= warm < self.horizon:
-            raise ValueError(f"warmup {warm} must satisfy 0 <= warmup < horizon {self.horizon}")
-
-    @property
-    def resolved_warmup(self) -> int:
-        return self.horizon // 10 if self.warmup is None else self.warmup
+        if not (isinstance(self.seed, int) and type(self.seed) is not bool and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +149,9 @@ _SPAN_SLOTS = 1 << 18
 # Words per lane of the speculative walk, and words walked from state 0 to guess a lane's start.
 _LANE_WORDS = 256
 _LOOKBACK_WORDS = 128
-# Action tables scored per batched solve by enumeration.
+# Action tables scored per batched solve by enumeration, and its cost tie tolerance.
 _ENUM_BLOCK = 1 << 10
+_ENUM_TIE = 1e-9
 
 
 def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
@@ -188,11 +184,6 @@ def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
     depth = max((t for t in bounds if t != math.inf), default=1)
     check_grid(depth, width, "threshold age rows x battery levels")
     return np.arange(1, depth + 1)[:, None] >= np.array(bounds)[None, :]
-
-
-def _check_initial(state: State, params: SystemParams) -> None:
-    if state.aoi < 1 or not 0 <= state.battery <= params.battery_cap:
-        raise ValueError(f"invalid initial state {state}")
 
 
 def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
@@ -284,11 +275,11 @@ def _simulate_rep(
     and one lookup of ``outcomes`` per word gives the flags of its k slots.
     The age is never truncated: over the counted slots it sums
     t - (latest delivery before t), an exact integer taken in closed form
-    between deliveries, with the start age counted as a delivery that many
-    slots before slot 0.
+    between deliveries. The start (1, 0) is state 0, its age 1 a delivery
+    in the slot before slot 0.
     """
     walk, table, outcomes, n_sym, n_z, k = automaton
-    horizon, warm = cfg.horizon, cfg.resolved_warmup
+    horizon, warm = cfg.horizon, cfg.horizon // 10
     symbols = np.zeros(-(-horizon // k) * k, np.uint8)
     coins = [(4, spec.p_tx)] if isinstance(spec, Randomized) else []
     for bit, prob in [(1, params.harvest_prob), (2, params.erasure_prob)] + coins:
@@ -298,10 +289,7 @@ def _simulate_rep(
     if isinstance(spec, Periodic):
         symbols[spec.phase : horizon : spec.period] += 4
 
-    age, battery = cfg.initial_state
-    width = params.battery_cap + 1
-    z = (min(age, n_z // width) - 1) * width + battery
-    last = -age  # latest delivery slot
+    z, last = 0, -1  # the automaton state and the latest delivery slot
     age_sum = pay_count = 0
     shifts = np.arange(0, 2 * k, 2, dtype=np.uint32)
     per = _CHUNK_SLOTS // k  # words tallied at a time
@@ -395,8 +383,9 @@ def _t_quantile_975(df: int) -> float:
 def simulate(spec: PolicySpec, params: SystemParams, cfg: SimConfig) -> EvalReport:
     """Monte Carlo average cost over seeded independent replications.
 
-    Replication seeds are spawned deterministically from ``cfg.seed``, so a
-    repeated call reproduces the report bit for bit. The halfwidth is a
+    Each replication starts at (1, 0), its first tenth uncounted. Replication
+    seeds are spawned deterministically from ``cfg.seed``, so a repeated
+    call reproduces the report bit for bit. The halfwidth is a
     Student-t 95% interval over the replication means, which assumes those
     means are near normal: for heavy-tailed ages at few replications it
     under-covers (``random:0.02`` at p=0.8, 8 replications of 200k slots,
@@ -406,7 +395,6 @@ def simulate(spec: PolicySpec, params: SystemParams, cfg: SimConfig) -> EvalRepo
     Each replication walks its symbols in spans of ``_SPAN_SLOTS`` with
     :func:`_lane_walk`, and keeps one byte per slot of the horizon.
     """
-    _check_initial(cfg.initial_state, params)
     automaton = _automaton(spec, params)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     age_means = np.empty(cfg.replications)
@@ -545,28 +533,28 @@ def _age_actions(
 
 
 def _cycles(
-    actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: SystemParams,
-    walk: np.ndarray, first_age: int,
+    actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: SystemParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sums over one delivery cycle for each starting row of ``walk``.
+    """Sums over one delivery cycle from each auxiliary state at age 1.
 
-    ``walk`` is the occupation of the auxiliary states at ``first_age``.
-    Until the next delivery it evolves by the no-delivery kernel
-    T_d = diag(1-a_d) idle + p diag(a_d) tx. Before the last action row the
-    ages are walked one by one; from there T is constant, and the tail sums
-    use N = (I-T)^-1: visits = walk N, and sum_k k walk T^k = (walk N - walk) N.
-    Returns the delivery law (rows of the renewal kernel), the expected
-    cycle length, age sum and weighted backup spend, and a mask of rows
-    from which delivery is not certain: their walk reaches states from
-    which the tail never leaks.
+    Row i of the walk is the occupation of the auxiliary states, starting
+    from state i at age 1. Until the next delivery it evolves by the
+    no-delivery kernel T_d = diag(1-a_d) idle + p diag(a_d) tx. Before the
+    last action row the ages are walked one by one; from there T is
+    constant, and the tail sums use N = (I-T)^-1: visits = walk N, and
+    sum_k k walk T^k = (walk N - walk) N. Returns the delivery law (the
+    renewal kernel), the expected cycle length, age sum and weighted backup
+    spend, and a mask of the states from which delivery is not certain:
+    their walk reaches states from which the tail never leaks.
     """
     p = params.erasure_prob
     n = idle.shape[0]
     empty = np.arange(n) % (params.battery_cap + 1) == 0
-    length = np.zeros(walk.shape[0])
-    age_sum = np.zeros(walk.shape[0])
-    sent = np.zeros_like(walk)
-    age = first_age
+    walk = np.eye(n)
+    length = np.zeros(n)
+    age_sum = np.zeros(n)
+    sent = np.zeros((n, n))
+    age = 1
     while age < len(actions):
         a = actions[age - 1]
         length += walk.sum(axis=1)
@@ -594,12 +582,7 @@ def _cycles(
     return deliveries, length, age_sum, spend, trapped
 
 
-def evaluate_exact(
-    spec: PolicySpec,
-    params: SystemParams,
-    *,
-    initial_state: State = State(1, 0),
-) -> EvalReport:
+def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     """Stationary average cost of a policy on the untruncated age axis.
 
     Age resets to 1 on delivery and otherwise grows by one, so the chain
@@ -607,36 +590,22 @@ def evaluate_exact(
     at age 1 (see :func:`_age_actions`), and the expected length, age sum
     and backup spend of a cycle, come from :func:`_cycles`; the cost is
     nu (A + E) / nu L with nu the stationary law of M on the class reachable
-    from ``initial_state``. ``aoi_cap`` plays no part, except through a
+    from (1, 0), phase 0. ``aoi_cap`` plays no part, except through a
     ``PolicyTable``'s rows.
 
     Raises :class:`BoundaryMassError` (mass 1) when delivery from a
     reachable state is not certain, as for a policy that never transmits:
     the age tail never dies and the average cost is infinite.
     """
-    _check_initial(initial_state, params)
     actions, idle, tx = _age_actions(spec, params)
-    n = idle.shape[0]
-    deliveries, length, age_sum, spend, trapped = _cycles(
-        actions, idle, tx, params, np.eye(n), 1
-    )
-    start = initial_state.battery
-    if initial_state.aoi > 1:
-        # The first cycle starts mid-way: one more row, entered only at the start.
-        first, *_, first_trapped = _cycles(
-            actions, idle, tx, params, np.eye(n)[[start]], initial_state.aoi
-        )
-        deliveries = np.block([[deliveries, np.zeros((n, 1))], [first, np.zeros((1, 1))]])
-        trapped = np.append(trapped, first_trapped)
-        start = n
-
-    if trapped[_closure(deliveries != 0.0)[start]].any():
+    deliveries, length, age_sum, spend, trapped = _cycles(actions, idle, tx, params)
+    if trapped[_closure(deliveries != 0.0)[0]].any():
         raise BoundaryMassError(
-            f"the age tail never dies: from {initial_state} this policy reaches states "
+            f"the age tail never dies: from {State(1, 0)} this policy reaches states "
             "from which delivery is not certain, so its average age is infinite",
             mass=1.0,
         )
-    nu = stationary_distribution(deliveries, start)[:n]
+    nu = stationary_distribution(deliveries, 0)
     cycle = float(nu @ length)
     avg_aoi = float(nu @ age_sum) / cycle
     avg_energy = float(nu @ spend) / cycle
@@ -708,17 +677,13 @@ def _table_costs(params: SystemParams) -> np.ndarray:
     return costs
 
 
-def enumerate_optimal(
-    params: SystemParams,
-    *,
-    tie_tol: float = 1e-9,
-) -> tuple[PolicyTable, float]:
+def enumerate_optimal(params: SystemParams) -> tuple[PolicyTable, float]:
     """Best deterministic stationary policy by brute force.
 
     Scores all 2^(states) action tables on the truncated-saturating chain at
     ``params.aoi_cap`` (the model the solver works on) from the start state
     (1, 0), in batched solves (see :func:`_table_costs`), and returns the
-    cheapest. Cost ties within ``tie_tol`` resolve to the table with fewer
+    cheapest. Cost ties within ``_ENUM_TIE`` resolve to the table with fewer
     Transmit entries, then the lowest bitmask. Raises
     :class:`ReducibilityError` for the lowest mask whose chain reaches more
     than one closed class. Refuses instances above 24 states: the policy
@@ -734,7 +699,7 @@ def enumerate_optimal(
         )
     costs = _table_costs(params)
     best_cost = float(costs.min())
-    tied = np.flatnonzero(costs <= best_cost + tie_tol)
+    tied = np.flatnonzero(costs <= best_cost + _ENUM_TIE)
     best_mask = int(min(tied, key=lambda m: (int(m).bit_count(), int(m))))
     bits = (best_mask >> np.arange(n) & 1).astype(np.int8)
     return PolicyTable(bits.reshape(params.grid_shape)), float(costs[best_mask])

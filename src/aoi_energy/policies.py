@@ -105,7 +105,7 @@ class ThresholdPolicy:
     @classmethod
     def from_json(cls, text: str) -> "ThresholdPolicy":
         data = json.loads(text)
-        if not isinstance(data, dict) or "thresholds" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("thresholds"), list):
             raise ValueError("threshold JSON must be an object with a 'thresholds' list")
         return cls(thresholds=tuple(data["thresholds"]))
 

@@ -43,7 +43,6 @@ from .policies import PolicyTable, ThresholdPolicy
 __all__ = [
     "SolverConfig",
     "ValueTable",
-    "QTable",
     "ConvergenceError",
     "ThresholdStructureError",
     "solve",
@@ -95,17 +94,6 @@ class ValueTable:
     gain: float
     iterations: int
     final_span: float
-
-
-@dataclass(frozen=True)
-class QTable:
-    """State-action values consistent with the converged table.
-
-    ``values[d - 1, q, a]`` estimates stage cost plus expected next value;
-    min over actions recovers gain + V up to epsilon-scale error.
-    """
-
-    values: np.ndarray
 
 
 class _Workspace:
@@ -175,15 +163,17 @@ def bellman_qvalues(values: np.ndarray, params: SystemParams) -> tuple[np.ndarra
 
 def solve(
     params: SystemParams, cfg: SolverConfig | None = None, start: np.ndarray | None = None
-) -> tuple[ValueTable, QTable]:
+) -> tuple[ValueTable, np.ndarray]:
     """Relative value iteration to a span of ``cfg.epsilon``.
 
     Starts from ``start`` (finite, on the params grid) re-anchored at
     (1, battery_cap), or from zero. Returns the anchored value table (with
-    the gain estimate) and the state-action table recomputed from the
-    converged values. Raises :class:`ConvergenceError` carrying the last
-    span when ``max_iters`` sweeps do not suffice. Every sweep works in one
-    :class:`_Workspace`.
+    the gain estimate) and the (aoi_cap, B+1, 2) state-action table q of the
+    converged values: q[d-1, b, a] is the stage cost of action a (0 idle,
+    1 transmit) plus the expected next value, so its min over actions is
+    gain + V up to epsilon. Raises :class:`ConvergenceError` carrying the
+    last span when ``max_iters`` sweeps do not suffice. Every sweep works in
+    one :class:`_Workspace`.
 
     A sweep measures the full span only when the two-slot bound at the last
     extremes, ``(T(V) - V)[hi] - (T(V) - V)[lo]``, is at most ``epsilon``
@@ -228,15 +218,14 @@ def solve(
 
     ws.backup()
     q_values = np.stack([ws.table(ws.q_idle), ws.table(ws.q_tx)], axis=-1)
-    v = ValueTable(ws.table(ws.real), float(gain), iterations, float(span))
-    return v, QTable(values=q_values)
+    return ValueTable(ws.table(ws.real), float(gain), iterations, float(span)), q_values
 
 
-def greedy_policy(v: ValueTable, q: QTable, params: SystemParams) -> PolicyTable:
-    """Argmin-over-actions policy; exact ties resolve to Idle."""
-    if q.values.shape[:2] != v.values.shape or v.values.shape != params.grid_shape:
+def greedy_policy(v: ValueTable, q: np.ndarray, params: SystemParams) -> PolicyTable:
+    """Argmin-over-actions policy of the state-action table ``q``; exact ties resolve to Idle."""
+    if q.shape[:2] != v.values.shape or v.values.shape != params.grid_shape:
         raise ValueError("value, q and params grids disagree")
-    return PolicyTable((q.values[:, :, 1] < q.values[:, :, 0]).astype(np.int8))
+    return PolicyTable((q[:, :, 1] < q[:, :, 0]).astype(np.int8))
 
 
 def extract_thresholds(policy: PolicyTable, params: SystemParams) -> ThresholdPolicy:
@@ -290,8 +279,8 @@ def check_truncation_adequacy(
     doubled = replace(params, aoi_cap=2 * params.aoi_cap)
     start = None if values is None else np.pad(values, ((0, params.aoi_cap), (0, 0)), "edge")
     _, q2 = solve(doubled, cfg, start)
-    chosen = np.take_along_axis(q2.values, tp.to_table(doubled).actions[..., None], axis=-1)
-    if (chosen[..., 0] - q2.values.min(axis=-1)).max() > cfg.epsilon:
+    chosen = np.take_along_axis(q2, tp.to_table(doubled).actions[..., None], axis=-1)
+    if (chosen[..., 0] - q2.min(axis=-1)).max() > cfg.epsilon:
         return False
     return all(t < params.aoi_cap for t in tp.thresholds if t is not None)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import State, SystemParams
-from .solver import QTable, ValueTable
+from .solver import ValueTable
 
 __all__ = [
     "MarginCheck",
@@ -162,14 +162,15 @@ def check_value_increments(
 
 
 def check_submodularity(
-    q: QTable | np.ndarray, params: SystemParams, tol: float = DEFAULT_TOLERANCE
+    q: np.ndarray, params: SystemParams, tol: float = DEFAULT_TOLERANCE
 ) -> MarginCheck:
     """The idle-minus-transmit advantage is nondecreasing in age.
 
-    This is the ordering that makes the greedy policy threshold-shaped: once
+    ``q`` is the (aoi_cap, B+1, 2) table :func:`solve` returns. This is the
+    ordering that makes the greedy policy threshold-shaped: once
     transmitting wins at some age, it keeps winning at older ones.
     """
-    q_values = np.asarray(q.values if isinstance(q, QTable) else q, dtype=float)
+    q_values = np.asarray(q, dtype=float)
     cap, width = params.grid_shape
     if q_values.shape != (cap, width, 2):
         raise ValueError(f"q shape {q_values.shape}, expected {(cap, width, 2)}")
@@ -185,7 +186,7 @@ def check_submodularity(
 
 def certify_structure(
     v: ValueTable | np.ndarray,
-    q: QTable | np.ndarray,
+    q: np.ndarray,
     params: SystemParams,
     tol: float = DEFAULT_TOLERANCE,
 ) -> StructureReport:

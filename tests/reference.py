@@ -54,7 +54,6 @@ from aoi_energy import (
     EnergyFirst,
     Periodic,
     PolicyTable,
-    QTable,
     Randomized,
     SolverConfig,
     State,
@@ -395,7 +394,7 @@ def csgraph_classes(kernel: np.ndarray, start: int) -> tuple[np.ndarray, list[np
     return reachable, sorted(classes, key=lambda members: members[0])
 
 
-def greedy_policy_shortcircuit(q: QTable, params: SystemParams) -> PolicyTable:
+def greedy_policy_shortcircuit(q: np.ndarray, params: SystemParams) -> PolicyTable:
     """Policy extraction that inherits Transmit from the next-younger age.
 
     Scans ages upward per battery level and skips the argmin once a Transmit
@@ -403,14 +402,14 @@ def greedy_policy_shortcircuit(q: QTable, params: SystemParams) -> PolicyTable:
     the full argmin.
     """
     cap, width = params.grid_shape
-    if q.values.shape != (cap, width, 2):
-        raise ValueError(f"q table shape {q.values.shape}, expected {(cap, width, 2)}")
+    if q.shape != (cap, width, 2):
+        raise ValueError(f"q table shape {q.shape}, expected {(cap, width, 2)}")
     actions = np.zeros((cap, width), dtype=np.int8)
     for battery in range(width):
         transmitting = False
         for row in range(cap):
             if not transmitting:
-                transmitting = bool(q.values[row, battery, 1] < q.values[row, battery, 0])
+                transmitting = bool(q[row, battery, 1] < q[row, battery, 0])
             actions[row, battery] = 1 if transmitting else 0
     return PolicyTable(actions)
 

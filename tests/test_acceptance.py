@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -360,8 +361,8 @@ def test_criterion_7_truncation_adequacy(grid, capsys):
 def test_criterion_8_sweep_determinism(sweep_files, tmp_path, capsys):
     rerun = omega_sweep_spec(tmp_path / "omega_rerun.csv")
     run_sweep(rerun)
-    first = open(sweep_files["omega"], "rb").read()
-    second = open(rerun.out_path, "rb").read()
+    first = Path(sweep_files["omega"]).read_bytes()
+    second = Path(rerun.out_path).read_bytes()
     announce(
         capsys,
         8,

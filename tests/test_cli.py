@@ -36,7 +36,7 @@ from aoi_energy.cli import (
     _evaluate_with_fallback,
     main,
 )
-from aoi_energy import evaluation, solver
+from aoi_energy import cli, evaluation, solver
 from aoi_energy.evaluation import MAX_HORIZON, MAX_PERIODIC_ENTRIES
 from aoi_energy.model import MAX_GRID_STATES
 from reference import params_to_json, read_threshold_csv, structure_report_from_json
@@ -513,6 +513,41 @@ def test_sweep_rejects_bad_axis_and_values(tmp_path, capsys):
     assert not out.exists()
 
 
+def refuse_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(cli, "solve", solve)
+
+
+@pytest.mark.parametrize("policies", ["zero-wait,bogus", "threshold:missing.json"],
+                         ids=["unknown", "missing-file"])
+def test_sweep_parses_every_policy_before_solving(tmp_path, monkeypatch, capsys, policies):
+    refuse_solve(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    out = tmp_path / "rows.csv"
+    assert main(sweep_args(pfile, out, "omega", "0.5,2.0", policies)) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval-exact", "eval-mc", "sweep"])
+def test_negative_seed_is_refused_naming_the_flag(tmp_path, monkeypatch, capsys, command):
+    refuse_solve(monkeypatch)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    out = tmp_path / "rows.csv"
+    eval_args = ["eval", "--params", pfile, "--policies", "zero-wait", "--horizon", "100",
+                 "--out", str(out), "--method"]
+    argv = {
+        "eval-exact": eval_args + ["exact"],
+        "eval-mc": eval_args + ["mc"],
+        "sweep": sweep_args(pfile, out, "omega", "2.0", "zero-wait"),
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_spec_validates_eagerly():
     sim = SimConfig(horizon=1000)
     with pytest.raises(ValueError):
@@ -812,6 +847,17 @@ def test_eval_refuses_json_true_threshold(tmp_path, capsys):
     argv = ["eval", "--params", pfile, "--policies", f"threshold:{policy}", "--method", "exact"]
     assert main(argv) == EXIT_USAGE
     assert "threshold at battery 0 must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thresholds", ["5", "null", '"12"', '{"a": 1}'],
+                         ids=["number", "null", "string", "object"])
+def test_eval_refuses_thresholds_that_are_not_a_list(tmp_path, capsys, thresholds):
+    pfile = params_file(tmp_path, dataclasses.replace(EVAL_PARAMS, battery_cap=1))
+    policy = tmp_path / "tp.json"
+    policy.write_text(f'{{"thresholds": {thresholds}}}')
+    argv = ["eval", "--params", pfile, "--policies", f"threshold:{policy}", "--method", "exact"]
+    assert main(argv) == EXIT_USAGE
+    assert "must be an object with a 'thresholds' list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["mc", "exact"])

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from aoi_energy import (
     ConvergenceError,
     PolicyTable,
-    QTable,
     SolverConfig,
     State,
     SystemParams,
@@ -72,7 +71,7 @@ def test_free_transmission_chain_has_geometric_age():
 
 def test_converged_tables_satisfy_fixed_point(bench_solution):
     v, q = bench_solution
-    residual = np.abs(q.values.min(axis=-1) - v.gain - v.values).max()
+    residual = np.abs(q.min(axis=-1) - v.gain - v.values).max()
     assert residual <= 10 * EPSILON
     assert v.final_span <= EPSILON
     assert v.values[0, BENCH.battery_cap] == 0.0  # reference entry pinned
@@ -114,7 +113,7 @@ def test_greedy_ties_resolve_to_idle():
         aoi_cap=4,
     )
     v = ValueTable(values=np.zeros((4, 3)), gain=0.0, iterations=0, final_span=0.0)
-    policy = greedy_policy(v, QTable(values=np.zeros((4, 3, 2))), params)
+    policy = greedy_policy(v, np.zeros((4, 3, 2)), params)
     assert not policy.actions.any()
 
 
@@ -145,7 +144,7 @@ def test_solve_is_bitwise_reproducible():
     va, qa = solve(SMALL, SolverConfig())
     vb, qb = solve(SMALL, SolverConfig())
     assert np.array_equal(va.values, vb.values)
-    assert np.array_equal(qa.values, qb.values)
+    assert np.array_equal(qa, qb)
     assert va.gain == vb.gain and va.iterations == vb.iterations
 
 
@@ -264,7 +263,7 @@ def rvi_outcome(run, params, cfg, start):
 
 def solve_outcome(params, cfg, start):
     v, q = solve(params, cfg, start)
-    return v.values, q.values, v.gain, v.iterations, v.final_span
+    return v.values, q, v.gain, v.iterations, v.final_span
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -331,9 +330,9 @@ def assert_solve_matches_reference_rvi(params, cfg, start):
     v, q = solve(params, cfg, start)
     values, q_values, gain, iterations, span = relative_value_iteration(params, cfg, start)
     assert same_bits(v.values, values)
-    assert same_bits(q.values, q_values)
+    assert same_bits(q, q_values)
     assert (v.gain, v.iterations, v.final_span) == (gain, iterations, span)
-    assert v.values.flags.c_contiguous and q.values.flags.c_contiguous
+    assert v.values.flags.c_contiguous and q.flags.c_contiguous
     assert start is None or same_bits(start, before)  # the start table is not written to
 
 
@@ -430,7 +429,7 @@ def test_truncation_check_forgives_only_unresolved_ties():
     v2, q2 = solve(doubled, cfg, np.pad(v.values, ((0, tie.aoi_cap), (0, 0)), "edge"))
     moved = extract_thresholds(greedy_policy(v2, q2, doubled), doubled).thresholds
     assert (thresholds.thresholds[15], moved[15]) == (1, 2)  # the tie this test is about
-    assert 0.0 < q2.values[0, 15, 1] - q2.values[0, 15, 0] < 1e-11
+    assert 0.0 < q2[0, 15, 1] - q2[0, 15, 0] < 1e-11
     assert check_truncation_adequacy(thresholds, tie, cfg, v.values)
 
     corner = dataclasses.replace(BENCH, erasure_prob=0.9, harvest_prob=0.9, energy_weight=100.0)

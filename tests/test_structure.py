@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from aoi_energy import (
-    QTable,
     SolverConfig,
     State,
     SystemParams,
@@ -93,7 +92,7 @@ def test_planted_submodularity_violation_is_caught():
     q = np.zeros((TINY.aoi_cap, 3, 2))
     q[:, :, 0] = 1.0  # idle-minus-transmit advantage 1 everywhere...
     q[1, 1, 1] = 2.0  # ...except age 2, battery 1, where it dips to -1
-    check = check_submodularity(QTable(values=q), TINY, TOL)
+    check = check_submodularity(q, TINY, TOL)
     assert not check.passed
     assert check.worst_margin == pytest.approx(-2.0)
     assert check.witness == (State(1, 1), State(2, 1))
@@ -112,7 +111,7 @@ def test_qvalues_match_independent_recomputation():
     transition law; also pins the submodularity margins to the same values."""
     v, q = solve(TINY, SolverConfig())
     q_idle, q_tx = bellman_qvalues(v.values, TINY)
-    reference = np.empty_like(q.values)
+    reference = np.empty_like(q)
     for s in states(TINY):
         for action in Action:
             total = stage_cost(s, action, TINY)
@@ -121,7 +120,7 @@ def test_qvalues_match_independent_recomputation():
             reference[s.aoi - 1, s.battery, action] = total
     assert np.abs(reference[:, :, 0] - q_idle).max() < 1e-10
     assert np.abs(reference[:, :, 1] - q_tx).max() < 1e-10
-    direct = check_submodularity(QTable(values=reference), TINY, TOL)
+    direct = check_submodularity(reference, TINY, TOL)
     vectorized = check_submodularity(q, TINY, TOL)
     assert direct.worst_margin == pytest.approx(vectorized.worst_margin, abs=1e-10)
 
@@ -130,7 +129,7 @@ def test_certify_aggregates_planted_failure():
     values = age_ramp()
     values[2, 1] = values[1, 1] - 3.0
     _, q = solve(TINY, SolverConfig())
-    report = certify_structure(values, q.values, TINY, TOL)
+    report = certify_structure(values, q, TINY, TOL)
     assert not report.all_pass
     assert report.worst_violation < 0.0
     assert report.witness is not None
