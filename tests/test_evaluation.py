@@ -554,10 +554,10 @@ def test_automaton_matches_reference_stepping_property(
 
     Horizons shorter than one word or not a multiple of its length, and
     (through small chunks and spans) deliveries and the warm-up boundary on
-    either side of a tally chunk edge or a walk span edge: horizons 160,
-    170, 400 and 401 put the warm-up's end on or beside the 16- and 40-slot
-    chunks. Small lanes and lookbacks make spans of many lanes, whose
-    guessed starts are often wrong and get repaired.
+    either side of a tally chunk edge or a walk span edge; horizons 160,
+    170, 400 and 401 end the warm-up (horizon // 10) at or next to 16 and
+    40 slots, the small chunk sizes. Small lanes and lookbacks make spans
+    of many lanes, whose guessed starts are often wrong and get repaired.
     """
     params = SystemParams(
         erasure_prob=erasure,
