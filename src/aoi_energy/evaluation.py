@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import State, SystemParams, check_grid
+from .model import State, SystemParams, check_grid, is_int
 from .policies import (
     EnergyFirst,
     Periodic,
@@ -106,16 +106,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
+        if not (is_int(self.horizon) and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if self.horizon > MAX_HORIZON:
             raise ValueError(
                 f"horizon of {self.horizon} slots exceeds the limit of {MAX_HORIZON} slots "
                 "(a byte per slot)"
             )
-        if not (isinstance(self.replications, int) and self.replications >= 1):
+        if not (is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
-        if not (isinstance(self.seed, int) and type(self.seed) is not bool and self.seed >= 0):
+        if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 

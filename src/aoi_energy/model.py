@@ -31,6 +31,11 @@ __all__ = ["State", "SystemParams"]
 MAX_GRID_STATES = 1 << 20
 
 
+def is_int(value) -> bool:
+    """An int but not a bool, which ``isinstance(x, int)`` admits (JSON ``true`` loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_grid(rows: int, width: int, what: str) -> None:
     """Refuse a grid above :data:`MAX_GRID_STATES` states before it is allocated."""
     if rows * width > MAX_GRID_STATES:
@@ -90,7 +95,7 @@ class SystemParams:
             )
         for name, low in (("battery_cap", 1), ("aoi_cap", 2)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
+            if not (is_int(value) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def validate_for_solve(self) -> None:

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, is_int
 
 __all__ = [
     "PolicyTable",
@@ -135,9 +135,9 @@ class Periodic:
     phase: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.period, int) and self.period >= 1):
+        if not (is_int(self.period) and self.period >= 1):
             raise ValueError(f"period must be an integer >= 1, got {self.period!r}")
-        if not (isinstance(self.phase, int) and 0 <= self.phase < self.period):
+        if not (is_int(self.phase) and 0 <= self.phase < self.period):
             raise ValueError(f"phase must lie in [0, {self.period}), got {self.phase!r}")
 
 

@@ -439,6 +439,12 @@ def test_sim_config_validation():
             SimConfig(horizon=100, seed=seed)
 
 
+@pytest.mark.parametrize("field", ["horizon", "replications"])
+def test_sim_config_refuses_bool_counts(field):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{"horizon": 5, field: True})
+
+
 def reference_replication(spec, params, cfg):
     """Re-derivation of one replication from the per-slot contract.
 

@@ -120,6 +120,12 @@ def test_invalid_specs_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("field", ["period", "phase"])
+def test_periodic_refuses_bools(field):
+    with pytest.raises(ValueError, match=field):
+        Periodic(**{"period": 3, field: True})
+
+
 # ---------------------------------------------------------------------------
 # parsing and labels
 

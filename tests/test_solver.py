@@ -191,6 +191,11 @@ def test_solve_rejects_bad_inputs():
             solve(SMALL, SolverConfig(), np.zeros(shape))
 
 
+def test_max_iters_refuses_bool():
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=True)
+
+
 def test_bellman_qvalues_shape_guard():
     with pytest.raises(ValueError):
         bellman_qvalues(np.zeros((3, 3)), SMALL)
@@ -307,9 +312,10 @@ def test_solve_matches_reference_rvi_property(
 B1_CAP2 = dataclasses.replace(SMALL, battery_cap=1, aoi_cap=2)
 
 # "init-value" starts from a seeded random table, Fortran-ordered, which the
-# solve re-anchors at (1, battery_cap). The last three sit next to the
-# workspace's pads: the corners where lam*V or (1-lam)*V is all zeros or the
-# backup costs nothing.
+# solve re-anchors at (1, battery_cap). "lam-0", "lam-1" and "omega-0" sit next
+# to the workspace's pads: the corners where lam*V or (1-lam)*V is all zeros or
+# the backup costs nothing. A workspace row is cap+1 slots rounded up to 8: at
+# cap 7 it holds only the saturation pad, at cap 8 seven more pad columns.
 RVI_CASES = {
     "readme": (BENCH, SolverConfig(epsilon=EPSILON), None),
     "mid": (MID, SolverConfig(), None),
@@ -322,6 +328,8 @@ RVI_CASES = {
     "lam-0": (dataclasses.replace(SMALL, harvest_prob=0.0), SolverConfig(), None),
     "lam-1": (dataclasses.replace(SMALL, harvest_prob=1.0), SolverConfig(), None),
     "omega-0": (dataclasses.replace(SMALL, energy_weight=0.0), SolverConfig(), None),
+    "cap-7": (dataclasses.replace(SMALL, aoi_cap=7), SolverConfig(), None),
+    "cap-8": (dataclasses.replace(SMALL, aoi_cap=8), SolverConfig(), None),
 }
 
 
@@ -365,6 +373,16 @@ def test_poisoned_workspace_changes_no_bit(monkeypatch, params, cfg, start):
         assert_kernel_matches_oracle(
             np.asarray(rng.normal(scale=100.0, size=params.grid_shape), order=order), params
         )
+
+
+@pytest.mark.parametrize("aoi_cap", [7, 8, 200])
+def test_workspace_outputs_start_on_cache_lines(aoi_cap):
+    """Every buffer a sweep writes, and each battery row, starts on a 64-byte line."""
+    params = dataclasses.replace(BENCH, aoi_cap=aoi_cap)
+    ws = solver._Workspace(params, np.zeros(params.grid_shape))
+    assert ws.row % 8 == 0
+    for out in [step[-1] for step in ws.steps] + [ws.real]:
+        assert out.ctypes.data % 64 == 0
 
 
 # ---------------------------------------------------------------------------
