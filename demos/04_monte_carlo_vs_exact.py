@@ -34,29 +34,31 @@ params = SystemParams(
 cfg = SimConfig(horizon=100_000, replications=8, seed=7)
 
 
-def compare(spec, params, cfg):
-    exact = evaluate_exact(spec, params)
-    mc = simulate(spec, params, cfg)
-    gap = abs(mc.avg_total_cost - exact.avg_total_cost)
-    print(f"{policy_label(spec):<12} {exact.avg_total_cost:>10.4f} "
-          f"{mc.avg_total_cost:>12.4f} {mc.ci_halfwidth_95:>9.4f} "
-          f"{gap / mc.ci_halfwidth_95:>7.2f}")
+def compare(specs, params, cfg):
+    # One call scores every policy on the same draws of each replication.
+    for spec, mc in zip(specs, simulate(specs, params, cfg)):
+        exact = evaluate_exact(spec, params)
+        gap = abs(mc.avg_total_cost - exact.avg_total_cost)
+        print(f"{policy_label(spec):<12} {exact.avg_total_cost:>10.4f} "
+              f"{mc.avg_total_cost:>12.4f} {mc.ci_halfwidth_95:>9.4f} "
+              f"{gap / mc.ci_halfwidth_95:>7.2f}")
 
 
 print(f"{'policy':<12} {'exact':>10} {'monte carlo':>12} {'ci95':>9} {'gap/ci':>7}")
-for spec in (ZeroWait(), Periodic(3), Randomized(0.5)):
-    compare(spec, params, cfg)
+compare([ZeroWait(), Periodic(3), Randomized(0.5)], params, cfg)
 
-# Same seed, same report, bit for bit.
-again = simulate(ZeroWait(), params, cfg)
+# Same seed, same report, bit for bit, alone or beside other policies.
+again = simulate([ZeroWait()], params, cfg)
 print(f"\nrepeat with seed {cfg.seed} reproduces the report: "
-      f"{again == simulate(ZeroWait(), params, cfg)}")
+      f"{again == simulate([ZeroWait()], params, cfg)}")
+print(f"and alone it matches its run beside Periodic(3): "
+      f"{again[0] == simulate([Periodic(3), ZeroWait()], params, cfg)[1]}")
 
 # A lossy channel and a lazy policy: one delivery every 250 slots on average.
 # The age cap plays no part in exact evaluation, so a small one is fine.
 lossy = dataclasses.replace(params, erasure_prob=0.8, aoi_cap=100)
 print(f"\nat p={lossy.erasure_prob}, age cap {lossy.aoi_cap}:")
-compare(Randomized(0.02), lossy, SimConfig(horizon=100_000, replications=20, seed=7))
+compare([Randomized(0.02)], lossy, SimConfig(horizon=100_000, replications=20, seed=7))
 
 # A policy that never transmits: the age grows forever.
 never = Randomized(0.0)
@@ -67,5 +69,5 @@ except BoundaryMassError as err:
 
 # Simulation still returns a number, but it only grows with the horizon. It
 # is what `eval --method auto` and `sweep` fall back to, flagged in the note.
-mc = simulate(never, lossy, cfg)
+mc = simulate([never], lossy, cfg)[0]
 print(f"monte carlo over {cfg.horizon} slots: {mc.avg_total_cost:.0f}")

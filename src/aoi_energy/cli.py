@@ -136,7 +136,7 @@ def _evaluate_with_fallback(
         return evaluate_exact(spec, params), sim.seed, ""
     except BoundaryMassError:
         mc = replace(sim, seed=mc_seed)
-        return simulate(spec, params, mc), mc_seed, "mc_fallback=boundary_mass"
+        return simulate([spec], params, mc)[0], mc_seed, "mc_fallback=boundary_mass"
 
 
 def run_sweep(spec: SweepSpec) -> None:
@@ -271,14 +271,16 @@ def run_check(args: argparse.Namespace) -> int:
 def run_eval(args: argparse.Namespace) -> int:
     params = _apply_overrides(_load_params(args.params), args)
     sim = SimConfig(horizon=args.horizon, replications=args.reps, seed=args.seed)
-    for text in args.policies.split(","):
-        policy = parse_policy_spec(text.strip())
+    policies = [parse_policy_spec(text.strip()) for text in args.policies.split(",")]
+    # Monte Carlo draws each replication once for all the policies, so its rows follow at the end.
+    simulated = simulate(policies, params, sim) if args.method == "mc" else None
+    for i, policy in enumerate(policies):
         label = policy_label(policy)
         note = ""
-        if args.method == "exact":
+        if simulated:
+            report = simulated[i]
+        elif args.method == "exact":
             report = evaluate_exact(policy, params)
-        elif args.method == "mc":
-            report = simulate(policy, params, sim)
         else:
             report, _, note = _evaluate_with_fallback(policy, params, sim, sim.seed)
         print(

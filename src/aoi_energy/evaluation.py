@@ -3,7 +3,8 @@
 Both score the chain from (1, 0), age 1 with an empty battery. Seeded
 Monte Carlo simulates the real chain (age unbounded, battery finite),
 leaves the first tenth of each replication uncounted, and reports
-replication means with a 95% confidence halfwidth. It runs the slot rule
+replication means with a 95% confidence halfwidth; the policies of one
+call share each replication's draws. It runs the slot rule
 as a finite automaton over words of k slots, walked in lanes that advance
 together from guessed starts, a wrong guess being walked again, so the
 bits are the same as stepping slot by slot. Exact evaluation works on the
@@ -154,25 +155,27 @@ _ENUM_BLOCK = 1 << 10
 _ENUM_TIE = 1e-9
 
 
-def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
-    """Transmit flags of a state-driven policy, by age row and battery level.
+def _rows(spec: PolicySpec, params: SystemParams) -> tuple[int, list | None]:
+    """Age rows D of the policy's slot rule and its per-battery thresholds, before any allocation.
 
     Row d-1 holds age d and the last row every older age too. The rows run
     to the largest finite threshold (1 when there is none; ZeroWait and
-    EnergyFirst are thresholds of 1), or over a ``PolicyTable``'s rows.
-    None for ``Periodic`` and ``Randomized``, which decide by slot index or
-    coin.
+    EnergyFirst are thresholds of 1), or over a ``PolicyTable``'s rows
+    (thresholds None). ``Periodic`` and ``Randomized``, which decide by slot
+    index or coin, have one row and no thresholds. A policy for another
+    battery size, or whose grid exceeds ``MAX_GRID_STATES``, is refused
+    with ``ValueError``.
     """
     width = params.battery_cap + 1
     if isinstance(spec, (Periodic, Randomized)):
-        return None
+        return 1, None
     if isinstance(spec, (ThresholdPolicy, PolicyTable)) and spec.battery_cap != params.battery_cap:
         raise ValueError(
             f"policy covers battery 0..{spec.battery_cap}, params expect 0..{params.battery_cap}"
         )
     if isinstance(spec, PolicyTable):
         check_grid(spec.aoi_cap, width, "policy table rows x battery levels")
-        return spec.actions.astype(bool)
+        return spec.aoi_cap, None
     if isinstance(spec, ZeroWait):
         bounds = [1] * width
     elif isinstance(spec, EnergyFirst):
@@ -183,22 +186,40 @@ def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
         raise TypeError(f"unknown policy spec {spec!r}")
     depth = max((t for t in bounds if t != math.inf), default=1)
     check_grid(depth, width, "threshold age rows x battery levels")
-    return np.arange(1, depth + 1)[:, None] >= np.array(bounds)[None, :]
+    return depth, bounds
+
+
+def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
+    """Transmit flags of a state-driven policy over its :func:`_rows`, by age row and battery level.
+
+    None for ``Periodic`` and ``Randomized``.
+    """
+    depth, bounds = _rows(spec, params)
+    if bounds is not None:
+        return np.arange(1, depth + 1)[:, None] >= np.array(bounds)[None, :]
+    return spec.actions.astype(bool) if isinstance(spec, PolicyTable) else None
+
+
+def _word_slots(n_sym: int, n_z: int) -> int:
+    """Slots k per word: the most (at least 1) whose n_sym^k n_z entries fit ``_WORD_ENTRIES``."""
+    k = 1
+    while n_sym ** (k + 1) * n_z <= _WORD_ENTRIES:
+        k += 1
+    return k
 
 
 def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     """The slot rule, once, as a finite automaton over words of k slots.
 
     The state is z = (min(age, D) - 1) (B + 1) + battery, D the row count of
-    :func:`_transmit_rows` (1 for Periodic and Randomized). A slot's symbol
+    :func:`_rows` (1 for Periodic and Randomized). A slot's symbol
     is s = harvest + 2 erased + 4 outside, the outside bit being the
     Periodic phase hit or the Randomized coin. A slot's flags have bit 0 set
     when it pays the backup, bit 1 when it delivers. The word of k slots
     s_0..s_{k-1} has the code w = n_z sum_i s_i n^i over n symbols, and at
     w + z the list ``walk`` (and the int32 array ``table``) holds the state
     k slots on, and ``outcomes`` the flags of slot i at bits 2i and 2i+1.
-    k is the longest fitting ``_WORD_ENTRIES`` (at least 1). Returns
-    (walk, table, outcomes, n, n_z, k).
+    k is :func:`_word_slots`. Returns (walk, table, outcomes, n, n_z, k).
     """
     width = params.battery_cap + 1
     rows = _transmit_rows(spec, params)
@@ -213,13 +234,12 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     n_z = depth * width
     step = (older * width + charge).reshape(sym.size, n_z).astype(np.int32)
     flags = ((tx & (battery == 0)) | delivered << 1).reshape(sym.size, n_z).astype(np.uint32)
-    words, outcomes, k = step, flags, 1
-    while words.size * sym.size <= _WORD_ENTRIES:
-        # The new slot k comes after the word: its symbol is the top digit.
-        words, outcomes, k = (
+    words, outcomes, k = step, flags, _word_slots(sym.size, n_z)
+    for i in range(1, k):
+        # The new slot i comes after the word: its symbol is the top digit.
+        words, outcomes = (
             step[:, words].reshape(-1, n_z),
-            (outcomes | flags[:, words] << 2 * k).reshape(-1, n_z),
-            k + 1,
+            (outcomes | flags[:, words] << 2 * i).reshape(-1, n_z),
         )
     table = words.ravel()
     return table.tolist(), table, outcomes.ravel(), sym.size, n_z, k
@@ -263,32 +283,66 @@ def _lane_walk(codes: np.ndarray, z: int, walk: list, table: np.ndarray) -> tupl
     return starts, walk[int(codes[-1]) + int(starts[-1])]
 
 
-def _simulate_rep(
-    spec: PolicySpec, params: SystemParams, cfg: SimConfig, rng: np.random.Generator, automaton
-) -> tuple[float, float]:
-    """One replication; returns (mean age, mean weighted backup cost).
+def _draw(
+    symbols: np.ndarray, horizon: int, rng: np.random.Generator, prob: float, bit: int
+) -> None:
+    """Add ``bit`` to the symbol of each of the first ``horizon`` slots with probability ``prob``.
 
-    Draws the harvest row, then the erasure row, then (for Randomized) the
-    transmit coins over the whole horizon, in chunks, as one symbol per
-    slot. Span by span, the symbols become word codes of the
-    :func:`_automaton`, :func:`_lane_walk` gives the state before each word,
-    and one lookup of ``outcomes`` per word gives the flags of its k slots.
-    The age is never truncated: over the counted slots it sums
-    t - (latest delivery before t), an exact integer taken in closed form
-    between deliveries. The start (1, 0) is state 0, its age 1 a delivery
-    in the slot before slot 0.
+    The uniforms are drawn ``_CHUNK_SLOTS`` at a time, which bounds the float buffers.
+    """
+    for lo in range(0, horizon, _CHUNK_SLOTS):
+        part = symbols[lo : min(lo + _CHUNK_SLOTS, horizon)]
+        part += (rng.random(part.size) < prob) * np.uint8(bit)
+
+
+def _simulate_rep(
+    policies: list[PolicySpec], params: SystemParams, cfg: SimConfig, rng: np.random.Generator
+) -> list[tuple[float, float]]:
+    """One replication of every policy; returns (mean age, mean weighted backup cost) of each.
+
+    Draws the harvest row, then the erasure row, over the whole horizon, as
+    bits 0 and 1 of one symbol per slot, once for all the policies. Each
+    policy then adds its outside bit: ``Periodic`` its phase hits, and
+    ``Randomized`` its transmit coins, drawn from the generator state the two
+    shared rows left, so every policy sees the draws it would see alone. The
+    symbols are walked (:func:`_walk_rep`) with the policy's
+    :func:`_automaton`, built afresh so that one automaton is alive at a time,
+    and the outside bit is cleared before the next policy.
+    """
+    horizon = cfg.horizon
+    # Room for every policy's last word: k is largest at the fewest symbols and states.
+    symbols = np.zeros(horizon + _word_slots(4, params.battery_cap + 1), np.uint8)
+    _draw(symbols, horizon, rng, params.harvest_prob, 1)
+    _draw(symbols, horizon, rng, params.erasure_prob, 2)
+    shared = rng.bit_generator.state
+    means = []
+    for spec in policies:
+        if isinstance(spec, Randomized):
+            rng.bit_generator.state = shared
+            _draw(symbols, horizon, rng, spec.p_tx, 4)
+        elif isinstance(spec, Periodic):
+            symbols[spec.phase : horizon : spec.period] += 4
+        means.append(_walk_rep(symbols, params, cfg, _automaton(spec, params)))
+        symbols &= 3
+    return means
+
+
+def _walk_rep(
+    symbols: np.ndarray, params: SystemParams, cfg: SimConfig, automaton
+) -> tuple[float, float]:
+    """(mean age, mean weighted backup cost) of one replication's symbols under ``automaton``.
+
+    Span by span, the symbols become word codes of the :func:`_automaton`,
+    :func:`_lane_walk` gives the state before each word, and one lookup of
+    ``outcomes`` per word gives the flags of its k slots; the symbols past
+    the horizon, up to a whole word, are zero and left uncounted. The age is
+    never truncated: over the counted slots it sums t - (latest delivery
+    before t), an exact integer taken in closed form between deliveries. The
+    start (1, 0) is state 0, its age 1 a delivery in the slot before slot 0.
     """
     walk, table, outcomes, n_sym, n_z, k = automaton
     horizon, warm = cfg.horizon, cfg.horizon // 10
-    symbols = np.zeros(-(-horizon // k) * k, np.uint8)
-    coins = [(4, spec.p_tx)] if isinstance(spec, Randomized) else []
-    for bit, prob in [(1, params.harvest_prob), (2, params.erasure_prob)] + coins:
-        for lo in range(0, horizon, _CHUNK_SLOTS):
-            part = symbols[lo : min(lo + _CHUNK_SLOTS, horizon)]
-            part += (rng.random(part.size) < prob) * np.uint8(bit)
-    if isinstance(spec, Periodic):
-        symbols[spec.phase : horizon : spec.period] += 4
-
+    symbols = symbols[: -(-horizon // k) * k]
     z, last = 0, -1  # the automaton state and the latest delivery slot
     age_sum = pay_count = 0
     shifts = np.arange(0, 2 * k, 2, dtype=np.uint32)
@@ -380,46 +434,58 @@ def _t_quantile_975(df: int) -> float:
     return t
 
 
-def simulate(spec: PolicySpec, params: SystemParams, cfg: SimConfig) -> EvalReport:
-    """Monte Carlo average cost over seeded independent replications.
+def simulate(
+    policies: list[PolicySpec], params: SystemParams, cfg: SimConfig
+) -> list[EvalReport]:
+    """Monte Carlo average cost of each of ``policies`` over seeded independent replications.
 
-    Each replication starts at (1, 0), its first tenth uncounted. Replication
-    seeds are spawned deterministically from ``cfg.seed``, so a repeated
-    call reproduces the report bit for bit. The halfwidth is a
-    Student-t 95% interval over the replication means, which assumes those
-    means are near normal: for heavy-tailed ages at few replications it
-    under-covers (``random:0.02`` at p=0.8, 8 replications of 200k slots,
-    missed the exact 250 by 3.0 halfwidths at seed 5). A policy whose (age
-    rows x battery levels) grid exceeds ``MAX_GRID_STATES`` (2^20), such as a
-    threshold of 10^9, is refused with ``ValueError`` before any allocation.
-    Each replication walks its symbols in spans of ``_SPAN_SLOTS`` with
-    :func:`_lane_walk`, and keeps one byte per slot of the horizon.
+    Returns one report per policy, in order. Each replication starts at
+    (1, 0), its first tenth uncounted. Replication seeds are spawned
+    deterministically from ``cfg.seed``, so a repeated call reproduces the
+    reports bit for bit. Replication i draws its harvest and erasure rows
+    once and every policy walks them (common random numbers), so a
+    policy's report is the same whichever policies share the call. The
+    halfwidth is a Student-t 95% interval over the replication means, which
+    assumes those means are near normal: for heavy-tailed ages at few
+    replications it under-covers (``random:0.02`` at p=0.8, 8 replications
+    of 200k slots, missed the exact 250 by 3.0 halfwidths at seed 5). If
+    any policy's (age rows x battery levels) grid exceeds
+    ``MAX_GRID_STATES`` (2^20), such as a threshold of 10^9, the call is
+    refused with ``ValueError`` before any allocation. Each replication walks
+    its symbols in spans of ``_SPAN_SLOTS`` with :func:`_lane_walk`, and
+    keeps one byte per slot of the horizon.
     """
-    automaton = _automaton(spec, params)
+    for spec in policies:
+        _rows(spec, params)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-    age_means = np.empty(cfg.replications)
-    energy_means = np.empty(cfg.replications)
+    age_means = np.empty((len(policies), cfg.replications))
+    energy_means = np.empty((len(policies), cfg.replications))
     for i, child in enumerate(children):
-        age_means[i], energy_means[i] = _simulate_rep(
-            spec, params, cfg, np.random.default_rng(child), automaton
+        rep = _simulate_rep(policies, params, cfg, np.random.default_rng(child))
+        for j, (age, energy) in enumerate(rep):
+            age_means[j, i], energy_means[j, i] = age, energy
+    reports = []
+    for ages, energy in zip(age_means, energy_means):
+        avg_aoi = float(ages.mean())
+        avg_energy = float(energy.mean())
+        totals = ages + energy
+        if cfg.replications > 1:
+            spread = float(np.std(totals, ddof=1))
+            ci = float(
+                _t_quantile_975(cfg.replications - 1) * spread / math.sqrt(cfg.replications)
+            )
+        else:
+            ci = math.nan
+        reports.append(
+            EvalReport(
+                avg_total_cost=avg_aoi + avg_energy,
+                avg_aoi=avg_aoi,
+                avg_weighted_energy=avg_energy,
+                ci_halfwidth_95=ci,
+                method=METHOD_MONTE_CARLO,
+            )
         )
-    avg_aoi = float(age_means.mean())
-    avg_energy = float(energy_means.mean())
-    totals = age_means + energy_means
-    if cfg.replications > 1:
-        spread = float(np.std(totals, ddof=1))
-        ci = float(
-            _t_quantile_975(cfg.replications - 1) * spread / math.sqrt(cfg.replications)
-        )
-    else:
-        ci = math.nan
-    return EvalReport(
-        avg_total_cost=avg_aoi + avg_energy,
-        avg_aoi=avg_aoi,
-        avg_weighted_energy=avg_energy,
-        ci_halfwidth_95=ci,
-        method=METHOD_MONTE_CARLO,
-    )
+    return reports
 
 
 def _closure(edges: np.ndarray) -> np.ndarray:

@@ -36,6 +36,11 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """An int or a float but not a bool, which ``isinstance(x, (int, float))`` admits."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_grid(rows: int, width: int, what: str) -> None:
     """Refuse a grid above :data:`MAX_GRID_STATES` states before it is allocated."""
     if rows * width > MAX_GRID_STATES:
@@ -82,11 +87,11 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("erasure_prob", "harvest_prob"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            if not (is_real(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         for name in ("energy_weight", "backup_cost"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
+            if not (is_real(value) and math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be a finite nonnegative real, got {value!r}")
         if not math.isfinite(self.energy_weight * self.backup_cost):
             raise ValueError(

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import SystemParams, is_int
+from .model import SystemParams, is_int, is_real
 
 __all__ = [
     "PolicyTable",
@@ -148,7 +148,7 @@ class Randomized:
     p_tx: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_tx <= 1.0:
+        if not (is_real(self.p_tx) and 0.0 <= self.p_tx <= 1.0):
             raise ValueError(f"p_tx must lie in [0, 1], got {self.p_tx!r}")
 
 

@@ -160,7 +160,7 @@ def test_criterion_3_zero_wait_closed_form(capsys):
     assert target == 11.25
 
     exact = evaluate_exact(ZeroWait(), params)
-    mc = simulate(ZeroWait(), params, SimConfig(horizon=1_000_000, replications=20, seed=2024))
+    mc = simulate([ZeroWait()], params, SimConfig(horizon=1_000_000, replications=20, seed=2024))[0]
     exact_gap = abs(exact.avg_total_cost - target)
     mc_gap = abs(mc.avg_total_cost - target)
     ok = exact_gap <= 1e-6 and mc_gap <= mc.ci_halfwidth_95

@@ -333,6 +333,22 @@ def test_eval_mc_is_seed_deterministic(tmp_path):
     assert all(row["method"] == METHOD_MONTE_CARLO for row in read_rows(tmp_path / "a.csv"))
 
 
+def test_eval_mc_rows_match_one_policy_runs(tmp_path, capsys):
+    """One mc eval of three policies prints and writes what three one-policy evals do."""
+    pfile = params_file(tmp_path, EVAL_PARAMS)
+    policies = ["random:0.3", "periodic:4:1", "zero-wait"]
+    base = ["eval", "--params", pfile, "--method", "mc", "--horizon", "3000", "--reps", "3",
+            "--seed", "11"]
+    together = base + ["--policies", ",".join(policies), "--out", str(tmp_path / "all.csv")]
+    assert main(together) == EXIT_OK
+    printed = capsys.readouterr().out
+    for policy in policies:
+        assert main(base + ["--policies", policy, "--out", str(tmp_path / "one.csv")]) == EXIT_OK
+    assert capsys.readouterr().out == printed
+    assert (tmp_path / "all.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert [row["policy"] for row in read_rows(tmp_path / "all.csv")] == policies
+
+
 def test_eval_exact_refuses_boundary_mass(tmp_path, capsys):
     code = main(
         [
@@ -411,7 +427,7 @@ def test_heavy_tail_is_exact_and_agrees_with_monte_carlo():
     assert (seed, note) == (sim.seed, "")
     assert report.avg_aoi == pytest.approx(250.0, rel=1e-12)  # 1/(0.02 * 0.2)
     # Same bar as the other Monte Carlo cross-checks: three CI halfwidths.
-    mc = simulate(Randomized(0.02), lossy, sim)
+    mc = simulate([Randomized(0.02)], lossy, sim)[0]
     assert abs(mc.avg_total_cost - report.avg_total_cost) <= 3 * mc.ci_halfwidth_95
 
 
@@ -879,6 +895,22 @@ def test_eval_threshold_over_the_bound_is_refused_before_allocation(
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "1000000000 x 4" in err and "exceeds" in err
+
+
+def test_eval_mc_checks_every_policy_before_allocation(tmp_path, monkeypatch, capsys):
+    """A refused policy after a good one: exit 2 before any array exists, and no row."""
+    pfile = params_file(tmp_path, EVAL_PARAMS)
+    policy = tmp_path / "far.json"
+    policy.write_text(ThresholdPolicy(thresholds=(10**9, 1, 1, 1)).to_json())
+    refuse_allocation(monkeypatch)
+    argv = ["eval", "--params", pfile, "--policies", f"zero-wait,threshold:{policy}",
+            "--method", "mc", "--horizon", "100", "--reps", "2",
+            "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "1000000000 x 4" in captured.err and "exceeds" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "eval", "sweep"])

@@ -84,7 +84,7 @@ def test_zero_wait_exact_closed_form():
 
 def test_perfect_channel_keeps_age_at_one():
     params = dataclasses.replace(BENCH, erasure_prob=0.0)
-    report = simulate(ZeroWait(), params, SimConfig(horizon=50_000, replications=2, seed=5))
+    report = simulate([ZeroWait()], params, SimConfig(horizon=50_000, replications=2, seed=5))[0]
     assert report.avg_aoi == 1.0
 
 
@@ -106,7 +106,7 @@ def test_solved_policy_exact_cost_matches_gain(bench_solution):
     ids=["zero-wait", "energy-first", "periodic", "random"],
 )
 def test_exact_agrees_with_monte_carlo(spec):
-    mc = simulate(spec, MID, SimConfig(horizon=100_000, replications=8, seed=31))
+    mc = simulate([spec], MID, SimConfig(horizon=100_000, replications=8, seed=31))[0]
     exact = evaluate_exact(spec, MID)
     assert abs(mc.avg_total_cost - exact.avg_total_cost) <= 3 * mc.ci_halfwidth_95
 
@@ -408,11 +408,53 @@ def test_enumeration_refuses_large_instances():
 
 def test_simulate_is_seed_deterministic():
     cfg = SimConfig(horizon=20_000, replications=3, seed=12)
-    a = simulate(ZeroWait(), MID, cfg)
-    b = simulate(ZeroWait(), MID, cfg)
+    a = simulate([ZeroWait()], MID, cfg)[0]
+    b = simulate([ZeroWait()], MID, cfg)[0]
     assert a == b
-    c = simulate(ZeroWait(), MID, dataclasses.replace(cfg, seed=13))
+    c = simulate([ZeroWait()], MID, dataclasses.replace(cfg, seed=13))[0]
     assert c.avg_total_cost != a.avg_total_cost
+
+
+# Every kind, two Periodic with phases, and Randomized before and after a Periodic.
+SHARED_DRAWS = [
+    Randomized(0.3),
+    ZeroWait(),
+    Periodic(4, 1),
+    EnergyFirst(),
+    Randomized(0.7),
+    Periodic(3, 2),
+    ThresholdPolicy(thresholds=(4, 2, 1, 1)),
+    PolicyTable(
+        np.array(
+            [[0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]],
+            dtype=np.int8,
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+@pytest.mark.parametrize("replications", [1, 3])
+@pytest.mark.parametrize("horizon", [40, 170, 65_537])
+def test_simulate_many_policies_equals_one_at_a_time(horizon, replications, order):
+    """Scored together on shared draws, each policy gets the bits of its own call.
+
+    65,537 slots is one draw chunk and one slot; the CI of one replication
+    is nan, so the reports are compared by repr.
+    """
+    params = SystemParams(
+        erasure_prob=0.3,
+        harvest_prob=0.4,
+        energy_weight=2.0,
+        backup_cost=1.5,
+        battery_cap=3,
+        aoi_cap=5,
+    )
+    cfg = SimConfig(horizon=horizon, replications=replications, seed=21)
+    policies = SHARED_DRAWS[::order]
+    together = simulate(policies, params, cfg)
+    alone = [simulate([spec], params, cfg)[0] for spec in policies]
+    assert [repr(report) for report in together] == [repr(report) for report in alone]
 
 
 def test_t_quantile_matches_scipy():
@@ -425,7 +467,7 @@ def test_t_quantile_matches_scipy():
 
 
 def test_single_replication_has_no_interval():
-    report = simulate(ZeroWait(), MID, SimConfig(horizon=10_000, replications=1, seed=3))
+    report = simulate([ZeroWait()], MID, SimConfig(horizon=10_000, replications=1, seed=3))[0]
     assert math.isnan(report.ci_halfwidth_95)
 
 
@@ -511,7 +553,7 @@ def test_fast_loops_match_reference_stepping(spec):
     # Nine slots have no warm-up, so every slot from the start state on counts.
     for horizon in (5_000, 9):
         cfg = SimConfig(horizon=horizon, replications=1, seed=77)
-        report = simulate(spec, params, cfg)
+        report = simulate([spec], params, cfg)[0]
         ref_age, ref_energy = reference_replication(spec, params, cfg)
         assert report.avg_aoi == ref_age
         assert report.avg_weighted_energy == ref_energy
@@ -577,7 +619,7 @@ def test_automaton_matches_reference_stepping_property(
     cfg = SimConfig(horizon=horizon, replications=1, seed=seed)
     with mock.patch.multiple(evaluation, _CHUNK_SLOTS=chunk, _SPAN_SLOTS=span,
                              _LANE_WORDS=lane, _LOOKBACK_WORDS=look):
-        report = simulate(spec, params, cfg)
+        report = simulate([spec], params, cfg)[0]
     ref_age, ref_energy = reference_replication(spec, params, cfg)
     assert report.avg_aoi == ref_age
     assert report.avg_weighted_energy == ref_energy

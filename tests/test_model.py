@@ -249,6 +249,12 @@ def test_params_json_rejects_bad_payloads(text):
         ("aoi_cap", 1),
         ("battery_cap", True),
         ("aoi_cap", True),
+        ("erasure_prob", True),
+        ("harvest_prob", False),
+        ("energy_weight", True),
+        ("backup_cost", False),
+        ("harvest_prob", "0.5"),
+        ("energy_weight", None),
     ],
 )
 def test_params_validation(field, value):

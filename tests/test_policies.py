@@ -113,6 +113,9 @@ def test_threshold_battery_mismatch_rejected():
         lambda: ThresholdPolicy(thresholds=(1.5, 1)),
         lambda: PolicyTable(np.array([[2, 0], [0, 0]])),
         lambda: PolicyTable(np.zeros((1, 5), dtype=np.int8)),
+        lambda: Randomized(True),
+        lambda: Randomized(False),
+        lambda: Randomized("0.5"),
     ],
 )
 def test_invalid_specs_rejected(build):
@@ -192,7 +195,7 @@ def test_threshold_csv_rejects_gaps(tmp_path):
 
 def test_energy_first_never_pays_for_energy():
     report = simulate(
-        EnergyFirst(), PARAMS, SimConfig(horizon=1_000_000, replications=1, seed=99)
-    )
+        [EnergyFirst()], PARAMS, SimConfig(horizon=1_000_000, replications=1, seed=99)
+    )[0]
     assert report.avg_weighted_energy == 0.0
     assert report.avg_total_cost == report.avg_aoi
