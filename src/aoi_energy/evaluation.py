@@ -155,27 +155,27 @@ _ENUM_BLOCK = 1 << 10
 _ENUM_TIE = 1e-9
 
 
-def _rows(spec: PolicySpec, params: SystemParams) -> tuple[int, list | None]:
-    """Age rows D of the policy's slot rule and its per-battery thresholds, before any allocation.
+def _bounds(spec: PolicySpec, params: SystemParams) -> list | None:
+    """Per-battery age thresholds of the policy's slot rule, checked before any allocation.
 
-    Row d-1 holds age d and the last row every older age too. The rows run
-    to the largest finite threshold (1 when there is none; ZeroWait and
-    EnergyFirst are thresholds of 1), or over a ``PolicyTable``'s rows
-    (thresholds None). ``Periodic`` and ``Randomized``, which decide by slot
-    index or coin, have one row and no thresholds. A policy for another
-    battery size, or whose grid exceeds ``MAX_GRID_STATES``, is refused
-    with ``ValueError``.
+    ZeroWait and EnergyFirst are thresholds of 1 (EnergyFirst's is inf at
+    an empty battery), and a ThresholdPolicy's None is inf. None for a
+    ``PolicyTable``, whose table is its rule, and for ``Periodic`` and
+    ``Randomized``, which decide by slot index or coin. A policy for another
+    battery size, or whose (age rows x battery levels) grid exceeds
+    ``MAX_GRID_STATES``, is refused with ``ValueError``; the rows run to the
+    largest finite threshold (see :func:`_transmit_rows`).
     """
     width = params.battery_cap + 1
     if isinstance(spec, (Periodic, Randomized)):
-        return 1, None
+        return None
     if isinstance(spec, (ThresholdPolicy, PolicyTable)) and spec.battery_cap != params.battery_cap:
         raise ValueError(
             f"policy covers battery 0..{spec.battery_cap}, params expect 0..{params.battery_cap}"
         )
     if isinstance(spec, PolicyTable):
         check_grid(spec.aoi_cap, width, "policy table rows x battery levels")
-        return spec.aoi_cap, None
+        return None
     if isinstance(spec, ZeroWait):
         bounds = [1] * width
     elif isinstance(spec, EnergyFirst):
@@ -184,19 +184,25 @@ def _rows(spec: PolicySpec, params: SystemParams) -> tuple[int, list | None]:
         bounds = [math.inf if t is None else t for t in spec.thresholds]
     else:
         raise TypeError(f"unknown policy spec {spec!r}")
-    depth = max((t for t in bounds if t != math.inf), default=1)
-    check_grid(depth, width, "threshold age rows x battery levels")
-    return depth, bounds
+    check_grid(_depth(bounds), width, "threshold age rows x battery levels")
+    return bounds
+
+
+def _depth(bounds: list) -> int:
+    """Age rows of a threshold rule: its largest finite threshold, or 1 when there is none."""
+    return max((t for t in bounds if t != math.inf), default=1)
 
 
 def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
-    """Transmit flags of a state-driven policy over its :func:`_rows`, by age row and battery level.
+    """Transmit flags of a state-driven policy, by age row and battery level.
 
-    None for ``Periodic`` and ``Randomized``.
+    Row d-1 holds age d and the last row every older age too: the rows of a
+    ``PolicyTable``, or :func:`_depth` rows of a threshold rule. None for
+    ``Periodic`` and ``Randomized``.
     """
-    depth, bounds = _rows(spec, params)
+    bounds = _bounds(spec, params)
     if bounds is not None:
-        return np.arange(1, depth + 1)[:, None] >= np.array(bounds)[None, :]
+        return np.arange(1, _depth(bounds) + 1)[:, None] >= np.array(bounds)[None, :]
     return spec.actions.astype(bool) if isinstance(spec, PolicyTable) else None
 
 
@@ -212,14 +218,15 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     """The slot rule, once, as a finite automaton over words of k slots.
 
     The state is z = (min(age, D) - 1) (B + 1) + battery, D the row count of
-    :func:`_rows` (1 for Periodic and Randomized). A slot's symbol
+    :func:`_transmit_rows` (1 for Periodic and Randomized). A slot's symbol
     is s = harvest + 2 erased + 4 outside, the outside bit being the
     Periodic phase hit or the Randomized coin. A slot's flags have bit 0 set
     when it pays the backup, bit 1 when it delivers. The word of k slots
     s_0..s_{k-1} has the code w = n_z sum_i s_i n^i over n symbols, and at
-    w + z the list ``walk`` (and the int32 array ``table``) holds the state
+    w + z the int32 array ``table`` holds the state
     k slots on, and ``outcomes`` the flags of slot i at bits 2i and 2i+1.
-    k is :func:`_word_slots`. Returns (walk, table, outcomes, n, n_z, k).
+    k is :func:`_word_slots`. Returns (walk, table, outcomes, n, n_z, k),
+    ``walk`` a memoryview of ``table`` that gives Python ints one lookup at a time.
     """
     width = params.battery_cap + 1
     rows = _transmit_rows(spec, params)
@@ -233,7 +240,8 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     older = np.where(delivered, 0, np.minimum(row + 1, depth - 1))
     n_z = depth * width
     step = (older * width + charge).reshape(sym.size, n_z).astype(np.int32)
-    flags = ((tx & (battery == 0)) | delivered << 1).reshape(sym.size, n_z).astype(np.uint32)
+    # 2k bits fit 16: n >= 4 symbols and n_z >= 2 states cap k at 7 under _WORD_ENTRIES.
+    flags = ((tx & (battery == 0)) | delivered << 1).reshape(sym.size, n_z).astype(np.uint16)
     words, outcomes, k = step, flags, _word_slots(sym.size, n_z)
     for i in range(1, k):
         # The new slot i comes after the word: its symbol is the top digit.
@@ -242,7 +250,7 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
             (outcomes | flags[:, words] << 2 * i).reshape(-1, n_z),
         )
     table = words.ravel()
-    return table.tolist(), table, outcomes.ravel(), sym.size, n_z, k
+    return memoryview(table), table, outcomes.ravel(), sym.size, n_z, k
 
 
 def _lane_walk(codes: np.ndarray, z: int, walk: list, table: np.ndarray) -> tuple[np.ndarray, int]:
@@ -254,8 +262,8 @@ def _lane_walk(codes: np.ndarray, z: int, walk: list, table: np.ndarray) -> tupl
     the last ``_LOOKBACK_WORDS`` words of the lane before it from state 0.
     All lanes then advance together, one gather from ``table`` per word
     position. The lanes are checked in order against the true end of the
-    lane before, and one whose guess was wrong is walked again, whole, with
-    the Python list walk. The automaton is deterministic, so a lane whose
+    lane before, and one whose guess was wrong is walked again, whole, one
+    lookup of ``walk`` at a time. The automaton is deterministic, so a lane whose
     guess was right already holds the true states, and the result is exact.
     """
     size, width = codes.size, _LANE_WORDS
@@ -296,7 +304,11 @@ def _draw(
 
 
 def _simulate_rep(
-    policies: list[PolicySpec], params: SystemParams, cfg: SimConfig, rng: np.random.Generator
+    policies: list[PolicySpec],
+    params: SystemParams,
+    cfg: SimConfig,
+    rng: np.random.Generator,
+    automata: list[tuple],
 ) -> list[tuple[float, float]]:
     """One replication of every policy; returns (mean age, mean weighted backup cost) of each.
 
@@ -305,9 +317,8 @@ def _simulate_rep(
     policy then adds its outside bit: ``Periodic`` its phase hits, and
     ``Randomized`` its transmit coins, drawn from the generator state the two
     shared rows left, so every policy sees the draws it would see alone. The
-    symbols are walked (:func:`_walk_rep`) with the policy's
-    :func:`_automaton`, built afresh so that one automaton is alive at a time,
-    and the outside bit is cleared before the next policy.
+    symbols are walked (:func:`_walk_rep`) with the policy's automaton from
+    ``automata``, and the outside bit is cleared before the next policy.
     """
     horizon = cfg.horizon
     # Room for every policy's last word: k is largest at the fewest symbols and states.
@@ -316,13 +327,13 @@ def _simulate_rep(
     _draw(symbols, horizon, rng, params.erasure_prob, 2)
     shared = rng.bit_generator.state
     means = []
-    for spec in policies:
+    for spec, automaton in zip(policies, automata):
         if isinstance(spec, Randomized):
             rng.bit_generator.state = shared
             _draw(symbols, horizon, rng, spec.p_tx, 4)
         elif isinstance(spec, Periodic):
             symbols[spec.phase : horizon : spec.period] += 4
-        means.append(_walk_rep(symbols, params, cfg, _automaton(spec, params)))
+        means.append(_walk_rep(symbols, params, cfg, automaton))
         symbols &= 3
     return means
 
@@ -345,7 +356,7 @@ def _walk_rep(
     symbols = symbols[: -(-horizon // k) * k]
     z, last = 0, -1  # the automaton state and the latest delivery slot
     age_sum = pay_count = 0
-    shifts = np.arange(0, 2 * k, 2, dtype=np.uint32)
+    shifts = np.arange(0, 2 * k, 2, dtype=np.uint16)
     per = _CHUNK_SLOTS // k  # words tallied at a time
     span = _SPAN_SLOTS // k * k
     for lo in range(0, horizon, span):
@@ -451,17 +462,34 @@ def simulate(
     of 200k slots, missed the exact 250 by 3.0 halfwidths at seed 5). If
     any policy's (age rows x battery levels) grid exceeds
     ``MAX_GRID_STATES`` (2^20), such as a threshold of 10^9, the call is
-    refused with ``ValueError`` before any allocation. Each replication walks
-    its symbols in spans of ``_SPAN_SLOTS`` with :func:`_lane_walk`, and
-    keeps one byte per slot of the horizon.
+    refused with ``ValueError`` before any allocation. Each policy's
+    automaton is built once per call and kept for every replication, about
+    0.5 MB each at B = 20 (``Periodic`` and ``Randomized`` share one). Each
+    replication walks its symbols in spans of ``_SPAN_SLOTS`` with
+    :func:`_lane_walk`, and keeps one byte per slot of the horizon. A bare
+    policy, not in a list, is refused with ``TypeError``.
     """
+    if not isinstance(policies, (list, tuple)):
+        raise TypeError(
+            f"simulate takes a list of policies, got {policies!r}; "
+            "score one policy with simulate([spec], params, cfg)[0]"
+        )
     for spec in policies:
-        _rows(spec, params)
+        _bounds(spec, params)
+    # Periodic and Randomized share one automaton: their rule reads only the outside bit.
+    outside = None
+    automata = []
+    for spec in policies:
+        if isinstance(spec, (Periodic, Randomized)):
+            outside = outside or _automaton(spec, params)
+            automata.append(outside)
+        else:
+            automata.append(_automaton(spec, params))
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     age_means = np.empty((len(policies), cfg.replications))
     energy_means = np.empty((len(policies), cfg.replications))
     for i, child in enumerate(children):
-        rep = _simulate_rep(policies, params, cfg, np.random.default_rng(child))
+        rep = _simulate_rep(policies, params, cfg, np.random.default_rng(child), automata)
         for j, (age, energy) in enumerate(rep):
             age_means[j, i], energy_means[j, i] = age, energy
     reports = []

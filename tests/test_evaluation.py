@@ -457,6 +457,12 @@ def test_simulate_many_policies_equals_one_at_a_time(horizon, replications, orde
     assert [repr(report) for report in together] == [repr(report) for report in alone]
 
 
+def test_simulate_refuses_a_bare_policy():
+    """The one-policy call of old names the list it now needs."""
+    with pytest.raises(TypeError, match=r"list of policies.*simulate\(\[spec\], params, cfg\)"):
+        simulate(ZeroWait(), MID, SimConfig(horizon=10))
+
+
 def test_t_quantile_matches_scipy():
     dfs = np.arange(1, 1001)
     ours = [_t_quantile_975(int(df)) for df in dfs]
