@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -75,6 +76,8 @@ EXIT_TRUNCATION = 5
 P_SOLVE_CLAMP = 1e-9
 
 _AXES = {"omega": "energy_weight", "lambda": "harvest_prob", "p": "erasure_prob"}
+
+_SOLVE_ARTIFACTS = ("values.csv", "thresholds.json", "thresholds.csv", "structure_report.json")
 
 
 class StructureViolationError(RuntimeError):
@@ -148,6 +151,7 @@ def run_sweep(spec: SweepSpec) -> None:
     written in that case. Output rows are buffered and written once, in axis
     order and then policy order, so equal seeds give byte-identical files.
     """
+    _check_output(spec.out_path)
     rows: list[list] = []
     solver_cfg = SolverConfig(epsilon=spec.epsilon, max_iters=spec.max_iters)
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in spec.policies]
@@ -189,6 +193,30 @@ def run_sweep(spec: SweepSpec) -> None:
     write_report_rows(spec.out_path, rows)
 
 
+def _check_output(path: str, made: bool = False) -> None:
+    """Refuse an output path that cannot be written, before any work; create nothing.
+
+    A file must not be a directory and its directory must exist. A directory
+    that ``made`` says the writer creates may be missing up to its nearest
+    existing ancestor. Whatever exists must be writable.
+    """
+    target = os.path.abspath(path)
+    if os.path.exists(target):
+        if os.path.isdir(target) != made:
+            raise OSError(f"cannot write {path!r}: it {'is not' if made else 'is'} a directory")
+        if not os.access(target, os.W_OK | (os.X_OK if made else 0)):
+            raise OSError(f"cannot write {path!r}: permission denied")
+        return
+    parent = os.path.dirname(target)
+    while made and not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        why = "is not a directory" if os.path.lexists(parent) else "does not exist"
+        raise OSError(f"cannot write {path!r}: {parent!r} {why}")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {path!r}: permission denied in {parent!r}")
+
+
 def _load_params(path: str) -> SystemParams:
     with open(path) as handle:
         return SystemParams.from_json(handle.read())
@@ -209,6 +237,11 @@ def _apply_overrides(params: SystemParams, args: argparse.Namespace) -> SystemPa
 def run_solve(args: argparse.Namespace) -> int:
     params = _apply_overrides(_load_params(args.params), args)
     cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+    out_dir = args.out or "."
+    _check_output(out_dir, made=True)
+    if os.path.isdir(out_dir):
+        for name in _SOLVE_ARTIFACTS:
+            _check_output(os.path.join(out_dir, name))
     if args.check_truncation:
         check_grid(2 * params.aoi_cap, params.battery_cap + 1, "doubled aoi_cap x battery levels")
     try:
@@ -223,13 +256,15 @@ def run_solve(args: argparse.Namespace) -> int:
         return EXIT_STRUCTURE
     report = certify_structure(v, q, params, args.structure_tol)
 
-    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    write_value_csv(os.path.join(out_dir, "values.csv"), v)
-    with open(os.path.join(out_dir, "thresholds.json"), "w") as handle:
+    values_csv, thresholds_json, thresholds_csv, report_json = (
+        os.path.join(out_dir, name) for name in _SOLVE_ARTIFACTS
+    )
+    write_value_csv(values_csv, v)
+    with open(thresholds_json, "w") as handle:
         handle.write(thresholds.to_json() + "\n")
-    thresholds.write_csv(os.path.join(out_dir, "thresholds.csv"))
-    with open(os.path.join(out_dir, "structure_report.json"), "w") as handle:
+    thresholds.write_csv(thresholds_csv)
+    with open(report_json, "w") as handle:
         handle.write(report.to_json() + "\n")
 
     print(f"gain {v.gain!r} after {v.iterations} sweeps (span {v.final_span:.3e})")
@@ -272,6 +307,8 @@ def run_eval(args: argparse.Namespace) -> int:
     params = _apply_overrides(_load_params(args.params), args)
     sim = SimConfig(horizon=args.horizon, replications=args.reps, seed=args.seed)
     policies = [parse_policy_spec(text.strip()) for text in args.policies.split(",")]
+    if args.out:
+        _check_output(args.out)
     # Monte Carlo draws each replication once for all the policies, so its rows follow at the end.
     simulated = simulate(policies, params, sim) if args.method == "mc" else None
     for i, policy in enumerate(policies):
@@ -313,7 +350,9 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="aoi-energy",
         description="Solve and evaluate the age-vs-backup-energy trade-off",

@@ -30,6 +30,13 @@ columns past age ``cap`` are extra pads that no real slot reads. Pad slots of
 a result are garbage: the span overwrites them with age ``cap`` first, and
 V's saturation pads are refreshed after each sweep. The backup's float
 association is part of its contract: results repeat bit for bit.
+
+A sweep is about fifteen numpy calls, and on the default grid their fixed
+dispatch cost is about half its time. So each call is bound once per solve
+(``functools.partial``); the weights lam, 1-lam, p, 1-p and the anchor entry
+are 0-d arrays, which a ufunc takes faster than a Python float or a numpy
+scalar; and the two-slot bound reads Python floats. None of this changes an
+operation, its operands' values or their order.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -104,11 +112,12 @@ class _Workspace:
 
     ``values[q*row + d-1]`` holds V(d, q), then the saturation row and one
     slot never written; ``row`` is ``cap+1`` rounded up to whole 64-byte
-    lines. ``backup`` runs ``steps`` to fill ``q_idle``, ``q_tx``; pad slots
-    of a result, and V's columns past ``cap``, hold garbage that no real slot
-    reads. Every buffer a sweep writes is from ``alloc``, which starts it on
-    a line: on AVX-512 hosts a ufunc runs up to twice as slow when its output
-    does not.
+    lines. ``backup`` runs ``calls``, the ``steps`` bound once, to fill
+    ``q_idle``, ``q_tx``, and ``refresh`` copies V's saturation pads; pad
+    slots of a result, and V's columns past ``cap``, hold garbage that no
+    real slot reads. Every buffer a sweep writes is from ``alloc``, which
+    starts it on a line: on AVX-512 hosts a ufunc runs up to twice as slow
+    when its output does not.
     """
 
     @staticmethod
@@ -122,6 +131,8 @@ class _Workspace:
         row = -(-(cap + 1) // 8) * 8
         n = width * row
         lam, p = params.harvest_prob, params.erasure_prob
+        # 0-d arrays: a ufunc takes one faster than a Python float, with the same bits
+        lam, dry, p, sent = (np.array(x) for x in (lam, 1.0 - lam, p, 1.0 - p))
         values, scaled = self.alloc(n + row + 1), self.alloc(n + row + 1)
         rest, mix, fresh = self.alloc(n + 1), self.alloc(n + 1), self.alloc(width)
         self.q_idle, self.q_tx = self.alloc(n), self.alloc(n)
@@ -130,27 +141,29 @@ class _Workspace:
         ages, stage = costs[row:], costs[:n]  # idle and transmit stage costs
         self.cap, self.row, self.real = cap, row, values[:n]
         self.grid, tx_rows = values[:n].reshape(width, row), self.q_tx.reshape(width, row)
-        self.pads = ((self.grid[:, cap], self.grid[:, cap - 1]), (values[n:-1], self.grid[-1]))
         self.diff_pad = (tx_rows[:, cap:], tx_rows[:, cap - 1 : cap])
         self.steps = (
             (np.multiply, values, lam, scaled),
-            (np.multiply, values[: n + 1], 1.0 - lam, rest),
+            (np.multiply, values[: n + 1], dry, rest),
             (np.add, scaled[row : n + 1], rest[: n + 1 - row], mix[row:]),  # S at q >= 1
             (np.add, scaled[row : 2 * row], rest[:row], mix[:row]),  # S at q = 0 equals q = 1
             (np.add, ages, scaled[row + 1 :], self.q_idle),
             (np.add, self.q_idle, rest[1:], self.q_idle),  # (age + lam*V'[charged]) + (1-lam)*V'
             (np.multiply, mix[1:], p, self.q_tx),
             (np.add, self.q_tx, stage, self.q_tx),  # p*S' + (age + backup)
-            (np.multiply, mix[:n:row], 1.0 - p, fresh),
+            (np.multiply, mix[:n:row], sent, fresh),
             (np.add, tx_rows, fresh[:, None], tx_rows),  # ... + (1-p)*S[age 1]
         )
+        self.calls = [partial(*step) for step in self.steps]
+        pads = ((self.grid[:, cap], self.grid[:, cap - 1]), (values[n:-1], self.grid[-1]))
+        self.refresh = [partial(np.copyto, *pad) for pad in pads]  # age column, then battery row
         self.grid[:, :cap] = table.T
-        for pad, source in self.pads:
-            np.copyto(pad, source)
+        for call in self.refresh:
+            call()
 
     def backup(self) -> None:
-        for ufunc, a, b, out in self.steps:
-            ufunc(a, b, out)
+        for call in self.calls:
+            call()
 
     def table(self, flat: np.ndarray) -> np.ndarray:
         """A fresh (aoi_cap, battery levels) table of the real entries of ``flat``."""
@@ -200,14 +213,18 @@ def solve(
     ws = _Workspace(params, start - start[0, -1])
     ref_at = params.battery_cap * ws.row  # V(1, battery_cap) in the flat workspace
     updated, diff, real = ws.q_idle, ws.q_tx, ws.real  # T(V) and T(V) - V overwrite the backup
+    sweep = [*ws.calls, partial(np.minimum, updated, ws.q_tx, out=updated)]
+    # re-anchor on a 0-d view of the anchor, then refresh the pads: age column first
+    reanchor = [partial(np.subtract, updated, updated[ref_at, ...], real), *ws.refresh]
+    new, old = updated.item, real.item
     gain, span, iterations = np.nan, np.inf, 0
     hi = lo = 0  # real slots of the last full check's extremes; equal, so sweep 1 checks
     epsilon, last = cfg.epsilon, cfg.max_iters
     for iterations in range(1, last + 1):
-        ws.backup()
-        np.minimum(updated, ws.q_tx, out=updated)
+        for call in sweep:
+            call()
         # span >= this bound, as rounding is monotone; NaN fails the test and checks
-        bound = (updated[hi] - real[hi]) - (updated[lo] - real[lo])
+        bound = (new(hi) - old(hi)) - (new(lo) - old(lo))
         if not bound > epsilon or iterations == last:
             np.subtract(updated, real, out=diff)
             np.copyto(*ws.diff_pad)
@@ -216,9 +233,8 @@ def solve(
             # First occurrences, never a pad: each diff pad copies the real slot
             # just before it, and a pad of ``updated`` is garbage.
             hi, lo = int(diff.argmax()), int(diff.argmin())
-        np.subtract(updated, updated[ref_at], out=real)
-        for pad, source in ws.pads:  # age column first, then the battery row
-            np.copyto(pad, source)
+        for call in reanchor:
+            call()
         if span <= epsilon:
             break
     else:

@@ -223,6 +223,65 @@ def test_hostile_tolerances_fail_before_any_work(
     assert {path.name for path in tmp_path.iterdir()} == inputs
 
 
+def test_parser_reuse_leaks_no_option(tmp_path, capsys):
+    """The parser is built once per process; options of one call do not reach the next."""
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["solve", "--params", pfile, "--out", str(first), "--aoi-cap", "30"]
+    assert main(argv + ["--check-truncation"]) == EXIT_OK
+    assert "truncation adequate" in capsys.readouterr().out
+    assert read_value_csv(str(first / "values.csv")).shape == (30, 5)
+    assert main(["solve", "--params", pfile, "--out", str(second)]) == EXIT_OK
+    assert "truncation" not in capsys.readouterr().out
+    assert read_value_csv(str(second / "values.csv")).shape == SOLVE_PARAMS.grid_shape
+
+
+@pytest.mark.parametrize(
+    "command, place",
+    [
+        ("solve", "under-file"),
+        ("solve", "artifact-is-dir"),
+        ("eval-mc", "missing-dir"),
+        ("eval-exact", "under-file"),
+        ("eval-mc", "is-dir"),
+        ("sweep", "missing-dir"),
+        ("sweep", "is-dir"),
+    ],
+)
+def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys, command, place):
+    """Exit 2 naming the output path before any solve or draw, and create no file."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{command} reached the work with output {place}")
+
+    for name in ("solve", "simulate", "evaluate_exact"):
+        monkeypatch.setattr(aoi_energy.cli, name, must_not_run)
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "values.csv").mkdir()
+    out = {
+        "under-file": tmp_path / "file" / "sub",
+        "missing-dir": tmp_path / "missing" / "rows.csv",
+        "is-dir": tmp_path / "dir",
+        "artifact-is-dir": tmp_path / "dir",
+    }[place]
+    eval_args = ["eval", "--params", pfile, "--policies", "zero-wait", "--horizon", "100",
+                 "--reps", "2", "--out", str(out), "--method"]
+    argv = {
+        "solve": ["solve", "--params", pfile, "--out", str(out)],
+        "eval-mc": eval_args + ["mc"],
+        "eval-exact": eval_args + ["exact"],
+        "sweep": sweep_args(pfile, out, "omega", "2.0", "zero-wait,solved"),
+    }[command]
+    before = sorted(str(path) for path in tmp_path.rglob("*"))
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err
+    assert sorted(str(path) for path in tmp_path.rglob("*")) == before
+
+
 # ---------------------------------------------------------------------------
 # check
 
