@@ -1,22 +1,22 @@
 """Policy evaluation three ways.
 
-Both score the chain from (1, 0), age 1 with an empty battery. Seeded
-Monte Carlo simulates the real chain (age unbounded, battery finite),
-leaves the first tenth of each replication uncounted, and reports
-replication means with a 95% confidence halfwidth; the policies of one
-call share each replication's draws. It runs the slot rule
-as a finite automaton over words of k slots, walked in lanes that advance
-together from guessed starts, a wrong guess being walked again, so the
-bits are the same as stepping slot by slot. Exact evaluation works on the
-same untruncated chain: age resets on delivery and otherwise grows by one,
-so the chain renews at each delivery, and the average cost follows from
-the stationary law of a small renewal kernel over the battery (and slot
-phase) plus closed forms for the age tail. A policy whose age tail never
-dies (delivery not certain, e.g. never transmitting) has infinite cost and
-is refused. Exhaustive enumeration scores every deterministic
-stationary policy of the truncated-saturating chain the solver works on, on
-desk-size instances, in batched solves, as a ground-truth oracle for the
-solver.
+Monte Carlo and exact evaluation score the chain from (1, 0), age 1 with
+an empty battery. Seeded Monte Carlo simulates the real chain (age
+unbounded, battery finite), leaves the first tenth of each replication
+uncounted, and reports replication means with a 95% confidence
+halfwidth; the policies of one call share each replication's draws. It
+runs the slot rule as a finite automaton over words of k slots, walked in
+lanes that advance together from guessed starts, a wrong guess being
+walked again, so the bits are the same as stepping slot by slot. Exact
+evaluation works on the same untruncated chain: age resets on delivery
+and otherwise grows by one, so the chain renews at each delivery, and the
+average cost follows from the stationary law of a small renewal kernel
+over the battery plus closed forms for the age tail, or for ``Periodic``
+a closed form. A policy whose age tail never dies (delivery not certain,
+e.g. never transmitting) has infinite cost and is refused. Exhaustive
+enumeration scores every deterministic stationary policy of the
+truncated-saturating chain the solver works on, on desk-size instances,
+in batched solves, as a ground-truth oracle for the solver.
 """
 
 from __future__ import annotations
@@ -91,8 +91,6 @@ class ReducibilityError(RuntimeError):
 
 # Slots per replication: the simulator keeps one byte per slot, so 1 GiB of symbols.
 MAX_HORIZON = 1 << 30
-# Entries of the dense (phase, battery) kernel that exact evaluation builds for Periodic.
-MAX_PERIODIC_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -595,51 +593,22 @@ def _battery_moves(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     return idle, idle[np.maximum(np.arange(width) - 1, 0)]
 
 
-def _age_actions(
-    spec: PolicySpec, params: SystemParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transmit probability per age and auxiliary state, and the moves of that state.
-
-    The auxiliary state is the battery level, or (phase, battery) for
-    ``Periodic``, whose phase advances every slot. Row d-1 of the returned
-    action array holds age d; its last row holds for every older age too.
-    A ``Periodic`` kernel is dense over period x (B+1) states, and one of
-    more than :data:`MAX_PERIODIC_ENTRIES` entries is refused with
-    ``ValueError`` before it is built.
-    """
-    idle, tx = _battery_moves(params)
-    width = params.battery_cap + 1
-    if isinstance(spec, Periodic):
-        n = spec.period * width
-        if n * n > MAX_PERIODIC_ENTRIES:
-            raise ValueError(
-                f"exact evaluation of a period of {spec.period} needs a dense {n} x {n} "
-                f"(phase x battery levels) kernel of {n * n} entries, which exceeds the "
-                f"limit of {MAX_PERIODIC_ENTRIES} entries"
-            )
-        advance = np.roll(np.eye(spec.period), 1, axis=1)
-        on_phase = np.arange(spec.period) == spec.phase
-        actions = np.repeat(on_phase, width)[None, :].astype(float)
-        return actions, np.kron(advance, idle), np.kron(advance, tx)
-    if isinstance(spec, Randomized):
-        return np.full((1, width), spec.p_tx), idle, tx
-    return _transmit_rows(spec, params).astype(float), idle, tx
-
-
 def _cycles(
     actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: SystemParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sums over one delivery cycle from each auxiliary state at age 1.
 
-    Row i of the walk is the occupation of the auxiliary states, starting
-    from state i at age 1. Until the next delivery it evolves by the
-    no-delivery kernel T_d = diag(1-a_d) idle + p diag(a_d) tx. Before the
-    last action row the ages are walked one by one; from there T is
-    constant, and the tail sums use N = (I-T)^-1: visits = walk N, and
-    sum_k k walk T^k = (walk N - walk) N. Returns the delivery law (the
-    renewal kernel), the expected cycle length, age sum and weighted backup
-    spend, and a mask of the states from which delivery is not certain:
-    their walk reaches states from which the tail never leaks.
+    Row d-1 of ``actions`` holds the transmit chance per auxiliary state at
+    age d, its last row at every older age too. Row i of the walk is the
+    occupation of the auxiliary states, starting from state i at age 1.
+    Until the next delivery it evolves by the no-delivery kernel
+    T_d = diag(1-a_d) idle + p diag(a_d) tx. Before the last action row the
+    ages are walked one by one; from there T is constant, and the tail sums
+    use N = (I-T)^-1: visits = walk N, and sum_k k walk T^k = (walk N - walk) N.
+    Returns the delivery law (the renewal kernel), the expected cycle
+    length, age sum and weighted backup spend, and a mask of the states from
+    which delivery is not certain: their walk reaches states from which the
+    tail never leaks.
     """
     p = params.erasure_prob
     n = idle.shape[0]
@@ -680,29 +649,53 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     """Stationary average cost of a policy on the untruncated age axis.
 
     Age resets to 1 on delivery and otherwise grows by one, so the chain
-    renews at each delivery. The renewal kernel M over the auxiliary state
-    at age 1 (see :func:`_age_actions`), and the expected length, age sum
-    and backup spend of a cycle, come from :func:`_cycles`; the cost is
-    nu (A + E) / nu L with nu the stationary law of M on the class reachable
-    from (1, 0), phase 0. ``aoi_cap`` plays no part, except through a
-    ``PolicyTable``'s rows.
+    renews at each delivery. The renewal kernel M over the battery level at
+    age 1, and the expected length, age sum and backup spend of a cycle,
+    come from :func:`_cycles`; the cost is nu (A + E) / nu L with nu the
+    stationary law of M on the class reachable from (1, 0). ``aoi_cap``
+    plays no part, except through a ``PolicyTable``'s rows.
+
+    ``Periodic`` with period m delivers only in phase slots, so a cycle is
+    G m slots, G geometric with success 1-p: the average age is
+    (m (1+p)/(1-p) + 1)/2. Between attempts the battery moves by
+    A = idle^(m-1) tx, whose stationary law nu is also that of the renewal
+    kernel (1-p) A (I-pA)^-1, so the backup rate is
+    omega c_r (nu idle^(m-1))[0] / m. The phase shifts only the first cycle.
+    A period whose average age overflows a float is refused with ``ValueError``.
 
     Raises :class:`BoundaryMassError` (mass 1) when delivery from a
-    reachable state is not certain, as for a policy that never transmits:
-    the age tail never dies and the average cost is infinite.
+    reachable state is not certain, as for a policy that never transmits or
+    ``Periodic`` at p = 1: the age tail never dies and the average cost is
+    infinite.
     """
-    actions, idle, tx = _age_actions(spec, params)
-    deliveries, length, age_sum, spend, trapped = _cycles(actions, idle, tx, params)
-    if trapped[_closure(deliveries != 0.0)[0]].any():
+    idle, tx = _battery_moves(params)
+    p = params.erasure_prob
+    if isinstance(spec, Periodic):
+        dies = p < 1.0
+    else:
+        rows = _transmit_rows(spec, params)  # None for Randomized
+        actions = np.full((1, idle.shape[0]), spec.p_tx) if rows is None else rows.astype(float)
+        deliveries, length, age_sum, spend, trapped = _cycles(actions, idle, tx, params)
+        dies = not trapped[_closure(deliveries != 0.0)[0]].any()
+    if not dies:
         raise BoundaryMassError(
             f"the age tail never dies: from {State(1, 0)} this policy reaches states "
             "from which delivery is not certain, so its average age is infinite",
             mass=1.0,
         )
-    nu = stationary_distribution(deliveries, 0)
-    cycle = float(nu @ length)
-    avg_aoi = float(nu @ age_sum) / cycle
-    avg_energy = float(nu @ spend) / cycle
+    if isinstance(spec, Periodic):
+        m = spec.period
+        if not m < 2.0**1023 * (1.0 - p):  # else the average age m / (1-p) overflows
+            raise ValueError(f"period {m} is too long to score: its average age overflows a float")
+        avg_aoi = m / (1.0 - p) - (m - 1) / 2
+        wait = np.linalg.matrix_power(idle, m - 1)
+        nu = stationary_distribution(wait @ tx, 0)
+        avg_energy = params.energy_weight * params.backup_cost * float((nu @ wait)[0]) / m
+    else:
+        nu = stationary_distribution(deliveries, 0)
+        cycle = float(nu @ length)
+        avg_aoi = float(nu @ age_sum) / cycle
+        avg_energy = float(nu @ spend) / cycle
     return EvalReport(
         avg_total_cost=avg_aoi + avg_energy,
         avg_aoi=avg_aoi,

@@ -187,7 +187,7 @@ def parse_policy_spec(text: str) -> PolicySpec:
 
 
 def policy_label(spec: PolicySpec) -> str:
-    """Short stable name used in result rows."""
+    """Short stable name used in result rows; a baseline's parses back to it."""
     if isinstance(spec, ZeroWait):
         return "zero-wait"
     if isinstance(spec, EnergyFirst):
@@ -197,7 +197,8 @@ def policy_label(spec: PolicySpec) -> str:
             return f"periodic:{spec.period}:{spec.phase}"
         return f"periodic:{spec.period}"
     if isinstance(spec, Randomized):
-        return f"random:{spec.p_tx:g}"
+        short = f"{spec.p_tx:g}"  # where :g is not exact, the shortest round-trip repr
+        return f"random:{short if float(short) == spec.p_tx else repr(float(spec.p_tx))}"
     if isinstance(spec, ThresholdPolicy):
         return "threshold"
     if isinstance(spec, PolicyTable):

@@ -19,6 +19,11 @@ negligible, the truncated chain's cost equals the untruncated one that
 compared; where it is not, the oracle still scores the truncated chain the
 solver works on.
 
+Periodic renewal: ``Periodic`` scored on the dense (phase, battery) chain
+at age 1, the phase advancing every slot, by the package's renewal sums
+(``_cycles``) over Kronecker-product kernels, for the closed form of
+``evaluate_exact`` to agree with.
+
 Class analysis: scipy's breadth-first search and strongly connected
 components find the reachable set and the closed classes of a kernel, for
 the package's dense closure to agree with.
@@ -63,7 +68,7 @@ from aoi_energy import (
     ZeroWait,
     stationary_distribution,
 )
-from aoi_energy.evaluation import _truncated_kernels
+from aoi_energy.evaluation import _battery_moves, _cycles, _truncated_kernels
 
 _PROB_ATOL = 1e-12
 
@@ -351,6 +356,26 @@ def truncated_cost(spec, params: SystemParams) -> tuple[float, float, float]:
     kernel, aoi, energy, at_cap = truncated_chain(spec, params)
     mu = iterated_stationary(kernel, 0)
     return float(mu @ aoi), float(mu @ energy), float(mu[at_cap].sum())
+
+
+def dense_periodic_cost(spec: Periodic, params: SystemParams) -> tuple[float, float]:
+    """(mean age, mean weighted backup cost) of ``spec`` on its (phase, battery) renewal chain.
+
+    States are phase-major, (phase, battery) at index phase (B+1) + battery,
+    and the chain starts at (phase 0, battery 0). The kernels are dense over
+    period x (B+1) states, so keep the period small. Needs p < 1.
+    """
+    idle, tx = _battery_moves(params)
+    advance = np.roll(np.eye(spec.period), 1, axis=1)
+    on_phase = np.arange(spec.period) == spec.phase
+    actions = np.repeat(on_phase, params.battery_cap + 1)[None, :].astype(float)
+    deliveries, length, age_sum, spend, trapped = _cycles(
+        actions, np.kron(advance, idle), np.kron(advance, tx), params
+    )
+    assert not trapped.any(), "a phase slot comes every period, so delivery is certain at p < 1"
+    nu = stationary_distribution(deliveries, 0)
+    cycle = float(nu @ length)
+    return float(nu @ age_sum) / cycle, float(nu @ spend) / cycle
 
 
 def enumeration_costs(params: SystemParams) -> np.ndarray:

@@ -37,7 +37,7 @@ from aoi_energy.cli import (
     main,
 )
 from aoi_energy import cli, evaluation, solver
-from aoi_energy.evaluation import MAX_HORIZON, MAX_PERIODIC_ENTRIES
+from aoi_energy.evaluation import MAX_HORIZON
 from aoi_energy.model import MAX_GRID_STATES
 from reference import params_to_json, read_threshold_csv, structure_report_from_json
 
@@ -870,7 +870,7 @@ def test_horizon_bound_admits_its_limit():
         SimConfig(horizon=MAX_HORIZON + 1)
 
 
-# The README instance: 21 battery levels, so period 97 gives a 2037 x 2037 kernel.
+# The README instance: p = 0.2 and 21 battery levels.
 README_PARAMS = SystemParams(
     erasure_prob=0.2,
     harvest_prob=0.5,
@@ -881,37 +881,38 @@ README_PARAMS = SystemParams(
 )
 
 
-@pytest.mark.parametrize("period, method", [(98, "exact"), (1000, "auto")])
-def test_periodic_kernel_over_the_bound_is_refused_before_kron(
-    tmp_path, monkeypatch, capsys, period, method
-):
-    """Exact evaluation of a long period exits 2 naming the bound; np.kron is never called."""
+def test_long_periods_are_scored_exactly(tmp_path, capsys):
+    """Any period is exact: the average age is (1.5 m + 1)/2 at p = 0.2, by either method."""
+    pfile = params_file(tmp_path, README_PARAMS)
+    printed = {}
+    for method in ("exact", "auto"):
+        argv = ["eval", "--params", pfile, "--policies", "periodic:98,periodic:1000",
+                "--method", method]
+        assert main(argv) == EXIT_OK
+        printed[method] = capsys.readouterr().out
+    lines = printed["exact"].splitlines()
+    assert lines[0].startswith("periodic:98: ") and "(aoi 74.0, " in lines[0]
+    assert lines[1].startswith("periodic:1000: ") and "(aoi 750.5, " in lines[1]
+    assert all(line.endswith("exact_stationary)") for line in lines)
+    assert printed["auto"] == printed["exact"]
 
-    def kron(*args, **kwargs):
-        raise AssertionError("the kernel was built before the size check")
 
-    monkeypatch.setattr(evaluation.np, "kron", kron)
+@pytest.mark.parametrize("method", ["exact", "auto"])
+def test_period_past_the_float_range_is_refused(tmp_path, capsys, method):
+    """A 401-digit period exits 2 naming it, with no traceback."""
+    period = "9" * 401
     pfile = params_file(tmp_path, README_PARAMS)
     argv = ["eval", "--params", pfile, "--policies", f"periodic:{period}", "--method", method]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
-    n = period * 21
-    assert f"dense {n} x {n}" in err and f"limit of {MAX_PERIODIC_ENTRIES} entries" in err
+    assert f"period {period} is too long to score" in err and "Traceback" not in err
 
 
-def test_periodic_kernel_bound_admits_period_97(tmp_path, monkeypatch):
-    """At (97 * 21)^2 <= 2^22 the check passes and the kernel is built."""
-
-    class Built(Exception):
-        pass
-
-    def kron(*args, **kwargs):
-        raise Built
-
-    monkeypatch.setattr(evaluation.np, "kron", kron)
-    pfile = params_file(tmp_path, README_PARAMS)
-    with pytest.raises(Built):
-        main(["eval", "--params", pfile, "--policies", "periodic:97", "--method", "exact"])
+def test_periodic_that_never_delivers_exits_5(tmp_path, capsys):
+    pfile = params_file(tmp_path, dataclasses.replace(README_PARAMS, erasure_prob=1.0))
+    argv = ["eval", "--params", pfile, "--policies", "periodic:5:2", "--method", "exact"]
+    assert main(argv) == EXIT_TRUNCATION
+    assert "the age tail never dies" in capsys.readouterr().err
 
 
 def test_eval_refuses_json_true_threshold(tmp_path, capsys):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -47,7 +47,13 @@ from aoi_energy import (
 from aoi_energy import evaluation
 from aoi_energy.evaluation import _reachable_classes, _t_quantile_975, append_report_row
 from conftest import BENCH, MID
-from reference import csgraph_classes, decide, enumeration_costs, truncated_cost
+from reference import (
+    csgraph_classes,
+    decide,
+    dense_periodic_cost,
+    enumeration_costs,
+    truncated_cost,
+)
 
 EVAL_BENCH = dataclasses.replace(BENCH, aoi_cap=400)
 
@@ -150,6 +156,58 @@ def test_exact_matches_truncated_oracle(params, kind):
     assert report.avg_aoi == pytest.approx(age, rel=1e-9)
     assert report.avg_weighted_energy == pytest.approx(energy, rel=1e-9, abs=1e-12)
     assert report.avg_total_cost == pytest.approx(age + energy, rel=1e-9)
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(
+    battery_cap=st.sampled_from([1, 2, 3, 20]) | st.integers(1, 20),
+    erasure=st.sampled_from([0.0, 0.2, 0.5, 0.9]) | st.floats(0.0, 0.95),
+    harvest=st.sampled_from([0.0, 1.0, 0.3, 0.5]) | st.floats(0.0, 1.0),
+    omega=st.sampled_from([0.0, 1.0, 10.0]),
+    period=st.integers(1, 12),
+    phase=st.integers(0, 11),
+)
+@example(battery_cap=20, erasure=0.0, harvest=0.0, omega=10.0, period=12, phase=11)
+@example(battery_cap=20, erasure=0.0, harvest=1.0, omega=10.0, period=7, phase=3)
+@example(battery_cap=20, erasure=0.5, harvest=0.3, omega=10.0, period=1, phase=0)
+def test_periodic_closed_form_matches_dense_oracle(
+    battery_cap, erasure, harvest, omega, period, phase
+):
+    """The battery-chain closed form scores ``Periodic`` as the dense (phase, battery) chain.
+
+    The age agrees within 1e-12 relative and the backup cost within 1e-12
+    of the total, at any phase (taken modulo the period).
+    """
+    params = SystemParams(
+        erasure_prob=erasure,
+        harvest_prob=harvest,
+        energy_weight=omega,
+        backup_cost=2.0,
+        battery_cap=battery_cap,
+        aoi_cap=10,
+    )
+    spec = Periodic(period, phase % period)
+    report = evaluate_exact(spec, params)
+    age, energy = dense_periodic_cost(spec, params)
+    assert report.avg_aoi == pytest.approx(age, rel=1e-12, abs=0.0)
+    assert abs(report.avg_weighted_energy - energy) <= 1e-12 * (age + energy)
+
+
+def test_long_period_agrees_with_monte_carlo():
+    """At period 200 Monte Carlo lands within 3 halfwidths of the closed form."""
+    params = SystemParams(
+        erasure_prob=0.3,
+        harvest_prob=0.004,
+        energy_weight=10.0,
+        backup_cost=2.0,
+        battery_cap=3,
+        aoi_cap=10,
+    )
+    spec = Periodic(200, 7)
+    exact = evaluate_exact(spec, params)
+    assert exact.avg_weighted_energy > 0.0  # the battery is often empty at an attempt
+    mc = simulate([spec], params, SimConfig(horizon=400_000, replications=8, seed=31))[0]
+    assert abs(mc.avg_total_cost - exact.avg_total_cost) <= 3 * mc.ci_halfwidth_95
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,9 @@ def test_parse_policy_spec(text, expected):
 
 
 def test_parse_labels_round_trip():
-    for text in ("zero-wait", "energy-first", "periodic:5", "periodic:7:3", "random:0.5"):
+    # Coins that agree to 6 digits get distinct labels; what :g renders exactly keeps its form.
+    for text in ("zero-wait", "energy-first", "periodic:5", "periodic:7:3", "random:0.5",
+                 "random:0", "random:1", "random:1e-07", "random:0.1234561", "random:0.1234562"):
         assert policy_label(parse_policy_spec(text)) == text
 
 
