@@ -67,7 +67,7 @@ try:
 except BoundaryMassError as err:
     print(f"\nexact evaluation of {policy_label(never)} refused: {err}")
 
-# Simulation still returns a number, but it only grows with the horizon. It
-# is what `eval --method auto` and `sweep` fall back to, flagged in the note.
+# Simulation still returns a number, but it only grows with the horizon, so
+# `eval` and `sweep` report such a policy as an exact row of infinite cost.
 mc = simulate([never], lossy, cfg)[0]
 print(f"monte carlo over {cfg.horizon} slots: {mc.avg_total_cost:.0f}")

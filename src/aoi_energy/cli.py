@@ -6,12 +6,14 @@ certificates), ``check`` (re-run the certificates on saved artifacts),
 (solve along one parameter axis and score the solved policy against the
 baselines at every point, appending rows to a results CSV).
 
+A policy whose age tail never dies scores an exact row of infinite cost (age
+``inf``, energy ``nan``: no renewal to average over; note ``infinite_cost``).
+Only Monte Carlo rows carry a seed.
+
 Exit codes: 0 success, 2 usage, malformed input or an instance too large for
 memory, 3 solver non-convergence (at the given or the doubled age cap), 4
 structural violation, 5 truncation inadequacy: ``solve --check-truncation``
-finds the age cap too small, or exact evaluation (which is over the
-untruncated chain) meets a policy whose age tail never dies, so its average
-cost is infinite.
+finds the age cap too small.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from .evaluation import (
     BoundaryMassError,
     EvalReport,
+    METHOD_EXACT,
     SimConfig,
     append_report_row,
     evaluate_exact,
@@ -92,7 +95,6 @@ class SweepSpec:
     values: tuple[float, ...]
     fixed: SystemParams
     policies: tuple[str, ...]
-    sim: SimConfig
     out_path: str
     epsilon: float = 1e-9
     max_iters: int = 500_000
@@ -114,32 +116,13 @@ class SweepSpec:
             raise ValueError("sweep needs at least one policy")
 
 
-def _point_params(fixed: SystemParams, axis: str, value: float) -> SystemParams:
-    return replace(fixed, **{_AXES[axis]: value})
-
-
-def _derived_seed(master: int, point: int, policy: int) -> int:
-    sequence = np.random.SeedSequence(entropy=[master, point, policy])
-    return int(sequence.generate_state(1, np.uint64)[0])
-
-
-def _evaluate_with_fallback(
-    spec: PolicySpec,
-    params: SystemParams,
-    sim: SimConfig,
-    mc_seed: int,
-) -> tuple[EvalReport, int, str]:
-    """Exact evaluation, or Monte Carlo seeded with ``mc_seed`` when it refuses.
-
-    Exact evaluation refuses only a policy whose age tail never dies
-    (infinite average cost). Returns the report, the seed to record, and a
-    note describing any deviation.
-    """
+def _score_exact(spec: PolicySpec, params: SystemParams) -> tuple[EvalReport, str]:
+    """Exact report and note; a policy whose age tail never dies scores inf, noted as such."""
     try:
-        return evaluate_exact(spec, params), sim.seed, ""
+        return evaluate_exact(spec, params), ""
     except BoundaryMassError:
-        mc = replace(sim, seed=mc_seed)
-        return simulate([spec], params, mc)[0], mc_seed, "mc_fallback=boundary_mass"
+        inf = float("inf")
+        return EvalReport(inf, inf, float("nan"), 0.0, METHOD_EXACT), "infinite_cost"
 
 
 def run_sweep(spec: SweepSpec) -> None:
@@ -149,14 +132,14 @@ def run_sweep(spec: SweepSpec) -> None:
     failure, threshold-structure failure, or certificate failure
     aborts the whole sweep naming the offending grid point; nothing is
     written in that case. Output rows are buffered and written once, in axis
-    order and then policy order, so equal seeds give byte-identical files.
+    order and then policy order, so equal specs give byte-identical files.
     """
     _check_output(spec.out_path)
     rows: list[list] = []
     solver_cfg = SolverConfig(epsilon=spec.epsilon, max_iters=spec.max_iters)
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in spec.policies]
-    for point_idx, value in enumerate(spec.values):
-        point = _point_params(spec.fixed, spec.axis, value)
+    for value in spec.values:
+        point = replace(spec.fixed, **{_AXES[spec.axis]: value})
         solver_point = point
         solved_note = ""
         if spec.axis == "p" and value == 0.0:
@@ -180,16 +163,11 @@ def run_sweep(spec: SweepSpec) -> None:
             raise StructureViolationError(
                 f"sweep aborted at {where}: certificate failed, {certificate.to_json()}"
             )
-        for policy_idx, policy in enumerate(parsed):
+        for policy in parsed:
             label = "solved" if policy is None else policy_label(policy)
-            report, seed, note = _evaluate_with_fallback(
-                thresholds if policy is None else policy,
-                point,
-                spec.sim,
-                _derived_seed(spec.sim.seed, point_idx, policy_idx),
-            )
+            report, note = _score_exact(thresholds if policy is None else policy, point)
             notes = ";".join(n for n in ((solved_note if policy is None else ""), note) if n)
-            rows.append(report_row_values(label, point, report, seed, notes))
+            rows.append(report_row_values(label, point, report, None, notes))
     write_report_rows(spec.out_path, rows)
 
 
@@ -309,24 +287,20 @@ def run_eval(args: argparse.Namespace) -> int:
     policies = [parse_policy_spec(text.strip()) for text in args.policies.split(",")]
     if args.out:
         _check_output(args.out)
-    # Monte Carlo draws each replication once for all the policies, so its rows follow at the end.
-    simulated = simulate(policies, params, sim) if args.method == "mc" else None
-    for i, policy in enumerate(policies):
+    # Every policy is scored before any output, so a refused policy leaves no row behind.
+    if args.method == "mc":
+        scored, seed = [(report, "") for report in simulate(policies, params, sim)], sim.seed
+    else:
+        scored, seed = [_score_exact(policy, params) for policy in policies], None
+    for policy, (report, note) in zip(policies, scored):
         label = policy_label(policy)
-        note = ""
-        if simulated:
-            report = simulated[i]
-        elif args.method == "exact":
-            report = evaluate_exact(policy, params)
-        else:
-            report, _, note = _evaluate_with_fallback(policy, params, sim, sim.seed)
         print(
             f"{label}: avg_total {report.avg_total_cost!r} "
             f"(aoi {report.avg_aoi!r}, energy {report.avg_weighted_energy!r}, "
             f"ci95 {report.ci_halfwidth_95!r}, {report.method})"
         )
         if args.out:
-            append_report_row(args.out, label, params, report, args.seed, note)
+            append_report_row(args.out, label, params, report, seed, note)
     return EXIT_OK
 
 
@@ -339,7 +313,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         values=values,
         fixed=params,
         policies=policies,
-        sim=SimConfig(horizon=args.horizon, replications=args.reps, seed=args.seed),
         out_path=args.out,
         epsilon=args.epsilon,
         max_iters=args.max_iters,
@@ -359,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, solver: bool = False, mc: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, solver: bool = False) -> None:
         p.add_argument("--params", required=True, help="system parameter JSON file")
         if solver:
             p.add_argument("--epsilon", type=float, default=1e-9, help="span stopping tolerance")
@@ -369,11 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="certificate tolerance",
             )
         p.add_argument("--aoi-cap", type=int, default=None, help="override the age cap")
-        if mc:
-            p.add_argument("--horizon", type=int, default=200_000,
-                           help="slots per replication; the first tenth is uncounted warm-up")
-            p.add_argument("--reps", type=int, default=10, help="Monte Carlo replications")
-            p.add_argument("--seed", type=int, default=0)
 
     p_solve = sub.add_parser("solve", help="solve one instance and dump artifacts")
     common(p_solve, solver=True)
@@ -390,20 +358,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     p_eval = sub.add_parser("eval", help="evaluate explicit policies")
-    common(p_eval, mc=True)
+    common(p_eval)
     p_eval.add_argument(
         "--policies", required=True,
         help="comma list: zero-wait, energy-first, periodic:5, random:0.5, threshold:tp.json",
     )
     p_eval.add_argument(
-        "--method", choices=("auto", "exact", "mc"), default="auto",
-        help="exact is over the untruncated chain; auto falls back to Monte Carlo "
-        "only for a policy whose age tail never dies (infinite exact cost)",
+        "--method", choices=("exact", "mc"), default="exact",
+        help="exact is over the untruncated chain, an infinite cost included",
     )
+    p_eval.add_argument("--horizon", type=int, default=200_000,
+                        help="Monte Carlo slots per replication; the first tenth is uncounted")
+    p_eval.add_argument("--reps", type=int, default=10, help="Monte Carlo replications")
+    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", default=None, help="append result rows to this CSV")
 
     p_sweep = sub.add_parser("sweep", help="solve along one axis and score all policies")
-    common(p_sweep, solver=True, mc=True)
+    common(p_sweep, solver=True)
+    # The benchmark's sweep command still passes these Monte Carlo flags; sweep reads none.
+    for flag in ("--horizon", "--reps", "--seed"):
+        p_sweep.add_argument(flag, help=argparse.SUPPRESS)
     p_sweep.add_argument("--axis", required=True, choices=sorted(_AXES))
     p_sweep.add_argument("--values", required=True, help="comma list of axis values")
     p_sweep.add_argument(
@@ -434,9 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ThresholdStructureError, StructureViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
-    except BoundaryMassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -448,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         if vars(args).get("check_truncation"):
             grid += (f" or the doubled {2 * params.aoi_cap} x {params.battery_cap + 1} grid "
                      f"of {2 * params.n_states} states")
-        what = {"eval": "exact evaluation" + tail, "sweep": grid + tail}.get(args.command, grid)
+        what = "exact evaluation" + tail if args.command == "eval" else grid
         print(f"error: out of memory for {what}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,8 +12,9 @@ evaluation works on the same untruncated chain: age resets on delivery
 and otherwise grows by one, so the chain renews at each delivery, and the
 average cost follows from the stationary law of a small renewal kernel
 over the battery plus closed forms for the age tail, or for ``Periodic``
-a closed form. A policy whose age tail never dies (delivery not certain,
-e.g. never transmitting) has infinite cost and is refused. Exhaustive
+and ``Randomized`` a closed form. A policy whose age tail never dies
+(delivery not certain, e.g. never transmitting) has infinite cost and is
+refused with :class:`BoundaryMassError`. Exhaustive
 enumeration scores every deterministic stationary policy of the
 truncated-saturating chain the solver works on, on desk-size instances,
 in batched solves, as a ground-truth oracle for the solver.
@@ -75,10 +76,6 @@ CSV_COLUMNS = [
 
 class BoundaryMassError(RuntimeError):
     """The policy's age tail never dies, so its average cost is infinite."""
-
-    def __init__(self, message: str, mass: float):
-        super().__init__(message)
-        self.mass = mass
 
 
 class ReducibilityError(RuntimeError):
@@ -598,9 +595,10 @@ def _cycles(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sums over one delivery cycle from each auxiliary state at age 1.
 
-    Row d-1 of ``actions`` holds the transmit chance per auxiliary state at
-    age d, its last row at every older age too. Row i of the walk is the
-    occupation of the auxiliary states, starting from state i at age 1.
+    Row d-1 of the boolean ``actions`` holds the transmit flag per
+    auxiliary state at age d, its last row at every older age too. Row i of
+    the walk is the occupation of the auxiliary states, starting from state
+    i at age 1.
     Until the next delivery it evolves by the no-delivery kernel
     T_d = diag(1-a_d) idle + p diag(a_d) tx. Before the last action row the
     ages are walked one by one; from there T is constant, and the tail sums
@@ -663,25 +661,27 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     omega c_r (nu idle^(m-1))[0] / m. The phase shifts only the first cycle.
     A period whose average age overflows a float is refused with ``ValueError``.
 
-    Raises :class:`BoundaryMassError` (mass 1) when delivery from a
-    reachable state is not certain, as for a policy that never transmits or
-    ``Periodic`` at p = 1: the age tail never dies and the average cost is
-    infinite.
+    ``Randomized`` with chance q delivers each slot with chance q (1-p),
+    whatever the battery: the average age is 1/(q (1-p)), refused with
+    ``ValueError`` if that overflows a float, and the backup rate is
+    omega c_r q nu[0], nu the stationary law of (1-q) idle + q tx.
+
+    Raises :class:`BoundaryMassError` when delivery from a reachable state
+    is not certain, as for a policy that never transmits or ``Periodic`` at
+    p = 1: the age tail never dies and the average cost is infinite.
     """
     idle, tx = _battery_moves(params)
     p = params.erasure_prob
-    if isinstance(spec, Periodic):
-        dies = p < 1.0
+    if isinstance(spec, (Periodic, Randomized)):
+        dies = p < 1.0 and (isinstance(spec, Periodic) or spec.p_tx > 0.0)
     else:
-        rows = _transmit_rows(spec, params)  # None for Randomized
-        actions = np.full((1, idle.shape[0]), spec.p_tx) if rows is None else rows.astype(float)
-        deliveries, length, age_sum, spend, trapped = _cycles(actions, idle, tx, params)
+        rows = _transmit_rows(spec, params)
+        deliveries, length, age_sum, spend, trapped = _cycles(rows, idle, tx, params)
         dies = not trapped[_closure(deliveries != 0.0)[0]].any()
     if not dies:
         raise BoundaryMassError(
             f"the age tail never dies: from {State(1, 0)} this policy reaches states "
-            "from which delivery is not certain, so its average age is infinite",
-            mass=1.0,
+            "from which delivery is not certain, so its average age is infinite"
         )
     if isinstance(spec, Periodic):
         m = spec.period
@@ -691,6 +691,13 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
         wait = np.linalg.matrix_power(idle, m - 1)
         nu = stationary_distribution(wait @ tx, 0)
         avg_energy = params.energy_weight * params.backup_cost * float((nu @ wait)[0]) / m
+    elif isinstance(spec, Randomized):
+        q = spec.p_tx
+        avg_aoi = 1.0 / (q * (1.0 - p))
+        if avg_aoi == math.inf:
+            raise ValueError(f"p_tx {q!r} is too small to score: its average age overflows")
+        nu = stationary_distribution((1.0 - q) * idle + q * tx, 0)
+        avg_energy = params.energy_weight * params.backup_cost * q * float(nu[0])
     else:
         nu = stationary_distribution(deliveries, 0)
         cycle = float(nu @ length)
@@ -796,10 +803,10 @@ def report_row_values(
     policy: str,
     params: SystemParams,
     report: EvalReport,
-    seed: int,
+    seed: int | None,
     note: str = "",
 ) -> list:
-    """One CSV row in :data:`CSV_COLUMNS` order.
+    """One CSV row in :data:`CSV_COLUMNS` order; a seed of None is written blank.
 
     Floats are rendered with ``repr`` so equal runs produce identical bytes.
     """
@@ -825,7 +832,7 @@ def append_report_row(
     policy: str,
     params: SystemParams,
     report: EvalReport,
-    seed: int,
+    seed: int | None,
     note: str = "",
 ) -> None:
     """Append one result row, creating the header on first write."""

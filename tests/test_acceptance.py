@@ -52,7 +52,6 @@ SWEEP_POLICIES = (
     "energy-first",
     "solved",
 )
-SWEEP_SIM = SimConfig(horizon=200_000, replications=5, seed=0)
 
 BASE = SystemParams(
     erasure_prob=0.2,
@@ -210,7 +209,6 @@ def sweep_spec(axis, values, fixed, out_path):
         values=values,
         fixed=fixed,
         policies=SWEEP_POLICIES,
-        sim=SWEEP_SIM,
         out_path=str(out_path),
         epsilon=EPSILON,
     )

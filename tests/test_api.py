@@ -4,6 +4,7 @@ each demo run end to end in a fresh interpreter."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -48,6 +49,26 @@ def test_traced_functions_resolve(monkeypatch):
     missing = [name for name, (home, _, _) in spans.TRACED.items()
                if not hasattr(importlib.import_module(home), name.split(".", 1)[1])]
     assert not missing, f"traced functions missing from their modules: {missing}"
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_benchmark_command_lines_parse(size, monkeypatch, tmp_path):
+    """Every command line a benchmark workload passes to ``cli.main`` is still accepted."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cli = importlib.import_module(f"{PACKAGE}.cli")
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    argvs = []
+    for name in sorted(workloads.WORKLOAD_CLASSES):
+        workload = workloads.make(name, size, 0, reference, tmp_path / name)
+        argvs += [argv for _, argv in getattr(workload, "jobs", [])]
+        argvs += [workload.argv] if hasattr(workload, "argv") else []
+    assert len(argvs) == (30 if size == "full" else 5)
+    for argv in argvs:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the command line no longer parses: {argv}")
 
 
 @pytest.mark.parametrize("demo", sorted(ROOT.glob("demos/*.py")), ids=lambda p: p.name)

@@ -22,6 +22,7 @@ from aoi_energy import (
     ThresholdPolicy,
     ValueTable,
     ZeroWait,
+    evaluate_exact,
     read_value_csv,
     simulate,
     write_value_csv,
@@ -33,7 +34,6 @@ from aoi_energy.cli import (
     EXIT_TRUNCATION,
     EXIT_USAGE,
     SweepSpec,
-    _evaluate_with_fallback,
     main,
 )
 from aoi_energy import cli, evaluation, solver
@@ -408,47 +408,43 @@ def test_eval_mc_rows_match_one_policy_runs(tmp_path, capsys):
     assert [row["policy"] for row in read_rows(tmp_path / "all.csv")] == policies
 
 
-def test_eval_exact_refuses_boundary_mass(tmp_path, capsys):
-    code = main(
-        [
-            "eval",
-            "--params",
-            params_file(tmp_path, EVAL_PARAMS),
-            "--policies",
-            "random:0",
-            "--method",
-            "exact",
-        ]
-    )
-    assert code == EXIT_TRUNCATION
-    assert "never dies" in capsys.readouterr().err
+# What an exact row of infinite cost holds: no renewal cycle to average the energy over.
+INF_ROW = {"method": METHOD_EXACT, "avg_total": "inf", "avg_aoi": "inf", "avg_energy": "nan",
+           "ci95": "0.0", "seed": "", "note": "infinite_cost"}
 
 
-def test_eval_auto_falls_back_to_monte_carlo(tmp_path, capsys):
+def inf_fields(row):
+    return {key: row[key] for key in INF_ROW}
+
+
+def test_eval_scores_infinite_cost_exactly(tmp_path, capsys):
+    """random:0 never transmits: exact evaluation, the default, answers inf and exits 0."""
+    lossy = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.8)
+    out = tmp_path / "rows.csv"
+    argv = ["eval", "--params", params_file(tmp_path, lossy), "--policies", "random:0",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    (row,) = read_rows(out)
+    assert inf_fields(row) == INF_ROW
+    printed = capsys.readouterr().out
+    assert printed == "random:0: avg_total inf (aoi inf, energy nan, ci95 0.0, exact_stationary)\n"
+
+
+def test_eval_scores_heavy_and_infinite_tails_exactly(tmp_path, capsys):
+    """A heavy but dying tail keeps its finite exact row beside the inf one; auto is gone."""
     fat = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.8, aoi_cap=40)
     out = tmp_path / "rows.csv"
-    code = main(
-        [
-            "eval",
-            "--params",
-            params_file(tmp_path, fat),
-            "--policies",
-            "random:0.02,random:0",
-            "--horizon",
-            "3000",
-            "--reps",
-            "2",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == EXIT_OK
+    argv = ["eval", "--params", params_file(tmp_path, fat), "--policies", "random:0.02,random:0",
+            "--horizon", "3000", "--reps", "2", "--out", str(out)]
+    assert main(argv + ["--method", "exact"]) == EXIT_OK
     heavy, never = read_rows(out)
-    assert heavy["method"] == METHOD_EXACT
-    assert heavy["note"] == ""
+    assert (heavy["method"], heavy["seed"], heavy["note"]) == (METHOD_EXACT, "", "")
     assert float(heavy["avg_aoi"]) == pytest.approx(250.0, rel=1e-12)  # 1/(0.02 * 0.2)
-    assert never["method"] == METHOD_MONTE_CARLO
-    assert never["note"] == "mc_fallback=boundary_mass"
+    assert inf_fields(never) == INF_ROW
+    out.unlink()
+    assert main(argv + ["--method", "auto"]) == EXIT_USAGE
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_unknown_policy(tmp_path, capsys):
@@ -465,38 +461,25 @@ def test_eval_bad_horizon(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# exact first, Monte Carlo only for infinite age tails
+# exact at any tail, however heavy
 
 
 def test_exact_needs_no_cap_ladder():
     lossy = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.96, aoi_cap=100)
-    sim = SimConfig(horizon=2000, replications=2, seed=5)
-    report, seed, note = _evaluate_with_fallback(ZeroWait(), lossy, sim, mc_seed=99)
+    report = evaluate_exact(ZeroWait(), lossy)
     assert report.method == METHOD_EXACT
-    assert seed == sim.seed
-    assert note == ""
     assert report.avg_aoi == pytest.approx(25.0, rel=1e-12)  # 1/(1-p)
 
 
 def test_heavy_tail_is_exact_and_agrees_with_monte_carlo():
     lossy = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.8, aoi_cap=100)
-    sim = SimConfig(horizon=100_000, replications=20, seed=5)
-    report, seed, note = _evaluate_with_fallback(Randomized(0.02), lossy, sim, mc_seed=99)
+    report = evaluate_exact(Randomized(0.02), lossy)
     assert report.method == METHOD_EXACT
-    assert (seed, note) == (sim.seed, "")
     assert report.avg_aoi == pytest.approx(250.0, rel=1e-12)  # 1/(0.02 * 0.2)
     # Same bar as the other Monte Carlo cross-checks: three CI halfwidths.
+    sim = SimConfig(horizon=100_000, replications=20, seed=5)
     mc = simulate([Randomized(0.02)], lossy, sim)[0]
     assert abs(mc.avg_total_cost - report.avg_total_cost) <= 3 * mc.ci_halfwidth_95
-
-
-def test_fallback_simulates_only_infinite_tails():
-    lossy = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.8, aoi_cap=100)
-    sim = SimConfig(horizon=2000, replications=2, seed=5)
-    report, seed, note = _evaluate_with_fallback(Randomized(0.0), lossy, sim, mc_seed=99)
-    assert report.method == METHOD_MONTE_CARLO
-    assert seed == 99
-    assert note == "mc_fallback=boundary_mass"
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +542,21 @@ def test_sweep_clamps_perfect_channel_for_the_solver(tmp_path, capsys):
     assert row["method"] == METHOD_EXACT
 
 
-def test_sweep_notes_monte_carlo_fallback(tmp_path, capsys):
+def test_sweep_writes_the_inf_row_without_simulating(tmp_path, monkeypatch, capsys):
+    """Every sweep row is exact, an infinite cost included, and none carries a seed."""
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("sweep simulated")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    monkeypatch.setattr(evaluation, "simulate", simulate)
     pfile = params_file(tmp_path, SWEEP_PARAMS)
     out = tmp_path / "rows.csv"
     assert main(sweep_args(pfile, out, "p", "0.8", "random:0.02,random:0")) == EXIT_OK
     heavy, never = read_rows(out)
-    assert heavy["method"] == METHOD_EXACT
-    assert (heavy["note"], heavy["seed"]) == ("", "3")
-    assert never["method"] == METHOD_MONTE_CARLO
-    assert never["note"] == "mc_fallback=boundary_mass"
-    assert never["seed"] != "3"  # per-point derived seed, not the master
+    assert (heavy["method"], heavy["seed"], heavy["note"]) == (METHOD_EXACT, "", "")
+    assert float(heavy["avg_aoi"]) == pytest.approx(250.0, rel=1e-12)  # 1/(0.02 * 0.2)
+    assert inf_fields(never) == INF_ROW
 
 
 def test_sweep_abort_writes_nothing(tmp_path, capsys):
@@ -606,32 +594,24 @@ def test_sweep_parses_every_policy_before_solving(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval-exact", "eval-mc", "sweep"])
-def test_negative_seed_is_refused_naming_the_flag(tmp_path, monkeypatch, capsys, command):
-    refuse_solve(monkeypatch)
+@pytest.mark.parametrize("command", ["eval-exact", "eval-mc"])
+def test_negative_seed_is_refused_naming_the_flag(tmp_path, capsys, command):
     pfile = params_file(tmp_path, SWEEP_PARAMS)
     out = tmp_path / "rows.csv"
-    eval_args = ["eval", "--params", pfile, "--policies", "zero-wait", "--horizon", "100",
-                 "--out", str(out), "--method"]
-    argv = {
-        "eval-exact": eval_args + ["exact"],
-        "eval-mc": eval_args + ["mc"],
-        "sweep": sweep_args(pfile, out, "omega", "2.0", "zero-wait"),
-    }[command]
+    argv = ["eval", "--params", pfile, "--policies", "zero-wait", "--horizon", "100",
+            "--out", str(out), "--method", command.split("-")[1]]
     assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
     assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_sweep_spec_validates_eagerly():
-    sim = SimConfig(horizon=1000)
     with pytest.raises(ValueError):
         SweepSpec(
             axis="omega",
             values=(),
             fixed=SWEEP_PARAMS,
             policies=("zero-wait",),
-            sim=sim,
             out_path="x.csv",
         )
     with pytest.raises(ValueError):
@@ -640,7 +620,6 @@ def test_sweep_spec_validates_eagerly():
             values=(1.5,),
             fixed=SWEEP_PARAMS,
             policies=("zero-wait",),
-            sim=sim,
             out_path="x.csv",
         )
 
@@ -824,39 +803,47 @@ def test_out_of_memory_in_the_doubled_solve_names_the_doubled_grid(tmp_path, mon
     assert "doubled 40 x 3 grid of 120 states" in err
 
 
-@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_out_of_memory_in_the_simulator_names_the_horizon(tmp_path, monkeypatch, capsys, command):
-    """A Monte Carlo run that exhausts memory blames its horizon, not only the aoi_cap grid."""
+    """A Monte Carlo run that exhausts memory blames its horizon, not the aoi_cap grid."""
 
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr("aoi_energy.evaluation._simulate_rep", exhausted)
     pfile = params_file(tmp_path, SWEEP_PARAMS)
-    argv = {
-        "eval": ["eval", "--params", pfile, "--policies", "zero-wait", "--method", "mc",
-                 "--horizon", "3000", "--reps", "2"],
-        "sweep": sweep_args(pfile, tmp_path / "rows.csv", "p", "0.8", "random:0"),
-    }[command]
+    argv = [command, "--params", pfile, "--policies", "zero-wait", "--method", "mc",
+            "--horizon", "3000", "--reps", "2", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "out of memory" in err and "Monte Carlo horizon of 3000 slots" in err
-    assert ("100 x 4 (aoi_cap x battery levels)" in err) == (command == "sweep")
+    assert "aoi_cap x battery levels" not in err
     assert not (tmp_path / "rows.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_out_of_memory_in_sweep_names_only_the_grid(tmp_path, monkeypatch, capsys):
+    """sweep simulates nothing, so its out-of-memory message names the grid alone."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evaluate_exact", exhausted)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    assert main(sweep_args(pfile, tmp_path / "rows.csv", "p", "0.8", "random:0")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory for the 100 x 4 (aoi_cap x battery levels) grid "
+                   "of 400 states\n")
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval"])
 def test_horizon_over_the_bound_is_refused_before_allocation(
     tmp_path, monkeypatch, capsys, command
 ):
     """A horizon above MAX_HORIZON slots exits 2 naming the bound, before any array exists."""
     pfile = params_file(tmp_path, SWEEP_PARAMS)
-    argv = {
-        "eval": ["eval", "--params", pfile, "--policies", "zero-wait", "--method", "mc",
-                 "--horizon", "3000", "--reps", "2", "--out", str(tmp_path / "rows.csv")],
-        "sweep": sweep_args(pfile, tmp_path / "rows.csv", "p", "0.8", "zero-wait"),
-    }[command]
-    argv[argv.index("--horizon") + 1] = str(MAX_HORIZON + 1)
+    argv = [command, "--params", pfile, "--policies", "zero-wait", "--method", "mc",
+            "--horizon", str(MAX_HORIZON + 1), "--reps", "2", "--out", str(tmp_path / "rows.csv")]
     refuse_allocation(monkeypatch)
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -882,22 +869,18 @@ README_PARAMS = SystemParams(
 
 
 def test_long_periods_are_scored_exactly(tmp_path, capsys):
-    """Any period is exact: the average age is (1.5 m + 1)/2 at p = 0.2, by either method."""
+    """Any period is exact: the average age is (1.5 m + 1)/2 at p = 0.2."""
     pfile = params_file(tmp_path, README_PARAMS)
-    printed = {}
-    for method in ("exact", "auto"):
-        argv = ["eval", "--params", pfile, "--policies", "periodic:98,periodic:1000",
-                "--method", method]
-        assert main(argv) == EXIT_OK
-        printed[method] = capsys.readouterr().out
-    lines = printed["exact"].splitlines()
+    argv = ["eval", "--params", pfile, "--policies", "periodic:98,periodic:1000",
+            "--method", "exact"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("periodic:98: ") and "(aoi 74.0, " in lines[0]
     assert lines[1].startswith("periodic:1000: ") and "(aoi 750.5, " in lines[1]
     assert all(line.endswith("exact_stationary)") for line in lines)
-    assert printed["auto"] == printed["exact"]
 
 
-@pytest.mark.parametrize("method", ["exact", "auto"])
+@pytest.mark.parametrize("method", ["exact"])
 def test_period_past_the_float_range_is_refused(tmp_path, capsys, method):
     """A 401-digit period exits 2 naming it, with no traceback."""
     period = "9" * 401
@@ -908,11 +891,37 @@ def test_period_past_the_float_range_is_refused(tmp_path, capsys, method):
     assert f"period {period} is too long to score" in err and "Traceback" not in err
 
 
-def test_periodic_that_never_delivers_exits_5(tmp_path, capsys):
+def test_refused_policy_leaves_no_exact_rows(tmp_path, capsys):
+    """A policy refused after a good one: exit 2, nothing printed, no file."""
+    pfile = params_file(tmp_path, README_PARAMS)
+    out = tmp_path / "rows.csv"
+    argv = ["eval", "--params", pfile, "--policies", f"zero-wait,periodic:{'9' * 401}",
+            "--method", "exact", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_periodic_that_never_delivers_has_infinite_cost(tmp_path, capsys):
     pfile = params_file(tmp_path, dataclasses.replace(README_PARAMS, erasure_prob=1.0))
-    argv = ["eval", "--params", pfile, "--policies", "periodic:5:2", "--method", "exact"]
-    assert main(argv) == EXIT_TRUNCATION
-    assert "the age tail never dies" in capsys.readouterr().err
+    out = tmp_path / "rows.csv"
+    argv = ["eval", "--params", pfile, "--policies", "periodic:5:2", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    (row,) = read_rows(out)
+    assert inf_fields(row) == INF_ROW
+
+
+def test_tiny_transmit_chance_is_scored_or_refused(tmp_path, capsys):
+    """random:1e-18 scores its age 1/(q (1-p)); at 5e-324 that overflows, and exits 2."""
+    pfile = params_file(tmp_path, EVAL_PARAMS)
+    out = tmp_path / "rows.csv"
+    argv = ["eval", "--params", pfile, "--policies", "random:1e-18", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    (row,) = read_rows(out)
+    assert float(row["avg_aoi"]) == pytest.approx(1.0 / (1e-18 * 0.7), rel=1e-12)
+    argv[argv.index("random:1e-18")] = "random:5e-324"
+    assert main(argv) == EXIT_USAGE
+    assert "p_tx 5e-324 is too small to score" in capsys.readouterr().err
 
 
 def test_eval_refuses_json_true_threshold(tmp_path, capsys):

@@ -10,6 +10,7 @@ probability 1-lambda, so the backup is paid at rate omega*c_r*(1-lambda).
 import csv
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -125,7 +126,9 @@ def test_closed_forms_hold_to_rounding(params):
     assert zero_wait.avg_total_cost == pytest.approx(target, rel=0.0, abs=1e-12)
     assert zero_wait.avg_aoi == pytest.approx(1.0 / (1.0 - p), rel=0.0, abs=1e-12)
     assert abs(evaluate_exact(EnergyFirst(), params).avg_weighted_energy) <= 1e-12
-    assert evaluate_exact(Randomized(1.0), params) == zero_wait
+    always = evaluate_exact(Randomized(1.0), params)  # in closed form, not through _cycles
+    assert always.avg_aoi == 1.0 / (1.0 - p)
+    assert always.avg_total_cost == pytest.approx(target, rel=0.0, abs=1e-12)
 
 
 def table_policy(params):
@@ -225,9 +228,25 @@ def test_long_period_agrees_with_monte_carlo():
     ids=["random-0", "never", "energy-first-no-harvest", "none-at-full-battery"],
 )
 def test_never_transmitting_has_infinite_cost(spec, params):
-    with pytest.raises(BoundaryMassError, match="never dies") as err:
+    with pytest.raises(BoundaryMassError, match="never dies"):
         evaluate_exact(spec, params)
-    assert err.value.mass == 1.0
+
+
+@pytest.mark.parametrize("q", [1e-3, 1e-9, 1e-12, 1e-14, 1e-16, 1e-18, 1e-160, 1e-300])
+def test_rare_random_transmission_keeps_its_closed_form_age(q):
+    """Delivery comes each slot with chance q (1-p), whatever the battery: age 1/(q (1-p))."""
+    params = dataclasses.replace(MID, erasure_prob=0.3, harvest_prob=0.4, energy_weight=2.0,
+                                 backup_cost=1.5, battery_cap=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = evaluate_exact(Randomized(q), params)
+    assert report.avg_aoi == pytest.approx(1.0 / (q * 0.7), rel=1e-12)
+    assert 0.0 <= report.avg_weighted_energy <= params.energy_weight * params.backup_cost * q
+
+
+def test_random_transmission_too_rare_to_score_is_refused():
+    with pytest.raises(ValueError, match="p_tx 5e-324 is too small to score"):
+        evaluate_exact(Randomized(5e-324), MID)
 
 
 def test_unreachable_idle_state_keeps_cost_finite():
