@@ -482,6 +482,23 @@ def test_heavy_tail_is_exact_and_agrees_with_monte_carlo():
     assert abs(mc.avg_total_cost - report.avg_total_cost) <= 3 * mc.ci_halfwidth_95
 
 
+def test_score_exact_reports_infinite_tails_without_simulating(monkeypatch):
+    def simulate(*args, **kwargs):
+        raise AssertionError("scoring simulated")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    monkeypatch.setattr(evaluation, "simulate", simulate)
+    lossy = dataclasses.replace(EVAL_PARAMS, erasure_prob=0.8, aoi_cap=100)
+    heavy, heavy_note = cli._score_exact(Randomized(0.02), lossy)
+    assert (heavy, heavy_note) == (evaluate_exact(Randomized(0.02), lossy), "")
+    never, note = cli._score_exact(Randomized(0.0), lossy)
+    assert note == "infinite_cost"
+    assert never.method == METHOD_EXACT
+    assert (never.avg_total_cost, never.avg_aoi) == (np.inf, np.inf)
+    assert np.isnan(never.avg_weighted_energy)
+    assert never.ci_halfwidth_95 == 0.0
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
