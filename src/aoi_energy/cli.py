@@ -413,13 +413,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MemoryError:
         params = _apply_overrides(_load_params(args.params), args)
-        grid = (f"the {params.aoi_cap} x {params.battery_cap + 1} (aoi_cap x battery levels) "
+        what = (f"the {params.aoi_cap} x {params.battery_cap + 1} (aoi_cap x battery levels) "
                 f"grid of {params.n_states} states")
-        tail = f" or the Monte Carlo horizon of {vars(args).get('horizon')} slots (a byte per slot)"
         if vars(args).get("check_truncation"):
-            grid += (f" or the doubled {2 * params.aoi_cap} x {params.battery_cap + 1} grid "
+            what += (f" or the doubled {2 * params.aoi_cap} x {params.battery_cap + 1} grid "
                      f"of {2 * params.n_states} states")
-        what = "exact evaluation" + tail if args.command == "eval" else grid
+        if args.command == "eval":  # name only the evaluator that ran
+            what = (f"the Monte Carlo horizon of {args.horizon} slots (a byte per slot)"
+                    if args.method == "mc" else "exact evaluation")
         print(f"error: out of memory for {what}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -140,8 +140,8 @@ class EvalReport:
 _WORD_ENTRIES = 1 << 17
 # Slots drawn per random-number call, which bounds the float buffers of a replication.
 _CHUNK_SLOTS = 1 << 16
-# Slots walked per span; its word buffers take some 20 bytes per word.
-_SPAN_SLOTS = 1 << 18
+# Slots walked per span; its lane grid, starts and flags take 4 + 4 + 2 bytes per word.
+_SPAN_SLOTS = 1 << 20
 # Words per lane of the speculative walk, and words walked from state 0 to guess a lane's start.
 _LANE_WORDS = 256
 _LOOKBACK_WORDS = 128
@@ -248,23 +248,20 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     return memoryview(table), table, outcomes.ravel(), sym.size, n_z, k
 
 
-def _lane_walk(codes: np.ndarray, z: int, walk: list, table: np.ndarray) -> tuple[np.ndarray, int]:
-    """The state before each word of ``codes`` walked from ``z``, and the state after the last.
+def _lane_walk(grid: np.ndarray, z: int, walk: list, table: np.ndarray) -> np.ndarray:
+    """The state before each word of the lane ``grid`` walked from ``z``, flat in word order.
 
     A speculative data-parallel walk (Mytkowicz, Musuvathi and Schulte,
-    ASPLOS 2014). The words are cut into lanes of ``_LANE_WORDS``. Each
-    lane after the first starts from a guess: the state reached by walking
-    the last ``_LOOKBACK_WORDS`` words of the lane before it from state 0.
-    All lanes then advance together, one gather from ``table`` per word
-    position. The lanes are checked in order against the true end of the
-    lane before, and one whose guess was wrong is walked again, whole, one
-    lookup of ``walk`` at a time. The automaton is deterministic, so a lane whose
-    guess was right already holds the true states, and the result is exact.
+    ASPLOS 2014). Row j of ``grid`` holds the codes of lane j, the last lane
+    padded with code 0. Each lane after the first starts from a guess: the
+    state reached by walking the last ``_LOOKBACK_WORDS`` words of the lane
+    before it from state 0. All lanes then advance together, one gather
+    from ``table`` per word position. The lanes are checked in order against
+    the true end of the lane before, and one whose guess was wrong is walked
+    again, whole, one lookup of ``walk`` at a time. The automaton is
+    deterministic, so a right guess already holds the true states.
     """
-    size, width = codes.size, _LANE_WORDS
-    lanes = -(-size // width)
-    grid = np.zeros((lanes, width), np.int32)  # row j is lane j; padding words are all zero
-    grid.reshape(-1)[:size] = codes
+    lanes, width = grid.shape
     guess = np.zeros(lanes, np.int32)
     for i in range(width - min(_LOOKBACK_WORDS, width), width):
         guess[1:] = table[grid[:-1, i] + guess[1:]]
@@ -282,8 +279,7 @@ def _lane_walk(codes: np.ndarray, z: int, walk: list, table: np.ndarray) -> tupl
             path = [z]
             path += [z := walk[w + z] for w in grid[j].tolist()]
             starts[j] = path[:-1]
-    starts = starts.reshape(-1)[:size]
-    return starts, walk[int(codes[-1]) + int(starts[-1])]
+    return starts.reshape(-1)
 
 
 def _draw(
@@ -338,13 +334,14 @@ def _walk_rep(
 ) -> tuple[float, float]:
     """(mean age, mean weighted backup cost) of one replication's symbols under ``automaton``.
 
-    Span by span, the symbols become word codes of the :func:`_automaton`,
-    :func:`_lane_walk` gives the state before each word, and one lookup of
-    ``outcomes`` per word gives the flags of its k slots; the symbols past
-    the horizon, up to a whole word, are zero and left uncounted. The age is
-    never truncated: over the counted slots it sums t - (latest delivery
-    before t), an exact integer taken in closed form between deliveries. The
-    start (1, 0) is state 0, its age 1 a delivery in the slot before slot 0.
+    Span by span, the symbols become word codes of the :func:`_automaton`
+    in the zeroed lane grid of :func:`_lane_walk`, whose starts are added
+    in place to make each code the index of its word's flags in
+    ``outcomes``. The symbols past the horizon, up to a whole word, are zero
+    and left uncounted. The age is never truncated: over the counted slots
+    it sums t - (latest delivery before t), an exact integer taken in closed
+    form between deliveries. The start (1, 0) is state 0, its age 1 a
+    delivery in the slot before slot 0.
     """
     walk, table, outcomes, n_sym, n_z, k = automaton
     horizon, warm = cfg.horizon, cfg.horizon // 10
@@ -356,13 +353,14 @@ def _walk_rep(
     span = _SPAN_SLOTS // k * k
     for lo in range(0, horizon, span):
         block = symbols[lo : lo + span].reshape(-1, k)
-        codes = block[:, -1].astype(np.int32)
-        for i in range(k - 2, -1, -1):
+        grid = np.zeros((-(-len(block) // _LANE_WORDS), _LANE_WORDS), np.int32)
+        codes = grid.reshape(-1)[: len(block)]  # the padding words past them stay code 0
+        for i in range(k - 1, -1, -1):
             codes *= n_sym
             codes += block[:, i]
         codes *= n_z
-        starts, z = _lane_walk(codes, z, walk, table)
-        found = outcomes[codes + starts]
+        codes += _lane_walk(grid, z, walk, table)[: codes.size]
+        found, z = outcomes[codes], walk[int(codes[-1])]
         for word in range(0, found.size, per):
             at = lo + word * k
             out = (found[word : word + per, None] >> shifts).astype(np.uint8) & 3
@@ -460,9 +458,10 @@ def simulate(
     refused with ``ValueError`` before any allocation. Each policy's
     automaton is built once per call and kept for every replication, about
     0.5 MB each at B = 20 (``Periodic`` and ``Randomized`` share one). Each
-    replication walks its symbols in spans of ``_SPAN_SLOTS`` with
-    :func:`_lane_walk`, and keeps one byte per slot of the horizon. A bare
-    policy, not in a list, is refused with ``TypeError``.
+    replication keeps one byte per slot of the horizon and walks it in
+    spans of 2^20 slots (:func:`_walk_rep`), about 10 bytes per word of k
+    slots in flight, so a replication of up to 2^20 slots is one span. A
+    bare policy, not in a list, is refused with ``TypeError``.
     """
     if not isinstance(policies, (list, tuple)):
         raise TypeError(

@@ -838,6 +838,23 @@ def test_out_of_memory_in_the_simulator_names_the_horizon(tmp_path, monkeypatch,
     assert not (tmp_path / "rows.csv").exists()
 
 
+def test_out_of_memory_in_exact_eval_names_no_horizon(tmp_path, monkeypatch, capsys):
+    """eval --method exact draws no horizon, so its out-of-memory message names exact evaluation."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evaluate_exact", exhausted)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    argv = ["eval", "--params", pfile, "--policies", "zero-wait", "--method", "exact",
+            "--horizon", "3000", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: out of memory for exact evaluation\n"
+    assert "horizon" not in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_out_of_memory_in_sweep_names_only_the_grid(tmp_path, monkeypatch, capsys):
     """sweep simulates nothing, so its out-of-memory message names the grid alone."""
 

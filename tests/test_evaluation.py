@@ -10,6 +10,7 @@ probability 1-lambda, so the backup is paid at rate omega*c_r*(1-lambda).
 import csv
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -708,6 +709,19 @@ def test_automaton_matches_reference_stepping_property(
     assert report.avg_weighted_energy == ref_energy
 
 
+def lane_walk(codes, z, walk, table, lane, look):
+    """``_lane_walk`` of ``codes`` laid into lanes of ``lane`` words, padded with code 0.
+
+    Returns the state before each word and the state after the last, with
+    ``look`` words of lookback.
+    """
+    grid = np.zeros((-(-codes.size // lane), lane), np.int32)
+    grid.reshape(-1)[: codes.size] = codes
+    with mock.patch.object(evaluation, "_LOOKBACK_WORDS", look):
+        starts = evaluation._lane_walk(grid, z, walk, table)[: codes.size]
+    return starts, walk[int(codes[-1]) + int(starts[-1])]
+
+
 # The README instance with a harvest every slot: under ZeroWait the battery
 # never moves, so walks from different battery levels never merge.
 NEVER_MERGING = SystemParams(
@@ -735,8 +749,7 @@ def test_never_merging_walk_matches_reference_stepping(lane, look):
     for w in codes.tolist():
         expected.append(z)
         z = walk[w + z]
-    with mock.patch.multiple(evaluation, _LANE_WORDS=lane, _LOOKBACK_WORDS=look):
-        starts, end = evaluation._lane_walk(codes, 5, walk, table)
+    starts, end = lane_walk(codes, 5, walk, table, lane, look)
     # Battery levels 1 and 5 have the same flags here, so check the states themselves.
     assert starts.tolist() == expected and set(expected) == {5}
     assert end == z == 5
@@ -757,10 +770,46 @@ def test_lane_walk_matches_list_walk(lane, look):
         for w in codes.tolist():
             expected.append(z)
             z = walk[w + z]
-        with mock.patch.multiple(evaluation, _LANE_WORDS=lane, _LOOKBACK_WORDS=look):
-            starts, end = evaluation._lane_walk(codes, expected[0], walk, table)
+        starts, end = lane_walk(codes, expected[0], walk, table, lane, look)
         assert starts.tolist() == expected
         assert end == z
+
+
+def test_real_span_edge_matches_small_spans():
+    """2^20 + 2^18 + 3 slots cross one real span edge and end in a partial lane.
+
+    The per-slot oracle takes seconds per policy at this horizon, so the
+    reference is the same call walked in 4096-slot spans, which the property
+    test above checks against that oracle at small horizons.
+    """
+    specs = [ZeroWait(), Randomized(0.5), ThresholdPolicy((2,) + (1,) * BENCH.battery_cap)]
+    cfg = SimConfig(horizon=(1 << 20) + (1 << 18) + 3, replications=1, seed=3)
+    assert evaluation._SPAN_SLOTS < cfg.horizon < 2 * evaluation._SPAN_SLOTS
+    reports = simulate(specs, BENCH, cfg)
+    with mock.patch.object(evaluation, "_SPAN_SLOTS", 4096):
+        small = simulate(specs, BENCH, cfg)
+    for report, expected in zip(reports, small):
+        assert report.avg_aoi == expected.avg_aoi
+        assert report.avg_weighted_energy == expected.avg_weighted_energy
+
+
+def test_walk_holds_under_4_mib_besides_the_horizon():
+    """At most 4 MiB traced beyond the byte per slot, for 3 x 2^20 slots of ``random:0.5``.
+
+    A 2^20-slot span holds its lane grid, starts and flags, some 10 bytes
+    per word of k = 4 slots (2.5 MiB), with the automaton and the draw
+    buffers beside them. One more int32 copy of a span's codes, held through
+    the walk, adds 1 MiB and fails.
+    """
+    simulate([Randomized(0.5)], BENCH, SimConfig(horizon=10))  # imports on first use, untraced
+    cfg = SimConfig(horizon=3 << 20, replications=1)
+    tracemalloc.start()
+    try:
+        simulate([Randomized(0.5)], BENCH, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - cfg.horizon <= 4 << 20
 
 
 # ---------------------------------------------------------------------------
