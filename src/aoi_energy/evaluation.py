@@ -88,13 +88,14 @@ class ReducibilityError(RuntimeError):
 
 # Slots per replication: the simulator keeps one byte per slot, so 1 GiB of symbols.
 MAX_HORIZON = 1 << 30
+MAX_REPLICATIONS = 1 << 20  # each replication keeps two float means per policy
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run shape: replications start at (1, 0), the first tenth uncounted.
 
-    The horizon may be at most :data:`MAX_HORIZON` slots; the seed is an integer >= 0.
+    At most :data:`MAX_HORIZON` slots and :data:`MAX_REPLICATIONS`; the seed is an int >= 0.
     """
 
     horizon: int
@@ -111,6 +112,10 @@ class SimConfig:
             )
         if not (is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+        if self.replications > MAX_REPLICATIONS:
+            raise ValueError(
+                f"{self.replications} replications exceed the limit of {MAX_REPLICATIONS}"
+            )
         if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -220,7 +225,8 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     s_0..s_{k-1} has the code w = n_z sum_i s_i n^i over n symbols, and at
     w + z the int32 array ``table`` holds the state
     k slots on, and ``outcomes`` the flags of slot i at bits 2i and 2i+1.
-    k is :func:`_word_slots`. Returns (walk, table, outcomes, n, n_z, k),
+    Row f of the (4^k, k) uint8 array ``unpack`` holds the k slot flags in word flags f.
+    k is :func:`_word_slots`. Returns (walk, table, outcomes, unpack, n, n_z, k),
     ``walk`` a memoryview of ``table`` that gives Python ints one lookup at a time.
     """
     width = params.battery_cap + 1
@@ -245,7 +251,8 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
             (outcomes | flags[:, words] << 2 * i).reshape(-1, n_z),
         )
     table = words.ravel()
-    return memoryview(table), table, outcomes.ravel(), sym.size, n_z, k
+    unpack = (np.arange(4**k)[:, None] >> np.arange(0, 2 * k, 2) & 3).astype(np.uint8)
+    return memoryview(table), table, outcomes.ravel(), unpack, sym.size, n_z, k
 
 
 def _lane_walk(grid: np.ndarray, z: int, walk: list, table: np.ndarray) -> np.ndarray:
@@ -258,8 +265,8 @@ def _lane_walk(grid: np.ndarray, z: int, walk: list, table: np.ndarray) -> np.nd
     before it from state 0. All lanes then advance together, one gather
     from ``table`` per word position. The lanes are checked in order against
     the true end of the lane before, and one whose guess was wrong is walked
-    again, whole, one lookup of ``walk`` at a time. The automaton is
-    deterministic, so a right guess already holds the true states.
+    again, one lookup of ``walk`` at a time, until it meets a guessed state:
+    the automaton is deterministic, so from there on its states and end are true.
     """
     lanes, width = grid.shape
     guess = np.zeros(lanes, np.int32)
@@ -273,12 +280,17 @@ def _lane_walk(grid: np.ndarray, z: int, walk: list, table: np.ndarray) -> np.nd
         state = table[grid[:, i] + state]
     ends = state.tolist()
     for j, start in enumerate(guess.tolist()):
-        if start == z:
-            z = ends[j]
-        else:
-            path = [z]
-            path += [z := walk[w + z] for w in grid[j].tolist()]
-            starts[j] = path[:-1]
+        if start != z:
+            path = []
+            for w, guessed in zip(grid[j].tolist(), starts[j].tolist()):
+                if z == guessed:
+                    break
+                path.append(z)
+                z = walk[w + z]
+            else:
+                ends[j] = z
+            starts[j, : len(path)] = path
+        z = ends[j]
     return starts.reshape(-1)
 
 
@@ -337,18 +349,18 @@ def _walk_rep(
     Span by span, the symbols become word codes of the :func:`_automaton`
     in the zeroed lane grid of :func:`_lane_walk`, whose starts are added
     in place to make each code the index of its word's flags in
-    ``outcomes``. The symbols past the horizon, up to a whole word, are zero
-    and left uncounted. The age is never truncated: over the counted slots
-    it sums t - (latest delivery before t), an exact integer taken in closed
-    form between deliveries. The start (1, 0) is state 0, its age 1 a
-    delivery in the slot before slot 0.
+    ``outcomes``; one gather from ``unpack`` spreads them over the slots,
+    and a span's arrays are freed before the next. The symbols past the
+    horizon, up to a whole word, are zero and left uncounted. The age is
+    never truncated: over the counted slots it sums t - (latest delivery
+    before t), an exact integer taken in closed form between deliveries.
+    The start (1, 0) is state 0, its age 1 a delivery in the slot before slot 0.
     """
-    walk, table, outcomes, n_sym, n_z, k = automaton
+    walk, table, outcomes, unpack, n_sym, n_z, k = automaton
     horizon, warm = cfg.horizon, cfg.horizon // 10
     symbols = symbols[: -(-horizon // k) * k]
     z, last = 0, -1  # the automaton state and the latest delivery slot
     age_sum = pay_count = 0
-    shifts = np.arange(0, 2 * k, 2, dtype=np.uint16)
     per = _CHUNK_SLOTS // k  # words tallied at a time
     span = _SPAN_SLOTS // k * k
     for lo in range(0, horizon, span):
@@ -363,10 +375,11 @@ def _walk_rep(
         found, z = outcomes[codes], walk[int(codes[-1])]
         for word in range(0, found.size, per):
             at = lo + word * k
-            out = (found[word : word + per, None] >> shifts).astype(np.uint8) & 3
+            out = np.take(unpack, found[word : word + per], axis=0)
             pays, ages, last = _tally(out.ravel()[: horizon - at], at, warm, last)
             pay_count += pays
             age_sum += ages
+        del grid, codes, found
 
     slots = horizon - warm
     backup_rate = params.energy_weight * params.backup_cost * pay_count / slots
@@ -479,10 +492,10 @@ def simulate(
             automata.append(outside)
         else:
             automata.append(_automaton(spec, params))
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     age_means = np.empty((len(policies), cfg.replications))
     energy_means = np.empty((len(policies), cfg.replications))
-    for i, child in enumerate(children):
+    for i in range(cfg.replications):
+        child = np.random.SeedSequence(cfg.seed, spawn_key=(i,))  # SeedSequence.spawn's child i
         rep = _simulate_rep(policies, params, cfg, np.random.default_rng(child), automata)
         for j, (age, energy) in enumerate(rep):
             age_means[j, i], energy_means[j, i] = age, energy

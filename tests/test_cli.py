@@ -37,7 +37,7 @@ from aoi_energy.cli import (
     main,
 )
 from aoi_energy import cli, evaluation, solver
-from aoi_energy.evaluation import MAX_HORIZON
+from aoi_energy.evaluation import MAX_HORIZON, MAX_REPLICATIONS
 from aoi_energy.model import MAX_GRID_STATES
 from reference import params_to_json, read_threshold_csv, structure_report_from_json
 
@@ -882,6 +882,18 @@ def test_horizon_over_the_bound_is_refused_before_allocation(
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"horizon of {MAX_HORIZON + 1} slots exceeds the limit of {MAX_HORIZON} slots" in err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
+def test_replications_over_the_bound_are_refused(tmp_path, capsys):
+    """More than MAX_REPLICATIONS replications exit 2 naming the bound, and write nothing."""
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    argv = ["eval", "--params", pfile, "--policies", "zero-wait", "--method", "mc",
+            "--horizon", "1", "--reps", "1048577", "--out", str(tmp_path / "rows.csv")]
+    assert MAX_REPLICATIONS + 1 == 1048577
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"1048577 replications exceed the limit of {MAX_REPLICATIONS}" in err
     assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
 
 

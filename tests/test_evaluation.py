@@ -571,15 +571,16 @@ def test_sim_config_refuses_bool_counts(field):
         SimConfig(**{"horizon": 5, field: True})
 
 
-def reference_replication(spec, params, cfg):
-    """Re-derivation of one replication from the per-slot contract.
+def reference_replication(spec, params, cfg, rep=0):
+    """Re-derivation of replication ``rep`` from the per-slot contract.
 
+    Its seed is child ``rep`` of ``SeedSequence(cfg.seed).spawn(cfg.replications)``.
     Starts at (1, 0) and leaves the first horizon // 10 slots uncounted.
     Mirrors the documented randomness layout (harvest row, erasure row, then
     transmit coins) but steps the chain through decide() and explicit
     delivered/spend bookkeeping rather than the tuned loop.
     """
-    child = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)[0]
+    child = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)[rep]
     rng = np.random.default_rng(child)
     horizon = cfg.horizon
     warm = horizon // 10
@@ -641,6 +642,18 @@ def test_fast_loops_match_reference_stepping(spec):
         ref_age, ref_energy = reference_replication(spec, params, cfg)
         assert report.avg_aoi == ref_age
         assert report.avg_weighted_energy == ref_energy
+
+
+def test_replication_seeds_are_the_spawned_children():
+    """Each replication's means are the oracle's under its spawned child seed."""
+    params = SystemParams(erasure_prob=0.3, harvest_prob=0.4, energy_weight=2.0,
+                          backup_cost=1.5, battery_cap=3, aoi_cap=5)
+    spec = Randomized(0.3)
+    cfg = SimConfig(horizon=500, replications=4, seed=11)
+    report = simulate([spec], params, cfg)[0]
+    ages, energy = zip(*(reference_replication(spec, params, cfg, i) for i in range(4)))
+    assert report.avg_aoi == float(np.array(ages).mean())
+    assert report.avg_weighted_energy == float(np.array(energy).mean())
 
 
 @st.composite
@@ -738,7 +751,7 @@ NEVER_MERGING = SystemParams(
                                         (3, 1), (8, 0)])
 def test_never_merging_walk_matches_reference_stepping(lane, look):
     """Every lane's guessed start is wrong and is repaired; the walk stays at state 5."""
-    walk, table, _, n_sym, n_z, k = evaluation._automaton(ZeroWait(), NEVER_MERGING)
+    walk, table, _, _, n_sym, n_z, k = evaluation._automaton(ZeroWait(), NEVER_MERGING)
     digits = np.arange(n_sym**k)[:, None] // n_sym ** np.arange(k) % n_sym
     words = np.flatnonzero((digits & 1).all(axis=1)) * n_z  # every slot harvests
     assert (table[words + 5] == 5).all()  # the true walk stays at battery 5
@@ -775,6 +788,55 @@ def test_lane_walk_matches_list_walk(lane, look):
         assert end == z
 
 
+def test_flag_table_unpacks_every_word_flags():
+    """For k = 1..7, row f of ``unpack`` is the k 2-bit slot flags of f, lowest first.
+
+    B = 1 and thresholds of 4^(8-k) give 2 * 4^(8-k) states, which sets k
+    slots per word under ``_WORD_ENTRIES``; every row is checked.
+    """
+    params = dataclasses.replace(NEVER_MERGING, battery_cap=1, aoi_cap=5)
+    for k in range(1, 8):
+        spec = ThresholdPolicy((4 ** (8 - k),) * 2)
+        *_, unpack, _, _, slots = evaluation._automaton(spec, params)
+        assert slots == k and unpack.dtype == np.uint8 and unpack.shape == (4**k, k)
+        rows = unpack.tolist()
+        assert all(rows[f] == [f >> 2 * i & 3 for i in range(k)] for f in range(4**k))
+
+
+class CountingWalk:
+    """A ``walk`` that counts its lookups."""
+
+    def __init__(self, walk):
+        self.walk, self.lookups = walk, 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return self.walk[index]
+
+
+def test_wrong_guess_is_repaired_only_until_it_meets_the_guessed_walk():
+    """Lane 1 starts at 1 against a guess of 0 and meets it at the reset word.
+
+    Two states and three words: keep (code 0), reset to 0 (code 2) and set
+    to 1 (code 4). With no lookback every lane after the first guesses 0.
+    The repair walks lane 1 up to its reset word, three lookups, and the
+    guessed states after it stand; lane 2 starts from lane 1's true end.
+    """
+    table = np.array([0, 1, 0, 0, 1, 1], np.int32)
+    walk = CountingWalk(memoryview(table))
+    lanes = [[4, 0, 0, 0, 0, 0, 0, 0], [0, 0, 2, 0, 4, 0, 2, 0], [4, 0, 0, 0, 0, 0, 0, 2]]
+    codes = np.array(lanes, np.int32).ravel()
+    z, expected = 0, []
+    for w in codes.tolist():
+        expected.append(z)
+        z = walk.walk[w + z]
+    with mock.patch.object(evaluation, "_LOOKBACK_WORDS", 0):
+        starts = evaluation._lane_walk(codes.reshape(3, 8), 0, walk, table)
+    assert starts.tolist() == expected
+    assert expected[8:11] == [1, 1, 1] and expected[16] == 0  # lane 1 wrong, lane 2 right
+    assert walk.lookups == 3 < len(lanes[1])
+
+
 def test_real_span_edge_matches_small_spans():
     """2^20 + 2^18 + 3 slots cross one real span edge and end in a partial lane.
 
@@ -793,13 +855,14 @@ def test_real_span_edge_matches_small_spans():
         assert report.avg_weighted_energy == expected.avg_weighted_energy
 
 
-def test_walk_holds_under_4_mib_besides_the_horizon():
-    """At most 4 MiB traced beyond the byte per slot, for 3 x 2^20 slots of ``random:0.5``.
+def test_walk_holds_under_3_5_mib_besides_the_horizon():
+    """At most 3.5 MiB traced beyond the byte per slot, for 3 x 2^20 slots of ``random:0.5``.
 
     A 2^20-slot span holds its lane grid, starts and flags, some 10 bytes
     per word of k = 4 slots (2.5 MiB), with the automaton and the draw
-    buffers beside them. One more int32 copy of a span's codes, held through
-    the walk, adds 1 MiB and fails.
+    buffers beside them; a span's arrays are freed before the next span's,
+    so the peak is about 2.7 MiB. One more int32 copy of a span's codes,
+    held through the walk, adds 1 MiB and fails.
     """
     simulate([Randomized(0.5)], BENCH, SimConfig(horizon=10))  # imports on first use, untraced
     cfg = SimConfig(horizon=3 << 20, replications=1)
@@ -809,7 +872,7 @@ def test_walk_holds_under_4_mib_besides_the_horizon():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - cfg.horizon <= 4 << 20
+    assert peak - cfg.horizon <= 7 << 19
 
 
 # ---------------------------------------------------------------------------
