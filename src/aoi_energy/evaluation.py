@@ -6,8 +6,9 @@ unbounded, battery finite), leaves the first tenth of each replication
 uncounted, and reports replication means with a 95% confidence
 halfwidth; the policies of one call share each replication's draws. It
 runs the slot rule as a finite automaton over words of k slots, walked in
-lanes that advance together from guessed starts, a wrong guess being
-walked again, so the bits are the same as stepping slot by slot. Exact
+side-by-side lanes that advance together, a word position at a time, from
+guessed starts, a wrong guess being walked again, so the bits are the same
+as stepping slot by slot. Exact
 evaluation works on the same untruncated chain: age resets on delivery
 and otherwise grows by one, so the chain renews at each delivery, and the
 average cost follows from the stationary law of a small renewal kernel
@@ -145,7 +146,7 @@ class EvalReport:
 _WORD_ENTRIES = 1 << 17
 # Slots drawn per random-number call, which bounds the float buffers of a replication.
 _CHUNK_SLOTS = 1 << 16
-# Slots walked per span; its lane grid, starts and flags take 4 + 4 + 2 bytes per word.
+# Slots walked per span; its codes and lane grid take at most 4 + 4 bytes per word at once.
 _SPAN_SLOTS = 1 << 20
 # Words per lane of the speculative walk, and words walked from state 0 to guess a lane's start.
 _LANE_WORDS = 256
@@ -255,43 +256,44 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     return memoryview(table), table, outcomes.ravel(), unpack, sym.size, n_z, k
 
 
-def _lane_walk(grid: np.ndarray, z: int, walk: list, table: np.ndarray) -> np.ndarray:
-    """The state before each word of the lane ``grid`` walked from ``z``, flat in word order.
+def _lane_walk(grid: np.ndarray, z: int, walk: list, table: np.ndarray) -> None:
+    """Add into each code of the lane ``grid`` the state before its word, walked from ``z``.
 
     A speculative data-parallel walk (Mytkowicz, Musuvathi and Schulte,
-    ASPLOS 2014). Row j of ``grid`` holds the codes of lane j, the last lane
-    padded with code 0. Each lane after the first starts from a guess: the
-    state reached by walking the last ``_LOOKBACK_WORDS`` words of the lane
-    before it from state 0. All lanes then advance together, one gather
-    from ``table`` per word position. The lanes are checked in order against
-    the true end of the lane before, and one whose guess was wrong is walked
-    again, one lookup of ``walk`` at a time, until it meets a guessed state:
-    the automaton is deterministic, so from there on its states and end are true.
+    ASPLOS 2014). ``grid`` is position-major: row i holds word i of every
+    lane, so column j is lane j, the last lane padded with code 0. Each lane
+    after the first starts from a guess: the state reached by walking the
+    last ``_LOOKBACK_WORDS`` words of the lane before it from state 0. All
+    lanes then advance together, one contiguous row per word position: the
+    row's states are added into its codes, which then gather the next states
+    from ``table``. The lanes are checked in order against the true end of
+    the lane before, and one whose guess was wrong is walked again, one
+    lookup of ``walk`` at a time, until it meets a guessed state (gathered
+    from its summed codes): the automaton is deterministic, so from there on
+    its states and end are true.
     """
-    lanes, width = grid.shape
+    width, lanes = grid.shape
     guess = np.zeros(lanes, np.int32)
-    for i in range(width - min(_LOOKBACK_WORDS, width), width):
-        guess[1:] = table[grid[:-1, i] + guess[1:]]
+    for row in grid[width - min(_LOOKBACK_WORDS, width) :, :-1]:
+        guess[1:] = table.take(row + guess[1:])
     guess[0] = z
-    starts = np.empty_like(grid)
     state = guess
-    for i in range(width):
-        starts[:, i] = state
-        state = table[grid[:, i] + state]
+    for row in grid:
+        row += state
+        state = table.take(row)
     ends = state.tolist()
     for j, start in enumerate(guess.tolist()):
         if start != z:
-            path = []
-            for w, guessed in zip(grid[j].tolist(), starts[j].tolist()):
+            col, path = grid[:, j], []
+            for code, guessed in zip(col.tolist(), [start, *table[col[:-1]].tolist()]):
                 if z == guessed:
                     break
-                path.append(z)
-                z = walk[w + z]
+                path.append(code - guessed + z)
+                z = walk[path[-1]]
             else:
                 ends[j] = z
-            starts[j, : len(path)] = path
+            col[: len(path)] = path
         z = ends[j]
-    return starts.reshape(-1)
 
 
 def _draw(
@@ -346,11 +348,13 @@ def _walk_rep(
 ) -> tuple[float, float]:
     """(mean age, mean weighted backup cost) of one replication's symbols under ``automaton``.
 
-    Span by span, the symbols become word codes of the :func:`_automaton`
-    in the zeroed lane grid of :func:`_lane_walk`, whose starts are added
-    in place to make each code the index of its word's flags in
-    ``outcomes``; one gather from ``unpack`` spreads them over the slots,
-    and a span's arrays are freed before the next. The symbols past the
+    Span by span, the symbols become word codes of the :func:`_automaton`,
+    built in word order, zero-padded to whole lanes and copied once into
+    the position-major grid of :func:`_lane_walk`, which adds each word's
+    start into its code: the index of the word's flags in ``outcomes``.
+    The flags are gathered position-major and transposed back to word
+    order, one gather from ``unpack`` spreads them over the slots, and a
+    span's arrays are freed before the next. The symbols past the
     horizon, up to a whole word, are zero and left uncounted. The age is
     never truncated: over the counted slots it sums t - (latest delivery
     before t), an exact integer taken in closed form between deliveries.
@@ -365,21 +369,25 @@ def _walk_rep(
     span = _SPAN_SLOTS // k * k
     for lo in range(0, horizon, span):
         block = symbols[lo : lo + span].reshape(-1, k)
-        grid = np.zeros((-(-len(block) // _LANE_WORDS), _LANE_WORDS), np.int32)
-        codes = grid.reshape(-1)[: len(block)]  # the padding words past them stay code 0
+        words = np.zeros(-(-len(block) // _LANE_WORDS) * _LANE_WORDS, np.int32)
+        codes = words[: len(block)]  # the padding words past them stay code 0
         for i in range(k - 1, -1, -1):
             codes *= n_sym
             codes += block[:, i]
         codes *= n_z
-        codes += _lane_walk(grid, z, walk, table)[: codes.size]
-        found, z = outcomes[codes], walk[int(codes[-1])]
+        grid = words.reshape(-1, _LANE_WORDS).T.copy()  # position-major
+        del words, codes
+        _lane_walk(grid, z, walk, table)
+        found, z = outcomes[grid], walk[int(grid.T.flat[len(block) - 1])]
+        del grid
+        found = found.T.ravel()[: len(block)]
         for word in range(0, found.size, per):
             at = lo + word * k
             out = np.take(unpack, found[word : word + per], axis=0)
             pays, ages, last = _tally(out.ravel()[: horizon - at], at, warm, last)
             pay_count += pays
             age_sum += ages
-        del grid, codes, found
+        del found
 
     slots = horizon - warm
     backup_rate = params.energy_weight * params.backup_cost * pay_count / slots
@@ -472,7 +480,7 @@ def simulate(
     automaton is built once per call and kept for every replication, about
     0.5 MB each at B = 20 (``Periodic`` and ``Randomized`` share one). Each
     replication keeps one byte per slot of the horizon and walks it in
-    spans of 2^20 slots (:func:`_walk_rep`), about 10 bytes per word of k
+    spans of 2^20 slots (:func:`_walk_rep`), at most 8 bytes per word of k
     slots in flight, so a replication of up to 2^20 slots is one span. A
     bare policy, not in a list, is refused with ``TypeError``.
     """
