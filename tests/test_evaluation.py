@@ -876,7 +876,8 @@ def test_two_span_reports_are_pinned():
     """(1 << 20) + (1 << 18) + 3 slots, seed 3: two spans, the last lane partial.
 
     The per-slot oracle is too slow at this horizon, so each report's
-    means are pinned to the reprs of a slot-by-slot-checked walk.
+    means are pinned to reprs from the earlier word-order lane grid, whose
+    walk the property test above checked slot by slot at small horizons.
     """
     specs, aoi, energy = zip(*PINNED_REPORTS)
     cfg = SimConfig(horizon=(1 << 20) + (1 << 18) + 3, replications=1, seed=3)
@@ -900,14 +901,14 @@ def test_walk_holds_under_3_5_mib_besides_the_horizon():
     simulate([Randomized(0.5)], BENCH, SimConfig(horizon=10))  # imports on first use, untraced
     cfg = SimConfig(horizon=3 << 20, replications=1)
     held, peaks = [], []
-    lane_walk = evaluation._lane_walk
+    real_walk = evaluation._lane_walk
 
     def measured(*args):
         current, peak = tracemalloc.get_traced_memory()
         held.append(current)
         peaks.append(peak)
         tracemalloc.reset_peak()
-        return lane_walk(*args)
+        return real_walk(*args)
 
     tracemalloc.start()
     try:
