@@ -18,7 +18,8 @@ and ``Randomized`` a closed form. A policy whose age tail never dies
 refused with :class:`BoundaryMassError`. Exhaustive
 enumeration scores every deterministic stationary policy of the
 truncated-saturating chain the solver works on, on desk-size instances,
-in batched solves, as a ground-truth oracle for the solver.
+as a ground-truth oracle for the solver. Both take their stationary laws
+from :func:`stationary_distribution`, one batched solve per stack of kernels.
 """
 
 from __future__ import annotations
@@ -547,53 +548,51 @@ def _closure(edges: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _reachable_classes(edges: np.ndarray, start: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """States reachable from ``start``, and the closed classes among them.
-
-    A state is recurrent when everything it reaches reaches it back; its
-    closed class is then the set it reaches. Each class is returned as its
-    sorted member indices, classes ordered by their lowest member.
-    """
-    reach = _closure(edges)
-    recurrent = ~(reach & ~reach.T).any(axis=1)
-    heads = np.unique(reach[reach[start] & recurrent].argmax(axis=1))
-    return reach[start], [np.flatnonzero(reach[head]) for head in heads]
-
-
 def stationary_distribution(kernel: np.ndarray, start: int) -> np.ndarray:
-    """Stationary vector of the closed class reachable from ``start``.
+    """Stationary law of the closed class reachable from ``start``, of one kernel or a stack.
 
-    ``kernel`` is a dense square array. Exactly one closed communicating
-    class must be reachable, else :class:`ReducibilityError` names the
-    lowest state of each competing class. On that class, mu P = mu with
-    sum(mu) = 1 is solved directly: one balance equation of the singular
-    system is replaced by the normalisation, which makes it nonsingular for
-    an irreducible class. Rounding below zero is clipped.
+    ``kernel`` is a dense (n, n) array or a stack (..., n, n). Exactly one
+    closed class must be reachable from ``start`` (see :func:`_closure`), else
+    :class:`ReducibilityError` names the lowest state of each class of the first
+    such kernel. Rows that ``start`` cannot reach are pointed at it, leaving that
+    class the only closed one, so mu P = mu with its last balance equation
+    replaced by sum(mu) = 1 is nonsingular and the stack is one batched solve.
+    Transient states get zero mass up to rounding; mass below zero is clipped.
     """
     dense = np.asarray(kernel, dtype=float)
-    n = dense.shape[0]
-    if dense.shape != (n, n):
+    n = dense.shape[-1]
+    if dense.ndim < 2 or dense.shape[-2] != n:
         raise ValueError(f"kernel must be square, got {dense.shape}")
     if not 0 <= start < n:
         raise ValueError(f"start index {start} outside [0, {n})")
 
-    _, classes = _reachable_classes(dense != 0.0, start)
-    if len(classes) != 1:
-        offending = [int(members[0]) for members in classes]
+    stack = dense.reshape(-1, n, n)
+    reach = _closure(stack != 0.0)
+    # A state is recurrent when everything it reaches reaches it back.
+    recurrent = ~(reach & ~reach.swapaxes(1, 2)).any(axis=2)
+    held = reach[:, start] & recurrent
+    # One class: every reachable recurrent state reaches every other.
+    single = (reach | ~held[:, :, None] | ~held[:, None, :]).all(axis=(1, 2))
+    if not single.all():
+        first = int(np.argmin(single))
+        # The lowest state a recurrent state reaches is the lowest of its class.
+        offending = np.unique(reach[first][held[first]].argmax(axis=1)).tolist()
         raise ReducibilityError(
-            f"{len(classes)} closed recurrent classes reachable from state "
+            f"{len(offending)} closed recurrent classes reachable from state "
             f"{start}; representatives {offending}",
             offending=offending,
         )
 
-    member = classes[0]
-    m = member.size
-    balance = np.eye(m) - dense[np.ix_(member, member)].T
-    balance[-1] = 1.0
-    mu = np.clip(np.linalg.solve(balance, np.eye(m)[-1]), 0.0, None)
-    full = np.zeros(n)
-    full[member] = mu / mu.sum()
-    return full
+    unit = np.eye(n)
+    balance = unit - stack.swapaxes(1, 2)
+    # Column i of the balance is row i of the kernel: point the rows start cannot reach at it.
+    lost, state = np.nonzero(~reach[:, start])
+    balance[lost, :, state] = unit[state] - unit[start]
+    balance[:, -1] = 1.0
+    rhs = np.broadcast_to(unit[-1, :, None], (len(stack), n, 1))
+    mu = np.clip(np.linalg.solve(balance, rhs)[..., 0], 0.0, None)
+    mu /= mu.sum(axis=1, keepdims=True)
+    return mu.reshape(dense.shape[:-1])
 
 
 def _battery_moves(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -752,41 +751,21 @@ def _table_costs(params: SystemParams) -> np.ndarray:
 
     Bit i of the mask is the action at state i (age-major, as in
     :func:`_truncated_kernels`); the chain starts at (1, 0), state 0. The
-    tables are scored ``_ENUM_BLOCK`` at a time. A block's kernels are
-    stacked and closed under reachability at once; exactly one
-    closed class must be reachable from state 0, else the lowest failing
-    mask goes to :func:`stationary_distribution`, which raises
-    :class:`ReducibilityError` for it. The rows of the states that state 0
-    cannot reach are then pointed at state 0, which leaves that class the
-    only closed one and the rest transient, so each balance system, with its
-    last equation replaced by the normalisation, is nonsingular, and the
-    whole block is one batched solve. Transient states get zero mass up to
-    rounding, as on the class alone.
+    tables are scored ``_ENUM_BLOCK`` at a time: a block's kernels are
+    stacked and go to :func:`stationary_distribution` in one call, which
+    raises :class:`ReducibilityError` for the lowest mask whose chain
+    reaches more than one closed class.
     """
     n = params.n_states
     idle, tx = _truncated_kernels(params)
     width = params.battery_cap + 1
     ages = np.repeat(np.arange(1.0, params.aoi_cap + 1), width)
     backup = params.energy_weight * params.backup_cost * (np.arange(n) % width == 0)
-    unit = np.eye(n)
     costs = np.empty(1 << n)
     for lo in range(0, costs.size, _ENUM_BLOCK):
         masks = np.arange(lo, min(lo + _ENUM_BLOCK, costs.size))
         bits = (masks[:, None] >> np.arange(n) & 1).astype(bool)
-        kernels = np.where(bits[:, :, None], tx, idle)
-        reach = _closure(kernels != 0.0)
-        recurrent = ~(reach & ~reach.swapaxes(1, 2)).any(axis=2)
-        held = reach[:, 0] & recurrent
-        # One class: every reachable recurrent state reaches every other.
-        single = (reach | ~held[:, :, None] | ~held[:, None, :]).all(axis=(1, 2))
-        for mask in masks[~single]:
-            stationary_distribution(kernels[mask - lo], 0)
-        kernels[~reach[:, 0]] = unit[0]
-        balance = unit - kernels.swapaxes(1, 2)
-        balance[:, -1] = 1.0
-        rhs = np.broadcast_to(unit[-1], (masks.size, n))[..., None]
-        mu = np.clip(np.linalg.solve(balance, rhs)[..., 0], 0.0, None)
-        mu /= mu.sum(axis=1, keepdims=True)
+        mu = stationary_distribution(np.where(bits[:, :, None], tx, idle), 0)
         costs[lo : lo + masks.size] = mu @ ages + (mu * bits) @ backup
     return costs
 

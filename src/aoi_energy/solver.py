@@ -330,6 +330,8 @@ def read_value_csv(path: str) -> np.ndarray:
             raise ValueError(f"unexpected value CSV header {reader.fieldnames}")
         for row in reader:
             cell, value = (int(row["delta"]), int(row["q"])), float(row["value"])
+            if not (cell[0] >= 1 and cell[1] >= 0):
+                raise ValueError(f"value CSV cell (delta, q) = {cell} is not delta >= 1, q >= 0")
             if not math.isfinite(value):
                 raise ValueError(f"value CSV cell (delta, q) = {cell} is not finite: {value!r}")
             entries[cell] = value
@@ -341,7 +343,5 @@ def read_value_csv(path: str) -> np.ndarray:
         raise ValueError(f"value CSV covers {len(entries)} cells, expected {cap * width}")
     values = np.empty((cap, width))
     for (delta, battery), value in entries.items():
-        if not (1 <= delta and 0 <= battery):
-            raise ValueError(f"bad cell ({delta}, {battery})")
         values[delta - 1, battery] = value
     return values

@@ -1,7 +1,8 @@
 """Independent oracles the package is checked against.
 
 Model: the slot law per state. ``transition`` is the exact successor law
-(age saturating at ``aoi_cap``), ``sample_step`` draws one slot, and
+(age saturating at ``aoi_cap``), ``sample_step`` draws one slot
+(``sample_steps`` many from one state, with the same draws), and
 ``decide`` gives any policy's action at a state and slot, ages uncapped.
 The package's three statements of the law (the solver's backup, the
 evaluation kernels, the simulator's automaton) are checked against these.
@@ -33,8 +34,9 @@ gathers each neighbour with fancy indexing, and the plain loop over it,
 anchored at (1, battery_cap) as the solver is; the package's battery-major
 kernel and in-place loop must agree bit for bit.
 
-Enumeration: every action table scored one at a time, each through
-``stationary_distribution`` on its own kernel, which the batched scoring
+Enumeration: every action table scored one at a time, each by a
+stationary solve on its own kernel restricted to its closed class, found
+by a bitset closure (checked against scipy's), which the batched scoring
 of ``enumerate_optimal`` must match.
 
 Policy extraction: a short-circuit scan that inherits Transmit from the
@@ -60,6 +62,7 @@ from aoi_energy import (
     Periodic,
     PolicyTable,
     Randomized,
+    ReducibilityError,
     SolverConfig,
     State,
     StructureReport,
@@ -189,6 +192,36 @@ def sample_step(
         energy_arrived=energy_arrived,
         reliable_cost_paid=paid,
         stage_cost=float(state.aoi) + params.energy_weight * paid,
+    )
+
+
+def sample_steps(
+    state: State, action: Action, params: SystemParams, rng: np.random.Generator, n: int
+) -> StepOutcome:
+    """``n`` slots drawn from ``state`` under ``action``, as ``n`` calls of :func:`sample_step`.
+
+    Each field of the outcome is an array over the slots, ``next_state`` a
+    ``State`` of two arrays. The uniforms come in :func:`sample_step`'s
+    order, a slot's harvest and then, only when transmitting, its erasure:
+    ``rng.random(2n).reshape(n, 2)``, or ``rng.random(n)`` when idling, so
+    the two forms agree draw for draw.
+    """
+    _require_valid_state(state, params)
+    transmit = Action(action) == Action.TRANSMIT
+    draws = rng.random(n * (1 + transmit)).reshape(n, 1 + transmit)
+    energy_arrived = draws[:, 0] < params.harvest_prob
+    delivered = draws[:, 1] >= params.erasure_prob if transmit else np.zeros(n, dtype=bool)
+    spend = int(transmit and state.battery > 0)
+    paid = params.backup_cost if transmit and state.battery == 0 else 0.0
+    return StepOutcome(
+        next_state=State(
+            np.where(delivered, 1, min(state.aoi + 1, params.aoi_cap)),
+            np.minimum(state.battery - spend + energy_arrived, params.battery_cap),
+        ),
+        delivered=delivered,
+        energy_arrived=energy_arrived,
+        reliable_cost_paid=np.full(n, paid),
+        stage_cost=np.full(n, float(state.aoi) + params.energy_weight * paid),
     )
 
 
@@ -381,7 +414,7 @@ def dense_periodic_cost(spec: Periodic, params: SystemParams) -> tuple[float, fl
 def enumeration_costs(params: SystemParams) -> np.ndarray:
     """Cost of every action table on the truncated-saturating chain, indexed by bitmask.
 
-    One ``stationary_distribution`` call per table, from the start state
+    One :func:`class_stationary` solve per table, from the start state
     (1, 0); the first mask whose chain reaches more than one closed class
     raises its ``ReducibilityError``.
     """
@@ -394,9 +427,57 @@ def enumeration_costs(params: SystemParams) -> np.ndarray:
     bit_weights = 1 << np.arange(n)
     for mask in range(costs.size):
         bits = (mask & bit_weights) > 0
-        mu = stationary_distribution(np.where(bits[:, None], tx, idle), 0)
+        mu = class_stationary(np.where(bits[:, None], tx, idle), 0)
         costs[mask] = mu @ ages + mu @ (bits * backup)
     return costs
+
+
+def class_stationary(kernel: np.ndarray, start: int) -> np.ndarray:
+    """Stationary law of the one closed class reachable from ``start``, solved on that class.
+
+    The classes come from :func:`bitset_classes`. More than one raises
+    ``ReducibilityError`` with the package's message and the lowest state of
+    each class. On the class alone, mu P = mu with its last balance equation
+    replaced by sum(mu) = 1 is solved directly; rounding below zero is clipped.
+    """
+    classes = bitset_classes(kernel, start)
+    if len(classes) != 1:
+        offending = [members[0] for members in classes]
+        raise ReducibilityError(
+            f"{len(classes)} closed recurrent classes reachable from state "
+            f"{start}; representatives {offending}",
+            offending=offending,
+        )
+    member = classes[0]
+    balance = np.eye(len(member)) - kernel[np.ix_(member, member)].T
+    balance[-1] = 1.0
+    mu = np.clip(np.linalg.solve(balance, np.eye(len(member))[-1]), 0.0, None)
+    full = np.zeros(kernel.shape[0])
+    full[member] = mu / mu.sum()
+    return full
+
+
+def bitset_classes(kernel: np.ndarray, start: int) -> list[list[int]]:
+    """The closed classes reachable from ``start``, each its sorted members, by lowest member.
+
+    Warshall's closure over one Python int per row, bit j set when state j
+    can be reached: a state is recurrent when every state it reaches reaches
+    it back, and its class is then the set it reaches. Up to 63 states.
+    """
+    n = kernel.shape[0]
+    rows = ((kernel != 0.0) @ (1 << np.arange(n, dtype=np.int64))).tolist()
+    reach = [row | 1 << i for i, row in enumerate(rows)]
+    for m in range(n):
+        for i in range(n):
+            if reach[i] >> m & 1:
+                reach[i] |= reach[m]
+    members = [[j for j in range(n) if row >> j & 1] for row in reach]
+    closed = {
+        tuple(members[i])
+        for i in members[start]
+        if all(reach[j] >> i & 1 for j in members[i])
+    }
+    return [list(c) for c in sorted(closed)]
 
 
 def csgraph_classes(kernel: np.ndarray, start: int) -> tuple[np.ndarray, list[np.ndarray]]:

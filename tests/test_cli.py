@@ -329,6 +329,16 @@ def test_check_refuses_non_finite_value_cell(tmp_path, capsys, cell):
     assert "(delta, q) = (2, 3) is not finite" in err and "JSON" not in err
 
 
+def test_check_names_an_out_of_range_value_cell(tmp_path, capsys):
+    """A cell below delta = 1 is named as it is read, before any count of the cells."""
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    bad = tmp_path / "values.csv"
+    bad.write_text("delta,q,value\n0,0,1.0\n")
+    assert main(["check", "--params", pfile, "--values", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "(delta, q) = (0, 0) is not delta >= 1, q >= 0" in err and "covers" not in err
+
+
 def test_check_rejects_grid_mismatch(tmp_path, capsys):
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "run"

@@ -47,9 +47,10 @@ from aoi_energy import (
     write_report_rows,
 )
 from aoi_energy import evaluation
-from aoi_energy.evaluation import _reachable_classes, _t_quantile_975, append_report_row
+from aoi_energy.evaluation import _closure, _t_quantile_975, append_report_row
 from conftest import BENCH, MID
 from reference import (
+    bitset_classes,
     csgraph_classes,
     decide,
     dense_periodic_cost,
@@ -350,6 +351,28 @@ def test_stationary_input_guards():
         stationary_distribution(np.ones((2, 3)), 0)
 
 
+def test_stack_is_solved_kernel_by_kernel():
+    """A (2, 3, n, n) stack gives each kernel's own law, bit for bit, and is
+    refused for its first kernel with more than one closed class."""
+    rng = np.random.default_rng(7)
+    stack = rng.random((2, 3, 5, 5)) * (rng.random((2, 3, 5, 5)) < 0.6)
+    stack[..., 0, 1] = stack[..., 1, 0] = 1.0  # states 0 and 1 communicate
+    stack[..., :, 0] += 0.5  # every state reaches 0, so one class
+    stack /= stack.sum(axis=-1, keepdims=True)
+    mu = stationary_distribution(stack, 1)
+    assert mu.shape == (2, 3, 5)
+    for at in np.ndindex(2, 3):
+        assert np.array_equal(mu[at], stationary_distribution(stack[at], 1))
+    one = np.eye(4)[[1, 1, 2, 3]]  # 0 -> 1, and 1, 2 and 3 absorb
+    low, high = one.copy(), one.copy()
+    low[0], high[0] = [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5]
+    for kernels, first in (([one, low, high], [1, 2]), ([one, high, low], [2, 3])):
+        with pytest.raises(ReducibilityError) as err:
+            stationary_distribution(np.array(kernels), 0)
+        assert err.value.offending == first
+    assert stationary_distribution(one[None], 0).tolist() == [[0.0, 1.0, 0.0, 0.0]]
+
+
 def random_kernels(count, max_states=40):
     """Seeded random nonnegative kernels of 1..max_states states with a start
     state; sparse ones fall apart into several closed classes and transient
@@ -362,16 +385,27 @@ def random_kernels(count, max_states=40):
 
 
 def test_class_analysis_matches_csgraph_oracle():
+    """The closure's reachable set, the enumeration oracle's classes, the
+    refusal's class representatives, and, for one class, a stationary law of
+    the row-normalised kernel that lives on that class alone."""
     class_counts = set()
     for kernel, start in random_kernels(600):
-        reachable, classes = _reachable_classes(kernel != 0.0, start)
         want_reachable, want_classes = csgraph_classes(kernel, start)
-        assert np.array_equal(reachable, want_reachable)
-        assert [c.tolist() for c in classes] == [c.tolist() for c in want_classes]
+        assert np.array_equal(_closure(kernel != 0.0)[start], want_reachable)
+        assert bitset_classes(kernel, start) == [c.tolist() for c in want_classes]
         if len(want_classes) > 1:
             with pytest.raises(ReducibilityError) as err:
                 stationary_distribution(kernel, start)
             assert err.value.offending == [int(c[0]) for c in want_classes]
+        else:
+            # A self-loop on each zero row keeps the classes and lets every row sum to 1.
+            chain = kernel + np.diag(kernel.sum(axis=1) == 0.0)
+            chain /= chain.sum(axis=1, keepdims=True)
+            mu = stationary(chain, start)
+            outside = np.ones(len(mu), dtype=bool)
+            outside[want_classes[0]] = False
+            assert mu[outside].sum() <= 1e-12
+            np.testing.assert_allclose(mu @ chain, mu, rtol=0.0, atol=1e-12)
         class_counts.add(min(len(want_classes), 2))
     assert class_counts == {1, 2}
 

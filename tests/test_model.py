@@ -8,8 +8,8 @@ import pytest
 from scipy import stats
 
 from aoi_energy import State, SystemParams
-from reference import (Action, StepOutcome, index_state, params_to_json, sample_step, stage_cost,
-                       state_index, states, transition)
+from reference import (Action, StepOutcome, index_state, params_to_json, sample_step, sample_steps,
+                       stage_cost, state_index, states, transition)
 
 PARAMS = SystemParams(
     erasure_prob=0.2,
@@ -137,9 +137,7 @@ def test_stage_cost_scales_with_weight_and_price():
 def test_energy_arrival_frequency_matches_rate():
     rng = np.random.default_rng(7)
     n = 1_000_000
-    hits = sum(
-        sample_step(State(1, 0), Action.IDLE, PARAMS, rng).energy_arrived for _ in range(n)
-    )
+    hits = np.count_nonzero(sample_steps(State(1, 0), Action.IDLE, PARAMS, rng, n).energy_arrived)
     assert abs(hits / n - PARAMS.harvest_prob) < 0.002
 
 
@@ -147,10 +145,10 @@ def test_sampled_law_matches_transition_distribution():
     """Empirical successor histogram against the exact law, chi-square checked."""
     rng = np.random.default_rng(11)
     n = 1_000_000
-    counts = {}
-    for _ in range(n):
-        out = sample_step(State(2, 1), Action.TRANSMIT, PARAMS, rng)
-        counts[out.next_state] = counts.get(out.next_state, 0) + 1
+    out = sample_steps(State(2, 1), Action.TRANSMIT, PARAMS, rng, n)
+    aoi, battery = out.next_state
+    tally = np.bincount((aoi - 1) * (PARAMS.battery_cap + 1) + battery)
+    counts = {index_state(int(i), PARAMS): int(tally[i]) for i in np.flatnonzero(tally)}
     exact = dist_dict(State(2, 1), Action.TRANSMIT)
     assert set(counts) == set(exact)
     for nxt, prob in exact.items():
@@ -160,6 +158,21 @@ def test_sampled_law_matches_transition_distribution():
         [counts[s] for s in support], [exact[s] * n for s in support]
     )
     assert chi2.pvalue > 1e-6
+
+
+@pytest.mark.parametrize("action", list(Action))
+@pytest.mark.parametrize("state", [State(1, 0), State(3, 2), State(200, 20)])
+def test_batched_sampling_matches_one_slot_at_a_time(state, action):
+    """The same outcomes slot for slot, and the generator left at the same draw."""
+    one, many = np.random.default_rng(19), np.random.default_rng(19)
+    slots = [sample_step(state, action, PARAMS, one) for _ in range(300)]
+    batch = sample_steps(state, action, PARAMS, many, 300)
+    columns = zip(*batch.next_state, *batch[1:])
+    assert slots == [
+        StepOutcome(State(int(aoi), int(battery)), bool(delivered), bool(arrived), paid, cost)
+        for aoi, battery, delivered, arrived, paid, cost in columns
+    ]
+    assert one.random() == many.random()
 
 
 def test_backup_paid_exactly_when_transmitting_empty():

@@ -361,6 +361,22 @@ def test_start_table_changes_the_run_not_the_answer():
     assert again.iterations == 1
 
 
+def test_start_table_is_reanchored_before_the_first_sweep():
+    """A start of multiples of 256 moved by 2^60 is still exact (floats near
+    2^60 are 256 apart), and re-anchored at (1, battery_cap) it is the same
+    table, so every bit of the run is the same. Unanchored, its values would
+    carry 2^60 through every sweep and round at 256."""
+    rng = np.random.default_rng(20261019)
+    start = 256.0 * rng.integers(-1000, 1000, size=SMALL.grid_shape)
+    shifted = start + 2.0**60
+    assert np.array_equal(shifted - 2.0**60, start)  # the shift itself lost nothing
+    v, q = solve(SMALL, SolverConfig(), start)
+    moved, moved_q = solve(SMALL, SolverConfig(), shifted)
+    assert same_bits(moved.values, v.values)
+    assert same_bits(moved_q, q)
+    assert (moved.gain, moved.iterations, moved.final_span) == (v.gain, v.iterations, v.final_span)
+
+
 @pytest.mark.parametrize("params, cfg, start", RVI_CASES.values(), ids=RVI_CASES.keys())
 def test_poisoned_workspace_changes_no_bit(monkeypatch, params, cfg, start):
     """Every workspace buffer starts as NaN, so a pad slot or a slot the
