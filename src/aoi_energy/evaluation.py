@@ -560,9 +560,9 @@ def stationary_distribution(kernel: np.ndarray, start: int) -> np.ndarray:
     Transient states get zero mass up to rounding; mass below zero is clipped.
     """
     dense = np.asarray(kernel, dtype=float)
-    n = dense.shape[-1]
-    if dense.ndim < 2 or dense.shape[-2] != n:
+    if dense.ndim < 2 or dense.shape[-2] != dense.shape[-1]:
         raise ValueError(f"kernel must be square, got {dense.shape}")
+    n = dense.shape[-1]
     if not 0 <= start < n:
         raise ValueError(f"start index {start} outside [0, {n})")
 

@@ -347,8 +347,9 @@ def test_unreachable_closed_class_is_ignored():
 def test_stationary_input_guards():
     with pytest.raises(ValueError):
         stationary([[1.0]], start=3)
-    with pytest.raises(ValueError):
-        stationary_distribution(np.ones((2, 3)), 0)
+    for bad in (np.ones((2, 3)), np.ones((4, 2, 3)), np.ones(3), 1.0):
+        with pytest.raises(ValueError, match="square"):
+            stationary_distribution(bad, 0)
 
 
 def test_stack_is_solved_kernel_by_kernel():
