@@ -4,7 +4,8 @@ Four subcommands: ``solve`` (single-point solve, threshold dump, structure
 certificates), ``check`` (re-run the certificates on saved artifacts),
 ``eval`` (score explicit policies exactly or by Monte Carlo), and ``sweep``
 (solve along one parameter axis and score the solved policy against the
-baselines at every point, appending rows to a results CSV).
+baselines at every point, writing the rows to a results CSV once, in place
+of any earlier file).
 
 A policy whose age tail never dies scores an exact row of infinite cost (age
 ``inf``, energy ``nan``: no renewal to average over; note ``infinite_cost``).
@@ -22,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -39,11 +40,12 @@ from .evaluation import (
     write_report_rows,
 )
 from .model import SystemParams, check_grid
-from .policies import PolicySpec, parse_policy_spec, policy_label
+from .policies import PolicySpec, ThresholdPolicy, parse_policy_spec, policy_label
 from .solver import (
     ConvergenceError,
     SolverConfig,
     ThresholdStructureError,
+    ValueTable,
     bellman_qvalues,
     check_truncation_adequacy,
     extract_thresholds,
@@ -52,7 +54,7 @@ from .solver import (
     solve,
     write_value_csv,
 )
-from .structure import DEFAULT_TOLERANCE, certify_structure
+from .structure import DEFAULT_TOLERANCE, StructureReport, certify_structure
 
 __all__ = [
     "EXIT_OK",
@@ -89,7 +91,13 @@ class StructureViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-axis experiment: solve and score all policies at every value."""
+    """One-axis experiment: solve and score all policies at every value.
+
+    Every point's :class:`SystemParams` is built, and so validated, when the
+    spec is: a value out of range, non-finite, or whose ``omega * c_r``
+    overflows is refused before the first solve. ``points`` holds them in
+    axis order.
+    """
 
     axis: str
     values: tuple[float, ...]
@@ -99,21 +107,20 @@ class SweepSpec:
     epsilon: float = 1e-9
     max_iters: int = 500_000
     structure_tol: float = DEFAULT_TOLERANCE
+    points: tuple[SystemParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axis not in _AXES:
             raise ValueError(f"axis must be one of {sorted(_AXES)}, got {self.axis!r}")
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
-        for value in self.values:
-            if self.axis == "p" and not 0.0 <= value < 1.0:
-                raise ValueError(f"p axis values must lie in [0, 1), got {value!r}")
-            if self.axis == "lambda" and not 0.0 <= value <= 1.0:
-                raise ValueError(f"lambda axis values must lie in [0, 1], got {value!r}")
-            if self.axis == "omega" and value < 0.0:
-                raise ValueError(f"omega axis values must be >= 0, got {value!r}")
         if not self.policies:
             raise ValueError("sweep needs at least one policy")
+        for value in self.values:
+            if self.axis == "p" and not value < 1.0:
+                raise ValueError(f"p axis values must lie in [0, 1), got {value!r}")
+        points = tuple(replace(self.fixed, **{_AXES[self.axis]: value}) for value in self.values)
+        object.__setattr__(self, "points", points)
 
 
 def _score_exact(spec: PolicySpec, params: SystemParams) -> tuple[EvalReport, str]:
@@ -125,44 +132,41 @@ def _score_exact(spec: PolicySpec, params: SystemParams) -> tuple[EvalReport, st
         return EvalReport(inf, inf, float("nan"), 0.0, METHOD_EXACT), "infinite_cost"
 
 
+def _solve_point(
+    params: SystemParams, cfg: SolverConfig, tol: float
+) -> tuple[ValueTable, ThresholdPolicy, StructureReport]:
+    """Solve one instance: its value table, greedy thresholds and structure report."""
+    v, q = solve(params, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, params), params)
+    return v, thresholds, certify_structure(v, q, params, tol)
+
+
 def run_sweep(spec: SweepSpec) -> None:
     """Solve along the axis and score every policy at every grid point.
 
-    Policy specs are parsed once, before the first solve. Any solver
-    failure, threshold-structure failure, or certificate failure
-    aborts the whole sweep naming the offending grid point; nothing is
-    written in that case. Output rows are buffered and written once, in axis
-    order and then policy order, so equal specs give byte-identical files.
+    Every point was validated when ``spec`` was built, and the policy specs
+    are parsed here, so both are refused before the first solve. Any solver
+    failure, threshold-structure failure, or certificate failure aborts the
+    whole sweep naming the offending grid point; nothing is written in that
+    case. Output rows are buffered and written once, in axis order and then
+    policy order, so equal specs give byte-identical files.
     """
     _check_output(spec.out_path)
     rows: list[list] = []
     solver_cfg = SolverConfig(epsilon=spec.epsilon, max_iters=spec.max_iters)
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in spec.policies]
-    for value in spec.values:
-        point = replace(spec.fixed, **{_AXES[spec.axis]: value})
-        solver_point = point
-        solved_note = ""
+    for value, point in zip(spec.values, spec.points):
+        solver_point, solved_note = point, ""
         if spec.axis == "p" and value == 0.0:
             solver_point = replace(point, erasure_prob=P_SOLVE_CLAMP)
             solved_note = f"solver_p_clamped={P_SOLVE_CLAMP:.0e}"
-        where = f"{spec.axis}={value!r}"
         try:
-            v, q = solve(solver_point, solver_cfg)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"sweep aborted at {where}: {exc}", span=exc.span, iterations=exc.iterations
-            ) from exc
-        try:
-            thresholds = extract_thresholds(greedy_policy(v, q, solver_point), solver_point)
-        except ThresholdStructureError as exc:
-            raise ThresholdStructureError(
-                f"sweep aborted at {where}: {exc}", witnesses=exc.witnesses
-            ) from exc
-        certificate = certify_structure(v, q, solver_point, spec.structure_tol)
-        if not certificate.all_pass:
-            raise StructureViolationError(
-                f"sweep aborted at {where}: certificate failed, {certificate.to_json()}"
-            )
+            _, thresholds, certificate = _solve_point(solver_point, solver_cfg, spec.structure_tol)
+            if not certificate.all_pass:
+                raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
+        except (ConvergenceError, ThresholdStructureError, StructureViolationError) as exc:
+            exc.args = (f"sweep aborted at {spec.axis}={value!r}: {exc}",)
+            raise
         for policy in parsed:
             label = "solved" if policy is None else policy_label(policy)
             report, note = _score_exact(thresholds if policy is None else policy, point)
@@ -222,17 +226,7 @@ def run_solve(args: argparse.Namespace) -> int:
             _check_output(os.path.join(out_dir, name))
     if args.check_truncation:
         check_grid(2 * params.aoi_cap, params.battery_cap + 1, "doubled aoi_cap x battery levels")
-    try:
-        v, q = solve(params, cfg)
-    except ConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    try:
-        thresholds = extract_thresholds(greedy_policy(v, q, params), params)
-    except ThresholdStructureError as exc:
-        print(f"threshold structure violated: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    report = certify_structure(v, q, params, args.structure_tol)
+    v, thresholds, report = _solve_point(params, cfg, args.structure_tol)
 
     os.makedirs(out_dir, exist_ok=True)
     values_csv, thresholds_json, thresholds_csv, report_json = (
@@ -249,15 +243,13 @@ def run_solve(args: argparse.Namespace) -> int:
     print("thresholds " + json.dumps(list(thresholds.thresholds)))
     print("certificates " + report.to_json())
     if not report.all_pass:
-        print("structure certificate failed", file=sys.stderr)
-        return EXIT_STRUCTURE
+        raise StructureViolationError("structure certificate failed")
     if args.check_truncation:
         try:
             adequate = check_truncation_adequacy(thresholds, params, cfg, v.values)
         except ConvergenceError as exc:
-            print(f"doubled aoi_cap={2 * params.aoi_cap} solve did not converge: {exc}",
-                  file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+            exc.args = (f"doubled aoi_cap={2 * params.aoi_cap} solve did not converge: {exc}",)
+            raise
         if not adequate:
             print(
                 f"aoi_cap={params.aoi_cap} is inadequate: doubling it moves thresholds",

@@ -239,7 +239,8 @@ def solve(
             break
     else:
         raise ConvergenceError(
-            f"span {span:.3e} > epsilon {cfg.epsilon:.3e} after {cfg.max_iters} sweeps",
+            f"value iteration did not converge: span {span:.3e} > epsilon "
+            f"{cfg.epsilon:.3e} after {cfg.max_iters} sweeps",
             span=span,
             iterations=cfg.max_iters,
         )

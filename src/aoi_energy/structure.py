@@ -15,7 +15,7 @@ saturation distorts increments there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class MarginCheck:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """All five certificate flags plus the single worst margin seen."""
+    """All five certificate flags (its ``bool`` fields) plus the single worst margin seen."""
 
     monotone_in_aoi: bool
     monotone_in_battery: bool
@@ -60,26 +60,11 @@ class StructureReport:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.monotone_in_aoi
-            and self.monotone_in_battery
-            and self.increment_lower_bound
-            and self.cross_increment
-            and self.submodular_q
-        )
+        return all(getattr(self, f.name) for f in fields(self) if f.type == "bool")
 
     def to_json(self) -> str:
-        payload = {
-            "monotone_in_aoi": self.monotone_in_aoi,
-            "monotone_in_battery": self.monotone_in_battery,
-            "increment_lower_bound": self.increment_lower_bound,
-            "cross_increment": self.cross_increment,
-            "submodular_q": self.submodular_q,
-            "worst_violation": self.worst_violation,
-            "witness": None if self.witness is None else [list(s) for s in self.witness],
-            "tolerance": self.tolerance,
-        }
-        return json.dumps(payload, allow_nan=False)
+        """Fields in declaration order; the witness states are written as [aoi, battery]."""
+        return json.dumps(asdict(self), allow_nan=False)
 
 
 def _summarize(
@@ -191,19 +176,16 @@ def certify_structure(
     tol: float = DEFAULT_TOLERANCE,
 ) -> StructureReport:
     """Run every certificate and fold the results into one report."""
-    mono_aoi, mono_battery = check_value_monotone(v, params, tol)
-    unit, cross = check_value_increments(v, params, tol)
-    submodular = check_submodularity(q, params, tol)
-    checks = [mono_aoi, mono_battery, unit, cross, submodular]
-    finite = [c for c in checks if c.witness is not None]
-    worst = min(finite, key=lambda c: c.worst_margin) if finite else None
+    checks = [
+        *check_value_monotone(v, params, tol),
+        *check_value_increments(v, params, tol),
+        check_submodularity(q, params, tol),
+    ]
+    worst = min((c for c in checks if c.witness is not None), key=lambda c: c.worst_margin,
+                default=None)
     return StructureReport(
-        monotone_in_aoi=mono_aoi.passed,
-        monotone_in_battery=mono_battery.passed,
-        increment_lower_bound=unit.passed,
-        cross_increment=cross.passed,
-        submodular_q=submodular.passed,
-        worst_violation=worst.worst_margin if worst is not None else np.inf,
-        witness=worst.witness if worst is not None else None,
+        **{check.name: check.passed for check in checks},
+        worst_violation=np.inf if worst is None else worst.worst_margin,
+        witness=None if worst is None else worst.witness,
         tolerance=tol,
     )

@@ -621,6 +621,17 @@ def test_sweep_parses_every_policy_before_solving(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["1,inf", "1,1e308", "1,nan"])
+def test_sweep_refuses_a_bad_omega_before_solving(tmp_path, monkeypatch, capsys, values):
+    """A non-finite omega, or one whose omega * c_r overflows, is refused before omega=1 is solved."""
+    refuse_solve(monkeypatch)
+    pfile = params_file(tmp_path, dataclasses.replace(SWEEP_PARAMS, backup_cost=2.0))
+    out = tmp_path / "rows.csv"
+    assert main(sweep_args(pfile, out, "omega", values, "solved")) == EXIT_USAGE
+    assert "energy_weight" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
 @pytest.mark.parametrize("command", ["eval-exact", "eval-mc"])
 def test_negative_seed_is_refused_naming_the_flag(tmp_path, capsys, command):
     pfile = params_file(tmp_path, SWEEP_PARAMS)

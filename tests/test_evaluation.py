@@ -9,6 +9,7 @@ probability 1-lambda, so the backup is paid at rate omega*c_r*(1-lambda).
 
 import csv
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -476,10 +477,16 @@ def scored_or_refused(score, params):
         return None, (str(exc), exc.offending)
 
 
+@functools.cache
+def oracle_enumeration(params):
+    """The per-table oracle's costs or refusal for one case, computed once per session."""
+    return scored_or_refused(enumeration_costs, params)
+
+
 @pytest.mark.parametrize("params", ENUMERATION_CASES.values(), ids=ENUMERATION_CASES.keys())
 def test_batched_enumeration_matches_per_table_oracle(params):
     """Every table's cost to 1e-12 relative, the same chosen table, and the same refusals."""
-    expected, expected_error = scored_or_refused(enumeration_costs, params)
+    expected, expected_error = oracle_enumeration(params)
     costs, error = scored_or_refused(evaluation._table_costs, params)
     assert error == expected_error
     if expected_error is not None:
@@ -497,7 +504,7 @@ def test_batched_enumeration_matches_per_table_oracle(params):
 def test_enumeration_cases_cover_refusals():
     """The oracle refuses some of the cases above and scores the rest."""
     refused = {name for name, params in ENUMERATION_CASES.items()
-               if scored_or_refused(enumeration_costs, params)[1] is not None}
+               if oracle_enumeration(params)[1] is not None}
     assert refused and refused != set(ENUMERATION_CASES)
     assert {"desk", "B=1", "B=2"}.isdisjoint(refused)
 

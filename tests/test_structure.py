@@ -1,11 +1,14 @@
 """Certificate tests: real solves must pass, planted violations must not."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from aoi_energy import (
     SolverConfig,
     State,
+    StructureReport,
     SystemParams,
     bellman_qvalues,
     certify_structure,
@@ -148,3 +151,35 @@ def test_shape_guards():
         check_value_monotone(np.zeros((3, 3)), TINY, TOL)
     with pytest.raises(ValueError):
         check_submodularity(np.zeros((3, 3, 2)), TINY, TOL)
+
+
+REPORT = StructureReport(
+    monotone_in_aoi=True,
+    monotone_in_battery=True,
+    increment_lower_bound=True,
+    cross_increment=True,
+    submodular_q=True,
+    worst_violation=0.25,
+    witness=(State(3, 0), State(4, 1)),
+    tolerance=TOL,
+)
+FLAGS = ("monotone_in_aoi", "monotone_in_battery", "increment_lower_bound",
+         "cross_increment", "submodular_q")
+
+
+def test_report_json_bytes():
+    """Keys in field order; the witness is written as [[aoi, battery], [aoi, battery]]."""
+    assert REPORT.to_json() == (
+        '{"monotone_in_aoi": true, "monotone_in_battery": true, '
+        '"increment_lower_bound": true, "cross_increment": true, "submodular_q": true, '
+        '"worst_violation": 0.25, "witness": [[3, 0], [4, 1]], "tolerance": 1e-08}'
+    )
+    assert dataclasses.replace(REPORT, witness=None).to_json().endswith(
+        '"witness": null, "tolerance": 1e-08}'
+    )
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+def test_any_failed_certificate_fails_the_report(flag):
+    assert REPORT.all_pass
+    assert not dataclasses.replace(REPORT, **{flag: False}).all_pass
