@@ -33,7 +33,6 @@ from .evaluation import (
     EvalReport,
     METHOD_EXACT,
     SimConfig,
-    append_report_row,
     evaluate_exact,
     report_row_values,
     simulate,
@@ -284,6 +283,7 @@ def run_eval(args: argparse.Namespace) -> int:
         scored, seed = [(report, "") for report in simulate(policies, params, sim)], sim.seed
     else:
         scored, seed = [_score_exact(policy, params) for policy in policies], None
+    rows = []
     for policy, (report, note) in zip(policies, scored):
         label = policy_label(policy)
         print(
@@ -291,8 +291,9 @@ def run_eval(args: argparse.Namespace) -> int:
             f"(aoi {report.avg_aoi!r}, energy {report.avg_weighted_energy!r}, "
             f"ci95 {report.ci_halfwidth_95!r}, {report.method})"
         )
-        if args.out:
-            append_report_row(args.out, label, params, report, seed, note)
+        rows.append(report_row_values(label, params, report, seed, note))
+    if args.out:
+        write_report_rows(args.out, rows, append=True)
     return EXIT_OK
 
 

@@ -20,13 +20,13 @@ enumeration scores every deterministic stationary policy of the
 truncated-saturating chain the solver works on, on desk-size instances,
 as a ground-truth oracle for the solver. Both take their stationary laws
 from :func:`stationary_distribution`, one batched solve per stack of kernels.
+All three run the slot law of :func:`_slot`, its one statement here.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,8 +216,22 @@ def _word_slots(n_sym: int, n_z: int) -> int:
     return k
 
 
+def _slot(row, battery, tx, harvest, erased, depth: int, width: int) -> tuple:
+    """The slot law: the next state index row * width + battery, and the delivery flag.
+
+    A transmission spends a charged unit (the backup pays at an empty
+    battery); harvest is credited after the spend, up to width - 1. Delivery
+    resets the age row to 0, else it grows by one, saturating at depth - 1.
+    The arguments broadcast; ``tx`` and ``erased`` are boolean arrays.
+    """
+    delivered = tx & ~erased
+    charge = np.minimum(battery - (tx & (battery > 0)) + harvest, width - 1)
+    older = np.where(delivered, 0, np.minimum(row + 1, depth - 1))
+    return older * width + charge, delivered
+
+
 def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
-    """The slot rule, once, as a finite automaton over words of k slots.
+    """The slot rule of :func:`_slot` as a finite automaton over words of k slots.
 
     The state is z = (min(age, D) - 1) (B + 1) + battery, D the row count of
     :func:`_transmit_rows` (1 for Periodic and Randomized). A slot's symbol
@@ -238,11 +252,9 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     sym = np.arange(4 * act.shape[0])[:, None, None]
     row, battery = np.arange(depth)[:, None], np.arange(width)
     tx = act[sym >> 2, row, battery]
-    delivered = tx & ((sym & 2) == 0)
-    charge = np.minimum(battery - (tx & (battery > 0)) + (sym & 1), width - 1)
-    older = np.where(delivered, 0, np.minimum(row + 1, depth - 1))
+    step, delivered = _slot(row, battery, tx, sym & 1, (sym & 2) > 0, depth, width)
     n_z = depth * width
-    step = (older * width + charge).reshape(sym.size, n_z).astype(np.int32)
+    step = step.reshape(sym.size, n_z).astype(np.int32)
     # 2k bits fit 16: n >= 4 symbols and n_z >= 2 states cap k at 7 under _WORD_ENTRIES.
     flags = ((tx & (battery == 0)) | delivered << 1).reshape(sym.size, n_z).astype(np.uint16)
     words, outcomes, k = step, flags, _word_slots(sym.size, n_z)
@@ -595,18 +607,21 @@ def stationary_distribution(kernel: np.ndarray, start: int) -> np.ndarray:
     return mu.reshape(dense.shape[:-1])
 
 
-def _battery_moves(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """One-slot battery kernels for idling and for transmitting.
+def _slot_kernels(params: SystemParams, depth: int) -> np.ndarray:
+    """Idle, erased-transmit and delivered-transmit kernels of :func:`_slot`, stacked.
 
-    The same law as ``bellman_qvalues``: a transmission spends one unit when
-    charged (the backup pays otherwise), then harvest is credited as when
-    idling.
+    States are (age row, battery), age-major, over ``depth`` age rows. At
+    depth 1 the age is gone and the two transmit kernels are the one battery
+    kernel of exact evaluation; at ``aoi_cap`` enumeration mixes them by p.
     """
     width = params.battery_cap + 1
-    charge = np.eye(width, k=1)
-    charge[-1, -1] = 1.0
-    idle = (1.0 - params.harvest_prob) * np.eye(width) + params.harvest_prob * charge
-    return idle, idle[np.maximum(np.arange(width) - 1, 0)]
+    state = np.arange(depth * width)
+    tx, erased = np.array([[[False], [True], [True]], [[False], [True], [False]]])
+    kernels = np.zeros((3, state.size, state.size))
+    for harvest, chance in ((0, 1.0 - params.harvest_prob), (1, params.harvest_prob)):
+        step, _ = _slot(state // width, state % width, tx, harvest, erased, depth, width)
+        kernels[np.arange(3)[:, None], state, step] += chance
+    return kernels
 
 
 def _cycles(
@@ -689,7 +704,7 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     is not certain, as for a policy that never transmits or ``Periodic`` at
     p = 1: the age tail never dies and the average cost is infinite.
     """
-    idle, tx = _battery_moves(params)
+    idle, tx, _ = _slot_kernels(params, 1)
     p = params.erasure_prob
     if isinstance(spec, (Periodic, Randomized)):
         dies = p < 1.0 and (isinstance(spec, Periodic) or spec.p_tx > 0.0)
@@ -731,33 +746,20 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     )
 
 
-def _truncated_kernels(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Idle and transmit kernels of the chain with age saturating at ``aoi_cap``.
-
-    States are age-major: (d, q) has index (d-1)*(B+1) + q.
-    """
-    cap = params.aoi_cap
-    idle, tx = _battery_moves(params)
-    older = np.eye(cap, k=1)
-    older[-1, -1] = 1.0
-    fresh = np.zeros((cap, cap))
-    fresh[:, 0] = 1.0
-    p = params.erasure_prob
-    return np.kron(older, idle), np.kron(p * older + (1.0 - p) * fresh, tx)
-
-
 def _table_costs(params: SystemParams) -> np.ndarray:
     """Average cost of every action table on the truncated-saturating chain, by bitmask.
 
     Bit i of the mask is the action at state i (age-major, as in
-    :func:`_truncated_kernels`); the chain starts at (1, 0), state 0. The
+    :func:`_slot_kernels`); the chain starts at (1, 0), state 0. The
     tables are scored ``_ENUM_BLOCK`` at a time: a block's kernels are
     stacked and go to :func:`stationary_distribution` in one call, which
     raises :class:`ReducibilityError` for the lowest mask whose chain
     reaches more than one closed class.
     """
     n = params.n_states
-    idle, tx = _truncated_kernels(params)
+    p = params.erasure_prob
+    idle, erased, delivered = _slot_kernels(params, params.aoi_cap)
+    tx = p * erased + (1.0 - p) * delivered
     width = params.battery_cap + 1
     ages = np.repeat(np.arange(1.0, params.aoi_cap + 1), width)
     backup = params.energy_weight * params.backup_cost * (np.arange(n) % width == 0)
@@ -826,26 +828,10 @@ def report_row_values(
     ]
 
 
-def append_report_row(
-    path: str,
-    policy: str,
-    params: SystemParams,
-    report: EvalReport,
-    seed: int | None,
-    note: str = "",
-) -> None:
-    """Append one result row, creating the header on first write."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="") as handle:
+def write_report_rows(path: str, rows: list[list], append: bool = False) -> None:
+    """Write result rows in one shot, after the header unless appending to a non-empty file."""
+    with open(path, "a" if append else "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        if fresh:
+        if handle.tell() == 0:  # appending opens at the end of the file
             writer.writerow(CSV_COLUMNS)
-        writer.writerow(report_row_values(policy, params, report, seed, note))
-
-
-def write_report_rows(path: str, rows: list[list]) -> None:
-    """Write a full results CSV (header plus rows) in one shot."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)

@@ -13,9 +13,9 @@ The age axis is truncated at ``aoi_cap`` for finite-state computation: age
 increments saturate there. Whether the truncation is adequate is checked by
 the solver, not assumed here.
 
-This module holds the parameters and the state; the slot law is written
-where it runs, once per algorithm: the solver's Bellman backup, the battery
-kernels of exact evaluation and enumeration, and the simulator's automaton.
+This module holds the parameters and the state. The slot law is written
+where it runs, twice: in the solver's Bellman backup, and in
+``evaluation._slot`` for the simulator, exact evaluation and enumeration.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """An int or a float but not a bool, which ``isinstance(x, (int, float))`` admits."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def unique_keys(pairs: list) -> dict:
+    """A ``json.loads`` object hook that refuses a repeated key, of which the last would win."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"JSON key {key!r} is given twice")
+        data[key] = value
+    return data
 
 
 def check_grid(rows: int, width: int, what: str) -> None:
@@ -131,7 +141,7 @@ class SystemParams:
         def reject_constant(token: str) -> float:
             raise ValueError(f"non-finite value {token!r} not accepted in parameters")
 
-        data = json.loads(text, parse_constant=reject_constant)
+        data = json.loads(text, parse_constant=reject_constant, object_pairs_hook=unique_keys)
         if not isinstance(data, dict):
             raise ValueError("parameter JSON must be an object")
         required = {"p", "lambda", "omega", "c_r", "battery_cap", "aoi_cap"}

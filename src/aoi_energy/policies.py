@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import SystemParams, is_int, is_real
+from .model import SystemParams, is_int, is_real, unique_keys
 
 __all__ = [
     "PolicyTable",
@@ -104,7 +104,7 @@ class ThresholdPolicy:
 
     @classmethod
     def from_json(cls, text: str) -> "ThresholdPolicy":
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
         if not isinstance(data, dict) or not isinstance(data.get("thresholds"), list):
             raise ValueError("threshold JSON must be an object with a 'thresholds' list")
         return cls(thresholds=tuple(data["thresholds"]))

@@ -323,7 +323,7 @@ def write_value_csv(path: str, v: ValueTable) -> None:
 
 
 def read_value_csv(path: str) -> np.ndarray:
-    """Rebuild the dense value grid from (delta, q, value) rows; every value must be finite."""
+    """Rebuild the dense value grid from (delta, q, value) rows: each cell once, and finite."""
     entries: dict[tuple[int, int], float] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -335,6 +335,8 @@ def read_value_csv(path: str) -> np.ndarray:
                 raise ValueError(f"value CSV cell (delta, q) = {cell} is not delta >= 1, q >= 0")
             if not math.isfinite(value):
                 raise ValueError(f"value CSV cell (delta, q) = {cell} is not finite: {value!r}")
+            if cell in entries:
+                raise ValueError(f"value CSV cell (delta, q) = {cell} is given twice")
             entries[cell] = value
     if not entries:
         raise ValueError("value CSV has no rows")

@@ -20,10 +20,14 @@ negligible, the truncated chain's cost equals the untruncated one that
 compared; where it is not, the oracle still scores the truncated chain the
 solver works on.
 
+Kernels: :func:`dense_kernel` builds an action's kernel state by state
+from ``transition``, over the first few age rows; the package's kernels,
+which ``evaluation._slot`` builds, must equal it entry for entry.
+
 Periodic renewal: ``Periodic`` scored on the dense (phase, battery) chain
 at age 1, the phase advancing every slot, by the package's renewal sums
-(``_cycles``) over Kronecker-product kernels, for the closed form of
-``evaluate_exact`` to agree with.
+(``_cycles``) over Kronecker products of :func:`dense_kernel`'s battery
+kernels, for the closed form of ``evaluate_exact`` to agree with.
 
 Class analysis: scipy's breadth-first search and strongly connected
 components find the reachable set and the closed classes of a kernel, for
@@ -34,10 +38,10 @@ gathers each neighbour with fancy indexing, and the plain loop over it,
 anchored at (1, battery_cap) as the solver is; the package's battery-major
 kernel and in-place loop must agree bit for bit.
 
-Enumeration: every action table scored one at a time, each by a
-stationary solve on its own kernel restricted to its closed class, found
-by a bitset closure (checked against scipy's), which the batched scoring
-of ``enumerate_optimal`` must match.
+Enumeration: every action table over :func:`dense_kernel`'s kernels
+scored one at a time, each by a stationary solve on its own kernel
+restricted to its closed class, found by a bitset closure (checked against
+scipy's), which the batched scoring of ``enumerate_optimal`` must match.
 
 Policy extraction: a short-circuit scan that inherits Transmit from the
 next-younger age, which agrees with the full argmin when the action
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from enum import IntEnum
 from typing import Iterator, NamedTuple
 
@@ -71,7 +75,7 @@ from aoi_energy import (
     ZeroWait,
     stationary_distribution,
 )
-from aoi_energy.evaluation import _battery_moves, _cycles, _truncated_kernels
+from aoi_energy.evaluation import _cycles
 
 _PROB_ATOL = 1e-12
 
@@ -391,6 +395,22 @@ def truncated_cost(spec, params: SystemParams) -> tuple[float, float, float]:
     return float(mu @ aoi), float(mu @ energy), float(mu[at_cap].sum())
 
 
+def dense_kernel(params: SystemParams, action: Action, depth: int) -> np.ndarray:
+    """Kernel of ``action`` from :func:`transition` over the first ``depth`` age rows.
+
+    States are age-major as in :func:`state_index`. A successor older than
+    ``depth`` lands in the last row, so at depth 1 this is the battery law.
+    """
+    width = params.battery_cap + 1
+    kernel = np.zeros((depth * width, depth * width))
+    for s in states(params):
+        if s.aoi <= depth:
+            for nxt, prob in transition(s, action, params):
+                older = State(min(nxt.aoi, depth), nxt.battery)
+                kernel[state_index(s, params), state_index(older, params)] += prob
+    return kernel
+
+
 def dense_periodic_cost(spec: Periodic, params: SystemParams) -> tuple[float, float]:
     """(mean age, mean weighted backup cost) of ``spec`` on its (phase, battery) renewal chain.
 
@@ -398,7 +418,9 @@ def dense_periodic_cost(spec: Periodic, params: SystemParams) -> tuple[float, fl
     and the chain starts at (phase 0, battery 0). The kernels are dense over
     period x (B+1) states, so keep the period small. Needs p < 1.
     """
-    idle, tx = _battery_moves(params)
+    # A transmission's battery law does not depend on its delivery; at p = 0 every one delivers.
+    idle = dense_kernel(params, Action.IDLE, 1)
+    tx = dense_kernel(replace(params, erasure_prob=0.0), Action.TRANSMIT, 1)
     advance = np.roll(np.eye(spec.period), 1, axis=1)
     on_phase = np.arange(spec.period) == spec.phase
     actions = np.repeat(on_phase, params.battery_cap + 1)[None, :].astype(float)
@@ -420,7 +442,7 @@ def enumeration_costs(params: SystemParams) -> np.ndarray:
     """
     n = params.n_states
     width = params.battery_cap + 1
-    idle, tx = _truncated_kernels(params)
+    idle, tx = (dense_kernel(params, action, params.aoi_cap) for action in Action)
     ages = np.repeat(np.arange(1.0, params.aoi_cap + 1), width)
     backup = params.energy_weight * params.backup_cost * (np.arange(n) % width == 0)
     costs = np.empty(1 << n)

@@ -339,6 +339,29 @@ def test_check_names_an_out_of_range_value_cell(tmp_path, capsys):
     assert "(delta, q) = (0, 0) is not delta >= 1, q >= 0" in err and "covers" not in err
 
 
+def test_repeated_input_entries_exit_usage(tmp_path, capsys):
+    """check, solve and eval refuse a repeated value cell or JSON key by name, with exit 2."""
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    cap, width = SOLVE_PARAMS.grid_shape
+    rows = [f"{d},{q},{d}" for d in range(1, cap + 1) for q in range(width)]
+    values = tmp_path / "values.csv"
+    values.write_text("\n".join(["delta,q,value", *rows[:-1], "1,1,-7.0"]) + "\n")
+    assert main(["check", "--params", pfile, "--values", str(values)]) == EXIT_USAGE
+    assert "(delta, q) = (1, 1) is given twice" in capsys.readouterr().err
+
+    twice = tmp_path / "twice.json"
+    twice.write_text(params_to_json(SOLVE_PARAMS)[:-1] + ', "p": 0.9}')
+    assert main(["solve", "--params", str(twice), "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    assert "JSON key 'p' is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+    policy = tmp_path / "tp.json"
+    policy.write_text('{"thresholds": [null, 2, 1, 1, 1], "thresholds": [1, 1, 1, 1, 1]}')
+    argv = ["eval", "--params", pfile, "--policies", f"threshold:{policy}"]
+    assert main(argv) == EXIT_USAGE
+    assert "JSON key 'thresholds' is given twice" in capsys.readouterr().err
+
+
 def test_check_rejects_grid_mismatch(tmp_path, capsys):
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "run"
@@ -967,6 +990,19 @@ def test_refused_policy_leaves_no_exact_rows(tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+def test_eval_out_appends_after_one_header(tmp_path, capsys):
+    """eval --out writes the header to a new or empty file only, then appends its rows in order."""
+    pfile = params_file(tmp_path, EVAL_PARAMS)
+    out = tmp_path / "rows.csv"
+    out.write_text("")
+    for policies in ("zero-wait,energy-first", "periodic:3"):
+        argv = ["eval", "--params", pfile, "--policies", policies, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(evaluation.CSV_COLUMNS) and lines.count(lines[0]) == 1
+    assert [row["policy"] for row in read_rows(out)] == ["zero-wait", "energy-first", "periodic:3"]
 
 
 def test_periodic_that_never_delivers_has_infinite_cost(tmp_path, capsys):

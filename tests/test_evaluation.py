@@ -48,12 +48,14 @@ from aoi_energy import (
     write_report_rows,
 )
 from aoi_energy import evaluation
-from aoi_energy.evaluation import _closure, _t_quantile_975, append_report_row
+from aoi_energy.evaluation import _closure, _t_quantile_975
 from conftest import BENCH, MID
 from reference import (
+    Action,
     bitset_classes,
     csgraph_classes,
     decide,
+    dense_kernel,
     dense_periodic_cost,
     enumeration_costs,
     truncated_cost,
@@ -77,6 +79,32 @@ DESK = SystemParams(
     battery_cap=1,
     aoi_cap=4,
 )
+
+
+# ---------------------------------------------------------------------------
+# the slot law's kernels
+
+
+@pytest.mark.parametrize("battery_cap", [1, 2, 3])
+@pytest.mark.parametrize("harvest", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("erasure", [0.0, 0.2, 1.0])
+def test_slot_kernels_equal_transition_kernels(battery_cap, harvest, erasure):
+    """``_slot``'s kernels equal ``transition``'s entry for entry, at every state and action.
+
+    At depth 1 (exact evaluation) and at ``aoi_cap`` (enumeration): the idle
+    kernel is ``transition``'s, and the erased and delivered transmit kernels
+    are its transmit kernels at p = 1 and p = 0. Enumeration's mix of the
+    two by p is ``transition``'s transmit kernel at p.
+    """
+    params = SystemParams(erasure, harvest, 1.0, 2.0, battery_cap, 3)
+    for depth in (1, params.aoi_cap):
+        idle, erased, delivered = evaluation._slot_kernels(params, depth)
+        assert np.array_equal(idle, dense_kernel(params, Action.IDLE, depth))
+        for kernel, p in ((erased, 1.0), (delivered, 0.0)):
+            law = dataclasses.replace(params, erasure_prob=p)
+            assert np.array_equal(kernel, dense_kernel(law, Action.TRANSMIT, depth))
+    mixed = erasure * erased + (1.0 - erasure) * delivered
+    assert np.array_equal(mixed, dense_kernel(params, Action.TRANSMIT, params.aoi_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -975,8 +1003,9 @@ def test_report_rows_round_trip(tmp_path):
     assert float(row[7]) == report.avg_total_cost  # repr survives the trip
 
     path = tmp_path / "rows.csv"
-    append_report_row(str(path), "zero-wait", EVAL_BENCH, report, seed=42)
-    append_report_row(str(path), "zero-wait", EVAL_BENCH, report, seed=43)
+    for seed in (42, 43):
+        values = report_row_values("zero-wait", EVAL_BENCH, report, seed)
+        write_report_rows(str(path), [values], append=True)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == CSV_COLUMNS

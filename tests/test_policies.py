@@ -174,6 +174,12 @@ def test_threshold_json_round_trip():
         ThresholdPolicy.from_json('{"cutoffs": [1, 2]}')
 
 
+def test_threshold_json_refuses_a_repeated_key():
+    """A repeated key is refused by name; the last list does not silently win."""
+    with pytest.raises(ValueError, match="JSON key 'thresholds' is given twice"):
+        ThresholdPolicy.from_json('{"thresholds": [null, 2], "thresholds": [1, 1]}')
+
+
 def test_threshold_csv_round_trip(tmp_path):
     spec = ThresholdPolicy(thresholds=(None, 12, 3, 1))
     path = tmp_path / "tp.csv"

@@ -545,6 +545,14 @@ def test_value_csv_rejects_wrong_header(tmp_path):
         read_value_csv(str(path))
 
 
+def test_value_csv_refuses_a_repeated_cell(tmp_path):
+    """A cell given twice is refused by name, even when the cell count still matches."""
+    path = tmp_path / "twice.csv"
+    path.write_text("delta,q,value\n1,0,1.0\n1,1,5.0\n2,0,2.0\n1,1,-7.0\n")
+    with pytest.raises(ValueError, match=r"\(delta, q\) = \(1, 1\) is given twice"):
+        read_value_csv(str(path))
+
+
 def test_value_csv_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("delta,q,value\n")
