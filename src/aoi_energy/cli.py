@@ -23,13 +23,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
 
 from .evaluation import (
     BoundaryMassError,
+    CSV_COLUMNS,
     EvalReport,
     METHOD_EXACT,
     SimConfig,
@@ -62,7 +63,6 @@ __all__ = [
     "EXIT_STRUCTURE",
     "EXIT_TRUNCATION",
     "StructureViolationError",
-    "SweepSpec",
     "run_solve",
     "run_check",
     "run_eval",
@@ -88,40 +88,6 @@ class StructureViolationError(RuntimeError):
     """A structure certificate came back false on a solved instance."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-axis experiment: solve and score all policies at every value.
-
-    Every point's :class:`SystemParams` is built, and so validated, when the
-    spec is: a value out of range, non-finite, or whose ``omega * c_r``
-    overflows is refused before the first solve. ``points`` holds them in
-    axis order.
-    """
-
-    axis: str
-    values: tuple[float, ...]
-    fixed: SystemParams
-    policies: tuple[str, ...]
-    out_path: str
-    epsilon: float = 1e-9
-    max_iters: int = 500_000
-    structure_tol: float = DEFAULT_TOLERANCE
-    points: tuple[SystemParams, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {sorted(_AXES)}, got {self.axis!r}")
-        if not self.values:
-            raise ValueError("sweep needs at least one axis value")
-        if not self.policies:
-            raise ValueError("sweep needs at least one policy")
-        for value in self.values:
-            if self.axis == "p" and not value < 1.0:
-                raise ValueError(f"p axis values must lie in [0, 1), got {value!r}")
-        points = tuple(replace(self.fixed, **{_AXES[self.axis]: value}) for value in self.values)
-        object.__setattr__(self, "points", points)
-
-
 def _score_exact(spec: PolicySpec, params: SystemParams) -> tuple[EvalReport, str]:
     """Exact report and note; a policy whose age tail never dies scores inf, noted as such."""
     try:
@@ -138,40 +104,6 @@ def _solve_point(
     v, q = solve(params, cfg)
     thresholds = extract_thresholds(greedy_policy(v, q, params), params)
     return v, thresholds, certify_structure(v, q, params, tol)
-
-
-def run_sweep(spec: SweepSpec) -> None:
-    """Solve along the axis and score every policy at every grid point.
-
-    Every point was validated when ``spec`` was built, and the policy specs
-    are parsed here, so both are refused before the first solve. Any solver
-    failure, threshold-structure failure, or certificate failure aborts the
-    whole sweep naming the offending grid point; nothing is written in that
-    case. Output rows are buffered and written once, in axis order and then
-    policy order, so equal specs give byte-identical files.
-    """
-    _check_output(spec.out_path)
-    rows: list[list] = []
-    solver_cfg = SolverConfig(epsilon=spec.epsilon, max_iters=spec.max_iters)
-    parsed = [None if text == "solved" else parse_policy_spec(text) for text in spec.policies]
-    for value, point in zip(spec.values, spec.points):
-        solver_point, solved_note = point, ""
-        if spec.axis == "p" and value == 0.0:
-            solver_point = replace(point, erasure_prob=P_SOLVE_CLAMP)
-            solved_note = f"solver_p_clamped={P_SOLVE_CLAMP:.0e}"
-        try:
-            _, thresholds, certificate = _solve_point(solver_point, solver_cfg, spec.structure_tol)
-            if not certificate.all_pass:
-                raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
-        except (ConvergenceError, ThresholdStructureError, StructureViolationError) as exc:
-            exc.args = (f"sweep aborted at {spec.axis}={value!r}: {exc}",)
-            raise
-        for policy in parsed:
-            label = "solved" if policy is None else policy_label(policy)
-            report, note = _score_exact(thresholds if policy is None else policy, point)
-            notes = ";".join(n for n in ((solved_note if policy is None else ""), note) if n)
-            rows.append(report_row_values(label, point, report, None, notes))
-    write_report_rows(spec.out_path, rows)
 
 
 def _check_output(path: str, made: bool = False) -> None:
@@ -198,9 +130,12 @@ def _check_output(path: str, made: bool = False) -> None:
         raise OSError(f"cannot write {path!r}: permission denied in {parent!r}")
 
 
-def _load_params(path: str) -> SystemParams:
-    with open(path) as handle:
-        return SystemParams.from_json(handle.read())
+def _load_params(args: argparse.Namespace) -> SystemParams:
+    """The ``--params`` file's instance, at the ``--aoi-cap`` override where one is given."""
+    with open(args.params) as handle:
+        params = SystemParams.from_json(handle.read())
+    cap = vars(args).get("aoi_cap")
+    return params if cap is None else replace(params, aoi_cap=cap)
 
 
 def _tolerance(text: str) -> float:
@@ -209,14 +144,8 @@ def _tolerance(text: str) -> float:
     return float(text)
 
 
-def _apply_overrides(params: SystemParams, args: argparse.Namespace) -> SystemParams:
-    if getattr(args, "aoi_cap", None) is not None:
-        params = replace(params, aoi_cap=args.aoi_cap)
-    return params
-
-
 def run_solve(args: argparse.Namespace) -> int:
-    params = _apply_overrides(_load_params(args.params), args)
+    params = _load_params(args)
     cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
     out_dir = args.out or "."
     _check_output(out_dir, made=True)
@@ -260,7 +189,7 @@ def run_solve(args: argparse.Namespace) -> int:
 
 
 def run_check(args: argparse.Namespace) -> int:
-    params = _load_params(args.params)
+    params = _load_params(args)
     values = read_value_csv(args.values)
     if values.shape != params.grid_shape:
         raise ValueError(
@@ -273,11 +202,17 @@ def run_check(args: argparse.Namespace) -> int:
 
 
 def run_eval(args: argparse.Namespace) -> int:
-    params = _apply_overrides(_load_params(args.params), args)
+    params = _load_params(args)
     sim = SimConfig(horizon=args.horizon, replications=args.reps, seed=args.seed)
     policies = [parse_policy_spec(text.strip()) for text in args.policies.split(",")]
     if args.out:
         _check_output(args.out)
+        header = ",".join(CSV_COLUMNS)
+        if os.path.exists(args.out) and os.path.getsize(args.out):
+            with open(args.out) as handle:
+                if handle.readline() != header + "\n":
+                    raise ValueError(f"cannot append to {args.out!r}: its first line is not "
+                                     f"the results header {header!r}")
     # Every policy is scored before any output, so a refused policy leaves no row behind.
     if args.method == "mc":
         scored, seed = [(report, "") for report in simulate(policies, params, sim)], sim.seed
@@ -297,22 +232,46 @@ def run_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_sweep_command(args: argparse.Namespace) -> int:
-    params = _apply_overrides(_load_params(args.params), args)
-    values = tuple(float(v) for v in args.values.split(","))
-    policies = tuple(p.strip() for p in args.policies.split(","))
-    spec = SweepSpec(
-        axis=args.axis,
-        values=values,
-        fixed=params,
-        policies=policies,
-        out_path=args.out,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        structure_tol=args.structure_tol,
-    )
-    run_sweep(spec)
-    print(f"wrote {len(values) * len(policies)} rows to {args.out}")
+def run_sweep(args: argparse.Namespace) -> int:
+    """Solve along the axis and score every policy at every grid point.
+
+    Every point's parameters are built, and so validated, then the output
+    path is checked and every policy spec parsed, all before the first
+    solve. Any solver failure, threshold-structure failure, or certificate
+    failure aborts the whole sweep naming the offending grid point; nothing
+    is written in that case. Output rows are buffered and written once, in
+    axis order and then policy order, so equal arguments give byte-identical
+    files.
+    """
+    fixed = _load_params(args)
+    values = [float(text) for text in args.values.split(",")]
+    if args.axis == "p" and not all(value < 1.0 for value in values):
+        raise ValueError(f"p axis values must lie in [0, 1), got {args.values!r}")
+    points = [replace(fixed, **{_AXES[args.axis]: value}) for value in values]
+    _check_output(args.out)
+    policies = [text.strip() for text in args.policies.split(",")]
+    parsed = [None if text == "solved" else parse_policy_spec(text) for text in policies]
+    solver_cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+    rows: list[list] = []
+    for value, point in zip(values, points):
+        solver_point, solved_note = point, ""
+        if args.axis == "p" and value == 0.0:
+            solver_point = replace(point, erasure_prob=P_SOLVE_CLAMP)
+            solved_note = f"solver_p_clamped={P_SOLVE_CLAMP:.0e}"
+        try:
+            _, thresholds, certificate = _solve_point(solver_point, solver_cfg, args.structure_tol)
+            if not certificate.all_pass:
+                raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
+        except (ConvergenceError, ThresholdStructureError, StructureViolationError) as exc:
+            exc.args = (f"sweep aborted at {args.axis}={value!r}: {exc}",)
+            raise
+        for policy in parsed:
+            label = "solved" if policy is None else policy_label(policy)
+            report, note = _score_exact(thresholds if policy is None else policy, point)
+            notes = ";".join(n for n in ((solved_note if policy is None else ""), note) if n)
+            rows.append(report_row_values(label, point, report, None, notes))
+    write_report_rows(args.out, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
@@ -325,19 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, solver: bool = False) -> None:
+    def solver_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--params", required=True, help="system parameter JSON file")
-        if solver:
-            p.add_argument("--epsilon", type=float, default=1e-9, help="span stopping tolerance")
-            p.add_argument("--max-iters", type=int, default=500_000)
-            p.add_argument(
-                "--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-                help="certificate tolerance",
-            )
+        p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
+                       help="span stopping tolerance")
+        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+        p.add_argument(
+            "--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+            help="certificate tolerance",
+        )
         p.add_argument("--aoi-cap", type=int, default=None, help="override the age cap")
 
     p_solve = sub.add_parser("solve", help="solve one instance and dump artifacts")
-    common(p_solve, solver=True)
+    solver_options(p_solve)
     p_solve.add_argument("--out", default=None, help="output directory (default: cwd)")
     p_solve.add_argument(
         "--check-truncation", action="store_true",
@@ -351,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     p_eval = sub.add_parser("eval", help="evaluate explicit policies")
-    common(p_eval)
+    p_eval.add_argument("--params", required=True, help="system parameter JSON file")
     p_eval.add_argument(
         "--policies", required=True,
         help="comma list: zero-wait, energy-first, periodic:5, random:0.5, threshold:tp.json",
@@ -367,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=None, help="append result rows to this CSV")
 
     p_sweep = sub.add_parser("sweep", help="solve along one axis and score all policies")
-    common(p_sweep, solver=True)
+    solver_options(p_sweep)
     # The benchmark's sweep command still passes these Monte Carlo flags; sweep reads none.
     for flag in ("--horizon", "--reps", "--seed"):
         p_sweep.add_argument(flag, help=argparse.SUPPRESS)
@@ -391,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         "solve": run_solve,
         "check": run_check,
         "eval": run_eval,
-        "sweep": _run_sweep_command,
+        "sweep": run_sweep,
     }
     try:
         return runners[args.command](args)
@@ -405,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        params = _apply_overrides(_load_params(args.params), args)
+        params = _load_params(args)
         what = (f"the {params.aoi_cap} x {params.battery_cap + 1} (aoi_cap x battery levels) "
                 f"grid of {params.n_states} states")
         if vars(args).get("check_truncation"):

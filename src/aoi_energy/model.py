@@ -10,8 +10,10 @@ is credited after the spend, so a unit arriving in the same slot never
 rescues an already-empty battery.
 
 The age axis is truncated at ``aoi_cap`` for finite-state computation: age
-increments saturate there. Whether the truncation is adequate is checked by
-the solver, not assumed here.
+increments saturate there. The cap truncates the solver's grid and
+enumeration's chain; exact evaluation and the Monte Carlo simulator work on
+the untruncated chain and ignore it. Whether the truncation is adequate is
+checked by the solver, not assumed here.
 
 This module holds the parameters and the state. The slot law is written
 where it runs, twice: in the solver's Bellman backup, and in
@@ -148,6 +150,9 @@ class SystemParams:
         missing = required - data.keys()
         if missing:
             raise ValueError(f"parameter JSON missing keys: {sorted(missing)}")
+        unknown = data.keys() - required
+        if unknown:
+            raise ValueError(f"parameter JSON has unknown keys: {sorted(unknown)}")
         # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
         for key in ("p", "lambda", "omega", "c_r"):
             if type(data[key]) not in (int, float) or not math.isfinite(data[key]):

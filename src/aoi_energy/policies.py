@@ -107,6 +107,9 @@ class ThresholdPolicy:
         data = json.loads(text, object_pairs_hook=unique_keys)
         if not isinstance(data, dict) or not isinstance(data.get("thresholds"), list):
             raise ValueError("threshold JSON must be an object with a 'thresholds' list")
+        unknown = data.keys() - {"thresholds"}
+        if unknown:
+            raise ValueError(f"threshold JSON has unknown keys: {sorted(unknown)}")
         return cls(thresholds=tuple(data["thresholds"]))
 
     def write_csv(self, path: str) -> None:

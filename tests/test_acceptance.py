@@ -34,7 +34,8 @@ from aoi_energy import (
     simulate,
     solve,
 )
-from aoi_energy.cli import SweepSpec, run_sweep
+from aoi_energy.cli import build_parser, run_sweep
+from reference import params_to_json
 
 EPSILON = 1e-9
 CERT_TOL = 1e-8
@@ -203,43 +204,44 @@ def test_criterion_4_brute_force_optimality(capsys):
     )
 
 
-def sweep_spec(axis, values, fixed, out_path):
-    return SweepSpec(
-        axis=axis,
-        values=values,
-        fixed=fixed,
-        policies=SWEEP_POLICIES,
-        out_path=str(out_path),
-        epsilon=EPSILON,
-    )
+def sweep_args(axis, values, out_path):
+    """Parsed ``aoi-energy sweep`` arguments along ``axis`` from BASE, writing ``out_path``."""
+    params = out_path.parent / "base.json"
+    params.write_text(params_to_json(BASE) + "\n")
+    return build_parser().parse_args([
+        "sweep", "--params", str(params), "--axis", axis,
+        "--values", ",".join(repr(value) for value in values),
+        "--policies", ",".join(SWEEP_POLICIES), "--epsilon", repr(EPSILON),
+        "--out", str(out_path),
+    ])
 
 
-def omega_sweep_spec(out_path):
+def omega_sweep_args(out_path):
     values = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-    return sweep_spec("omega", values, BASE, out_path)
+    return sweep_args("omega", values, out_path)
 
 
-def lambda_sweep_spec(out_path):
+def lambda_sweep_args(out_path):
     values = tuple(round(0.1 * k, 1) for k in range(1, 11))
-    return sweep_spec("lambda", values, BASE, out_path)
+    return sweep_args("lambda", values, out_path)
 
 
-def p_sweep_spec(out_path):
+def p_sweep_args(out_path):
     values = tuple(round(0.1 * k, 1) for k in range(0, 10))
-    return sweep_spec("p", values, BASE, out_path)
+    return sweep_args("p", values, out_path)
 
 
 @pytest.fixture(scope="module")
 def sweep_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("sweeps")
-    specs = {
-        "omega": omega_sweep_spec(root / "omega.csv"),
-        "lambda": lambda_sweep_spec(root / "lambda.csv"),
-        "p": p_sweep_spec(root / "p.csv"),
+    sweeps = {
+        "omega": omega_sweep_args(root / "omega.csv"),
+        "lambda": lambda_sweep_args(root / "lambda.csv"),
+        "p": p_sweep_args(root / "p.csv"),
     }
-    for spec in specs.values():
-        run_sweep(spec)
-    return {axis: spec.out_path for axis, spec in specs.items()}
+    for args in sweeps.values():
+        run_sweep(args)
+    return {axis: args.out for axis, args in sweeps.items()}
 
 
 def read_rows(path):
@@ -357,10 +359,10 @@ def test_criterion_7_truncation_adequacy(grid, capsys):
 
 
 def test_criterion_8_sweep_determinism(sweep_files, tmp_path, capsys):
-    rerun = omega_sweep_spec(tmp_path / "omega_rerun.csv")
+    rerun = omega_sweep_args(tmp_path / "omega_rerun.csv")
     run_sweep(rerun)
     first = Path(sweep_files["omega"]).read_bytes()
-    second = Path(rerun.out_path).read_bytes()
+    second = Path(rerun.out).read_bytes()
     announce(
         capsys,
         8,

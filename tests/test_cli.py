@@ -33,7 +33,6 @@ from aoi_energy.cli import (
     EXIT_STRUCTURE,
     EXIT_TRUNCATION,
     EXIT_USAGE,
-    SweepSpec,
     main,
 )
 from aoi_energy import cli, evaluation, solver
@@ -617,20 +616,28 @@ def test_sweep_abort_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_rejects_bad_axis_and_values(tmp_path, capsys):
-    pfile = params_file(tmp_path, SWEEP_PARAMS)
-    out = tmp_path / "rows.csv"
-    assert main(sweep_args(pfile, out, "voltage", "1.0", "zero-wait")) == EXIT_USAGE
-    assert main(sweep_args(pfile, out, "p", "1.2", "zero-wait")) == EXIT_USAGE
-    assert main(sweep_args(pfile, out, "lambda", "0.5", "")) == EXIT_USAGE
-    assert not out.exists()
-
-
 def refuse_solve(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("solve called")
 
     monkeypatch.setattr(cli, "solve", solve)
+
+
+def test_sweep_rejects_bad_axis_and_values(tmp_path, monkeypatch, capsys):
+    """Each is refused with exit 2 before the first solve, and nothing is written."""
+    refuse_solve(monkeypatch)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    out = tmp_path / "rows.csv"
+    for axis, values, policies in [
+        ("voltage", "1.0", "zero-wait"),
+        ("p", "1.2", "zero-wait"),
+        ("p", "0.3,1.0", "zero-wait"),  # SystemParams admits p=1, which the solver cannot
+        ("omega", "", "zero-wait"),
+        ("lambda", "1.5", "zero-wait"),
+        ("lambda", "0.5", ""),
+    ]:
+        assert main(sweep_args(pfile, out, axis, values, policies)) == EXIT_USAGE, (axis, values)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("policies", ["zero-wait,bogus", "threshold:missing.json"],
@@ -664,25 +671,6 @@ def test_negative_seed_is_refused_naming_the_flag(tmp_path, capsys, command):
     assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
     assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_sweep_spec_validates_eagerly():
-    with pytest.raises(ValueError):
-        SweepSpec(
-            axis="omega",
-            values=(),
-            fixed=SWEEP_PARAMS,
-            policies=("zero-wait",),
-            out_path="x.csv",
-        )
-    with pytest.raises(ValueError):
-        SweepSpec(
-            axis="lambda",
-            values=(1.5,),
-            fixed=SWEEP_PARAMS,
-            policies=("zero-wait",),
-            out_path="x.csv",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1003,6 +991,48 @@ def test_eval_out_appends_after_one_header(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(evaluation.CSV_COLUMNS) and lines.count(lines[0]) == 1
     assert [row["policy"] for row in read_rows(out)] == ["zero-wait", "energy-first", "periodic:3"]
+
+
+HEADER = ",".join(evaluation.CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("content", ["delta,q,value\n1,0,0.0\n", "\n" + HEADER + "\n", HEADER],
+                         ids=["value-csv", "blank-first-line", "header-without-newline"])
+def test_eval_out_refuses_a_file_that_is_not_a_results_csv(
+    tmp_path, monkeypatch, capsys, content
+):
+    """Exit 2 before anything is scored, naming the file, and leave it unchanged."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("eval scored a policy")
+
+    monkeypatch.setattr(cli, "evaluate_exact", must_not_run)
+    pfile = params_file(tmp_path, EVAL_PARAMS)
+    out = tmp_path / "values.csv"
+    out.write_text(content)
+    argv = ["eval", "--params", pfile, "--policies", "zero-wait", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert f"cannot append to {str(out)!r}" in capsys.readouterr().err
+    assert out.read_text() == content
+
+
+def test_eval_refuses_unknown_parameter_keys(tmp_path, capsys):
+    """A misspelt or extra key is named, not dropped for the file's other values."""
+    payload = json.loads(params_to_json(EVAL_PARAMS)) | {"B": 9, "lamda": 0.9}
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(payload))
+    assert main(["eval", "--params", str(pfile), "--policies", "zero-wait"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown keys: ['B', 'lamda']" in captured.err
+
+
+def test_eval_has_no_aoi_cap(tmp_path, capsys):
+    """Exact evaluation and Monte Carlo score the untruncated chain, so eval takes no age cap."""
+    pfile = params_file(tmp_path, EVAL_PARAMS)
+    argv = ["eval", "--params", pfile, "--policies", "zero-wait", "--aoi-cap", "5"]
+    assert main(argv) == EXIT_USAGE
+    assert "--aoi-cap" in capsys.readouterr().err
 
 
 def test_periodic_that_never_delivers_has_infinite_cost(tmp_path, capsys):

@@ -250,6 +250,13 @@ def test_params_json_rejects_bad_payloads(text):
         SystemParams.from_json(text)
 
 
+def test_params_json_refuses_unknown_keys():
+    """A misspelt or extra key is refused by name; it is not silently dropped."""
+    payload = json.loads(params_to_json(PARAMS)) | {"B": 9, "lamda": 0.9}
+    with pytest.raises(ValueError, match=r"unknown keys: \['B', 'lamda'\]"):
+        SystemParams.from_json(json.dumps(payload))
+
+
 def test_params_json_refuses_a_repeated_key():
     """A repeated key is refused by name; the last value does not silently win."""
     text = params_to_json(PARAMS)[:-1] + ', "p": 0.9}'

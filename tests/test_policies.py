@@ -174,6 +174,12 @@ def test_threshold_json_round_trip():
         ThresholdPolicy.from_json('{"cutoffs": [1, 2]}')
 
 
+def test_threshold_json_refuses_unknown_keys():
+    """A key other than ``thresholds`` is refused by name; it is not silently dropped."""
+    with pytest.raises(ValueError, match=r"unknown keys: \['battery_cap'\]"):
+        ThresholdPolicy.from_json('{"thresholds": [null, 2], "battery_cap": 1}')
+
+
 def test_threshold_json_refuses_a_repeated_key():
     """A repeated key is refused by name; the last list does not silently win."""
     with pytest.raises(ValueError, match="JSON key 'thresholds' is given twice"):
