@@ -632,11 +632,19 @@ def test_sweep_rejects_bad_axis_and_values(tmp_path, monkeypatch, capsys):
         ("voltage", "1.0", "zero-wait"),
         ("p", "1.2", "zero-wait"),
         ("p", "0.3,1.0", "zero-wait"),  # SystemParams admits p=1, which the solver cannot
-        ("omega", "", "zero-wait"),
-        ("lambda", "1.5", "zero-wait"),
         ("lambda", "0.5", ""),
     ]:
         assert main(sweep_args(pfile, out, axis, values, policies)) == EXIT_USAGE, (axis, values)
+    assert not out.exists()
+
+
+def test_sweep_spec_validates_eagerly(tmp_path, monkeypatch, capsys):
+    """An empty value list, or a point whose SystemParams is invalid, is refused before any solve."""
+    refuse_solve(monkeypatch)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    out = tmp_path / "rows.csv"
+    assert main(sweep_args(pfile, out, "omega", "", "zero-wait")) == EXIT_USAGE
+    assert main(sweep_args(pfile, out, "lambda", "1.5", "zero-wait")) == EXIT_USAGE
     assert not out.exists()
 
 
