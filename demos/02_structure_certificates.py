@@ -12,10 +12,8 @@ from aoi_energy import (
     SolverConfig,
     SystemParams,
     certify_structure,
-    check_submodularity,
-    check_value_increments,
-    check_value_monotone,
     solve,
+    structure_checks,
 )
 
 params = SystemParams(
@@ -29,12 +27,8 @@ params = SystemParams(
 
 v, q = solve(params, SolverConfig(epsilon=1e-9))
 
-mono_age, mono_battery = check_value_monotone(v, params)
-unit, cross = check_value_increments(v, params)
-submodular = check_submodularity(q, params)
-
 print("certificate                margin        witness")
-for check in (mono_age, mono_battery, unit, cross, submodular):
+for check in structure_checks(v, q, params):
     a, b = check.witness
     status = "ok " if check.passed else "BAD"
     print(f"{check.name:<22} {status} {check.worst_margin:+.3e}  {tuple(a)} vs {tuple(b)}")
@@ -46,7 +40,7 @@ print(f"\nall certificates pass: {report.all_pass}")
 # monotone-in-age certificate localizes the damage exactly.
 broken = v.values.copy()
 broken[1, :] = broken[0, :] - 0.5
-bad_age, _ = check_value_monotone(broken, params)
+bad_age = structure_checks(broken, q, params)[0]
 a, b = bad_age.witness
 print("\nafter tampering with the age-2 row:")
 print(f"  {bad_age.name}: passed={bad_age.passed}, margin {bad_age.worst_margin:+.3f}")

@@ -54,9 +54,7 @@ from .structure import (
     MarginCheck,
     StructureReport,
     certify_structure,
-    check_value_increments,
-    check_value_monotone,
-    check_submodularity,
+    structure_checks,
 )
 
 __version__ = "0.1.0"

@@ -210,9 +210,10 @@ def run_eval(args: argparse.Namespace) -> int:
         header = ",".join(CSV_COLUMNS)
         if os.path.exists(args.out) and os.path.getsize(args.out):
             with open(args.out) as handle:
-                if handle.readline() != header + "\n":
-                    raise ValueError(f"cannot append to {args.out!r}: its first line is not "
-                                     f"the results header {header!r}")
+                text = handle.read()
+            if not (text.startswith(header + "\n") and text.endswith("\n")):
+                raise ValueError(f"cannot append to {args.out!r}: it does not start with the "
+                                 f"results header {header!r} and end in a newline")
     # Every policy is scored before any output, so a refused policy leaves no row behind.
     if args.method == "mc":
         scored, seed = [(report, "") for report in simulate(policies, params, sim)], sim.seed

@@ -1,15 +1,23 @@
 """Numerical certificates of value-function and policy structure.
 
-Converged value tables of this model are expected to be monotone (worse with
-age, better with charge), to grow at least unit-rate in age, to have
-age-increments damped at most by the erasure probability when the battery
-steps up, and to have a submodular action advantage in age, which is what
-forces threshold-shaped optimal policies. Each check reports the worst
-signed margin over the grid (negative = violated) and the witnessing state
-pair, so a failure is directly inspectable.
+A converged value table V over the states (d, b) of age and battery charge,
+and its action advantage A(d, b) = Q(d, b, idle) - Q(d, b, transmit), are
+expected to satisfy five inequalities; the last is what forces
+threshold-shaped optimal policies. Each is a margin over a pair of states,
+(d, b) and (d, b) plus a step, that must be at least ``-tol``, with p the
+erasure probability:
 
-Rows at the age cap are excluded from every age-difference check because
-saturation distorts increments there.
+- ``monotone_in_aoi``, step (1, 0): V(d+1, b) - V(d, b);
+- ``monotone_in_battery``, step (0, 1): V(d, b) - V(d, b+1);
+- ``increment_lower_bound``, step (1, 0): V(d+1, b) - V(d, b) - 1;
+- ``cross_increment``, step (1, 1): V(d+1, b+1) + p V(d, b) - V(d, b+1) - p V(d+1, b);
+- ``submodular_q``, step (1, 0): A(d+1, b) - A(d, b).
+
+Each check reports its worst signed margin (negative = violated) and the
+first pair, ages before batteries, that attains it. Age pairs stop at
+d+1 = aoi_cap-1 because saturation distorts increments at the cap, so at
+aoi_cap 2 the four checks with an age step pass with margin ``inf`` and no
+witness.
 """
 
 from __future__ import annotations
@@ -25,9 +33,7 @@ from .solver import ValueTable
 __all__ = [
     "MarginCheck",
     "StructureReport",
-    "check_value_monotone",
-    "check_value_increments",
-    "check_submodularity",
+    "structure_checks",
     "certify_structure",
     "DEFAULT_TOLERANCE",
 ]
@@ -67,106 +73,44 @@ class StructureReport:
         return json.dumps(asdict(self), allow_nan=False)
 
 
-def _summarize(
-    name: str,
-    margins: np.ndarray,
-    witness_at: "callable",
-    tol: float,
-) -> MarginCheck:
-    if margins.size == 0:
-        return MarginCheck(name=name, passed=True, worst_margin=np.inf, witness=None)
-    flat = int(np.argmin(margins))
-    worst = float(margins.reshape(-1)[flat])
-    index = tuple(int(k) for k in np.unravel_index(flat, margins.shape))
-    return MarginCheck(
-        name=name,
-        passed=worst >= -tol,
-        worst_margin=worst,
-        witness=witness_at(*index),
-    )
+def structure_checks(
+    v: ValueTable | np.ndarray,
+    q: np.ndarray,
+    params: SystemParams,
+    tol: float = DEFAULT_TOLERANCE,
+) -> list[MarginCheck]:
+    """The five certificates of the module docstring, in :class:`StructureReport` field order.
 
-
-def _grid(values: np.ndarray, params: SystemParams) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != params.grid_shape:
-        raise ValueError(f"value shape {arr.shape}, expected {params.grid_shape}")
-    return arr
-
-
-def check_value_monotone(
-    v: ValueTable | np.ndarray, params: SystemParams, tol: float = DEFAULT_TOLERANCE
-) -> tuple[MarginCheck, MarginCheck]:
-    """Values nondecreasing in age and nonincreasing in battery charge."""
-    values = _grid(v.values if isinstance(v, ValueTable) else v, params)
-    cap = params.aoi_cap
-    # Age pairs (d, d+1) with d+1 <= cap-1; the saturated top row is skipped.
-    aoi_margins = values[1 : cap - 1] - values[: cap - 2]
-    aoi = _summarize(
-        "monotone_in_aoi",
-        aoi_margins,
-        lambda i, q: (State(i + 1, q), State(i + 2, q)),
-        tol,
-    )
-    battery_margins = values[:, :-1] - values[:, 1:]
-    battery = _summarize(
-        "monotone_in_battery",
-        battery_margins,
-        lambda i, q: (State(i + 1, q), State(i + 1, q + 1)),
-        tol,
-    )
-    return aoi, battery
-
-
-def check_value_increments(
-    v: ValueTable | np.ndarray, params: SystemParams, tol: float = DEFAULT_TOLERANCE
-) -> tuple[MarginCheck, MarginCheck]:
-    """Age increments grow at least unit-rate, and battery-up damps them by
-    at most the erasure probability:
-    V(d+1, q+1) + p V(d, q) >= V(d, q+1) + p V(d+1, q)."""
-    values = _grid(v.values if isinstance(v, ValueTable) else v, params)
-    cap = params.aoi_cap
-    p = params.erasure_prob
-    unit_margins = values[1 : cap - 1] - values[: cap - 2] - 1.0
-    unit = _summarize(
-        "increment_lower_bound",
-        unit_margins,
-        lambda i, q: (State(i + 1, q), State(i + 2, q)),
-        tol,
-    )
-    lower, upper = values[: cap - 2], values[1 : cap - 1]
-    cross_margins = (
-        upper[:, 1:] + p * lower[:, :-1] - lower[:, 1:] - p * upper[:, :-1]
-    )
-    cross = _summarize(
-        "cross_increment",
-        cross_margins,
-        lambda i, q: (State(i + 1, q), State(i + 2, q + 1)),
-        tol,
-    )
-    return unit, cross
-
-
-def check_submodularity(
-    q: np.ndarray, params: SystemParams, tol: float = DEFAULT_TOLERANCE
-) -> MarginCheck:
-    """The idle-minus-transmit advantage is nondecreasing in age.
-
-    ``q`` is the (aoi_cap, B+1, 2) table :func:`solve` returns. This is the
-    ordering that makes the greedy policy threshold-shaped: once
-    transmitting wins at some age, it keeps winning at older ones.
+    ``v`` is the (aoi_cap, B+1) value table and ``q`` the (aoi_cap, B+1, 2)
+    table :func:`solve` returns.
     """
+    values = np.asarray(v.values if isinstance(v, ValueTable) else v, dtype=float)
     q_values = np.asarray(q, dtype=float)
     cap, width = params.grid_shape
-    if q_values.shape != (cap, width, 2):
-        raise ValueError(f"q shape {q_values.shape}, expected {(cap, width, 2)}")
+    for what, table, shape in (("value", values, (cap, width)), ("q", q_values, (cap, width, 2))):
+        if table.shape != shape:
+            raise ValueError(f"{what} shape {table.shape}, expected {shape}")
+    p = params.erasure_prob
+    lower, upper = values[: cap - 2], values[1 : cap - 1]  # V(d, b) and V(d+1, b)
     advantage = q_values[:, :, 0] - q_values[:, :, 1]
-    margins = advantage[1 : cap - 1] - advantage[: cap - 2]
-    return _summarize(
-        "submodular_q",
-        margins,
-        lambda i, battery: (State(i + 1, battery), State(i + 2, battery)),
-        tol,
+    rows = (
+        ("monotone_in_aoi", upper - lower, (1, 0)),
+        ("monotone_in_battery", values[:, :-1] - values[:, 1:], (0, 1)),
+        ("increment_lower_bound", upper - lower - 1.0, (1, 0)),
+        ("cross_increment",
+         upper[:, 1:] + p * lower[:, :-1] - lower[:, 1:] - p * upper[:, :-1], (1, 1)),
+        ("submodular_q", advantage[1 : cap - 1] - advantage[: cap - 2], (1, 0)),
     )
+    checks = []
+    for name, margins, (age_step, battery_step) in rows:
+        if margins.size == 0:
+            checks.append(MarginCheck(name, True, np.inf, None))
+            continue
+        row, b = (int(k) for k in np.unravel_index(np.argmin(margins), margins.shape))
+        worst = float(margins[row, b])
+        witness = (State(row + 1, b), State(row + 1 + age_step, b + battery_step))
+        checks.append(MarginCheck(name, worst >= -tol, worst, witness))
+    return checks
 
 
 def certify_structure(
@@ -176,11 +120,7 @@ def certify_structure(
     tol: float = DEFAULT_TOLERANCE,
 ) -> StructureReport:
     """Run every certificate and fold the results into one report."""
-    checks = [
-        *check_value_monotone(v, params, tol),
-        *check_value_increments(v, params, tol),
-        check_submodularity(q, params, tol),
-    ]
+    checks = structure_checks(v, q, params, tol)
     worst = min((c for c in checks if c.witness is not None), key=lambda c: c.worst_margin,
                 default=None)
     return StructureReport(

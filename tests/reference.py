@@ -43,6 +43,10 @@ scored one at a time, each by a stationary solve on its own kernel
 restricted to its closed class, found by a bitset closure (checked against
 scipy's), which the batched scoring of ``enumerate_optimal`` must match.
 
+Structure certificates: the five margins of ``aoi_energy.structure``,
+each computed from its formula in that module's docstring at one state
+pair after another, for ``structure_checks`` to agree with exactly.
+
 Policy extraction: a short-circuit scan that inherits Transmit from the
 next-younger age, which agrees with the full argmin when the action
 advantage is submodular.
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, replace
 from enum import IntEnum
 from typing import Iterator, NamedTuple
@@ -63,6 +68,7 @@ from scipy.sparse import csgraph
 from aoi_energy import (
     ConvergenceError,
     EnergyFirst,
+    MarginCheck,
     Periodic,
     PolicyTable,
     Randomized,
@@ -320,6 +326,47 @@ def structure_report_from_json(text: str) -> StructureReport:
     if witness is not None:
         witness = (State(*witness[0]), State(*witness[1]))
     return StructureReport(**{**data, "witness": witness})
+
+
+def structure_checks_by_pair(values, q, params: SystemParams, tol: float) -> list[MarginCheck]:
+    """The five certificates, one state pair at a time.
+
+    Each check visits the pairs (s, s + step) in :func:`states` order, the
+    second state on the grid and, for an age step, below ``aoi_cap``. It
+    keeps the first least margin, or the first NaN once one is met, and
+    passes when that margin is at least ``-tol``; with no pairs it passes
+    with margin ``inf`` and no witness.
+    """
+    p = params.erasure_prob
+
+    def V(d, b):
+        return float(values[d - 1, b])
+
+    def A(d, b):
+        return float(q[d - 1, b, 0]) - float(q[d - 1, b, 1])
+
+    rules = {
+        "monotone_in_aoi": ((1, 0), lambda d, b: V(d + 1, b) - V(d, b)),
+        "monotone_in_battery": ((0, 1), lambda d, b: V(d, b) - V(d, b + 1)),
+        "increment_lower_bound": ((1, 0), lambda d, b: V(d + 1, b) - V(d, b) - 1),
+        "cross_increment": (
+            (1, 1), lambda d, b: V(d + 1, b + 1) + p * V(d, b) - V(d, b + 1) - p * V(d + 1, b)
+        ),
+        "submodular_q": ((1, 0), lambda d, b: A(d + 1, b) - A(d, b)),
+    }
+    checks = []
+    for name, ((age_step, battery_step), margin) in rules.items():
+        worst, witness = math.inf, None
+        for s in states(params):
+            if s.battery + battery_step > params.battery_cap:
+                continue
+            if age_step and s.aoi + age_step > params.aoi_cap - 1:
+                continue
+            m = margin(s.aoi, s.battery)
+            if witness is None or m < worst or (math.isnan(m) and not math.isnan(worst)):
+                worst, witness = m, (s, State(s.aoi + age_step, s.battery + battery_step))
+        checks.append(MarginCheck(name, worst >= -tol, worst, witness))
+    return checks
 
 
 def transmit_probability(spec, state: State, phase: int) -> float:

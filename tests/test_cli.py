@@ -104,6 +104,19 @@ def test_solve_writes_all_artifacts(tmp_path, capsys):
     assert "gain" in printed and "thresholds" in printed
 
 
+def test_solve_at_cap_two_writes_a_readable_report(tmp_path, capsys):
+    """At aoi_cap 2 only the battery pairs are checked; the report still round-trips."""
+    out = tmp_path / "run"
+    pfile = params_file(tmp_path, dataclasses.replace(SOLVE_PARAMS, aoi_cap=2))
+    assert main(["solve", "--params", pfile, "--out", str(out)]) == EXIT_OK
+    text = (out / "structure_report.json").read_text()
+    report = structure_report_from_json(text)
+    assert report.to_json() + "\n" == text
+    assert report.all_pass
+    low, high = report.witness
+    assert (high.aoi, high.battery) == (low.aoi, low.battery + 1)
+
+
 def test_solve_is_deterministic(tmp_path):
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     for name in ("a", "b"):
@@ -1004,8 +1017,14 @@ def test_eval_out_appends_after_one_header(tmp_path, capsys):
 HEADER = ",".join(evaluation.CSV_COLUMNS)
 
 
-@pytest.mark.parametrize("content", ["delta,q,value\n1,0,0.0\n", "\n" + HEADER + "\n", HEADER],
-                         ids=["value-csv", "blank-first-line", "header-without-newline"])
+ROW = ",".join(["zero-wait", *["1"] * (len(evaluation.CSV_COLUMNS) - 1)])
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["delta,q,value\n1,0,0.0\n", "\n" + HEADER + "\n", HEADER, HEADER + "\n" + ROW],
+    ids=["value-csv", "blank-first-line", "header-without-newline", "row-without-newline"],
+)
 def test_eval_out_refuses_a_file_that_is_not_a_results_csv(
     tmp_path, monkeypatch, capsys, content
 ):

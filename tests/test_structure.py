@@ -1,24 +1,34 @@
 """Certificate tests: real solves must pass, planted violations must not."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aoi_energy import (
+    MarginCheck,
     SolverConfig,
     State,
     StructureReport,
     SystemParams,
     bellman_qvalues,
     certify_structure,
-    check_submodularity,
-    check_value_increments,
-    check_value_monotone,
     solve,
+    structure_checks,
 )
 from conftest import BENCH
-from reference import Action, stage_cost, states, structure_report_from_json, transition
+from reference import (
+    Action,
+    stage_cost,
+    states,
+    structure_checks_by_pair,
+    structure_report_from_json,
+    transition,
+)
 
 TOL = 1e-8
 
@@ -41,6 +51,12 @@ def age_ramp():
     return np.tile(np.arange(1, TINY.aoi_cap + 1, dtype=float)[:, None], (1, 3))
 
 
+def checks(values, q=None):
+    """TINY's checks by name; a zero Q table stands in where only values are under test."""
+    q = np.zeros((*TINY.grid_shape, 2)) if q is None else q
+    return {check.name: check for check in structure_checks(values, q, TINY, TOL)}
+
+
 def test_benchmark_certificates_all_pass(bench_solution):
     v, q = bench_solution
     report = certify_structure(v, q, BENCH, TOL)
@@ -55,7 +71,8 @@ def test_benchmark_certificates_all_pass(bench_solution):
 
 
 def test_constant_table_is_weakly_monotone():
-    aoi, battery = check_value_monotone(tiny_grid(3.0), TINY, TOL)
+    found = checks(tiny_grid(3.0))
+    aoi, battery = found["monotone_in_aoi"], found["monotone_in_battery"]
     assert aoi.passed and battery.passed
     assert aoi.worst_margin == 0.0
     assert battery.worst_margin == 0.0
@@ -64,7 +81,8 @@ def test_constant_table_is_weakly_monotone():
 def test_age_ramp_margins_are_exact():
     """On V(d,q) = d the checks have closed-form margins: the unit increment
     is tight at 0 and the cross increment equals 1 - p."""
-    unit, cross = check_value_increments(age_ramp(), TINY, TOL)
+    found = checks(age_ramp())
+    unit, cross = found["increment_lower_bound"], found["cross_increment"]
     assert unit.passed
     assert unit.worst_margin == pytest.approx(0.0, abs=1e-15)
     assert cross.passed
@@ -74,7 +92,8 @@ def test_age_ramp_margins_are_exact():
 def test_planted_age_violation_is_caught():
     values = age_ramp()
     values[1, :] = values[0, :] - 1.0  # the whole age-2 row dips below age 1
-    aoi, battery = check_value_monotone(values, TINY, TOL)
+    found = checks(values)
+    aoi, battery = found["monotone_in_aoi"], found["monotone_in_battery"]
     assert not aoi.passed
     assert aoi.worst_margin == pytest.approx(-1.0)
     assert aoi.witness == (State(1, 0), State(2, 0))
@@ -84,7 +103,8 @@ def test_planted_age_violation_is_caught():
 def test_planted_battery_violation_is_caught():
     values = age_ramp()
     values[3, 2] = values[3, 1] + 0.5  # V(4,2) above V(4,1)
-    aoi, battery = check_value_monotone(values, TINY, TOL)
+    found = checks(values)
+    aoi, battery = found["monotone_in_aoi"], found["monotone_in_battery"]
     assert aoi.passed
     assert not battery.passed
     assert battery.worst_margin == pytest.approx(-0.5)
@@ -95,7 +115,7 @@ def test_planted_submodularity_violation_is_caught():
     q = np.zeros((TINY.aoi_cap, 3, 2))
     q[:, :, 0] = 1.0  # idle-minus-transmit advantage 1 everywhere...
     q[1, 1, 1] = 2.0  # ...except age 2, battery 1, where it dips to -1
-    check = check_submodularity(q, TINY, TOL)
+    check = checks(age_ramp(), q)["submodular_q"]
     assert not check.passed
     assert check.worst_margin == pytest.approx(-2.0)
     assert check.witness == (State(1, 1), State(2, 1))
@@ -104,8 +124,8 @@ def test_planted_submodularity_violation_is_caught():
 def test_truncation_row_is_excluded_from_age_checks():
     values = age_ramp()
     values[-1] = values[-2]  # saturated top row: zero increment, by design
-    aoi, _ = check_value_monotone(values, TINY, TOL)
-    unit, _ = check_value_increments(values, TINY, TOL)
+    found = checks(values)
+    aoi, unit = found["monotone_in_aoi"], found["increment_lower_bound"]
     assert aoi.passed and unit.passed
 
 
@@ -123,9 +143,59 @@ def test_qvalues_match_independent_recomputation():
             reference[s.aoi - 1, s.battery, action] = total
     assert np.abs(reference[:, :, 0] - q_idle).max() < 1e-10
     assert np.abs(reference[:, :, 1] - q_tx).max() < 1e-10
-    direct = check_submodularity(reference, TINY, TOL)
-    vectorized = check_submodularity(q, TINY, TOL)
+    direct = checks(v.values, reference)["submodular_q"]
+    vectorized = checks(v.values, q)["submodular_q"]
     assert direct.worst_margin == pytest.approx(vectorized.worst_margin, abs=1e-10)
+
+
+def test_cap_two_checks_only_battery_pairs():
+    """At aoi_cap 2 no age pair lies below the cap: the four checks with an
+    age step pass with no witness, and the report is the battery check's."""
+    params = dataclasses.replace(TINY, aoi_cap=2)
+    v, q = solve(params, SolverConfig())
+    found = {check.name: check for check in structure_checks(v, q, params, TOL)}
+    battery = found.pop("monotone_in_battery")
+    assert battery.passed and battery.witness is not None
+    assert list(found.values()) == [MarginCheck(name, True, math.inf, None) for name in found]
+    report = certify_structure(v, q, params, TOL)
+    assert report.all_pass
+    assert report.worst_violation == battery.worst_margin
+    assert report.witness == battery.witness
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    battery_cap=st.integers(1, 4),
+    aoi_cap=st.integers(2, 12),
+    erasure=st.floats(0.0, 1.0),
+    ties=st.booleans(),
+    slopes=st.tuples(st.floats(-1.0, 3.0), st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+    data=st.data(),
+)
+def test_structure_checks_match_pairwise_oracle(battery_cap, aoi_cap, erasure, ties, slopes, data):
+    """Smooth tables, which pass or fail a check at every pair at once, and
+    small-integer tables full of ties, each with up to three planted entries
+    (NaN among them). Equal reprs mean the same flags, the same worst margins
+    bit for bit (NaN included) and the same witnesses, as Python ints."""
+    params = dataclasses.replace(
+        TINY, erasure_prob=erasure, battery_cap=battery_cap, aoi_cap=aoi_cap
+    )
+    shape = (*params.grid_shape, 3)  # V, Q idle and Q transmit
+    if ties:
+        small = st.integers(-3, 3).map(float)
+        tables = np.array(data.draw(arrays(np.float64, shape, elements=small)))
+    else:
+        age, charge, advantage = slopes
+        row, level = np.indices(params.grid_shape)
+        tables = np.stack([age * (row + 1) - charge * level, advantage * (row + 1), 0.0 * row],
+                          axis=-1)
+    planted = st.tuples(st.integers(0, aoi_cap - 1), st.integers(0, battery_cap),
+                        st.integers(0, 2), st.floats(-1e6, 1e6) | st.just(math.nan))
+    for row, level, k, value in data.draw(st.lists(planted, max_size=3)):
+        tables[row, level, k] = value
+    values, q = tables[:, :, 0], tables[:, :, 1:]
+    got = structure_checks(values, q, params, TOL)
+    assert repr(got) == repr(structure_checks_by_pair(values, q, params, TOL))
 
 
 def test_certify_aggregates_planted_failure():
@@ -147,10 +217,10 @@ def test_report_json_round_trip(bench_solution):
 
 
 def test_shape_guards():
-    with pytest.raises(ValueError):
-        check_value_monotone(np.zeros((3, 3)), TINY, TOL)
-    with pytest.raises(ValueError):
-        check_submodularity(np.zeros((3, 3, 2)), TINY, TOL)
+    with pytest.raises(ValueError, match="value shape"):
+        checks(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="q shape"):
+        checks(age_ramp(), np.zeros((3, 3, 2)))
 
 
 REPORT = StructureReport(
@@ -183,3 +253,8 @@ def test_report_json_bytes():
 def test_any_failed_certificate_fails_the_report(flag):
     assert REPORT.all_pass
     assert not dataclasses.replace(REPORT, **{flag: False}).all_pass
+
+
+def test_checks_come_in_report_field_order(bench_solution):
+    v, q = bench_solution
+    assert tuple(check.name for check in structure_checks(v, q, BENCH, TOL)) == FLAGS
