@@ -12,9 +12,9 @@ A policy whose age tail never dies scores an exact row of infinite cost (age
 Only Monte Carlo rows carry a seed.
 
 Exit codes: 0 success, 2 usage, malformed input or an instance too large for
-memory, 3 solver non-convergence (at the given or the doubled age cap), 4
-structural violation, 5 truncation inadequacy: ``solve --check-truncation``
-finds the age cap too small.
+memory, 3 solver non-convergence, 4 structural violation, 5 truncation
+inadequacy: ``solve --check-truncation`` finds the solved thresholds not
+optimal on the untruncated chain, so the age cap is too small.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .evaluation import (
     simulate,
     write_report_rows,
 )
-from .model import SystemParams, check_grid
+from .model import SystemParams
 from .policies import PolicySpec, ThresholdPolicy, parse_policy_spec, policy_label
 from .solver import (
     ConvergenceError,
@@ -152,8 +152,6 @@ def run_solve(args: argparse.Namespace) -> int:
     if os.path.isdir(out_dir):
         for name in _SOLVE_ARTIFACTS:
             _check_output(os.path.join(out_dir, name))
-    if args.check_truncation:
-        check_grid(2 * params.aoi_cap, params.battery_cap + 1, "doubled aoi_cap x battery levels")
     v, thresholds, report = _solve_point(params, cfg, args.structure_tol)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -173,14 +171,10 @@ def run_solve(args: argparse.Namespace) -> int:
     if not report.all_pass:
         raise StructureViolationError("structure certificate failed")
     if args.check_truncation:
-        try:
-            adequate = check_truncation_adequacy(thresholds, params, cfg, v.values)
-        except ConvergenceError as exc:
-            exc.args = (f"doubled aoi_cap={2 * params.aoi_cap} solve did not converge: {exc}",)
-            raise
-        if not adequate:
+        if not check_truncation_adequacy(thresholds, params, cfg):
             print(
-                f"aoi_cap={params.aoi_cap} is inadequate: doubling it moves thresholds",
+                f"aoi_cap={params.aoi_cap} is inadequate: the thresholds are not optimal "
+                "on the untruncated chain",
                 file=sys.stderr,
             )
             return EXIT_TRUNCATION
@@ -301,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None, help="output directory (default: cwd)")
     p_solve.add_argument(
         "--check-truncation", action="store_true",
-        help="re-solve at twice the age cap, from this solution, and require the "
-             "thresholds to stay optimal there (ties within --epsilon allowed)",
+        help="require the thresholds to be greedy, within --epsilon, for their own "
+             "exact bias on the untruncated chain",
     )
 
     p_check = sub.add_parser("check", help="re-run structure certificates on saved values")
@@ -368,9 +362,6 @@ def main(argv: list[str] | None = None) -> int:
         params = _load_params(args)
         what = (f"the {params.aoi_cap} x {params.battery_cap + 1} (aoi_cap x battery levels) "
                 f"grid of {params.n_states} states")
-        if vars(args).get("check_truncation"):
-            what += (f" or the doubled {2 * params.aoi_cap} x {params.battery_cap + 1} grid "
-                     f"of {2 * params.n_states} states")
         if args.command == "eval":  # name only the evaluator that ran
             what = (f"the Monte Carlo horizon of {args.horizon} slots (a byte per slot)"
                     if args.method == "mc" else "exact evaluation")

@@ -13,7 +13,7 @@ The age axis is truncated at ``aoi_cap`` for finite-state computation: age
 increments saturate there. The cap truncates the solver's grid and
 enumeration's chain; exact evaluation and the Monte Carlo simulator work on
 the untruncated chain and ignore it. Whether the truncation is adequate is
-checked by the solver, not assumed here.
+tested by the solver, on the untruncated chain, not assumed here.
 
 This module holds the parameters and the state. The slot law is written
 where it runs, twice: in the solver's Bellman backup, and in

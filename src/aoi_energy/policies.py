@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import SystemParams, is_int, is_real, unique_keys
+from .model import is_int, is_real, unique_keys
 
 __all__ = [
     "PolicyTable",
@@ -86,18 +86,6 @@ class ThresholdPolicy:
     @property
     def battery_cap(self) -> int:
         return len(self.thresholds) - 1
-
-    def to_table(self, params: SystemParams) -> PolicyTable:
-        if params.battery_cap != self.battery_cap:
-            raise ValueError(
-                f"threshold policy covers battery 0..{self.battery_cap}, "
-                f"params expect 0..{params.battery_cap}"
-            )
-        ages = np.arange(1, params.aoi_cap + 1)[:, None]
-        bound = np.array(
-            [params.aoi_cap + 1 if t is None else t for t in self.thresholds]
-        )[None, :]
-        return PolicyTable((ages >= bound).astype(np.int8))
 
     def to_json(self) -> str:
         return json.dumps({"thresholds": list(self.thresholds)}, allow_nan=False)

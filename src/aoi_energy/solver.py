@@ -19,8 +19,7 @@ the loop that measures every sweep.
 
 A solve starts from zero, or from a given table re-anchored the same way;
 RVI reaches the same fixed point from any start (Puterman 1994, section
-8.5), so a nearby table only shortens the run. The truncation check uses
-this: it re-solves at twice the age cap from the cap solution.
+8.5), so a nearby table only shortens the run.
 
 Sweeps run in one flat workspace: V battery-major, padded by a saturation
 column (age ``cap``) and row (battery ``min(q+1, B)``), so one age older is
@@ -43,11 +42,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .evaluation import _closure, _cycles, _slot_kernels, _transmit_rows, stationary_distribution
 from .model import State, SystemParams, is_int
 from .policies import PolicyTable, ThresholdPolicy
 
@@ -288,30 +288,50 @@ def extract_thresholds(policy: PolicyTable, params: SystemParams) -> ThresholdPo
 
 
 def check_truncation_adequacy(
-    tp: ThresholdPolicy,
-    params: SystemParams,
-    cfg: SolverConfig | None = None,
-    values: np.ndarray | None = None,
+    tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
 ) -> bool:
-    """True when ``tp`` stays optimal after doubling ``aoi_cap``.
+    """True when ``tp`` is greedy, within ``cfg.epsilon``, for its own exact bias.
 
-    The doubled grid is solved with the same ``cfg``, starting from
-    ``values`` (the cap solution's table, its top age row repeated up to
-    twice the cap) when given, else from zero. ``tp`` passes when it is
-    greedy for the doubled state-action table within ``cfg.epsilon`` at
-    every state: a threshold may move only where the doubled solve cannot
-    tell the two actions apart, an exact tie that rounding breaks either
-    way. Every finite threshold must also sit strictly below the original
-    cap; a threshold pinned at the boundary is a truncation artifact.
+    Howard's (1960) policy-improvement test on the untruncated chain. A level
+    that never transmits fails: a slot delivers with chance at most 1-p, so
+    the wait T for delivery is at least 1 + 1/(1-p) at an idle level, and at
+    the idle level m of longest wait idling loses at least (1-p) T_m - 1 > 0
+    more per age. Otherwise all levels transmit from the last action row D
+    on. With a_d the transmit flags at age d and S_d = diag(1-a_d) idle +
+    p diag(a_d) tx, h_d = c_d - g + S_d h_(d+1) + (1-p) diag(a_d) tx h_1. By
+    the renewal sums of :func:`_cycles`, (I - M) h_1 = C - g L with nu h_1 = 0
+    on each recurrent class of M, whose gains must agree. Past D, h grows by
+    1/(1-p) per age and the advantage of idling by 1, so rows 1..D decide.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    doubled = replace(params, aoi_cap=2 * params.aoi_cap)
-    start = None if values is None else np.pad(values, ((0, params.aoi_cap), (0, 0)), "edge")
-    _, q2 = solve(doubled, cfg, start)
-    chosen = np.take_along_axis(q2, tp.to_table(doubled).actions[..., None], axis=-1)
-    if (chosen[..., 0] - q2.min(axis=-1)).max() > cfg.epsilon:
+    p = params.erasure_prob
+    rows = _transmit_rows(tp, params).astype(float)
+    if None in tp.thresholds or not p < 1.0:
         return False
-    return all(t < params.aoi_cap for t in tp.thresholds if t is not None)
+    idle, tx, _ = _slot_kernels(params, 1)
+    deliveries, length, age_sum, spend, _ = _cycles(rows, idle, tx, params)
+    reach = _closure(deliveries != 0.0)
+    # A recurrent state reaches just its class; the lowest member stands for it.
+    lowest = ~(reach & ~reach.T).any(axis=1) & (reach.argmax(axis=1) == np.arange(len(idle)))
+    laws = np.array([stationary_distribution(deliveries, i) for i in np.flatnonzero(lowest)])
+    gains = laws @ (age_sum + spend) / (laws @ length)
+    if not gains.max() - gains.min() <= cfg.epsilon:
+        return False
+    renewal = np.eye(len(idle)) - deliveries + reach[lowest].T @ laws  # + 1_k nu_k: invertible
+    first = np.linalg.solve(renewal, age_sum + spend - gains[0] * length)
+    backup = params.energy_weight * params.backup_cost * (np.arange(len(idle)) == 0)
+    fresh = (1.0 - p) * (tx @ first)  # a delivery lands on h_1
+    ages = np.arange(1.0, len(rows) + 1)[:, None]
+    cost = ages + rows * (backup + fresh) - gains[0]
+    h = np.empty((len(rows) + 1, len(idle)))  # ages 1..D+1
+    h[-2] = np.linalg.solve(np.eye(len(idle)) - p * tx, cost[-1] + p / (1.0 - p))
+    h[-1] = h[-2] + 1.0 / (1.0 - p)
+    for d in range(len(rows) - 2, -1, -1):
+        h[d] = cost[d] + (1.0 - rows[d]) * (idle @ h[d + 1]) + p * rows[d] * (tx @ h[d + 1])
+    q_idle = ages + h[1:] @ idle.T
+    q_tx = ages + backup + p * h[1:] @ tx.T + fresh
+    gap = np.where(rows > 0.0, q_tx, q_idle) - np.minimum(q_idle, q_tx)
+    return bool(gap.max() <= cfg.epsilon)
 
 
 def write_value_csv(path: str, v: ValueTable) -> None:

@@ -50,6 +50,16 @@ pair after another, for ``structure_checks`` to agree with exactly.
 Policy extraction: a short-circuit scan that inherits Transmit from the
 next-younger age, which agrees with the full argmin when the action
 advantage is submodular.
+
+Optimality of a threshold policy, two ways. :func:`exact_bias_violation`
+solves the policy's bias densely on ages 1..K, K at least twice its largest
+finite threshold, from ``transition``; a successor one age past K is folded
+onto age K plus the exact age tail (the expected slots to delivery, 1/(1-p)
+when every level transmits), so the bias is that of the untruncated chain.
+``check_truncation_adequacy`` must agree with its largest violation.
+:func:`doubled_cap_adequacy` asks a narrower question, which cannot see
+past twice the cap: whether the thresholds stay greedy for a second
+relative value iteration at twice the age cap.
 """
 
 from __future__ import annotations
@@ -79,6 +89,7 @@ from aoi_energy import (
     SystemParams,
     ThresholdPolicy,
     ZeroWait,
+    solve,
     stationary_distribution,
 )
 from aoi_energy.evaluation import _cycles
@@ -263,6 +274,18 @@ def state_action(spec: ThresholdPolicy | PolicyTable, state: State) -> Action:
     if threshold is not None and state.aoi >= threshold:
         return Action.TRANSMIT
     return Action.IDLE
+
+
+def threshold_table(tp: ThresholdPolicy, params: SystemParams) -> PolicyTable:
+    """The (aoi_cap, battery levels) action table of ``tp``; None never transmits."""
+    if params.battery_cap != tp.battery_cap:
+        raise ValueError(
+            f"threshold policy covers battery 0..{tp.battery_cap}, "
+            f"params expect 0..{params.battery_cap}"
+        )
+    ages = np.arange(1, params.aoi_cap + 1)[:, None]
+    bound = np.array([params.aoi_cap + 1 if t is None else t for t in tp.thresholds])[None, :]
+    return PolicyTable((ages >= bound).astype(np.int8))
 
 
 def transmit_count(table: PolicyTable) -> int:
@@ -651,3 +674,87 @@ def relative_value_iteration(params: SystemParams, cfg: SolverConfig, start=None
         raise ConvergenceError("reference RVI ran out of sweeps", span=span, iterations=iterations)
     q_idle, q_tx = bellman_qvalues_gathered(values, params)
     return values, np.stack([q_idle, q_tx], axis=-1), float(gain), iterations, float(span)
+
+
+def doubled_cap_adequacy(
+    tp: ThresholdPolicy,
+    params: SystemParams,
+    cfg: SolverConfig | None = None,
+    values: np.ndarray | None = None,
+) -> bool:
+    """True when ``tp`` stays optimal after doubling ``aoi_cap``.
+
+    The doubled grid is solved with the same ``cfg``, starting from
+    ``values`` (the cap solution's table, its top age row repeated up to
+    twice the cap) when given, else from zero. ``tp`` passes when it is
+    greedy for the doubled state-action table within ``cfg.epsilon`` at
+    every state: a threshold may move only where the doubled solve cannot
+    tell the two actions apart, an exact tie that rounding breaks either
+    way. Every finite threshold must also sit strictly below the original
+    cap; a threshold pinned at the boundary is a truncation artifact.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    doubled = replace(params, aoi_cap=2 * params.aoi_cap)
+    start = None if values is None else np.pad(values, ((0, params.aoi_cap), (0, 0)), "edge")
+    _, q2 = solve(doubled, cfg, start)
+    chosen = np.take_along_axis(q2, threshold_table(tp, doubled).actions[..., None], axis=-1)
+    if (chosen[..., 0] - q2.min(axis=-1)).max() > cfg.epsilon:
+        return False
+    return all(t < params.aoi_cap for t in tp.thresholds if t is not None)
+
+
+def exact_bias_violation(
+    tp: ThresholdPolicy, params: SystemParams
+) -> tuple[float, np.ndarray, float]:
+    """(largest Q(tp's action) - min Q, the (K, B+1, 2) Q table, gain) of ``tp``'s exact bias.
+
+    States are (age, battery) at ages 1..K, K = max(2D, 4) with D the
+    largest finite threshold (1 when there is none), age-major. With a the
+    action of ``tp``, the dense system g + h(s) - sum P(s, s') h(s') = c(s)
+    is solved with h(1, 0) = 0; a successor at age K + 1 is read as
+    h(K, b) + T(b), T the expected slots to delivery from age K under
+    ``tp``'s actions there (T = 1/(1-p) when every level transmits). Past
+    age K each level's advantage of idling moves by its step from age K - 1
+    to K, so a level whose action loses by more at every older age makes
+    the violation ``inf``; so does a level from which delivery is not
+    certain. Needs p < 1 and a policy with one recurrent class (the harvest
+    chance below 1 gives one): the dense solve is dense, so keep B small.
+    """
+    width = params.battery_cap + 1
+    finite = [t for t in tp.thresholds if t is not None]
+    depth = max(2 * max(finite, default=1), 4)
+    deep = replace(params, aoi_cap=depth + 1)  # so that age K's successors reach age K + 1
+    n = depth * width
+    p = params.erasure_prob
+    kernels = np.zeros((2, n, n))
+    beyond = np.zeros((2, n, width))  # mass on age K + 1, by battery
+    costs = np.zeros((2, n))
+    for s in states(replace(params, aoi_cap=depth)):
+        i = state_index(s, params)
+        for action in Action:
+            costs[action, i] = stage_cost(s, action, deep)
+            for nxt, prob in transition(s, action, deep):
+                if nxt.aoi > depth:
+                    beyond[action, i, nxt.battery] += prob
+                    kernels[action, i, state_index(State(depth, nxt.battery), params)] += prob
+                else:
+                    kernels[action, i, state_index(nxt, params)] += prob
+    acts = np.array([state_action(tp, s) for s in states(replace(params, aoi_cap=depth))])
+    rows = np.arange(n)
+    tail = beyond[acts[-width:], rows[-width:]]  # no-delivery law from age K under tp
+    leaking = acts[-width:] == Action.TRANSMIT
+    hops = csgraph.shortest_path(sp.csr_matrix(tail > 0.0), unweighted=True)
+    if not np.isfinite(hops[:, leaking]).any(axis=1).all():
+        return math.inf, np.full((depth, width, 2), np.nan), math.inf
+    slope = np.linalg.solve(np.eye(width) - tail, np.ones(width))
+    chosen = kernels[acts, rows]
+    system = np.eye(n) - chosen
+    system[:, 0] = 1.0  # h(1, 0) = 0 frees its column for the gain
+    solution = np.linalg.solve(system, costs[acts, rows] + beyond[acts, rows] @ slope)
+    gain, bias = solution[0], np.concatenate([[0.0], solution[1:]])
+    q = costs + kernels @ bias + beyond @ slope
+    gap = q[acts, rows] - q.min(axis=0)
+    step = (q[0] - q[1])[-width:] - (q[0] - q[1])[-2 * width : -width]
+    if np.where(leaking, step < 0.0, step > 0.0).any():
+        return math.inf, q.T.reshape(depth, width, 2), float(gain)
+    return float(gap.max()), q.T.reshape(depth, width, 2), float(gain)

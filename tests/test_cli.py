@@ -60,8 +60,8 @@ EVAL_PARAMS = SystemParams(
     aoi_cap=150,
 )
 
-# Thresholds at aoi_cap=6 differ from the converged ones, so the adequacy
-# check must reject this instance.
+# At aoi_cap=6 the empty battery gets no threshold, where the untruncated
+# chain has one, so the adequacy check must reject this instance.
 CRAMPED = SystemParams(
     erasure_prob=0.2,
     harvest_prob=0.3,
@@ -137,7 +137,23 @@ def test_solve_rejects_inadequate_cap(tmp_path, capsys):
         ]
     )
     assert code == EXIT_TRUNCATION
+    err = capsys.readouterr().err
+    assert "aoi_cap=6 is inadequate" in err and "untruncated chain" in err
+
+
+def test_solve_refuses_thresholds_of_infinite_cost(tmp_path, capsys):
+    """Without harvest the solve at cap 50 never transmits: delivery is not certain, exit 5."""
+    pfile = tmp_path / "params.json"
+    pfile.write_text('{"p": 0.2, "lambda": 0.0, "omega": 1000.0, "c_r": 1000.0, '
+                     '"battery_cap": 1, "aoi_cap": 50}\n')
+    out = tmp_path / "run"
+    argv = ["solve", "--params", str(pfile), "--out", str(out), "--check-truncation"]
+    assert main(argv) == EXIT_TRUNCATION
     assert "inadequate" in capsys.readouterr().err
+    thresholds = ThresholdPolicy.from_json((out / "thresholds.json").read_text())
+    assert thresholds.thresholds == (None, None)
+    with pytest.raises(evaluation.BoundaryMassError):
+        evaluate_exact(thresholds, SystemParams.from_json(pfile.read_text()))
 
 
 def test_solve_accepts_adequate_cap(tmp_path, capsys):
@@ -814,63 +830,60 @@ def truncation_args(tmp_path, params):
     return ["solve", "--params", pfile, "--out", str(tmp_path / "out"), "--check-truncation"]
 
 
-def test_doubled_grid_over_the_bound_is_refused_before_any_solve(tmp_path, monkeypatch, capsys):
-    """--check-truncation needs twice the rows: refused before the first solve writes anything."""
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("solve ran before the doubled grid was checked")
-
-    monkeypatch.setattr("aoi_energy.cli.solve", unreachable)
-    tall = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 2)
-    tall.validate_for_solve()  # the first solve's grid alone is within the bound
-    assert main(truncation_args(tmp_path, tall)) == EXIT_USAGE
+def test_check_truncation_grid_over_the_bound_is_refused_before_any_write(tmp_path, capsys):
+    """--check-truncation adds no grid of its own: the solver's bound refuses, and nothing is
+    written."""
+    over = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 2 + 1)
+    assert main(truncation_args(tmp_path, over)) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"{MAX_GRID_STATES} x 2" in err and "exceeds" in err
+    assert f"{over.aoi_cap} x 2" in err and "exceeds" in err and "doubled" not in err
     assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
 
 
-def test_doubled_grid_bound_admits_its_limit(tmp_path, monkeypatch, capsys):
-    """At 2 * aoi_cap * (B+1) == the bound the first solve starts; one row more is refused."""
+def test_check_truncation_admits_every_grid_the_solver_admits(tmp_path, monkeypatch, capsys):
+    """At aoi_cap * (B+1) == the bound the solve starts; one row more is refused by the solver."""
 
-    def stub(*args, **kwargs):
+    def stub(params, cfg=None, start=None):
+        params.validate_for_solve()
         raise ConvergenceError("stub solve", span=1.0, iterations=1)
 
     monkeypatch.setattr("aoi_energy.cli.solve", stub)
-    edge = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 4)
+    edge = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 2)
     assert main(truncation_args(tmp_path, edge)) == EXIT_NO_CONVERGENCE
+    assert "stub solve" in capsys.readouterr().err
     over = dataclasses.replace(edge, aoi_cap=edge.aoi_cap + 1)
     assert main(truncation_args(tmp_path, over)) == EXIT_USAGE
     assert "exceeds" in capsys.readouterr().err
 
 
-def fail_doubled_solve(monkeypatch, params, error):
-    """Let the first solve run; make the doubled-cap solve of the check raise ``error``."""
-    real_solve = solver.solve
+def test_check_truncation_solves_once(tmp_path, monkeypatch, capsys):
+    """The check reads the solved policy's exact bias: the one solve is at the given cap."""
+    real_solve, caps = solver.solve, []
 
-    def doubled_fails(p, cfg=None, start=None):
-        if p.aoi_cap == 2 * params.aoi_cap:
-            raise error
-        return real_solve(p, cfg, start)
+    def counted(params, cfg=None, start=None):
+        caps.append(params.aoi_cap)
+        return real_solve(params, cfg, start)
 
-    monkeypatch.setattr(solver, "solve", doubled_fails)
-
-
-def test_doubled_solve_nonconvergence_names_the_doubled_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "solve", counted)
+    monkeypatch.setattr(cli, "solve", counted)
     roomy = dataclasses.replace(CRAMPED, aoi_cap=20)
-    fail_doubled_solve(monkeypatch, roomy, ConvergenceError("stub span", span=1.0, iterations=9))
-    assert main(truncation_args(tmp_path, roomy)) == EXIT_NO_CONVERGENCE
-    captured = capsys.readouterr()
-    assert "gain" in captured.out  # the solve at the given cap finished
-    assert "doubled aoi_cap=40 solve did not converge: stub span" in captured.err
+    assert main(truncation_args(tmp_path, roomy)) == EXIT_OK
+    assert "truncation adequate" in capsys.readouterr().out
+    assert caps == [20]
 
 
-def test_out_of_memory_in_the_doubled_solve_names_the_doubled_grid(tmp_path, monkeypatch, capsys):
+def test_out_of_memory_under_check_truncation_names_the_given_grid(
+    tmp_path, monkeypatch, capsys
+):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve", exhausted)
     roomy = dataclasses.replace(CRAMPED, aoi_cap=20)
-    fail_doubled_solve(monkeypatch, roomy, MemoryError())
     assert main(truncation_args(tmp_path, roomy)) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "out of memory" in err and "20 x 3 (aoi_cap x battery levels)" in err
-    assert "doubled 40 x 3 grid of 120 states" in err
+    assert "out of memory for the 20 x 3 (aoi_cap x battery levels) grid of 60 states" in err
+    assert "doubled" not in err
 
 
 @pytest.mark.parametrize("command", ["eval"])

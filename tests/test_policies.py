@@ -17,6 +17,7 @@ from aoi_energy import (
     policy_label,
     simulate,
 )
+from aoi_energy.evaluation import _transmit_rows
 from reference import Action, decide, read_threshold_csv, state_action, transmit_count
 
 PARAMS = SystemParams(
@@ -82,18 +83,20 @@ def test_policy_table_lookup_clamps_old_ages():
 
 
 def test_threshold_table_expansion_matches_decisions():
+    """The evaluators' transmit rows of a threshold policy: one per age up to its largest
+    finite threshold, the last for every older age too."""
     spec = ThresholdPolicy(thresholds=(None, 4, 2, 2, 1, 1))
-    table = spec.to_table(PARAMS)
+    rows = _transmit_rows(spec, PARAMS)
+    assert rows.shape == (4, PARAMS.battery_cap + 1)
     for aoi in range(1, PARAMS.aoi_cap + 1):
         for q in range(PARAMS.battery_cap + 1):
-            s = State(aoi, q)
-            assert state_action(table, s) == state_action(spec, s)
+            assert rows[min(aoi, len(rows)) - 1, q] == state_action(spec, State(aoi, q))
 
 
 def test_threshold_battery_mismatch_rejected():
     spec = ThresholdPolicy(thresholds=(1, 1))
-    with pytest.raises(ValueError):
-        spec.to_table(PARAMS)
+    with pytest.raises(ValueError, match="battery 0..1"):
+        _transmit_rows(spec, PARAMS)
 
 
 # ---------------------------------------------------------------------------

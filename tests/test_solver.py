@@ -14,6 +14,7 @@ from aoi_energy import (
     SolverConfig,
     State,
     SystemParams,
+    ThresholdPolicy,
     ThresholdStructureError,
     ValueTable,
     bellman_qvalues,
@@ -27,6 +28,7 @@ from aoi_energy import (
 )
 from conftest import BENCH, EPSILON, MID
 from reference import bellman_qvalues_gathered, greedy_policy_shortcircuit, relative_value_iteration
+from reference import doubled_cap_adequacy, exact_bias_violation, threshold_table
 from reference import state_action, write_value_csv_rows
 
 SMALL = SystemParams(
@@ -38,8 +40,9 @@ SMALL = SystemParams(
     aoi_cap=60,
 )
 
-# At cap 6 the empty-battery threshold of this instance sits beyond the grid;
-# doubling the cap reveals it, so the adequacy check must fail.
+# At cap 6 the solve leaves the empty battery without a threshold, which sits
+# beyond the grid: on the untruncated chain transmitting wins there at some
+# age, so the adequacy check must fail.
 CRAMPED = SystemParams(
     erasure_prob=0.2,
     harvest_prob=0.3,
@@ -100,7 +103,7 @@ def test_greedy_matches_thresholds_everywhere(bench_solution):
     v, q = bench_solution
     policy = greedy_policy(v, q, BENCH)
     thresholds = extract_thresholds(policy, BENCH)
-    assert np.array_equal(policy.actions, thresholds.to_table(BENCH).actions)
+    assert np.array_equal(policy.actions, threshold_table(thresholds, BENCH).actions)
 
 
 def test_greedy_ties_resolve_to_idle():
@@ -447,54 +450,45 @@ def test_truncation_adequacy_at_benchmark(bench_solution):
 
 
 def test_truncation_check_forgives_only_unresolved_ties():
-    """A threshold may move only where the doubled solve's two actions tie within epsilon.
+    """A threshold passes a gap only within epsilon: an exact tie that rounding breaks.
 
-    At p=0.5, lambda=0.9, omega=10 the doubled solve, started from the cap
-    solution, transmits at battery 15 from age 2 rather than 1; the two
-    actions there differ by about 5e-13, so the cap's threshold is as good.
-    At the (0.9, 0.9, 100) corner the empty-battery threshold moves from 182
-    to 181 across a gap of 0.88, and CRAMPED hides a threshold behind its cap.
+    At p=0.5, lambda=0.9, omega=10 the solved thresholds are greedy for their
+    own exact bias up to a gap of about 2.2e-12, so the check passes at
+    epsilon 1e-9 and fails at 1e-12. At the (0.9, 0.9, 100) corner the
+    empty-battery threshold 182 loses by 0.88 at age 181, and CRAMPED hides
+    a threshold behind its cap.
     """
     cfg = SolverConfig(epsilon=EPSILON)
     tie = dataclasses.replace(BENCH, erasure_prob=0.5, harvest_prob=0.9, energy_weight=10.0)
     v, q = solve(tie, cfg)
     thresholds = extract_thresholds(greedy_policy(v, q, tie), tie)
-    doubled = dataclasses.replace(tie, aoi_cap=2 * tie.aoi_cap)
-    v2, q2 = solve(doubled, cfg, np.pad(v.values, ((0, tie.aoi_cap), (0, 0)), "edge"))
-    moved = extract_thresholds(greedy_policy(v2, q2, doubled), doubled).thresholds
-    assert (thresholds.thresholds[15], moved[15]) == (1, 2)  # the tie this test is about
-    assert 0.0 < q2[0, 15, 1] - q2[0, 15, 0] < 1e-11
-    assert check_truncation_adequacy(thresholds, tie, cfg, v.values)
+    gap, _, gain = exact_bias_violation(thresholds, tie)
+    assert 1e-12 < gap < 1e-11  # the tie this test is about
+    assert abs(gain - v.gain) < 1e-8
+    assert check_truncation_adequacy(thresholds, tie, cfg)
+    assert not check_truncation_adequacy(thresholds, tie, SolverConfig(epsilon=1e-12))
 
     corner = dataclasses.replace(BENCH, erasure_prob=0.9, harvest_prob=0.9, energy_weight=100.0)
     v, q = solve(corner, cfg)
     thresholds = extract_thresholds(greedy_policy(v, q, corner), corner)
     assert thresholds.thresholds[0] == 182
-    assert not check_truncation_adequacy(thresholds, corner, cfg, v.values)
+    assert not check_truncation_adequacy(thresholds, corner, cfg)
+    assert check_truncation_adequacy(thresholds, corner, SolverConfig(epsilon=0.9))
 
     v, q = solve(CRAMPED, cfg)
     thresholds = extract_thresholds(greedy_policy(v, q, CRAMPED), CRAMPED)
-    assert not check_truncation_adequacy(thresholds, CRAMPED, cfg, v.values)
+    assert not check_truncation_adequacy(thresholds, CRAMPED, SolverConfig(epsilon=1e6))
 
 
-def test_warm_doubled_solve_is_short_and_reaches_the_cold_gain(monkeypatch, bench_solution):
+def test_warm_doubled_solve_is_short_and_reaches_the_cold_gain(bench_solution):
     """Started from the cap solution, the doubled solve needs few sweeps (1,529 from zero)."""
-    v, q = bench_solution
-    thresholds = extract_thresholds(greedy_policy(v, q, BENCH), BENCH)
+    v, _ = bench_solution
     cfg = SolverConfig(epsilon=EPSILON)
-    cold_solve, doubled_runs = solver.solve, []
-
-    def recording(params, cfg=None, start=None):
-        result = cold_solve(params, cfg, start)
-        doubled_runs.append(result[0])
-        return result
-
-    monkeypatch.setattr(solver, "solve", recording)
-    assert check_truncation_adequacy(thresholds, BENCH, cfg, v.values)
-    (warm,) = doubled_runs
+    doubled = dataclasses.replace(BENCH, aoi_cap=2 * BENCH.aoi_cap)
+    warm, _ = solve(doubled, cfg, np.pad(v.values, ((0, BENCH.aoi_cap), (0, 0)), "edge"))
     assert warm.values.shape == (2 * BENCH.aoi_cap, BENCH.battery_cap + 1)
     assert warm.iterations <= 50
-    cold, _ = cold_solve(dataclasses.replace(BENCH, aoi_cap=2 * BENCH.aoi_cap), cfg)
+    cold, _ = solve(doubled, cfg)
     assert abs(warm.gain - cold.gain) <= 1e-9
 
 
@@ -503,6 +497,124 @@ def test_truncation_inadequacy_detected():
     thresholds = extract_thresholds(greedy_policy(v, q, CRAMPED), CRAMPED)
     assert thresholds.thresholds[0] is None  # the cap hides this threshold
     assert not check_truncation_adequacy(thresholds, CRAMPED, SolverConfig())
+
+
+def test_truncation_check_sees_a_threshold_beyond_twice_the_cap():
+    """At cap 30 the empty-battery threshold is hidden; the doubled cap of 60 misses it too.
+
+    On the untruncated chain that threshold is 102: the check fails the
+    cap-30 thresholds, which a re-solve at twice the cap would still accept,
+    and passes the cap-200 ones, as that re-solve does.
+    """
+    hidden = SystemParams(
+        erasure_prob=0.5,
+        harvest_prob=0.5,
+        energy_weight=100.0,
+        backup_cost=2.0,
+        battery_cap=3,
+        aoi_cap=30,
+    )
+    cfg = SolverConfig(epsilon=EPSILON)
+    v, q = solve(hidden, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, hidden), hidden)
+    assert thresholds.thresholds == (None, 5, 4, 1)
+    assert not check_truncation_adequacy(thresholds, hidden, cfg)
+    assert doubled_cap_adequacy(thresholds, hidden, cfg, v.values)
+
+    roomy = dataclasses.replace(hidden, aoi_cap=200)
+    v, q = solve(roomy, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, roomy), roomy)
+    assert thresholds.thresholds[0] == 102
+    assert check_truncation_adequacy(thresholds, roomy, cfg)
+    assert doubled_cap_adequacy(thresholds, roomy, cfg, v.values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    p=st.floats(0.05, 0.95),
+    lam=st.floats(0.05, 0.95),
+    omega=st.floats(0.0, 60.0),
+    battery_cap=st.integers(1, 3),
+    aoi_cap=st.integers(3, 40),
+    shift=st.tuples(st.integers(0, 3), st.integers(-1, 1)),
+)
+def test_truncation_check_agrees_with_the_exact_bias_oracle(
+    p, lam, omega, battery_cap, aoi_cap, shift
+):
+    """The check passes exactly where the dense exact-bias oracle's largest gap is within epsilon.
+
+    The thresholds are solved on a small grid, so some hide behind the cap,
+    and then one of them may move by one age. Verdicts are compared only
+    where the oracle's gap is more than 1e-6 away from the check's epsilon,
+    1e-4 here so that the gaps of rounding size at optimal thresholds count.
+    """
+    params = SystemParams(p, lam, omega, 2.0, battery_cap, aoi_cap)
+    v, q = solve(params, SolverConfig(epsilon=EPSILON))
+    cfg = SolverConfig(epsilon=1e-4)
+    try:
+        solved = extract_thresholds(greedy_policy(v, q, params), params).thresholds
+    except ThresholdStructureError:
+        return
+    level, step = shift[0] % (battery_cap + 1), shift[1]
+    moved = list(solved)
+    if moved[level] is not None and moved[level] + step >= 1:
+        moved[level] += step
+    thresholds = ThresholdPolicy(tuple(moved))
+    gap, _, _ = exact_bias_violation(thresholds, params)
+    if abs(gap - cfg.epsilon) > 1e-6:
+        assert check_truncation_adequacy(thresholds, params, cfg) == (gap <= cfg.epsilon)
+
+
+def test_truncation_check_certifies_a_certain_harvest():
+    """With lambda = 1 a charged level that transmits every slot keeps its charge.
+
+    So the renewal kernel has a recurrent class per such level. Their gains
+    agree, and the solved thresholds pass, as a re-solve at twice the cap
+    agrees. A full battery that waits one slot has a class of its own with a
+    higher gain, and fails.
+    """
+    params = SystemParams(0.5, 1.0, 1.0, 2.0, 2, 20)
+    cfg = SolverConfig(epsilon=EPSILON)
+    v, q = solve(params, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, params), params)
+    assert thresholds.thresholds == (3, 1, 1)
+    assert check_truncation_adequacy(thresholds, params, cfg)
+    assert doubled_cap_adequacy(thresholds, params, cfg, v.values)
+    assert not check_truncation_adequacy(ThresholdPolicy((3, 1, 2)), params, cfg)
+
+
+def test_truncation_check_passes_a_threshold_that_wins_by_a_hair():
+    """Transmitting at the last threshold wins by about 2e-3, less than p: the check passes.
+
+    Moving that threshold one age either way fails it.
+    """
+    params = SystemParams(0.7, 0.6, 3.0, 2.0, 1, 100)
+    cfg = SolverConfig(epsilon=EPSILON)
+    v, q = solve(params, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, params), params)
+    assert thresholds.thresholds == (5, 1)
+    _, exact_q, _ = exact_bias_violation(thresholds, params)
+    assert 1e-3 < exact_q[4, 0, 0] - exact_q[4, 0, 1] < 1e-2
+    assert check_truncation_adequacy(thresholds, params, cfg)
+    for moved in ((4, 1), (6, 1)):
+        assert not check_truncation_adequacy(ThresholdPolicy(moved), params, cfg), moved
+
+
+def test_raising_a_threshold_past_a_clear_advantage_fails_the_check():
+    """A level that transmits one age late, where transmitting wins by 1e-3 or more, fails."""
+    cfg = SolverConfig(epsilon=EPSILON)
+    v, q = solve(MID, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, MID), MID)
+    assert check_truncation_adequacy(thresholds, MID, cfg)
+    _, exact_q, _ = exact_bias_violation(thresholds, MID)
+    raised = 0
+    for level, age in enumerate(thresholds.thresholds):
+        if exact_q[age - 1, level, 0] - exact_q[age - 1, level, 1] >= 1e-3:
+            late = list(thresholds.thresholds)
+            late[level] += 1
+            assert not check_truncation_adequacy(ThresholdPolicy(tuple(late)), MID, cfg), level
+            raised += 1
+    assert raised >= 2
 
 
 def test_truncation_adequate_once_cap_covers_thresholds():
