@@ -76,7 +76,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_STRUCTURE = 4
 EXIT_TRUNCATION = 5
 
-# p=0 rows are evaluation-only; the solver sees this clamped value instead.
+# Unused by the package, which solves p = 0 as given; perfbench/make_reference.py imports it.
 P_SOLVE_CLAMP = 1e-9
 
 _AXES = {"omega": "energy_weight", "lambda": "harvest_prob", "p": "erasure_prob"}
@@ -230,31 +230,27 @@ def run_eval(args: argparse.Namespace) -> int:
 def run_sweep(args: argparse.Namespace) -> int:
     """Solve along the axis and score every policy at every grid point.
 
-    Every point's parameters are built, and so validated, then the output
-    path is checked and every policy spec parsed, all before the first
-    solve. Any solver failure, threshold-structure failure, or certificate
-    failure aborts the whole sweep naming the offending grid point; nothing
-    is written in that case. Output rows are buffered and written once, in
-    axis order and then policy order, so equal arguments give byte-identical
-    files.
+    Every point is built and held to the solver's domain (``validate_for_solve``),
+    then the output path is checked and every policy spec parsed, all before
+    the first solve; a point is solved at the parameters it is scored at. Any
+    solver, threshold-structure or certificate failure aborts the whole sweep
+    naming the offending grid point; nothing is written in that case. Output
+    rows are buffered and written once, in axis order and then policy order,
+    so equal arguments give byte-identical files.
     """
     fixed = _load_params(args)
     values = [float(text) for text in args.values.split(",")]
-    if args.axis == "p" and not all(value < 1.0 for value in values):
-        raise ValueError(f"p axis values must lie in [0, 1), got {args.values!r}")
     points = [replace(fixed, **{_AXES[args.axis]: value}) for value in values]
+    for point in points:
+        point.validate_for_solve()
     _check_output(args.out)
     policies = [text.strip() for text in args.policies.split(",")]
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in policies]
     solver_cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
     rows: list[list] = []
     for value, point in zip(values, points):
-        solver_point, solved_note = point, ""
-        if args.axis == "p" and value == 0.0:
-            solver_point = replace(point, erasure_prob=P_SOLVE_CLAMP)
-            solved_note = f"solver_p_clamped={P_SOLVE_CLAMP:.0e}"
         try:
-            _, thresholds, certificate = _solve_point(solver_point, solver_cfg, args.structure_tol)
+            _, thresholds, certificate = _solve_point(point, solver_cfg, args.structure_tol)
             if not certificate.all_pass:
                 raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
         except (ConvergenceError, ThresholdStructureError, StructureViolationError) as exc:
@@ -263,8 +259,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         for policy in parsed:
             label = "solved" if policy is None else policy_label(policy)
             report, note = _score_exact(thresholds if policy is None else policy, point)
-            notes = ";".join(n for n in ((solved_note if policy is None else ""), note) if n)
-            rows.append(report_row_values(label, point, report, None, notes))
+            rows.append(report_row_values(label, point, report, None, note))
     write_report_rows(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

@@ -613,8 +613,10 @@ def _slot_kernels(params: SystemParams, depth: int) -> np.ndarray:
     States are (age row, battery), age-major, over ``depth`` age rows. At
     depth 1 the age is gone and the two transmit kernels are the one battery
     kernel of exact evaluation; at ``aoi_cap`` enumeration mixes them by p.
+    A kernel above ``MAX_GRID_STATES`` entries is refused before allocation.
     """
     width = params.battery_cap + 1
+    check_grid(depth * width, depth * width, "slot kernel rows x columns")
     state = np.arange(depth * width)
     tx, erased = np.array([[[False], [True], [True]], [[False], [True], [False]]])
     kernels = np.zeros((3, state.size, state.size))
@@ -626,7 +628,7 @@ def _slot_kernels(params: SystemParams, depth: int) -> np.ndarray:
 
 def _cycles(
     actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: SystemParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sums over one delivery cycle from each auxiliary state at age 1.
 
     Row d-1 of the boolean ``actions`` holds the transmit flag per
@@ -638,9 +640,9 @@ def _cycles(
     ages are walked one by one; from there T is constant, and the tail sums
     use N = (I-T)^-1: visits = walk N, and sum_k k walk T^k = (walk N - walk) N.
     Returns the delivery law (the renewal kernel), the expected cycle
-    length, age sum and weighted backup spend, and a mask of the states from
-    which delivery is not certain: their walk reaches states from which the
-    tail never leaks.
+    length, age sum and weighted backup spend, a mask of the states from
+    which delivery is not certain (their walk reaches states from which the
+    tail never leaks), and N on the states from which the tail leaks.
     """
     p = params.erasure_prob
     n = idle.shape[0]
@@ -674,7 +676,7 @@ def _cycles(
 
     deliveries = (1.0 - p) * sent @ tx
     spend = params.energy_weight * params.backup_cost * (sent @ empty)
-    return deliveries, length, age_sum, spend, trapped
+    return deliveries, length, age_sum, spend, trapped, fundamental
 
 
 def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
@@ -710,7 +712,7 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
         dies = p < 1.0 and (isinstance(spec, Periodic) or spec.p_tx > 0.0)
     else:
         rows = _transmit_rows(spec, params)
-        deliveries, length, age_sum, spend, trapped = _cycles(rows, idle, tx, params)
+        deliveries, length, age_sum, spend, trapped, _ = _cycles(rows, idle, tx, params)
         dies = not trapped[_closure(deliveries != 0.0)[0]].any()
     if not dies:
         raise BoundaryMassError(

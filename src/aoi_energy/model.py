@@ -116,18 +116,18 @@ class SystemParams:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def validate_for_solve(self) -> None:
-        """Reject parameter corners where the Bellman problem degenerates.
+        """The solver's domain, stated once: erasure_prob < 1 and a grid it can hold.
 
-        Solving needs 0 < erasure_prob < 1: at 0 every transmission succeeds
-        and at 1 none does, and both corners are reserved for evaluation-only
-        experiments. energy_weight = 0 is allowed (the always-transmit test
-        regime). The grid may hold at most :data:`MAX_GRID_STATES` states.
+        At erasure_prob = 1 no update is ever delivered and every policy's
+        average age is infinite, so that corner is evaluation-only; every
+        p in [0, 1) is solved as given, p = 0 included. The grid may hold at
+        most :data:`MAX_GRID_STATES` states.
         """
         check_grid(self.aoi_cap, self.battery_cap + 1, "aoi_cap x battery levels")
-        if not 0.0 < self.erasure_prob < 1.0:
+        if not self.erasure_prob < 1.0:
             raise ValueError(
-                "solving requires 0 < erasure_prob < 1; "
-                f"got {self.erasure_prob!r} (degenerate values are eval-only)"
+                f"solving requires erasure_prob < 1, got {self.erasure_prob!r}: "
+                "no update is ever delivered (p = 1 is eval-only)"
             )
 
     @property

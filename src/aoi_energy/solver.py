@@ -305,11 +305,11 @@ def check_truncation_adequacy(
     """
     cfg = cfg if cfg is not None else SolverConfig()
     p = params.erasure_prob
-    rows = _transmit_rows(tp, params).astype(float)
-    if None in tp.thresholds or not p < 1.0:
+    rows = _transmit_rows(tp, params)
+    if not (rows[-1].all() and p < 1.0):
         return False
     idle, tx, _ = _slot_kernels(params, 1)
-    deliveries, length, age_sum, spend, _ = _cycles(rows, idle, tx, params)
+    deliveries, length, age_sum, spend, _, tail = _cycles(rows, idle, tx, params)
     reach = _closure(deliveries != 0.0)
     # A recurrent state reaches just its class; the lowest member stands for it.
     lowest = ~(reach & ~reach.T).any(axis=1) & (reach.argmax(axis=1) == np.arange(len(idle)))
@@ -324,13 +324,13 @@ def check_truncation_adequacy(
     ages = np.arange(1.0, len(rows) + 1)[:, None]
     cost = ages + rows * (backup + fresh) - gains[0]
     h = np.empty((len(rows) + 1, len(idle)))  # ages 1..D+1
-    h[-2] = np.linalg.solve(np.eye(len(idle)) - p * tx, cost[-1] + p / (1.0 - p))
+    h[-2] = tail @ (cost[-1] + p / (1.0 - p))  # tail = (I - p tx)^-1: all transmit at row D
     h[-1] = h[-2] + 1.0 / (1.0 - p)
     for d in range(len(rows) - 2, -1, -1):
         h[d] = cost[d] + (1.0 - rows[d]) * (idle @ h[d + 1]) + p * rows[d] * (tx @ h[d + 1])
     q_idle = ages + h[1:] @ idle.T
     q_tx = ages + backup + p * h[1:] @ tx.T + fresh
-    gap = np.where(rows > 0.0, q_tx, q_idle) - np.minimum(q_idle, q_tx)
+    gap = np.where(rows, q_tx, q_idle) - np.minimum(q_idle, q_tx)
     return bool(gap.max() <= cfg.epsilon)
 
 

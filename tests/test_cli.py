@@ -610,14 +610,17 @@ def test_sweep_rows_and_determinism(tmp_path, capsys):
         assert float(pair[1]["avg_total"]) <= float(pair[0]["avg_total"]) + 1e-9
 
 
-def test_sweep_clamps_perfect_channel_for_the_solver(tmp_path, capsys):
+def test_sweep_solves_perfect_channel_as_given(tmp_path, capsys):
+    """The p = 0 point is solved at p = 0, with no note; its cost is the one a solve at
+    p = 1e-9 gave."""
     pfile = params_file(tmp_path, SWEEP_PARAMS)
     out = tmp_path / "rows.csv"
     assert main(sweep_args(pfile, out, "p", "0.0", "solved")) == EXIT_OK
     (row,) = read_rows(out)
     assert float(row["p"]) == 0.0
-    assert row["note"] == "solver_p_clamped=1e-09"
+    assert row["note"] == ""
     assert row["method"] == METHOD_EXACT
+    assert row["avg_total"] == "1.8221637345892785"
 
 
 def test_sweep_writes_the_inf_row_without_simulating(tmp_path, monkeypatch, capsys):
@@ -1151,6 +1154,24 @@ def test_eval_mc_checks_every_policy_before_allocation(tmp_path, monkeypatch, ca
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "1000000000 x 4" in captured.err and "exceeds" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_eval_exact_kernel_over_the_bound_is_refused_before_allocation(
+    tmp_path, monkeypatch, capsys
+):
+    """Exact evaluation's slot kernels are (B+1) x (B+1): at B = 1023 they hold exactly
+    2^20 entries and are built; at B = 1024, exit 2 before any array exists, and no row."""
+    kernels = evaluation._slot_kernels(dataclasses.replace(EVAL_PARAMS, battery_cap=1023), 1)
+    assert kernels.shape == (3, 1024, 1024) and 1024 * 1024 == MAX_GRID_STATES
+    pfile = params_file(tmp_path, dataclasses.replace(EVAL_PARAMS, battery_cap=1024))
+    refuse_allocation(monkeypatch)
+    argv = ["eval", "--params", pfile, "--policies", "zero-wait", "--method", "exact",
+            "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "1025 x 1025 (slot kernel" in captured.err and "exceeds" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "rows.csv").exists()
 

@@ -1,5 +1,6 @@
 """Model-layer tests: transition law, stage cost, sampling, serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -299,17 +300,17 @@ def test_params_validation(field, value):
 
 
 def test_solve_mode_rejects_degenerate_erasure():
-    for p in (0.0, 1.0):
-        params = SystemParams(
-            erasure_prob=p,
-            harvest_prob=0.5,
-            energy_weight=1.0,
-            backup_cost=1.0,
-            battery_cap=2,
-            aoi_cap=4,
-        )
-        with pytest.raises(ValueError):
-            params.validate_for_solve()
+    params = SystemParams(
+        erasure_prob=1.0,
+        harvest_prob=0.5,
+        energy_weight=1.0,
+        backup_cost=1.0,
+        battery_cap=2,
+        aoi_cap=4,
+    )
+    with pytest.raises(ValueError, match="erasure_prob < 1"):
+        params.validate_for_solve()
+    dataclasses.replace(params, erasure_prob=0.0).validate_for_solve()  # p = 0 is solved
 
 
 def test_state_indexing_round_trip():
