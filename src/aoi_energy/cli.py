@@ -34,27 +34,28 @@ from .evaluation import (
     EvalReport,
     METHOD_EXACT,
     SimConfig,
+    _slot_kernels,
     evaluate_exact,
     report_row_values,
     simulate,
     write_report_rows,
 )
 from .model import SystemParams
-from .policies import PolicySpec, ThresholdPolicy, parse_policy_spec, policy_label
+from .policies import PolicySpec, parse_policy_spec, policy_label
 from .solver import (
     ConvergenceError,
     SolverConfig,
     ThresholdStructureError,
-    ValueTable,
     bellman_qvalues,
     check_truncation_adequacy,
     extract_thresholds,
     greedy_policy,
+    policy_iteration,
     read_value_csv,
     solve,
     write_value_csv,
 )
-from .structure import DEFAULT_TOLERANCE, StructureReport, certify_structure
+from .structure import DEFAULT_TOLERANCE, certify_structure
 
 __all__ = [
     "EXIT_OK",
@@ -95,15 +96,6 @@ def _score_exact(spec: PolicySpec, params: SystemParams) -> tuple[EvalReport, st
     except BoundaryMassError:
         inf = float("inf")
         return EvalReport(inf, inf, float("nan"), 0.0, METHOD_EXACT), "infinite_cost"
-
-
-def _solve_point(
-    params: SystemParams, cfg: SolverConfig, tol: float
-) -> tuple[ValueTable, ThresholdPolicy, StructureReport]:
-    """Solve one instance: its value table, greedy thresholds and structure report."""
-    v, q = solve(params, cfg)
-    thresholds = extract_thresholds(greedy_policy(v, q, params), params)
-    return v, thresholds, certify_structure(v, q, params, tol)
 
 
 def _check_output(path: str, made: bool = False) -> None:
@@ -152,7 +144,9 @@ def run_solve(args: argparse.Namespace) -> int:
     if os.path.isdir(out_dir):
         for name in _SOLVE_ARTIFACTS:
             _check_output(os.path.join(out_dir, name))
-    v, thresholds, report = _solve_point(params, cfg, args.structure_tol)
+    v, q = solve(params, cfg)
+    thresholds = extract_thresholds(greedy_policy(v, q, params), params)
+    report = certify_structure(v, q, params, args.structure_tol)
 
     os.makedirs(out_dir, exist_ok=True)
     values_csv, thresholds_json, thresholds_csv, report_json = (
@@ -230,19 +224,20 @@ def run_eval(args: argparse.Namespace) -> int:
 def run_sweep(args: argparse.Namespace) -> int:
     """Solve along the axis and score every policy at every grid point.
 
-    Every point is built and held to the solver's domain (``validate_for_solve``),
-    then the output path is checked and every policy spec parsed, all before
-    the first solve; a point is solved at the parameters it is scored at. Any
-    solver, threshold-structure or certificate failure aborts the whole sweep
-    naming the offending grid point; nothing is written in that case. Output
-    rows are buffered and written once, in axis order and then policy order,
-    so equal arguments give byte-identical files.
+    Every point is held to the solver's domain (``validate_for_solve``) and the
+    slot kernels' bound, the output path checked and every policy spec parsed,
+    all before the first solve. Each point is solved where it is scored, by
+    :func:`policy_iteration`, whose exact bias the certificates read. A solver
+    or certificate failure aborts the whole sweep naming the grid point, and
+    nothing is written. Output rows are buffered and written once, in axis
+    order and then policy order, so equal arguments give byte-identical files.
     """
     fixed = _load_params(args)
     values = [float(text) for text in args.values.split(",")]
     points = [replace(fixed, **{_AXES[args.axis]: value}) for value in values]
     for point in points:
         point.validate_for_solve()
+    _slot_kernels(fixed, 1)  # refuses B >= 1024 before any solve: exact evaluation needs them
     _check_output(args.out)
     policies = [text.strip() for text in args.policies.split(",")]
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in policies]
@@ -250,10 +245,11 @@ def run_sweep(args: argparse.Namespace) -> int:
     rows: list[list] = []
     for value, point in zip(values, points):
         try:
-            _, thresholds, certificate = _solve_point(point, solver_cfg, args.structure_tol)
+            v, q, thresholds = policy_iteration(point, solver_cfg)
+            certificate = certify_structure(v, q, point, args.structure_tol)
             if not certificate.all_pass:
                 raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
-        except (ConvergenceError, ThresholdStructureError, StructureViolationError) as exc:
+        except (ConvergenceError, StructureViolationError) as exc:
             exc.args = (f"sweep aborted at {args.axis}={value!r}: {exc}",)
             raise
         for policy in parsed:
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     def solver_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--params", required=True, help="system parameter JSON file")
         p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
-                       help="span stopping tolerance")
+                       help="span stopping tolerance (solve), improvement margin (sweep)")
         p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
         p.add_argument(
             "--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE,

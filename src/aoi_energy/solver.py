@@ -1,4 +1,4 @@
-"""Average-cost solver: relative value iteration and threshold extraction.
+"""Average-cost solvers: RVI for ``solve``, policy iteration for ``sweep``; thresholds.
 
 The optimality equation for the long-run average cost is solved by value
 iteration with re-anchoring at (1, battery_cap), the cheapest corner. Each
@@ -61,13 +61,14 @@ __all__ = [
     "greedy_policy",
     "extract_thresholds",
     "check_truncation_adequacy",
+    "policy_iteration",
     "write_value_csv",
     "read_value_csv",
 ]
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration ran out of sweeps before the span closed."""
+    """A solve did not converge; ``span`` is RVI's last span, NaN from policy iteration."""
 
     def __init__(self, message: str, span: float, iterations: int):
         super().__init__(message)
@@ -85,7 +86,7 @@ class ThresholdStructureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the relative value iteration."""
+    """Tolerance and budget: RVI's span and sweeps, or policy iteration's margin and rounds."""
 
     epsilon: float = 1e-9
     max_iters: int = 500_000
@@ -287,27 +288,19 @@ def extract_thresholds(policy: PolicyTable, params: SystemParams) -> ThresholdPo
     return ThresholdPolicy(thresholds=tuple(thresholds))
 
 
-def check_truncation_adequacy(
-    tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
-) -> bool:
-    """True when ``tp`` is greedy, within ``cfg.epsilon``, for its own exact bias.
+def _exact_bias(
+    rows: np.ndarray, params: SystemParams, cfg: SolverConfig, ages: int = 0
+) -> tuple[float, np.ndarray, np.ndarray, float] | None:
+    """Gain, bias h (ages 1..n+1), q table (ages 1..n) and Howard's gap of ``rows``.
 
-    Howard's (1960) policy-improvement test on the untruncated chain. A level
-    that never transmits fails: a slot delivers with chance at most 1-p, so
-    the wait T for delivery is at least 1 + 1/(1-p) at an idle level, and at
-    the idle level m of longest wait idling loses at least (1-p) T_m - 1 > 0
-    more per age. Otherwise all levels transmit from the last action row D
-    on. With a_d the transmit flags at age d and S_d = diag(1-a_d) idle +
-    p diag(a_d) tx, h_d = c_d - g + S_d h_(d+1) + (1-p) diag(a_d) tx h_1. By
-    the renewal sums of :func:`_cycles`, (I - M) h_1 = C - g L with nu h_1 = 0
-    on each recurrent class of M, whose gains must agree. Past D, h grows by
-    1/(1-p) per age and the advantage of idling by 1, so rows 1..D decide.
+    Every level transmits at the last row D, p < 1 and n = max(D, ``ages``).
+    With S_d = diag(1-a_d) idle + p diag(a_d) tx, h_d = c_d - g + S_d h_(d+1) +
+    (1-p) diag(a_d) tx h_1, and (I - M) h_1 = C - g L by :func:`_cycles`, with
+    nu h_1 = 0 on each recurrent class of M. Past D, h grows by 1/(1-p) per age
+    and the advantage of idling by 1, so the gap (the most an action of ``rows``
+    loses) is over rows 1..D. None when class gains differ by more than epsilon.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
     p = params.erasure_prob
-    rows = _transmit_rows(tp, params)
-    if not (rows[-1].all() and p < 1.0):
-        return False
     idle, tx, _ = _slot_kernels(params, 1)
     deliveries, length, age_sum, spend, _, tail = _cycles(rows, idle, tx, params)
     reach = _closure(deliveries != 0.0)
@@ -316,22 +309,83 @@ def check_truncation_adequacy(
     laws = np.array([stationary_distribution(deliveries, i) for i in np.flatnonzero(lowest)])
     gains = laws @ (age_sum + spend) / (laws @ length)
     if not gains.max() - gains.min() <= cfg.epsilon:
-        return False
+        return None
     renewal = np.eye(len(idle)) - deliveries + reach[lowest].T @ laws  # + 1_k nu_k: invertible
     first = np.linalg.solve(renewal, age_sum + spend - gains[0] * length)
     backup = params.energy_weight * params.backup_cost * (np.arange(len(idle)) == 0)
     fresh = (1.0 - p) * (tx @ first)  # a delivery lands on h_1
-    ages = np.arange(1.0, len(rows) + 1)[:, None]
-    cost = ages + rows * (backup + fresh) - gains[0]
-    h = np.empty((len(rows) + 1, len(idle)))  # ages 1..D+1
-    h[-2] = tail @ (cost[-1] + p / (1.0 - p))  # tail = (I - p tx)^-1: all transmit at row D
-    h[-1] = h[-2] + 1.0 / (1.0 - p)
-    for d in range(len(rows) - 2, -1, -1):
+    depth, n = len(rows), max(len(rows), ages)
+    age = np.arange(1.0, n + 1)[:, None]
+    cost = age[:depth] + rows * (backup + fresh) - gains[0]
+    h = np.empty((n + 1, len(idle)))
+    h[depth - 1] = tail @ (cost[-1] + p / (1.0 - p))  # tail = (I - p tx)^-1: all transmit at D
+    h[depth:] = h[depth - 1] + np.arange(1.0, n + 2 - depth)[:, None] / (1.0 - p)
+    for d in range(depth - 2, -1, -1):
         h[d] = cost[d] + (1.0 - rows[d]) * (idle @ h[d + 1]) + p * rows[d] * (tx @ h[d + 1])
-    q_idle = ages + h[1:] @ idle.T
-    q_tx = ages + backup + p * h[1:] @ tx.T + fresh
-    gap = np.where(rows, q_tx, q_idle) - np.minimum(q_idle, q_tx)
-    return bool(gap.max() <= cfg.epsilon)
+    q = np.stack([age + h[1:] @ idle.T, age + backup + p * h[1:] @ tx.T + fresh], axis=-1)
+    gap = np.where(rows, q[:depth, :, 1], q[:depth, :, 0]) - q[:depth].min(axis=-1)
+    return float(gains[0]), h, q, float(gap.max())
+
+
+def check_truncation_adequacy(
+    tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
+) -> bool:
+    """True when ``tp`` is greedy, within ``cfg.epsilon``, for its own exact bias.
+
+    Howard's (1960) policy-improvement test on the untruncated chain
+    (:func:`_exact_bias`). A level that never transmits fails: a slot delivers
+    with chance at most 1-p, so the wait T for delivery is at least
+    1 + 1/(1-p) at an idle level, and at the idle level m of longest wait
+    idling loses at least (1-p) T_m - 1 > 0 more per age.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    rows = _transmit_rows(tp, params)
+    bias = _exact_bias(rows, params, cfg) if rows[-1].all() and params.erasure_prob < 1.0 else None
+    return bias is not None and bias[3] <= cfg.epsilon
+
+
+def policy_iteration(
+    params: SystemParams, cfg: SolverConfig | None = None
+) -> tuple[ValueTable, np.ndarray, ThresholdPolicy]:
+    """Howard's policy iteration over threshold policies, on the untruncated chain.
+
+    From ZeroWait (always of finite cost), a round keeps each action unless the
+    other wins by more than ``cfg.epsilon`` on the exact bias. A new threshold
+    is the first transmitting age; a level idle at the last row D by G moves to
+    D + floor(G - eps) + 1, at most 2D, so each grid stays under the bound. A
+    cumulative min makes them non-increasing in battery, the paper's structure.
+    Stops when they stop moving and pass :func:`check_truncation_adequacy`'s
+    test, else raises :class:`ConvergenceError`. Returns the bias and q table on
+    the ``aoi_cap`` grid anchored at (1, battery_cap), and the thresholds.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    params.validate_for_solve()
+    thresholds, seen = (1,) * (params.battery_cap + 1), []
+    why = f"still move after {cfg.max_iters} rounds"  # unless a round breaks off
+    for rounds in range(1, cfg.max_iters + 1):
+        seen.append(thresholds)
+        rows = _transmit_rows(ThresholdPolicy(thresholds), params)
+        exact = _exact_bias(rows, params, cfg, params.aoi_cap)
+        if exact is None:
+            why = "have recurrent classes of unequal gain"
+            break
+        gain, h, q, gap = exact
+        advantage = q[: len(rows), :, 0] - q[: len(rows), :, 1]  # > 0: transmitting is cheaper
+        tx = np.where(rows, advantage >= -cfg.epsilon, advantage > cfg.epsilon)
+        late = np.minimum(len(rows) + np.floor(-advantage[-1] - cfg.epsilon) + 1, 2 * len(rows))
+        firsts = np.where(tx.any(axis=0), tx.argmax(axis=0) + 1, late)
+        thresholds = tuple(int(t) for t in np.minimum.accumulate(firsts))
+        if thresholds in seen:
+            why = "" if thresholds == seen[-1] else "repeat an earlier round's"
+            break
+    if not (why or gap <= cfg.epsilon):
+        why = "fail Howard's improvement test"
+    if why:
+        raise ConvergenceError(f"policy iteration did not converge: thresholds "
+                               f"{list(thresholds)} {why}", span=math.nan, iterations=rounds)
+    values, q = h[: params.aoi_cap] - h[0, -1], q[: params.aoi_cap] - h[0, -1]
+    span = float(np.ptp(q.min(axis=-1) - values))
+    return ValueTable(values, gain, rounds, span), q, ThresholdPolicy(thresholds)
 
 
 def write_value_csv(path: str, v: ValueTable) -> None:

@@ -232,7 +232,7 @@ def test_hostile_tolerances_fail_before_any_work(
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{command} {option} {value} reached the solver")
 
-    for name in ("solve", "bellman_qvalues", "certify_structure"):
+    for name in ("solve", "policy_iteration", "bellman_qvalues", "certify_structure"):
         monkeypatch.setattr(aoi_energy.cli, name, must_not_run)
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "out"
@@ -282,7 +282,7 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys, 
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{command} reached the work with output {place}")
 
-    for name in ("solve", "simulate", "evaluate_exact"):
+    for name in ("solve", "policy_iteration", "simulate", "evaluate_exact"):
         monkeypatch.setattr(aoi_energy.cli, name, must_not_run)
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     (tmp_path / "file").write_text("")
@@ -641,10 +641,14 @@ def test_sweep_writes_the_inf_row_without_simulating(tmp_path, monkeypatch, caps
 
 
 def test_sweep_abort_writes_nothing(tmp_path, capsys):
+    """Policy iteration needs 3 rounds at this point, so 2 run out."""
     pfile = params_file(tmp_path, SWEEP_PARAMS)
     out = tmp_path / "rows.csv"
     args = sweep_args(pfile, out, "omega", "2.0", "zero-wait") + ["--max-iters", "2"]
     assert main(args) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "sweep aborted at omega=2.0: policy iteration did not converge: thresholds [" in err
+    assert "] still move after 2 rounds" in err
     assert not out.exists()
 
 
@@ -653,6 +657,7 @@ def refuse_solve(monkeypatch):
         raise AssertionError("solve called")
 
     monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(cli, "policy_iteration", solve)
 
 
 def test_sweep_rejects_bad_axis_and_values(tmp_path, monkeypatch, capsys):
@@ -700,6 +705,30 @@ def test_sweep_refuses_a_bad_omega_before_solving(tmp_path, monkeypatch, capsys,
     assert main(sweep_args(pfile, out, "omega", values, "solved")) == EXIT_USAGE
     assert "energy_weight" in capsys.readouterr().err
     assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
+def test_sweep_refuses_the_slot_kernel_bound_before_solving(tmp_path, monkeypatch, capsys):
+    """At B = 1024 exact evaluation's (B+1) x (B+1) kernels exceed the bound: exit 2
+    before the first point is solved, naming them, and nothing is written."""
+    refuse_solve(monkeypatch)
+    wide = dataclasses.replace(SWEEP_PARAMS, battery_cap=1024, aoi_cap=3)
+    pfile = params_file(tmp_path, wide)
+    out = tmp_path / "rows.csv"
+    assert main(sweep_args(pfile, out, "p", "0.2,0.0", "zero-wait,solved")) == EXIT_USAGE
+    assert "1025 x 1025 (slot kernel rows x columns)" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
+def test_sweep_refuses_a_threshold_beyond_the_grid_bound(tmp_path, capsys):
+    """omega * c_r = 1e12: policy iteration doubles the empty battery's threshold each
+    round until its 32768 x 41 grid exceeds the bound, and the sweep exits 2."""
+    huge = dataclasses.replace(SWEEP_PARAMS, energy_weight=5e11, backup_cost=2.0, battery_cap=40)
+    pfile = params_file(tmp_path, huge)
+    out = tmp_path / "rows.csv"
+    assert main(sweep_args(pfile, out, "p", "0.2", "solved")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "32768 x 41 (threshold age rows x battery levels)" in err and "exceeds" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval-exact", "eval-mc"])

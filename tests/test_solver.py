@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aoi_energy import (
+    BoundaryMassError,
     ConvergenceError,
     PolicyTable,
     SolverConfig,
@@ -18,7 +19,9 @@ from aoi_energy import (
     ThresholdStructureError,
     ValueTable,
     bellman_qvalues,
+    certify_structure,
     check_truncation_adequacy,
+    evaluate_exact,
     extract_thresholds,
     greedy_policy,
     read_value_csv,
@@ -640,6 +643,107 @@ def test_truncation_adequate_once_cap_covers_thresholds():
     thresholds = extract_thresholds(greedy_policy(v, q, roomy), roomy)
     assert thresholds.thresholds == (5, 4, 2)
     assert check_truncation_adequacy(thresholds, roomy, SolverConfig())
+
+
+# ---------------------------------------------------------------------------
+# policy iteration
+
+
+def rvi_cost(params, cfg):
+    """Exact report of RVI's thresholds at ``params.aoi_cap``, or None where there is no
+    finite cost to compare with: RVI does not converge within 10,000 sweeps (it never does
+    at p = lambda = 0, where the chain is periodic), its greedy table is not
+    threshold-shaped, or a level never transmits."""
+    try:
+        v, q = solve(params, dataclasses.replace(cfg, max_iters=10_000))
+        return evaluate_exact(extract_thresholds(greedy_policy(v, q, params), params), params)
+    except (ConvergenceError, ThresholdStructureError, BoundaryMassError):
+        return None
+
+
+def assert_policy_iteration_is_optimal(params, cfg):
+    """Howard's test passes, the gain is the policy's exact cost, the thresholds fall with
+    the battery level, and the cost is no more than that of RVI's thresholds."""
+    v, q, policy = solver.policy_iteration(params, cfg)
+    assert check_truncation_adequacy(policy, params, cfg)
+    cost = evaluate_exact(policy, params).avg_total_cost
+    assert v.gain == pytest.approx(cost, rel=1e-9)
+    assert list(policy.thresholds) == sorted(policy.thresholds, reverse=True)
+    assert v.values.shape == params.grid_shape and q.shape == (*params.grid_shape, 2)
+    assert v.values[0, -1] == 0.0
+    rvi = rvi_cost(params, cfg)
+    assert rvi is None or cost <= rvi.avg_total_cost * (1.0 + 1e-12)
+    return v, q, policy, rvi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    battery_cap=st.integers(1, 4),
+    p=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    omega=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+)
+def test_policy_iteration_never_loses_to_rvi_property(battery_cap, p, lam, omega):
+    assert_policy_iteration_is_optimal(
+        SystemParams(p, lam, omega, 2.0, battery_cap, 40), SolverConfig(epsilon=EPSILON)
+    )
+
+
+# Points of BENCH by (p, lambda, omega), and three instances of their own. With
+# neither the cumulative min over battery levels nor the 2D cap per round, "tie"
+# grows a threshold to about 1.5e9, past the grid bound; either guard alone keeps
+# it. Without the 2D cap, "no-harvest" overshoots the bound too. RVI's grid hides
+# three of these answers: 182 at "corner", None at "tiny" (cap 30), and
+# (None, None), of infinite cost, at "no-harvest" (cap 50).
+PI_CASES = {
+    "tie": (
+        dataclasses.replace(BENCH, erasure_prob=0.5, harvest_prob=0.9), (19,) + (2,) * 19 + (1,)
+    ),
+    "corner": (
+        dataclasses.replace(BENCH, erasure_prob=0.9, harvest_prob=0.9, energy_weight=100.0),
+        (181, 10, 8, 6, 5, 4, 4) + (3,) * 6 + (2,) * 7 + (1,),
+    ),
+    "tiny": (SystemParams(0.5, 0.5, 100.0, 2.0, 3, 30), (102, 5, 4, 1)),
+    "no-harvest": (SystemParams(0.2, 0.0, 1000.0, 1000.0, 1, 50), (1581, 1581)),
+    "sure-harvest": (dataclasses.replace(BENCH, harvest_prob=1.0), (20,) + (1,) * 20),
+    "perfect-channel": (
+        dataclasses.replace(BENCH, erasure_prob=0.0), (11, 3, 3) + (2,) * 17 + (1,)
+    ),
+    "free-backup": (dataclasses.replace(BENCH, energy_weight=0.0), (1,) * 21),
+}
+
+
+@pytest.mark.parametrize("params, expected", PI_CASES.values(), ids=PI_CASES.keys())
+def test_policy_iteration_pinned_cases(params, expected):
+    cfg = SolverConfig(epsilon=EPSILON)
+    v, q, policy, rvi = assert_policy_iteration_is_optimal(params, cfg)
+    assert policy.thresholds == expected
+    assert certify_structure(v, q, params).all_pass
+    if params.harvest_prob == 0.0:
+        assert rvi is None
+        assert evaluate_exact(policy, params).avg_total_cost == pytest.approx(1581.64, abs=5e-3)
+
+
+def test_policy_iteration_stops_at_max_iters_and_repeats_its_answer():
+    """ZeroWait is optimal when backup is free: one round. SMALL needs more than two."""
+    free = dataclasses.replace(SMALL, energy_weight=0.0)
+    assert solver.policy_iteration(free)[0].iterations == 1
+    with pytest.raises(ConvergenceError, match=r"thresholds \[.*\] still move after 2 rounds"):
+        solver.policy_iteration(SMALL, SolverConfig(max_iters=2))
+    first, second = solver.policy_iteration(SMALL), solver.policy_iteration(SMALL)
+    assert first[2] == second[2] and same_bits(first[1], second[1])
+
+
+def test_policy_iteration_refuses_what_it_cannot_certify(monkeypatch):
+    """A stopping policy that fails Howard's test, or a round whose recurrent classes
+    have unequal gains, raises ConvergenceError naming the thresholds."""
+    exact_bias = solver._exact_bias
+    monkeypatch.setattr(solver, "_exact_bias", lambda *args: (*exact_bias(*args)[:3], 1.0))
+    with pytest.raises(ConvergenceError, match=r"\[3, 3, 3, 2, 1\] fail Howard's improvement"):
+        solver.policy_iteration(SMALL)
+    monkeypatch.setattr(solver, "_exact_bias", lambda *args: None)
+    with pytest.raises(ConvergenceError, match=r"\[1, 1, 1, 1, 1\] have recurrent classes of"):
+        solver.policy_iteration(SMALL)
 
 
 # ---------------------------------------------------------------------------
