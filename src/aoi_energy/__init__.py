@@ -3,10 +3,10 @@
 The package models a sensor that each slot either idles or transmits over an
 erasure channel, spending battery charge when available and paid backup
 energy when not. It solves the long-run average cost trade-off between
-update age and backup spending by relative value iteration, certifies the
-structural properties of the solution numerically, and evaluates the solved
-threshold policy against standard baselines by exact stationary analysis,
-Monte Carlo simulation, and brute-force enumeration on small instances.
+update age and backup spending (``solve`` by relative value iteration,
+``sweep`` by policy iteration), certifies the structure of the solution
+numerically, and scores the solved threshold policy against baselines by
+exact stationary analysis, Monte Carlo and brute-force enumeration.
 """
 
 from .evaluation import (

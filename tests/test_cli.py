@@ -16,6 +16,7 @@ from aoi_energy import (
     METHOD_EXACT,
     METHOD_MONTE_CARLO,
     ConvergenceError,
+    PolicyTable,
     Randomized,
     SimConfig,
     SystemParams,
@@ -88,7 +89,7 @@ def read_rows(path):
 
 
 def test_solve_writes_all_artifacts(tmp_path, capsys):
-    out = tmp_path / "run"
+    out = tmp_path / "missing" / "nested" / "run"  # every missing ancestor is made
     code = main(["solve", "--params", params_file(tmp_path, SOLVE_PARAMS), "--out", str(out)])
     assert code == EXIT_OK
 
@@ -274,10 +275,15 @@ def test_parser_reuse_leaks_no_option(tmp_path, capsys):
         ("eval-mc", "is-dir"),
         ("sweep", "missing-dir"),
         ("sweep", "is-dir"),
+        ("solve", "denied-dir"),
+        ("solve", "denied-parent"),
     ],
 )
 def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys, command, place):
-    """Exit 2 naming the output path before any solve or draw, and create no file."""
+    """Exit 2 naming the output path before any solve or draw, and create no file.
+
+    Permission is denied through ``os.access``, which passes any mode bits for root.
+    """
 
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{command} reached the work with output {place}")
@@ -293,7 +299,11 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys, 
         "missing-dir": tmp_path / "missing" / "rows.csv",
         "is-dir": tmp_path / "dir",
         "artifact-is-dir": tmp_path / "dir",
+        "denied-dir": tmp_path / "dir",
+        "denied-parent": tmp_path / "new",
     }[place]
+    if place.startswith("denied"):
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
     eval_args = ["eval", "--params", pfile, "--policies", "zero-wait", "--horizon", "100",
                  "--reps", "2", "--out", str(out), "--method"]
     argv = {
@@ -307,11 +317,63 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(out) in captured.err
+    denied = {"denied-dir": ": permission denied\n",
+              "denied-parent": f"permission denied in {str(tmp_path)!r}"}
+    assert denied.get(place, "") in captured.err
     assert sorted(str(path) for path in tmp_path.rglob("*")) == before
 
 
-# ---------------------------------------------------------------------------
-# check
+def false_certificate(monkeypatch):
+    """Make every certificate the CLI computes fail its submodularity check."""
+    real = cli.certify_structure
+
+    def certify(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), submodular_q=False)
+
+    monkeypatch.setattr(cli, "certify_structure", certify)
+
+
+def test_solve_with_a_false_certificate_exits_4_after_writing(tmp_path, monkeypatch, capsys):
+    """The four artifacts are written and the certificates printed before the exit."""
+    false_certificate(monkeypatch)
+    out = tmp_path / "run"
+    argv = ["solve", "--params", params_file(tmp_path, SOLVE_PARAMS), "--out", str(out)]
+    assert main(argv) == EXIT_STRUCTURE
+    captured = capsys.readouterr()
+    assert "error: structure certificate failed" in captured.err
+    assert sorted(path.name for path in out.iterdir()) == sorted(cli._SOLVE_ARTIFACTS)
+    text = (out / "structure_report.json").read_text()
+    assert not structure_report_from_json(text).submodular_q
+    assert "certificates " + text in captured.out
+
+
+def test_solve_with_a_table_that_idles_after_transmitting_exits_4(tmp_path, monkeypatch, capsys):
+    """A greedy table that transmits at age 3 and idles at age 5 has no threshold to write."""
+
+    def greedy(v, q, params):
+        actions = np.ones(params.grid_shape, dtype=np.int8)
+        actions[[0, 1, 4], 2] = 0
+        return PolicyTable(actions)
+
+    monkeypatch.setattr(cli, "greedy_policy", greedy)
+    out = tmp_path / "run"
+    argv = ["solve", "--params", params_file(tmp_path, SOLVE_PARAMS), "--out", str(out)]
+    assert main(argv) == EXIT_STRUCTURE
+    assert "error: battery 2: transmit at age 3 but idle again at age 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_valid_structure_tolerance_reaches_the_report(tmp_path, capsys):
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    out = tmp_path / "run"
+    argv = ["solve", "--params", pfile, "--out", str(out), "--structure-tol", "1e-6"]
+    assert main(argv) == EXIT_OK
+    report = structure_report_from_json((out / "structure_report.json").read_text())
+    assert report.tolerance == 1e-6
+    capsys.readouterr()
+    argv = ["check", "--params", pfile, "--values", str(out / "values.csv"), "--structure-tol", "0"]
+    assert main(argv) == EXIT_OK
+    assert structure_report_from_json(capsys.readouterr().out).tolerance == 0.0
 
 
 def test_check_round_trip(tmp_path, capsys):
@@ -388,6 +450,17 @@ def test_repeated_input_entries_exit_usage(tmp_path, capsys):
     argv = ["eval", "--params", pfile, "--policies", f"threshold:{policy}"]
     assert main(argv) == EXIT_USAGE
     assert "JSON key 'thresholds' is given twice" in capsys.readouterr().err
+
+
+def test_check_refuses_a_values_file_missing_a_cell(tmp_path, capsys):
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    values = tmp_path / "values.csv"
+    zeros = np.zeros(SOLVE_PARAMS.grid_shape)
+    write_value_csv(str(values), ValueTable(zeros, gain=0.0, iterations=0, final_span=0.0))
+    lines = values.read_text().splitlines(keepends=True)
+    values.write_text("".join(lines[:7] + lines[8:]))
+    assert main(["check", "--params", pfile, "--values", str(values)]) == EXIT_USAGE
+    assert "value CSV covers 299 cells, expected 300" in capsys.readouterr().err
 
 
 def test_check_rejects_grid_mismatch(tmp_path, capsys):
@@ -506,6 +579,29 @@ def test_eval_scores_heavy_and_infinite_tails_exactly(tmp_path, capsys):
     assert main(argv + ["--method", "auto"]) == EXIT_USAGE
     assert "invalid choice: 'auto'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_eval_scores_a_threshold_file(tmp_path, capsys, method):
+    """The file's policy is scored under the label ``threshold``, as evaluate_exact or
+    simulate score it in process."""
+    spec = ThresholdPolicy(thresholds=(6, 4, 2, 1))
+    policy = tmp_path / "tp.json"
+    policy.write_text(spec.to_json() + "\n")
+    out = tmp_path / "rows.csv"
+    argv = ["eval", "--params", params_file(tmp_path, EVAL_PARAMS), "--policies",
+            f"threshold:{policy}", "--method", method, "--horizon", "3000", "--reps", "2",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("threshold: avg_total ")
+    (row,) = read_rows(out)
+    assert row["policy"] == "threshold"
+    if method == "exact":
+        report = evaluate_exact(spec, EVAL_PARAMS)
+    else:
+        report = simulate([spec], EVAL_PARAMS, SimConfig(horizon=3000, replications=2, seed=0))[0]
+    assert float(row["avg_total"]) == report.avg_total_cost
+    assert float(row["ci95"]) == report.ci_halfwidth_95
 
 
 def test_eval_unknown_policy(tmp_path, capsys):
@@ -649,6 +745,19 @@ def test_sweep_abort_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep aborted at omega=2.0: policy iteration did not converge: thresholds [" in err
     assert "] still move after 2 rounds" in err
+    assert not out.exists()
+
+
+def test_sweep_with_a_false_certificate_exits_4_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    false_certificate(monkeypatch)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    out = tmp_path / "rows.csv"
+    assert main(sweep_args(pfile, out, "p", "0.3", "zero-wait,solved")) == EXIT_STRUCTURE
+    err = capsys.readouterr().err
+    assert "error: sweep aborted at p=0.3: certificate failed, {" in err
+    assert '"submodular_q": false' in err
     assert not out.exists()
 
 

@@ -615,7 +615,7 @@ def test_t_quantile_matches_scipy():
     dfs = np.arange(1, 1001)
     ours = [_t_quantile_975(int(df)) for df in dfs]
     np.testing.assert_allclose(ours, stats.t.ppf(0.975, dfs), rtol=1e-12, atol=0.0)
-    large = [10**4, 10**5, 10**6]
+    large = [10**4, 10**5, 10**6, 2**20 - 2, 2**20 - 1]  # the last: MAX_REPLICATIONS - 1
     ours = [_t_quantile_975(df) for df in large]
     np.testing.assert_allclose(ours, stats.t.ppf(0.975, large), rtol=1e-9, atol=0.0)
 

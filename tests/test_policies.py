@@ -157,6 +157,19 @@ def test_parse_labels_round_trip():
         assert policy_label(parse_policy_spec(text)) == text
 
 
+def test_solver_policies_have_fixed_labels():
+    assert policy_label(ThresholdPolicy(thresholds=(None, 6, 2))) == "threshold"
+    assert policy_label(PolicyTable(np.zeros((3, 2)))) == "table"
+
+
+def test_an_unknown_spec_is_refused_by_label_and_simulator():
+    """An object that is no policy spec is a TypeError, naming it, not a silent default."""
+    with pytest.raises(TypeError, match="unknown policy spec 'zero-wait'"):
+        policy_label("zero-wait")
+    with pytest.raises(TypeError, match="unknown policy spec 'zero-wait'"):
+        simulate([ZeroWait(), "zero-wait"], PARAMS, SimConfig(horizon=10))
+
+
 @pytest.mark.parametrize("text", ["bogus", "periodic:zero", "random:much", "threshold:"])
 def test_parse_rejects_malformed_specs(text):
     with pytest.raises(ValueError):

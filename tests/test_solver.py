@@ -123,6 +123,25 @@ def test_greedy_ties_resolve_to_idle():
     assert not policy.actions.any()
 
 
+def test_greedy_and_extraction_refuse_grids_that_disagree():
+    """A q table, value table or policy table of another grid than the params' is refused."""
+    params = SystemParams(
+        erasure_prob=0.2,
+        harvest_prob=0.5,
+        energy_weight=1.0,
+        backup_cost=1.0,
+        battery_cap=2,
+        aoi_cap=4,
+    )
+    v = ValueTable(values=np.zeros((4, 3)), gain=0.0, iterations=0, final_span=0.0)
+    with pytest.raises(ValueError, match="value, q and params grids disagree"):
+        greedy_policy(v, np.zeros((5, 3, 2)), params)
+    with pytest.raises(ValueError, match="value, q and params grids disagree"):
+        greedy_policy(v, np.zeros((4, 3, 2)), dataclasses.replace(params, aoi_cap=5))
+    with pytest.raises(ValueError, match=r"policy shape \(5, 3\), expected \(4, 3\)"):
+        extract_thresholds(PolicyTable(np.zeros((5, 3))), params)
+
+
 def test_shortcircuit_extraction_agrees_with_argmin(bench_solution):
     v, q = bench_solution
     fast = greedy_policy_shortcircuit(q, BENCH)
