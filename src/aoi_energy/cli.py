@@ -123,11 +123,9 @@ def _check_output(path: str, made: bool = False) -> None:
 
 
 def _load_params(args: argparse.Namespace) -> SystemParams:
-    """The ``--params`` file's instance, at the ``--aoi-cap`` override where one is given."""
+    """The ``--params`` file's instance."""
     with open(args.params) as handle:
-        params = SystemParams.from_json(handle.read())
-    cap = vars(args).get("aoi_cap")
-    return params if cap is None else replace(params, aoi_cap=cap)
+        return SystemParams.from_json(handle.read())
 
 
 def _tolerance(text: str) -> float:
@@ -179,10 +177,6 @@ def run_solve(args: argparse.Namespace) -> int:
 def run_check(args: argparse.Namespace) -> int:
     params = _load_params(args)
     values = read_value_csv(args.values)
-    if values.shape != params.grid_shape:
-        raise ValueError(
-            f"value CSV grid {values.shape} does not match params grid {params.grid_shape}"
-        )
     q = np.stack(bellman_qvalues(values, params), axis=-1)
     report = certify_structure(values, q, params, args.structure_tol)
     print(report.to_json())
@@ -279,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE,
             help="certificate tolerance",
         )
-        p.add_argument("--aoi-cap", type=int, default=None, help="override the age cap")
 
     p_solve = sub.add_parser("solve", help="solve one instance and dump artifacts")
     solver_options(p_solve)

@@ -162,21 +162,22 @@ def _bounds(spec: PolicySpec, params: SystemParams) -> list | None:
 
     ZeroWait and EnergyFirst are thresholds of 1 (EnergyFirst's is inf at
     an empty battery), and a ThresholdPolicy's None is inf. None for a
-    ``PolicyTable``, whose table is its rule, and for ``Periodic`` and
-    ``Randomized``, which decide by slot index or coin. A policy for another
-    battery size, or whose (age rows x battery levels) grid exceeds
+    ``PolicyTable``, whose table is its rule, and for the one age row of
+    ``Periodic`` and ``Randomized``, which read the outside bit. A policy for
+    another battery size, or whose (age rows x battery levels) grid exceeds
     ``MAX_GRID_STATES``, is refused with ``ValueError``; the rows run to the
     largest finite threshold (see :func:`_transmit_rows`).
     """
     width = params.battery_cap + 1
-    if isinstance(spec, (Periodic, Randomized)):
-        return None
     if isinstance(spec, (ThresholdPolicy, PolicyTable)) and spec.battery_cap != params.battery_cap:
         raise ValueError(
             f"policy covers battery 0..{spec.battery_cap}, params expect 0..{params.battery_cap}"
         )
     if isinstance(spec, PolicyTable):
         check_grid(spec.aoi_cap, width, "policy table rows x battery levels")
+        return None
+    if isinstance(spec, (Periodic, Randomized)):
+        check_grid(1, width, "outside-bit age rows x battery levels")
         return None
     if isinstance(spec, ZeroWait):
         bounds = [1] * width
@@ -196,11 +197,11 @@ def _depth(bounds: list) -> int:
 
 
 def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
-    """Transmit flags of a state-driven policy, by age row and battery level.
+    """The one checked decoder of a policy: transmit flags by age row and battery level.
 
     Row d-1 holds age d and the last row every older age too: the rows of a
     ``PolicyTable``, or :func:`_depth` rows of a threshold rule. None for
-    ``Periodic`` and ``Randomized``.
+    ``Periodic`` and ``Randomized``; every kind is held to :func:`_bounds` first.
     """
     bounds = _bounds(spec, params)
     if bounds is not None:
@@ -230,14 +231,15 @@ def _slot(row, battery, tx, harvest, erased, depth: int, width: int) -> tuple:
     return older * width + charge, delivered
 
 
-def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
+def _automaton(rows: np.ndarray | None, params: SystemParams) -> tuple:
     """The slot rule of :func:`_slot` as a finite automaton over words of k slots.
 
-    The state is z = (min(age, D) - 1) (B + 1) + battery, D the row count of
-    :func:`_transmit_rows` (1 for Periodic and Randomized). A slot's symbol
-    is s = harvest + 2 erased + 4 outside, the outside bit being the
-    Periodic phase hit or the Randomized coin. A slot's flags have bit 0 set
-    when it pays the backup, bit 1 when it delivers. The word of k slots
+    ``rows`` are decoded by :func:`_transmit_rows`, None for the one row of
+    Periodic and Randomized. The state is z = (min(age, D) - 1) (B + 1) +
+    battery, D the row count. A slot's symbol is s = harvest + 2 erased + 4
+    outside, the outside bit being the Periodic slot or the Randomized coin.
+    A slot's flags have bit 0 set when it pays the backup, bit 1 when it
+    delivers. The word of k slots
     s_0..s_{k-1} has the code w = n_z sum_i s_i n^i over n symbols, and at
     w + z the int32 array ``table`` holds the state
     k slots on, and ``outcomes`` the flags of slot i at bits 2i and 2i+1.
@@ -246,7 +248,6 @@ def _automaton(spec: PolicySpec, params: SystemParams) -> tuple:
     ``walk`` a memoryview of ``table`` that gives Python ints one lookup at a time.
     """
     width = params.battery_cap + 1
-    rows = _transmit_rows(spec, params)
     act = np.arange(2)[:, None, None] > np.zeros((1, width)) if rows is None else rows[None]
     depth = act.shape[1]
     sym = np.arange(4 * act.shape[0])[:, None, None]
@@ -332,7 +333,7 @@ def _simulate_rep(
 
     Draws the harvest row, then the erasure row, over the whole horizon, as
     bits 0 and 1 of one symbol per slot, once for all the policies. Each
-    policy then adds its outside bit: ``Periodic`` its phase hits, and
+    policy then adds its outside bit: ``Periodic`` its slot hits, and
     ``Randomized`` its transmit coins, drawn from the generator state the two
     shared rows left, so every policy sees the draws it would see alone. The
     symbols are walked (:func:`_walk_rep`) with the policy's automaton from
@@ -350,7 +351,7 @@ def _simulate_rep(
             rng.bit_generator.state = shared
             _draw(symbols, horizon, rng, spec.p_tx, 4)
         elif isinstance(spec, Periodic):
-            symbols[spec.phase : horizon : spec.period] += 4
+            symbols[: horizon : spec.period] += 4
         means.append(_walk_rep(symbols, params, cfg, automaton))
         symbols &= 3
     return means
@@ -474,12 +475,13 @@ def simulate(
     quantile found once per call by :func:`_t_quantile_975`. It assumes
     those means are near normal: for heavy-tailed ages at few replications
     it under-covers (``random:0.02`` at p=0.8, 8 replications of 200k
-    slots, missed the exact 250 by 3.0 halfwidths at seed 5). If any
-    policy's (age rows x battery levels) grid exceeds ``MAX_GRID_STATES``
-    (2^20), such as a threshold of 10^9, the call is refused with
-    ``ValueError`` before any allocation. Each policy's
-    automaton is built once per call and kept for every replication, about
-    0.5 MB each at B = 20 (``Periodic`` and ``Randomized`` share one). Each
+    slots, missed the exact 250 by 3.0 halfwidths at seed 5). Every
+    policy is held to :func:`_bounds` before any allocation: an (age rows x
+    battery levels) grid above ``MAX_GRID_STATES`` (2^20), a threshold of
+    10^9 say, or one row of 2^20 + 1 levels, is refused with ``ValueError``.
+    Each is then decoded once and its automaton built once per call and
+    kept for every replication, about 0.5 MB each at B = 20 (the rules
+    without rows, ``Periodic`` and ``Randomized``, share one). Each
     replication keeps one byte per slot of the horizon and walks it in
     spans of 2^20 slots (:func:`_walk_rep`), at most 8 bytes per word of k
     slots in flight, so a replication of up to 2^20 slots is one span. A
@@ -492,15 +494,10 @@ def simulate(
         )
     for spec in policies:
         _bounds(spec, params)
-    # Periodic and Randomized share one automaton: their rule reads only the outside bit.
-    outside = None
-    automata = []
-    for spec in policies:
-        if isinstance(spec, (Periodic, Randomized)):
-            outside = outside or _automaton(spec, params)
-            automata.append(outside)
-        else:
-            automata.append(_automaton(spec, params))
+    decoded = [_transmit_rows(spec, params) for spec in policies]
+    # The rules without rows share one automaton: they read only the outside bit.
+    outside = _automaton(None, params) if any(rows is None for rows in decoded) else None
+    automata = [outside if rows is None else _automaton(rows, params) for rows in decoded]
     age_means = np.empty((len(policies), cfg.replications))
     energy_means = np.empty((len(policies), cfg.replications))
     for i in range(cfg.replications):
@@ -662,15 +659,16 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     age 1, and the expected length, age sum and backup spend of a cycle,
     come from :func:`_cycles`; the cost is nu (A + E) / nu L with nu the
     stationary law of M on the class reachable from (1, 0). ``aoi_cap``
-    plays no part, except through a ``PolicyTable``'s rows.
+    plays no part, except through a ``PolicyTable``'s rows. The kinds that
+    :func:`_transmit_rows` decodes to no rows are scored in closed form:
 
-    ``Periodic`` with period m delivers only in phase slots, so a cycle is
-    G m slots, G geometric with success 1-p: the average age is
+    ``Periodic`` with period m delivers only in its slots 0, m, 2m, ..., so
+    a cycle is G m slots, G geometric with success 1-p: the average age is
     (m (1+p)/(1-p) + 1)/2. Between attempts the battery moves by
     A = idle^(m-1) tx, whose stationary law nu is also that of the renewal
     kernel (1-p) A (I-pA)^-1, so the backup rate is
-    omega c_r (nu idle^(m-1))[0] / m. The phase shifts only the first cycle.
-    A period whose average age overflows a float is refused with ``ValueError``.
+    omega c_r (nu idle^(m-1))[0] / m. A period whose average age overflows
+    a float is refused with ``ValueError``.
 
     ``Randomized`` with chance q delivers each slot with chance q (1-p),
     whatever the battery: the average age is 1/(q (1-p)), refused with
@@ -683,10 +681,10 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     """
     idle, tx, _ = _slot_kernels(params, 1)
     p = params.erasure_prob
-    if isinstance(spec, (Periodic, Randomized)):
+    rows = _transmit_rows(spec, params)
+    if rows is None:
         dies = p < 1.0 and (isinstance(spec, Periodic) or spec.p_tx > 0.0)
     else:
-        rows = _transmit_rows(spec, params)
         deliveries, length, age_sum, spend, trapped, _ = _cycles(rows, idle, tx, params)
         dies = not trapped[_closure(deliveries != 0.0)[0]].any()
     if not dies:
@@ -694,7 +692,12 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
             f"the age tail never dies: from {State(1, 0)} this policy reaches states "
             "from which delivery is not certain, so its average age is infinite"
         )
-    if isinstance(spec, Periodic):
+    if rows is not None:
+        nu = stationary_distribution(deliveries, 0)
+        cycle = float(nu @ length)
+        avg_aoi = float(nu @ age_sum) / cycle
+        avg_energy = float(nu @ spend) / cycle
+    elif isinstance(spec, Periodic):
         m = spec.period
         if not m < 2.0**1023 * (1.0 - p):  # else the average age m / (1-p) overflows
             raise ValueError(f"period {m} is too long to score: its average age overflows a float")
@@ -702,18 +705,13 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
         wait = np.linalg.matrix_power(idle, m - 1)
         nu = stationary_distribution(wait @ tx, 0)
         avg_energy = params.energy_weight * params.backup_cost * float((nu @ wait)[0]) / m
-    elif isinstance(spec, Randomized):
+    else:
         q = spec.p_tx
         avg_aoi = 1.0 / (q * (1.0 - p))
         if avg_aoi == math.inf:
             raise ValueError(f"p_tx {q!r} is too small to score: its average age overflows")
         nu = stationary_distribution((1.0 - q) * idle + q * tx, 0)
         avg_energy = params.energy_weight * params.backup_cost * q * float(nu[0])
-    else:
-        nu = stationary_distribution(deliveries, 0)
-        cycle = float(nu @ length)
-        avg_aoi = float(nu @ age_sum) / cycle
-        avg_energy = float(nu @ spend) / cycle
     return EvalReport(
         avg_total_cost=avg_aoi + avg_energy,
         avg_aoi=avg_aoi,

@@ -1,7 +1,7 @@
 """Uniform policy abstraction: the solved policy and the baselines.
 
 A policy spec is any of six kinds: ``ZeroWait`` (transmit every slot),
-``Periodic`` (transmit on a fixed slot pattern), ``Randomized`` (coin-flip
+``Periodic`` (transmit every m-th slot), ``Randomized`` (coin-flip
 each slot), ``EnergyFirst`` (transmit whenever the battery is charged, so the
 backup supply is never touched), a ``ThresholdPolicy`` (transmit once the age
 reaches a per-battery-level threshold), or an explicit ``PolicyTable``.
@@ -120,16 +120,13 @@ class EnergyFirst:
 
 @dataclass(frozen=True)
 class Periodic:
-    """Transmit when the slot index hits the phase of a fixed period."""
+    """Transmit in slots 0, m, 2m, ... of period m; no long-run cost depends on the offset."""
 
     period: int
-    phase: int = 0
 
     def __post_init__(self) -> None:
         if not (is_int(self.period) and self.period >= 1):
             raise ValueError(f"period must be an integer >= 1, got {self.period!r}")
-        if not (is_int(self.phase) and 0 <= self.phase < self.period):
-            raise ValueError(f"phase must lie in [0, {self.period}), got {self.phase!r}")
 
 
 @dataclass(frozen=True)
@@ -150,25 +147,18 @@ def parse_policy_spec(text: str) -> PolicySpec:
     """Parse a command-line policy string.
 
     Accepted forms: ``zero-wait``, ``energy-first``, ``periodic:<period>``,
-    ``periodic:<period>:<phase>``, ``random:<p_tx>``, and
-    ``threshold:<file.json>``.
+    ``random:<p_tx>``, and ``threshold:<file.json>``.
     """
     name, _, arg = text.partition(":")
     if name == "zero-wait":
         return ZeroWait()
     if name == "energy-first":
         return EnergyFirst()
-    if name == "periodic":
-        period, _, phase = arg.partition(":")
+    if name in ("periodic", "random"):
         try:
-            return Periodic(int(period), int(phase) if phase else 0)
+            return Periodic(int(arg)) if name == "periodic" else Randomized(float(arg))
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad periodic spec {text!r}: {exc}") from exc
-    if name == "random":
-        try:
-            return Randomized(float(arg))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad random spec {text!r}: {exc}") from exc
+            raise ValueError(f"bad {name} spec {text!r}: {exc}") from exc
     if name == "threshold":
         if not arg:
             raise ValueError("threshold spec needs a JSON file path, e.g. threshold:tp.json")
@@ -184,8 +174,6 @@ def policy_label(spec: PolicySpec) -> str:
     if isinstance(spec, EnergyFirst):
         return "energy-first"
     if isinstance(spec, Periodic):
-        if spec.phase:
-            return f"periodic:{spec.period}:{spec.phase}"
         return f"periodic:{spec.period}"
     if isinstance(spec, Randomized):
         short = f"{spec.p_tx:g}"  # where :g is not exact, the shortest round-trip repr

@@ -397,13 +397,15 @@ def write_value_csv(path: str, v: ValueTable) -> None:
 
 
 def read_value_csv(path: str) -> np.ndarray:
-    """Rebuild the dense value grid from (delta, q, value) rows: each cell once, and finite."""
+    """The dense value grid of (delta, q, value) rows, 3 fields each: each cell once, and finite."""
     entries: dict[tuple[int, int], float] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != ["delta", "q", "value"]:
             raise ValueError(f"unexpected value CSV header {reader.fieldnames}")
         for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"value CSV line {reader.line_num} does not have 3 fields")
             cell, value = (int(row["delta"]), int(row["q"])), float(row["value"])
             if not (cell[0] >= 1 and cell[1] >= 0):
                 raise ValueError(f"value CSV cell (delta, q) = {cell} is not delta >= 1, q >= 0")

@@ -301,7 +301,7 @@ def decide(spec, s: State, t: int, rng: np.random.Generator) -> Action:
     if isinstance(spec, EnergyFirst):
         return Action.TRANSMIT if s.battery > 0 else Action.IDLE
     if isinstance(spec, Periodic):
-        return Action.TRANSMIT if t % spec.period == spec.phase else Action.IDLE
+        return Action.TRANSMIT if t % spec.period == 0 else Action.IDLE
     if isinstance(spec, Randomized):
         return Action.TRANSMIT if rng.random() < spec.p_tx else Action.IDLE
     if isinstance(spec, (ThresholdPolicy, PolicyTable)):
@@ -395,7 +395,7 @@ def structure_checks_by_pair(values, q, params: SystemParams, tol: float) -> lis
 def transmit_probability(spec, state: State, phase: int) -> float:
     """Chance that ``spec`` transmits at ``state`` in a slot of the given phase."""
     if isinstance(spec, Periodic):
-        return 1.0 if phase == spec.phase else 0.0
+        return 1.0 if phase == 0 else 0.0
     if isinstance(spec, Randomized):
         return spec.p_tx
     return float(decide(spec, state, phase, None))
@@ -492,7 +492,7 @@ def dense_periodic_cost(spec: Periodic, params: SystemParams) -> tuple[float, fl
     idle = dense_kernel(params, Action.IDLE, 1)
     tx = dense_kernel(replace(params, erasure_prob=0.0), Action.TRANSMIT, 1)
     advance = np.roll(np.eye(spec.period), 1, axis=1)
-    on_phase = np.arange(spec.period) == spec.phase
+    on_phase = np.arange(spec.period) == 0
     actions = np.repeat(on_phase, params.battery_cap + 1)[None, :].astype(float)
     deliveries, length, age_sum, spend, trapped, _ = _cycles(
         actions, np.kron(advance, idle), np.kron(advance, tx), params

@@ -1,12 +1,13 @@
 """The package keeps what its demos and benchmark use: every name they import
 from it, every function the benchmark's span recorder looks up by name, and
-each demo run end to end in a fresh interpreter."""
+each demo and the README's quick tour run end to end in a fresh interpreter."""
 
 import ast
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,16 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_tour_runs():
+    """The README's python block, the package's documented API, prints a gain, one
+    threshold per battery level of its 21 and the exact cost of those thresholds."""
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    gain, thresholds, cost = proc.stdout.splitlines()
+    assert len(ast.literal_eval(thresholds)) == 21
+    assert float(cost) == pytest.approx(float(gain), abs=1e-6)

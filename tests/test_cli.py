@@ -39,6 +39,7 @@ from aoi_energy.cli import (
 from aoi_energy import cli, evaluation, solver
 from aoi_energy.evaluation import MAX_HORIZON, MAX_REPLICATIONS
 from aoi_energy.model import MAX_GRID_STATES
+from aoi_energy.structure import DEFAULT_TOLERANCE
 from reference import params_to_json, read_threshold_csv, structure_report_from_json
 
 SOLVE_PARAMS = SystemParams(
@@ -256,13 +257,15 @@ def test_parser_reuse_leaks_no_option(tmp_path, capsys):
     """The parser is built once per process; options of one call do not reach the next."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     first, second = tmp_path / "first", tmp_path / "second"
-    argv = ["solve", "--params", pfile, "--out", str(first), "--aoi-cap", "30"]
+    argv = ["solve", "--params", pfile, "--out", str(first), "--structure-tol", "1e-6"]
     assert main(argv + ["--check-truncation"]) == EXIT_OK
     assert "truncation adequate" in capsys.readouterr().out
-    assert read_value_csv(str(first / "values.csv")).shape == (30, 5)
+    report = structure_report_from_json((first / "structure_report.json").read_text())
+    assert report.tolerance == 1e-6
     assert main(["solve", "--params", pfile, "--out", str(second)]) == EXIT_OK
     assert "truncation" not in capsys.readouterr().out
-    assert read_value_csv(str(second / "values.csv")).shape == SOLVE_PARAMS.grid_shape
+    report = structure_report_from_json((second / "structure_report.json").read_text())
+    assert report.tolerance == DEFAULT_TOLERANCE
 
 
 @pytest.mark.parametrize(
@@ -463,6 +466,21 @@ def test_check_refuses_a_values_file_missing_a_cell(tmp_path, capsys):
     assert "value CSV covers 299 cells, expected 300" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, index", [("2,0", 6), ("1,1,0.0,junk", 2)])
+def test_check_refuses_a_value_row_without_three_fields(tmp_path, capsys, row, index):
+    """A short row is refused, not handed on as a missing field; a long one is not trimmed."""
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    values = tmp_path / "values.csv"
+    zeros = np.zeros(SOLVE_PARAMS.grid_shape)
+    write_value_csv(str(values), ValueTable(zeros, gain=0.0, iterations=0, final_span=0.0))
+    lines = values.read_text().splitlines(keepends=True)
+    values.write_text("".join(lines[:index] + [row + "\n"] + lines[index + 1 :]))
+    assert main(["check", "--params", pfile, "--values", str(values)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"error: value CSV line {index + 1} does not have 3 fields" in captured.err
+    assert captured.out == ""
+
+
 def test_check_rejects_grid_mismatch(tmp_path, capsys):
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "run"
@@ -472,6 +490,7 @@ def test_check_rejects_grid_mismatch(tmp_path, capsys):
     )
     code = main(["check", "--params", other, "--values", str(out / "values.csv")])
     assert code == EXIT_USAGE
+    assert "value table shape (60, 5), expected (50, 5)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +548,7 @@ def test_eval_mc_is_seed_deterministic(tmp_path):
 def test_eval_mc_rows_match_one_policy_runs(tmp_path, capsys):
     """One mc eval of three policies prints and writes what three one-policy evals do."""
     pfile = params_file(tmp_path, EVAL_PARAMS)
-    policies = ["random:0.3", "periodic:4:1", "zero-wait"]
+    policies = ["random:0.3", "periodic:4", "zero-wait"]
     base = ["eval", "--params", pfile, "--method", "mc", "--horizon", "3000", "--reps", "3",
             "--seed", "11"]
     together = base + ["--policies", ",".join(policies), "--out", str(tmp_path / "all.csv")]
@@ -1216,13 +1235,51 @@ def test_eval_has_no_aoi_cap(tmp_path, capsys):
     assert "--aoi-cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_solve_and_sweep_have_no_aoi_cap(tmp_path, capsys, command):
+    """The params file's ``aoi_cap`` is the one way to set the age cap: the flag is unknown."""
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["solve", "--params", pfile, "--out", str(out)],
+        "sweep": sweep_args(pfile, out, "p", "0.3", "zero-wait,solved"),
+    }[command]
+    assert main(argv + ["--aoi-cap", "30"]) == EXIT_USAGE
+    assert "unrecognized arguments: --aoi-cap 30" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
+def test_sweep_rows_do_not_read_aoi_cap(tmp_path):
+    """The cap sets only the bias rows the certificates read: equal rows at caps 5 and 200."""
+    written = []
+    for cap in (5, 200):
+        pfile = params_file(tmp_path, dataclasses.replace(README_PARAMS, aoi_cap=cap),
+                            name=f"cap{cap}.json")
+        out = tmp_path / f"cap{cap}.csv"
+        policies = "zero-wait,periodic:5,periodic:10,random:0.5,energy-first,solved"
+        assert main(sweep_args(pfile, out, "p", "0.0,0.3,0.9", policies)) == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert len(written[0].splitlines()) == 1 + 3 * 6
+
+
 def test_periodic_that_never_delivers_has_infinite_cost(tmp_path, capsys):
     pfile = params_file(tmp_path, dataclasses.replace(README_PARAMS, erasure_prob=1.0))
     out = tmp_path / "rows.csv"
-    argv = ["eval", "--params", pfile, "--policies", "periodic:5:2", "--out", str(out)]
+    argv = ["eval", "--params", pfile, "--policies", "periodic:5", "--out", str(out)]
     assert main(argv) == EXIT_OK
     (row,) = read_rows(out)
     assert inf_fields(row) == INF_ROW
+
+
+def test_periodic_takes_no_phase(tmp_path, capsys):
+    """``periodic:<period>:<phase>`` is no spec: exit 2, naming it, and no row."""
+    out = tmp_path / "rows.csv"
+    argv = ["eval", "--params", params_file(tmp_path, README_PARAMS), "--policies",
+            "periodic:5:2", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "bad periodic spec 'periodic:5:2'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tiny_transmit_chance_is_scored_or_refused(tmp_path, capsys):
@@ -1292,6 +1349,23 @@ def test_eval_mc_checks_every_policy_before_allocation(tmp_path, monkeypatch, ca
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "1000000000 x 4" in captured.err and "exceeds" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("policy", ["periodic:5", "random:0.5"])
+def test_eval_mc_outside_bit_grid_over_the_bound_is_refused_before_allocation(
+    tmp_path, monkeypatch, capsys, policy
+):
+    """The one-row rule of ``periodic`` and ``random`` is bounded like every other rule:
+    at 2^20 + 1 battery levels, exit 2 before any array exists, and no row."""
+    pfile = params_file(tmp_path, dataclasses.replace(EVAL_PARAMS, battery_cap=1 << 20))
+    refuse_allocation(monkeypatch)
+    argv = ["eval", "--params", pfile, "--policies", policy, "--method", "mc",
+            "--horizon", "100", "--reps", "2", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "the 1 x 1048577 (" in captured.err and "exceeds" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "rows.csv").exists()
 

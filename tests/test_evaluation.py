@@ -179,7 +179,7 @@ def test_exact_matches_truncated_oracle(params, kind):
     spec = {
         "zero-wait": ZeroWait(),
         "energy-first": EnergyFirst(),
-        "periodic": Periodic(3, 1),
+        "periodic": Periodic(3),
         "random": Randomized(0.5),
         "threshold": ThresholdPolicy(thresholds=(6,) + (3,) * (battery - 1) + (1,)),
         "table": table_policy(params),
@@ -199,18 +199,15 @@ def test_exact_matches_truncated_oracle(params, kind):
     harvest=st.sampled_from([0.0, 1.0, 0.3, 0.5]) | st.floats(0.0, 1.0),
     omega=st.sampled_from([0.0, 1.0, 10.0]),
     period=st.integers(1, 12),
-    phase=st.integers(0, 11),
 )
-@example(battery_cap=20, erasure=0.0, harvest=0.0, omega=10.0, period=12, phase=11)
-@example(battery_cap=20, erasure=0.0, harvest=1.0, omega=10.0, period=7, phase=3)
-@example(battery_cap=20, erasure=0.5, harvest=0.3, omega=10.0, period=1, phase=0)
-def test_periodic_closed_form_matches_dense_oracle(
-    battery_cap, erasure, harvest, omega, period, phase
-):
+@example(battery_cap=20, erasure=0.0, harvest=0.0, omega=10.0, period=12)
+@example(battery_cap=20, erasure=0.0, harvest=1.0, omega=10.0, period=7)
+@example(battery_cap=20, erasure=0.5, harvest=0.3, omega=10.0, period=1)
+def test_periodic_closed_form_matches_dense_oracle(battery_cap, erasure, harvest, omega, period):
     """The battery-chain closed form scores ``Periodic`` as the dense (phase, battery) chain.
 
     The age agrees within 1e-12 relative and the backup cost within 1e-12
-    of the total, at any phase (taken modulo the period).
+    of the total.
     """
     params = SystemParams(
         erasure_prob=erasure,
@@ -220,7 +217,7 @@ def test_periodic_closed_form_matches_dense_oracle(
         battery_cap=battery_cap,
         aoi_cap=10,
     )
-    spec = Periodic(period, phase % period)
+    spec = Periodic(period)
     report = evaluate_exact(spec, params)
     age, energy = dense_periodic_cost(spec, params)
     assert report.avg_aoi == pytest.approx(age, rel=1e-12, abs=0.0)
@@ -237,7 +234,7 @@ def test_long_period_agrees_with_monte_carlo():
         battery_cap=3,
         aoi_cap=10,
     )
-    spec = Periodic(200, 7)
+    spec = Periodic(200)
     exact = evaluate_exact(spec, params)
     assert exact.avg_weighted_energy > 0.0  # the battery is often empty at an attempt
     mc = simulate([spec], params, SimConfig(horizon=400_000, replications=8, seed=31))[0]
@@ -563,14 +560,14 @@ def test_simulate_is_seed_deterministic():
     assert c.avg_total_cost != a.avg_total_cost
 
 
-# Every kind, two Periodic with phases, and Randomized before and after a Periodic.
+# Every kind, two Periodic, and Randomized before and after a Periodic.
 SHARED_DRAWS = [
     Randomized(0.3),
     ZeroWait(),
-    Periodic(4, 1),
+    Periodic(4),
     EnergyFirst(),
     Randomized(0.7),
-    Periodic(3, 2),
+    Periodic(3),
     ThresholdPolicy(thresholds=(4, 2, 1, 1)),
     PolicyTable(
         np.array(
@@ -684,7 +681,7 @@ def reference_replication(spec, params, cfg, rep=0):
     [
         ZeroWait(),
         EnergyFirst(),
-        Periodic(3, 1),
+        Periodic(3),
         Randomized(0.3),
         ThresholdPolicy(thresholds=(None, 2, 1, 1)),
         PolicyTable(
@@ -737,8 +734,7 @@ def policy_specs(draw, battery_cap):
     if kind == "energy-first":
         return EnergyFirst()
     if kind == "periodic":
-        period = draw(st.integers(1, 6))
-        return Periodic(period, draw(st.integers(0, period - 1)))
+        return Periodic(draw(st.integers(1, 6)))
     if kind == "random":
         return Randomized(draw(st.sampled_from([0.0, 1.0, 0.3, 0.77])))
     if kind == "threshold":
@@ -824,7 +820,9 @@ NEVER_MERGING = SystemParams(
                                         (3, 1), (8, 0)])
 def test_never_merging_walk_matches_reference_stepping(lane, look):
     """Every lane's guessed start is wrong and is repaired; the walk stays at state 5."""
-    walk, table, _, _, n_sym, n_z, k = evaluation._automaton(ZeroWait(), NEVER_MERGING)
+    walk, table, _, _, n_sym, n_z, k = evaluation._automaton(
+        evaluation._transmit_rows(ZeroWait(), NEVER_MERGING), NEVER_MERGING
+    )
     digits = np.arange(n_sym**k)[:, None] // n_sym ** np.arange(k) % n_sym
     words = np.flatnonzero((digits & 1).all(axis=1)) * n_z  # every slot harvests
     assert (table[words + 5] == 5).all()  # the true walk stays at battery 5
@@ -870,7 +868,8 @@ def test_flag_table_unpacks_every_word_flags():
     params = dataclasses.replace(NEVER_MERGING, battery_cap=1, aoi_cap=5)
     for k in range(1, 8):
         spec = ThresholdPolicy((4 ** (8 - k),) * 2)
-        *_, unpack, _, _, slots = evaluation._automaton(spec, params)
+        rows = evaluation._transmit_rows(spec, params)
+        *_, unpack, _, _, slots = evaluation._automaton(rows, params)
         assert slots == k and unpack.dtype == np.uint8 and unpack.shape == (4**k, k)
         rows = unpack.tolist()
         assert all(rows[f] == [f >> 2 * i & 3 for i in range(k)] for f in range(4**k))

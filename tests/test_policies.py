@@ -1,5 +1,7 @@
 """Policy abstraction tests: decisions, parsing, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,12 +45,10 @@ def test_energy_first_spares_the_backup():
 
 
 def test_periodic_follows_slot_index():
-    spec = Periodic(5, 0)
+    spec = Periodic(5)
+    assert decide(spec, State(1, 0), 0, RNG) == Action.TRANSMIT
     assert decide(spec, State(1, 0), 10, RNG) == Action.TRANSMIT
     assert decide(spec, State(1, 0), 11, RNG) == Action.IDLE
-    shifted = Periodic(5, 2)
-    assert decide(shifted, State(1, 0), 2, RNG) == Action.TRANSMIT
-    assert decide(shifted, State(1, 0), 5, RNG) == Action.IDLE
 
 
 def test_threshold_cutoff_is_inclusive():
@@ -107,8 +107,8 @@ def test_threshold_battery_mismatch_rejected():
     "build",
     [
         lambda: Periodic(0),
-        lambda: Periodic(5, 5),
-        lambda: Periodic(5, -1),
+        lambda: Periodic(-1),
+        lambda: Periodic(2.5),
         lambda: Randomized(1.5),
         lambda: Randomized(-0.1),
         lambda: ThresholdPolicy(thresholds=(1,)),
@@ -126,10 +126,16 @@ def test_invalid_specs_rejected(build):
         build()
 
 
-@pytest.mark.parametrize("field", ["period", "phase"])
-def test_periodic_refuses_bools(field):
-    with pytest.raises(ValueError, match=field):
-        Periodic(**{"period": 3, field: True})
+def test_periodic_refuses_bools():
+    with pytest.raises(ValueError, match="period"):
+        Periodic(True)
+
+
+def test_periodic_has_its_period_only():
+    """The offset of the transmit slots moves no long-run cost, so it is no field."""
+    assert [field.name for field in dataclasses.fields(Periodic)] == ["period"]
+    with pytest.raises(TypeError):
+        Periodic(5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +147,8 @@ def test_periodic_refuses_bools(field):
     [
         ("zero-wait", ZeroWait()),
         ("energy-first", EnergyFirst()),
-        ("periodic:5", Periodic(5, 0)),
-        ("periodic:7:3", Periodic(7, 3)),
+        ("periodic:5", Periodic(5)),
+        ("periodic:1", Periodic(1)),
         ("random:0.25", Randomized(0.25)),
     ],
 )
@@ -152,7 +158,7 @@ def test_parse_policy_spec(text, expected):
 
 def test_parse_labels_round_trip():
     # Coins that agree to 6 digits get distinct labels; what :g renders exactly keeps its form.
-    for text in ("zero-wait", "energy-first", "periodic:5", "periodic:7:3", "random:0.5",
+    for text in ("zero-wait", "energy-first", "periodic:5", "random:0.5",
                  "random:0", "random:1", "random:1e-07", "random:0.1234561", "random:0.1234562"):
         assert policy_label(parse_policy_spec(text)) == text
 
@@ -170,7 +176,9 @@ def test_an_unknown_spec_is_refused_by_label_and_simulator():
         simulate([ZeroWait(), "zero-wait"], PARAMS, SimConfig(horizon=10))
 
 
-@pytest.mark.parametrize("text", ["bogus", "periodic:zero", "random:much", "threshold:"])
+@pytest.mark.parametrize(
+    "text", ["bogus", "periodic:zero", "periodic:7:3", "random:much", "threshold:"]
+)
 def test_parse_rejects_malformed_specs(text):
     with pytest.raises(ValueError):
         parse_policy_spec(text)
