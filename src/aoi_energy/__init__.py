@@ -45,7 +45,6 @@ from .solver import (
     check_truncation_adequacy,
     extract_thresholds,
     greedy_policy,
-    read_value_csv,
     solve,
     write_value_csv,
 )

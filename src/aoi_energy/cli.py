@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Four subcommands: ``solve`` (single-point solve, threshold dump, structure
-certificates), ``check`` (re-run the certificates on saved artifacts),
+certificates), ``check`` (certify saved thresholds on their exact bias),
 ``eval`` (score explicit policies exactly or by Monte Carlo), and ``sweep``
 (solve along one parameter axis and score the solved policy against the
 baselines at every point, writing the rows to a results CSV once, in place
@@ -13,8 +13,8 @@ Only Monte Carlo rows carry a seed.
 
 Exit codes: 0 success, 2 usage, malformed input or an instance too large for
 memory, 3 solver non-convergence, 4 structural violation, 5 truncation
-inadequacy: ``solve --check-truncation`` finds the solved thresholds not
-optimal on the untruncated chain, so the age cap is too small.
+inadequacy: ``solve --check-truncation`` (the age cap is too small) or ``check``
+finds the thresholds not optimal on the untruncated chain.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ import sys
 from dataclasses import replace
 from functools import cache
 
-import numpy as np
-
 from .evaluation import (
     BoundaryMassError,
     CSV_COLUMNS,
     EvalReport,
     METHOD_EXACT,
     SimConfig,
-    _slot_kernels,
+    _check_kernels,
     evaluate_exact,
     report_row_values,
     simulate,
@@ -44,15 +42,14 @@ from .model import SystemParams
 from .policies import PolicySpec, parse_policy_spec, policy_label
 from .solver import (
     ConvergenceError,
+    HowardTest,
     SolverConfig,
     ThresholdStructureError,
-    bellman_qvalues,
-    check_truncation_adequacy,
     extract_thresholds,
     greedy_policy,
     policy_iteration,
-    read_value_csv,
     solve,
+    threshold_bias,
     write_value_csv,
 )
 from .structure import DEFAULT_TOLERANCE, certify_structure
@@ -134,9 +131,23 @@ def _tolerance(text: str) -> float:
     return float(text)
 
 
+def _howard(test: HowardTest | None, epsilon: float, why: str) -> int:
+    """Print the optimal cost's bounds from Howard's gap; exit 5, saying ``why``, over epsilon."""
+    if test is not None:
+        gain, gap, (age, battery) = test.values.gain, test.gap, test.witness
+        print(f"optimal cost in [{gain - gap!r}, {gain!r}]: Howard's gap {gap!r} "
+              f"at age {age}, battery {battery}")
+        if gap <= epsilon:
+            return EXIT_OK
+    print(f"{why}: the thresholds are not optimal on the untruncated chain", file=sys.stderr)
+    return EXIT_TRUNCATION
+
+
 def run_solve(args: argparse.Namespace) -> int:
     params = _load_params(args)
     cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+    if args.check_truncation:
+        _check_kernels(params)  # the exact bias needs them: B >= 1024 exits before the solve
     out_dir = args.out or "."
     _check_output(out_dir, made=True)
     if os.path.isdir(out_dir):
@@ -163,24 +174,24 @@ def run_solve(args: argparse.Namespace) -> int:
     if not report.all_pass:
         raise StructureViolationError("structure certificate failed")
     if args.check_truncation:
-        if not check_truncation_adequacy(thresholds, params, cfg):
-            print(
-                f"aoi_cap={params.aoi_cap} is inadequate: the thresholds are not optimal "
-                "on the untruncated chain",
-                file=sys.stderr,
-            )
+        test = threshold_bias(thresholds, params, cfg)
+        if _howard(test, cfg.epsilon, f"aoi_cap={params.aoi_cap} is inadequate"):
             return EXIT_TRUNCATION
         print("truncation adequate")
     return EXIT_OK
 
 
 def run_check(args: argparse.Namespace) -> int:
+    """Certify saved thresholds on their exact bias: exit 4 before 5, as ``solve`` does."""
     params = _load_params(args)
-    values = read_value_csv(args.values)
-    q = np.stack(bellman_qvalues(values, params), axis=-1)
-    report = certify_structure(values, q, params, args.structure_tol)
-    print(report.to_json())
-    return EXIT_OK if report.all_pass else EXIT_STRUCTURE
+    params.validate_for_solve()
+    _check_kernels(params)
+    test = threshold_bias(parse_policy_spec(f"threshold:{args.thresholds}"), params)
+    if test is not None:
+        report = certify_structure(test.values, test.q, params, args.structure_tol)
+        print(report.to_json())
+    code = _howard(test, SolverConfig().epsilon, "error")
+    return EXIT_STRUCTURE if test is not None and not report.all_pass else code
 
 
 def run_eval(args: argparse.Namespace) -> int:
@@ -231,7 +242,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     points = [replace(fixed, **{_AXES[args.axis]: value}) for value in values]
     for point in points:
         point.validate_for_solve()
-    _slot_kernels(fixed, 1)  # refuses B >= 1024 before any solve: exact evaluation needs them
+    _check_kernels(fixed)  # exact evaluation needs them: B >= 1024 exits before any solve
     _check_output(args.out)
     policies = [text.strip() for text in args.policies.split(",")]
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in policies]
@@ -283,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
              "exact bias on the untruncated chain",
     )
 
-    p_check = sub.add_parser("check", help="re-run structure certificates on saved values")
+    p_check = sub.add_parser("check", help="certify saved thresholds on their exact bias")
     p_check.add_argument("--params", required=True)
-    p_check.add_argument("--values", required=True, help="value CSV from solve")
+    p_check.add_argument("--thresholds", required=True, help="thresholds.json from solve")
     p_check.add_argument("--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     p_eval = sub.add_parser("eval", help="evaluate explicit policies")
@@ -325,12 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    runners = {
-        "solve": run_solve,
-        "check": run_check,
-        "eval": run_eval,
-        "sweep": run_sweep,
-    }
+    runners = {"solve": run_solve, "check": run_check, "eval": run_eval, "sweep": run_sweep}
     try:
         return runners[args.command](args)
     except ConvergenceError as exc:

@@ -579,16 +579,21 @@ def stationary_distribution(kernel: np.ndarray, start: int) -> np.ndarray:
     return mu.reshape(dense.shape[:-1])
 
 
+def _check_kernels(params: SystemParams, depth: int = 1) -> None:
+    """Refuse :func:`_slot_kernels` above ``MAX_GRID_STATES`` entries (B >= 1024 at depth 1)."""
+    side = depth * (params.battery_cap + 1)
+    check_grid(side, side, "slot kernel rows x columns")
+
+
 def _slot_kernels(params: SystemParams, depth: int) -> np.ndarray:
     """Idle, erased-transmit and delivered-transmit kernels of :func:`_slot`, stacked.
 
     States are (age row, battery), age-major, over ``depth`` age rows. At
     depth 1 the age is gone and the two transmit kernels are the one battery
     kernel of exact evaluation; at ``aoi_cap`` enumeration mixes them by p.
-    A kernel above ``MAX_GRID_STATES`` entries is refused before allocation.
     """
     width = params.battery_cap + 1
-    check_grid(depth * width, depth * width, "slot kernel rows x columns")
+    _check_kernels(params, depth)
     state = np.arange(depth * width)
     tx, erased = np.array([[[False], [True], [True]], [[False], [True], [False]]])
     kernels = np.zeros((3, state.size, state.size))

@@ -1,4 +1,4 @@
-"""Average-cost solvers: RVI for ``solve``, policy iteration for ``sweep``; thresholds.
+"""Average-cost solvers: RVI for ``solve``, policy iteration for ``sweep``; Howard's test.
 
 The optimality equation for the long-run average cost is solved by value
 iteration with re-anchoring at (1, battery_cap), the cheapest corner. Each
@@ -17,17 +17,7 @@ comparison and takes the pass. The last sweep ``max_iters`` allows always
 takes it, so values, gain, sweep count and span stay bit for bit those of
 the loop that measures every sweep.
 
-A solve starts from zero, or from a given table re-anchored the same way;
-RVI reaches the same fixed point from any start (Puterman 1994, section
-8.5), so a nearby table only shortens the run.
-
-Sweeps run in one flat workspace: V battery-major, padded by a saturation
-column (age ``cap``) and row (battery ``min(q+1, B)``), so one age older is
-offset +1 and one battery up +row. The row stride is cap+1 rounded up to
-whole 64-byte lines, and every buffer a sweep writes starts on a line; the
-columns past age ``cap`` are extra pads that no real slot reads. Pad slots of
-a result are garbage: the span overwrites them with age ``cap`` first, and
-V's saturation pads are refreshed after each sweep. The backup's float
+Sweeps run in one flat workspace (:class:`_Workspace`). The backup's float
 association is part of its contract: results repeat bit for bit.
 
 A sweep is about fifteen numpy calls, and on the default grid their fixed
@@ -40,10 +30,10 @@ operation, its operands' values or their order.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,10 +50,11 @@ __all__ = [
     "bellman_qvalues",
     "greedy_policy",
     "extract_thresholds",
+    "HowardTest",
+    "threshold_bias",
     "check_truncation_adequacy",
     "policy_iteration",
     "write_value_csv",
-    "read_value_csv",
 ]
 
 
@@ -111,14 +102,15 @@ class ValueTable:
 class _Workspace:
     """Flat padded buffers and views for the sweeps on one grid, built once.
 
-    ``values[q*row + d-1]`` holds V(d, q), then the saturation row and one
-    slot never written; ``row`` is ``cap+1`` rounded up to whole 64-byte
-    lines. ``backup`` runs ``calls``, the ``steps`` bound once, to fill
-    ``q_idle``, ``q_tx``, and ``refresh`` copies V's saturation pads; pad
-    slots of a result, and V's columns past ``cap``, hold garbage that no
-    real slot reads. Every buffer a sweep writes is from ``alloc``, which
-    starts it on a line: on AVX-512 hosts a ufunc runs up to twice as slow
-    when its output does not.
+    ``values[q*row + d-1]`` holds V(d, q), then the saturation row (battery
+    ``min(q+1, B)``) and one slot never written; age ``cap`` is the saturation
+    column, so one age older is offset +1 and one battery up +row, and ``row``
+    is ``cap+1`` rounded up to whole 64-byte lines. ``backup`` runs ``calls``,
+    the ``steps`` bound once, to fill ``q_idle``, ``q_tx``, and ``refresh``
+    copies V's saturation pads; pad slots of a result, and V's columns past
+    ``cap``, hold garbage that no real slot reads. Every buffer a sweep writes
+    is from ``alloc``, which starts it on a line: on AVX-512 hosts a ufunc runs
+    up to twice as slow when its output does not.
     """
 
     @staticmethod
@@ -174,6 +166,9 @@ class _Workspace:
 def bellman_qvalues(values: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous backup: fresh (idle, transmit) state-action tables.
 
+    No package code calls it: ``perfbench/spans.py`` traces it by name, which
+    ``tests/test_api.py`` requires to resolve, and tests hold it to an oracle.
+
     With V' the table one age older (saturating at the cap) and the transmit
     mix S = lam*V[spent+1] + (1-lam)*V[spent], built once on unshifted ages,
     exactly ``q_idle = (age + lam*V'[charged]) + (1-lam)*V'`` and
@@ -193,18 +188,16 @@ def solve(
     """Relative value iteration to a span of ``cfg.epsilon``.
 
     Starts from ``start`` (finite, on the params grid) re-anchored at
-    (1, battery_cap), or from zero. Returns the anchored value table (with
+    (1, battery_cap), or from zero: RVI reaches the same fixed point from any
+    start (Puterman 1994, section 8.5), so a nearby table only shortens the
+    run. Returns the anchored value table (with
     the gain estimate) and the (aoi_cap, B+1, 2) state-action table q of the
     converged values: q[d-1, b, a] is the stage cost of action a (0 idle,
     1 transmit) plus the expected next value, so its min over actions is
     gain + V up to epsilon. Raises :class:`ConvergenceError` carrying the
     last span when ``max_iters`` sweeps do not suffice. Every sweep works in
-    one :class:`_Workspace`.
-
-    A sweep measures the full span only when the two-slot bound at the last
-    extremes, ``(T(V) - V)[hi] - (T(V) - V)[lo]``, is at most ``epsilon``
-    (or NaN), or on the last allowed sweep. The bound never exceeds the
-    span, so a skipped sweep is one the full measure would not stop at.
+    one :class:`_Workspace`, and measures the full span only on sweeps that
+    may stop (module docstring).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
@@ -288,17 +281,30 @@ def extract_thresholds(policy: PolicyTable, params: SystemParams) -> ThresholdPo
     return ThresholdPolicy(thresholds=tuple(thresholds))
 
 
-def _exact_bias(
-    rows: np.ndarray, params: SystemParams, cfg: SolverConfig, ages: int = 0
-) -> tuple[float, np.ndarray, np.ndarray, float] | None:
-    """Gain, bias h (ages 1..n+1), q table (ages 1..n) and Howard's gap of ``rows``.
+class HowardTest(NamedTuple):
+    """A threshold policy's exact bias, ``values`` (ages 1..aoi_cap, its cost as gain) and ``q``.
 
-    Every level transmits at the last row D, p < 1 and n = max(D, ``ages``).
-    With S_d = diag(1-a_d) idle + p diag(a_d) tx, h_d = c_d - g + S_d h_(d+1) +
-    (1-p) diag(a_d) tx h_1, and (I - M) h_1 = C - g L by :func:`_cycles`, with
-    nu h_1 = 0 on each recurrent class of M. Past D, h grows by 1/(1-p) per age
-    and the advantage of idling by 1, so the gap (the most an action of ``rows``
-    loses) is over rows 1..D. None when class gains differ by more than epsilon.
+    ``losses`` is what each action of the transmit ``rows`` (ages 1..D) loses
+    on it, at most ``gap``, first at ``witness`` (ages before batteries). The
+    optimal cost lies in [gain - gap, gain] (Odoni 1969).
+    """
+
+    values: ValueTable
+    q: np.ndarray
+    rows: np.ndarray
+    losses: np.ndarray
+    gap: float
+    witness: State
+
+
+def _exact_bias(rows: np.ndarray, params: SystemParams, cfg: SolverConfig) -> tuple | None:
+    """Gain, bias h (ages 1..n+1) and q table (ages 1..n) of ``rows``, n = max(D, aoi_cap).
+
+    Every level transmits at the last row D and p < 1. With S_d = diag(1-a_d)
+    idle + p diag(a_d) tx, h_d = c_d - g + S_d h_(d+1) + (1-p) diag(a_d) tx h_1,
+    and (I - M) h_1 = C - g L by :func:`_cycles`, with nu h_1 = 0 on each
+    recurrent class of M. Past D, h grows by 1/(1-p) per age. None when class
+    gains differ by more than epsilon.
     """
     p = params.erasure_prob
     idle, tx, _ = _slot_kernels(params, 1)
@@ -314,7 +320,7 @@ def _exact_bias(
     first = np.linalg.solve(renewal, age_sum + spend - gains[0] * length)
     backup = params.energy_weight * params.backup_cost * (np.arange(len(idle)) == 0)
     fresh = (1.0 - p) * (tx @ first)  # a delivery lands on h_1
-    depth, n = len(rows), max(len(rows), ages)
+    depth, n = len(rows), max(len(rows), params.aoi_cap)
     age = np.arange(1.0, n + 1)[:, None]
     cost = age[:depth] + rows * (backup + fresh) - gains[0]
     h = np.empty((n + 1, len(idle)))
@@ -323,25 +329,43 @@ def _exact_bias(
     for d in range(depth - 2, -1, -1):
         h[d] = cost[d] + (1.0 - rows[d]) * (idle @ h[d + 1]) + p * rows[d] * (tx @ h[d + 1])
     q = np.stack([age + h[1:] @ idle.T, age + backup + p * h[1:] @ tx.T + fresh], axis=-1)
-    gap = np.where(rows, q[:depth, :, 1], q[:depth, :, 0]) - q[:depth].min(axis=-1)
-    return float(gains[0]), h, q, float(gap.max())
+    return float(gains[0]), h, q
+
+
+def threshold_bias(
+    tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
+) -> HowardTest | None:
+    """Howard's (1960) improvement test of ``tp`` on its exact bias (:func:`_exact_bias`).
+
+    None unless every level transmits at the last row D, p < 1 and the class
+    gains agree. A level that never transmits fails the test anyway: a slot
+    delivers with chance at most 1-p, so the wait T for delivery is at least
+    1 + 1/(1-p) at an idle level, and at the idle level m of longest wait
+    idling loses at least (1-p) T_m - 1 > 0 more per age. Past D the advantage
+    of idling grows by 1 per age, so rows 1..D hold the gap.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    rows = _transmit_rows(tp, params)
+    exact = _exact_bias(rows, params, cfg) if rows[-1].all() and params.erasure_prob < 1.0 else None
+    if exact is None:
+        return None
+    gain, h, q = exact
+    head, best = q[: len(rows)], np.minimum(q[..., 0], q[..., 1])  # min(axis=-1) is 30x slower
+    losses = np.where(rows, head[..., 1], head[..., 0]) - best[: len(rows)]
+    cap, anchor = params.aoi_cap, h[0, -1]
+    values, q = h[:cap] - anchor, q[:cap] - anchor
+    v = ValueTable(values, gain, 0, float(np.ptp(best[:cap] - anchor - values)))
+    age, battery = np.unravel_index(losses.argmax(), losses.shape)
+    return HowardTest(v, q, rows, losses, float(losses.max()), State(int(age) + 1, int(battery)))
 
 
 def check_truncation_adequacy(
     tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
 ) -> bool:
-    """True when ``tp`` is greedy, within ``cfg.epsilon``, for its own exact bias.
-
-    Howard's (1960) policy-improvement test on the untruncated chain
-    (:func:`_exact_bias`). A level that never transmits fails: a slot delivers
-    with chance at most 1-p, so the wait T for delivery is at least
-    1 + 1/(1-p) at an idle level, and at the idle level m of longest wait
-    idling loses at least (1-p) T_m - 1 > 0 more per age.
-    """
+    """True when Howard's gap of ``tp`` (:func:`threshold_bias`) is within ``cfg.epsilon``."""
     cfg = cfg if cfg is not None else SolverConfig()
-    rows = _transmit_rows(tp, params)
-    bias = _exact_bias(rows, params, cfg) if rows[-1].all() and params.erasure_prob < 1.0 else None
-    return bias is not None and bias[3] <= cfg.epsilon
+    test = threshold_bias(tp, params, cfg)
+    return test is not None and test.gap <= cfg.epsilon
 
 
 def policy_iteration(
@@ -354,9 +378,9 @@ def policy_iteration(
     is the first transmitting age; a level idle at the last row D by G moves to
     D + floor(G - eps) + 1, at most 2D, so each grid stays under the bound. A
     cumulative min makes them non-increasing in battery, the paper's structure.
-    Stops when they stop moving and pass :func:`check_truncation_adequacy`'s
-    test, else raises :class:`ConvergenceError`. Returns the bias and q table on
-    the ``aoi_cap`` grid anchored at (1, battery_cap), and the thresholds.
+    Stops when they stop moving and pass :func:`threshold_bias`'s test, else
+    raises :class:`ConvergenceError`. Returns the last round's bias and q table
+    on the ``aoi_cap`` grid anchored at (1, battery_cap), and the thresholds.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
@@ -364,28 +388,23 @@ def policy_iteration(
     why = f"still move after {cfg.max_iters} rounds"  # unless a round breaks off
     for rounds in range(1, cfg.max_iters + 1):
         seen.append(thresholds)
-        rows = _transmit_rows(ThresholdPolicy(thresholds), params)
-        exact = _exact_bias(rows, params, cfg, params.aoi_cap)
-        if exact is None:
+        test = threshold_bias(ThresholdPolicy(thresholds), params, cfg)
+        if test is None:
             why = "have recurrent classes of unequal gain"
             break
-        gain, h, q, gap = exact
-        advantage = q[: len(rows), :, 0] - q[: len(rows), :, 1]  # > 0: transmitting is cheaper
-        tx = np.where(rows, advantage >= -cfg.epsilon, advantage > cfg.epsilon)
-        late = np.minimum(len(rows) + np.floor(-advantage[-1] - cfg.epsilon) + 1, 2 * len(rows))
+        tx = test.rows ^ (test.losses > cfg.epsilon)  # an action that loses by more switches
+        late = np.minimum(len(tx) + np.floor(test.losses[-1] - cfg.epsilon) + 1, 2 * len(tx))
         firsts = np.where(tx.any(axis=0), tx.argmax(axis=0) + 1, late)
         thresholds = tuple(int(t) for t in np.minimum.accumulate(firsts))
         if thresholds in seen:
             why = "" if thresholds == seen[-1] else "repeat an earlier round's"
             break
-    if not (why or gap <= cfg.epsilon):
+    if not (why or test.gap <= cfg.epsilon):
         why = "fail Howard's improvement test"
     if why:
         raise ConvergenceError(f"policy iteration did not converge: thresholds "
                                f"{list(thresholds)} {why}", span=math.nan, iterations=rounds)
-    values, q = h[: params.aoi_cap] - h[0, -1], q[: params.aoi_cap] - h[0, -1]
-    span = float(np.ptp(q.min(axis=-1) - values))
-    return ValueTable(values, gain, rounds, span), q, ThresholdPolicy(thresholds)
+    return replace(test.values, iterations=rounds), test.q, ThresholdPolicy(thresholds)
 
 
 def write_value_csv(path: str, v: ValueTable) -> None:
@@ -394,33 +413,3 @@ def write_value_csv(path: str, v: ValueTable) -> None:
     lines = [f"{d},{q},{x!r}\n" for d, row in enumerate(rows, 1) for q, x in enumerate(row)]
     with open(path, "w", newline="") as handle:
         handle.write("delta,q,value\n" + "".join(lines))
-
-
-def read_value_csv(path: str) -> np.ndarray:
-    """The dense value grid of (delta, q, value) rows, 3 fields each: each cell once, and finite."""
-    entries: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != ["delta", "q", "value"]:
-            raise ValueError(f"unexpected value CSV header {reader.fieldnames}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise ValueError(f"value CSV line {reader.line_num} does not have 3 fields")
-            cell, value = (int(row["delta"]), int(row["q"])), float(row["value"])
-            if not (cell[0] >= 1 and cell[1] >= 0):
-                raise ValueError(f"value CSV cell (delta, q) = {cell} is not delta >= 1, q >= 0")
-            if not math.isfinite(value):
-                raise ValueError(f"value CSV cell (delta, q) = {cell} is not finite: {value!r}")
-            if cell in entries:
-                raise ValueError(f"value CSV cell (delta, q) = {cell} is given twice")
-            entries[cell] = value
-    if not entries:
-        raise ValueError("value CSV has no rows")
-    cap = max(d for d, _ in entries)
-    width = max(q for _, q in entries) + 1
-    if len(entries) != cap * width:
-        raise ValueError(f"value CSV covers {len(entries)} cells, expected {cap * width}")
-    values = np.empty((cap, width))
-    for (delta, battery), value in entries.items():
-        values[delta - 1, battery] = value
-    return values

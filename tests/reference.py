@@ -327,6 +327,16 @@ def write_value_csv_rows(path: str, v) -> None:
                 writer.writerow([row + 1, battery, repr(float(v.values[row, battery]))])
 
 
+def read_value_csv(path: str) -> np.ndarray:
+    """Read back what ``write_value_csv`` wrote: the dense (aoi_cap, B+1) value grid."""
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    values = np.empty((int(rows[-1]["delta"]), int(rows[-1]["q"]) + 1))  # age-major: last is max
+    for row in rows:
+        values[int(row["delta"]) - 1, int(row["q"])] = float(row["value"])
+    return values
+
+
 def read_threshold_csv(path: str) -> ThresholdPolicy:
     """Read back what ``ThresholdPolicy.write_csv`` wrote."""
     rows: dict[int, int | None] = {}

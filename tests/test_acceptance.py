@@ -35,6 +35,7 @@ from aoi_energy import (
     solve,
 )
 from aoi_energy.cli import build_parser, run_sweep
+from aoi_energy.solver import threshold_bias
 from reference import doubled_cap_adequacy, params_to_json
 
 EPSILON = 1e-9
@@ -79,6 +80,8 @@ class GridPoint:
     certificate: StructureReport
     adequate: bool
     doubled_adequate: bool
+    bias_certificate: StructureReport | None
+    bias_adequate: bool
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +107,13 @@ def grid():
                 doubled = thresholds is not None and doubled_cap_adequacy(
                     thresholds, params, SOLVER_CFG, v.values
                 )
-                points.append(
-                    GridPoint(params, thresholds, shape_error, certificate, adequate, doubled)
+                test = None if thresholds is None else threshold_bias(thresholds, params)
+                bias_certificate = None if test is None else certify_structure(
+                    test.values, test.q, params, CERT_TOL
                 )
+                bias_adequate = test is not None and test.gap <= SOLVER_CFG.epsilon
+                points.append(GridPoint(params, thresholds, shape_error, certificate, adequate,
+                                        doubled, bias_certificate, bias_adequate))
     return points
 
 
@@ -337,6 +344,13 @@ def test_criterion_7_truncation_adequacy(grid, capsys):
     assert not disagree, "the exact-bias check and a re-solve at twice the cap disagree at " + (
         "; ".join(point_label(g.params) for g in disagree[:3])
     )
+    # check's route: the certificates hold on the exact bias of every solved policy, and
+    # Howard's gap within epsilon is the truncation check's verdict.
+    uncertified = [g for g in grid if not (g.bias_certificate and g.bias_certificate.all_pass)]
+    assert not uncertified, "certificates fail on the exact bias at " + (
+        "; ".join(point_label(g.params) for g in uncertified[:3])
+    )
+    assert all(g.bias_adequate == g.adequate for g in grid)
     bad = [g for g in grid if not g.adequate]
     ok = not bad
     detail = "documented corner " + "; ".join(point_label(g.params) for g in bad[:3])

@@ -21,12 +21,9 @@ from aoi_energy import (
     SimConfig,
     SystemParams,
     ThresholdPolicy,
-    ValueTable,
     ZeroWait,
     evaluate_exact,
-    read_value_csv,
     simulate,
-    write_value_csv,
 )
 from aoi_energy.cli import (
     EXIT_NO_CONVERGENCE,
@@ -40,7 +37,8 @@ from aoi_energy import cli, evaluation, solver
 from aoi_energy.evaluation import MAX_HORIZON, MAX_REPLICATIONS
 from aoi_energy.model import MAX_GRID_STATES
 from aoi_energy.structure import DEFAULT_TOLERANCE
-from reference import params_to_json, read_threshold_csv, structure_report_from_json
+from reference import params_to_json, read_threshold_csv, read_value_csv
+from reference import structure_report_from_json
 
 SOLVE_PARAMS = SystemParams(
     erasure_prob=0.3,
@@ -77,6 +75,12 @@ CRAMPED = SystemParams(
 def params_file(tmp_path, params, name="params.json"):
     path = tmp_path / name
     path.write_text(params_to_json(params) + "\n")
+    return str(path)
+
+
+def thresholds_file(tmp_path, thresholds, name="thresholds.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"thresholds": thresholds}) + "\n")
     return str(path)
 
 
@@ -171,7 +175,15 @@ def test_solve_accepts_adequate_cap(tmp_path, capsys):
         ]
     )
     assert code == EXIT_OK
-    assert "truncation adequate" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "truncation adequate"
+    # solve-grid reads the lines that begin "gain " and "thresholds ": the bounds are neither
+    assert [line.split()[0] for line in lines] == ["gain", "thresholds", "certificates",
+                                                   "optimal", "truncation"]
+    low, high = (float(x) for x in lines[-2].split("[")[1].split("]")[0].split(", "))
+    assert 0.0 <= high - low <= 1e-9
+    cost = evaluate_exact(ThresholdPolicy((5, 4, 2)), roomy).avg_total_cost
+    assert high == pytest.approx(cost, rel=1e-12)
 
 
 def test_solve_missing_params_file(tmp_path, capsys):
@@ -234,22 +246,19 @@ def test_hostile_tolerances_fail_before_any_work(
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{command} {option} {value} reached the solver")
 
-    for name in ("solve", "policy_iteration", "bellman_qvalues", "certify_structure"):
+    for name in ("solve", "policy_iteration", "threshold_bias", "certify_structure"):
         monkeypatch.setattr(aoi_energy.cli, name, must_not_run)
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "out"
     if command == "solve":
         argv = ["solve", "--params", pfile, "--out", str(out)]
     elif command == "check":
-        values = tmp_path / "values.csv"
-        zeros = np.zeros(SOLVE_PARAMS.grid_shape)
-        write_value_csv(str(values), ValueTable(zeros, gain=0.0, iterations=0, final_span=0.0))
-        argv = ["check", "--params", pfile, "--values", str(values)]
+        argv = ["check", "--params", pfile, "--thresholds", thresholds_file(tmp_path, [1] * 5)]
     else:
         argv = sweep_args(pfile, out, "omega", "2.0", "zero-wait,solved")
     assert main(argv + [f"{option}={value}"]) == EXIT_USAGE
     assert option.lstrip("-") in capsys.readouterr().err
-    inputs = {"params.json", "values.csv"} if command == "check" else {"params.json"}
+    inputs = {"params.json", "thresholds.json"} if command == "check" else {"params.json"}
     assert {path.name for path in tmp_path.iterdir()} == inputs
 
 
@@ -374,73 +383,52 @@ def test_a_valid_structure_tolerance_reaches_the_report(tmp_path, capsys):
     report = structure_report_from_json((out / "structure_report.json").read_text())
     assert report.tolerance == 1e-6
     capsys.readouterr()
-    argv = ["check", "--params", pfile, "--values", str(out / "values.csv"), "--structure-tol", "0"]
+    argv = ["check", "--params", pfile, "--thresholds", str(out / "thresholds.json"),
+            "--structure-tol", "0"]
     assert main(argv) == EXIT_OK
-    assert structure_report_from_json(capsys.readouterr().out).tolerance == 0.0
+    report = capsys.readouterr().out.splitlines()[0]
+    assert structure_report_from_json(report).tolerance == 0.0
 
 
 def test_check_round_trip(tmp_path, capsys):
+    """check certifies solve's thresholds on their exact bias; increasing ones exit 4."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "run"
     assert main(["solve", "--params", pfile, "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
 
-    code = main(["check", "--params", pfile, "--values", str(out / "values.csv")])
+    code = main(["check", "--params", pfile, "--thresholds", str(out / "thresholds.json")])
     assert code == EXIT_OK
-    assert structure_report_from_json(capsys.readouterr().out).all_pass
+    captured = capsys.readouterr()
+    report, bounds = captured.out.splitlines()
+    assert structure_report_from_json(report).all_pass
+    assert bounds.startswith("optimal cost in [") and "Howard's gap" in bounds
+    assert captured.err == ""
 
-    # Inflating the age-1 row breaks growth in age, which check must flag.
-    values = read_value_csv(str(out / "values.csv"))
-    values[0, :] += 1000.0
-    tampered = out / "tampered.csv"
-    write_value_csv(
-        str(tampered),
-        ValueTable(values=values, gain=0.0, iterations=0, final_span=0.0),
-    )
-    code = main(["check", "--params", pfile, "--values", str(tampered)])
-    assert code == EXIT_STRUCTURE
-    assert not structure_report_from_json(capsys.readouterr().out).all_pass
+    # Thresholds that rise with the battery break the certificates, which check must flag.
+    tampered = thresholds_file(tmp_path, [1, 2, 3, 4, 5], "tampered.json")
+    assert main(["check", "--params", pfile, "--thresholds", tampered]) == EXIT_STRUCTURE
+    report, bounds = capsys.readouterr().out.splitlines()
+    assert not structure_report_from_json(report).all_pass
+    assert bounds.endswith("at age 2, battery 3")
 
 
 def test_check_rejects_malformed_values(tmp_path, capsys):
+    """A thresholds file that is not JSON exits 2 before any work."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
-    bad = tmp_path / "values.csv"
+    bad = tmp_path / "thresholds.json"
     bad.write_text("x,y,z\n1,2,3\n")
-    assert main(["check", "--params", pfile, "--values", str(bad)]) == EXIT_USAGE
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf"])
-def test_check_refuses_non_finite_value_cell(tmp_path, capsys, cell):
-    pfile = params_file(tmp_path, SOLVE_PARAMS)
-    cap, width = SOLVE_PARAMS.grid_shape
-    rows = [f"{d},{q},{cell if (d, q) == (2, 3) else d}" for d in range(1, cap + 1)
-            for q in range(width)]
-    bad = tmp_path / "values.csv"
-    bad.write_text("\n".join(["delta,q,value", *rows]) + "\n")
-    assert main(["check", "--params", pfile, "--values", str(bad)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "(delta, q) = (2, 3) is not finite" in err and "JSON" not in err
-
-
-def test_check_names_an_out_of_range_value_cell(tmp_path, capsys):
-    """A cell below delta = 1 is named as it is read, before any count of the cells."""
-    pfile = params_file(tmp_path, SOLVE_PARAMS)
-    bad = tmp_path / "values.csv"
-    bad.write_text("delta,q,value\n0,0,1.0\n")
-    assert main(["check", "--params", pfile, "--values", str(bad)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "(delta, q) = (0, 0) is not delta >= 1, q >= 0" in err and "covers" not in err
+    assert main(["check", "--params", pfile, "--thresholds", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_repeated_input_entries_exit_usage(tmp_path, capsys):
-    """check, solve and eval refuse a repeated value cell or JSON key by name, with exit 2."""
+    """check, solve and eval refuse a repeated JSON key by name, with exit 2."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
-    cap, width = SOLVE_PARAMS.grid_shape
-    rows = [f"{d},{q},{d}" for d in range(1, cap + 1) for q in range(width)]
-    values = tmp_path / "values.csv"
-    values.write_text("\n".join(["delta,q,value", *rows[:-1], "1,1,-7.0"]) + "\n")
-    assert main(["check", "--params", pfile, "--values", str(values)]) == EXIT_USAGE
-    assert "(delta, q) = (1, 1) is given twice" in capsys.readouterr().err
+    policy = tmp_path / "tp.json"
+    policy.write_text('{"thresholds": [null, 2, 1, 1, 1], "thresholds": [1, 1, 1, 1, 1]}')
+    assert main(["check", "--params", pfile, "--thresholds", str(policy)]) == EXIT_USAGE
+    assert "JSON key 'thresholds' is given twice" in capsys.readouterr().err
 
     twice = tmp_path / "twice.json"
     twice.write_text(params_to_json(SOLVE_PARAMS)[:-1] + ', "p": 0.9}')
@@ -448,49 +436,69 @@ def test_repeated_input_entries_exit_usage(tmp_path, capsys):
     assert "JSON key 'p' is given twice" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
-    policy = tmp_path / "tp.json"
-    policy.write_text('{"thresholds": [null, 2, 1, 1, 1], "thresholds": [1, 1, 1, 1, 1]}')
     argv = ["eval", "--params", pfile, "--policies", f"threshold:{policy}"]
     assert main(argv) == EXIT_USAGE
     assert "JSON key 'thresholds' is given twice" in capsys.readouterr().err
 
 
-def test_check_refuses_a_values_file_missing_a_cell(tmp_path, capsys):
-    pfile = params_file(tmp_path, SOLVE_PARAMS)
-    values = tmp_path / "values.csv"
-    zeros = np.zeros(SOLVE_PARAMS.grid_shape)
-    write_value_csv(str(values), ValueTable(zeros, gain=0.0, iterations=0, final_span=0.0))
-    lines = values.read_text().splitlines(keepends=True)
-    values.write_text("".join(lines[:7] + lines[8:]))
-    assert main(["check", "--params", pfile, "--values", str(values)]) == EXIT_USAGE
-    assert "value CSV covers 299 cells, expected 300" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("row, index", [("2,0", 6), ("1,1,0.0,junk", 2)])
-def test_check_refuses_a_value_row_without_three_fields(tmp_path, capsys, row, index):
-    """A short row is refused, not handed on as a missing field; a long one is not trimmed."""
-    pfile = params_file(tmp_path, SOLVE_PARAMS)
-    values = tmp_path / "values.csv"
-    zeros = np.zeros(SOLVE_PARAMS.grid_shape)
-    write_value_csv(str(values), ValueTable(zeros, gain=0.0, iterations=0, final_span=0.0))
-    lines = values.read_text().splitlines(keepends=True)
-    values.write_text("".join(lines[:index] + [row + "\n"] + lines[index + 1 :]))
-    assert main(["check", "--params", pfile, "--values", str(values)]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert f"error: value CSV line {index + 1} does not have 3 fields" in captured.err
-    assert captured.out == ""
-
-
 def test_check_rejects_grid_mismatch(tmp_path, capsys):
-    pfile = params_file(tmp_path, SOLVE_PARAMS)
-    out = tmp_path / "run"
-    assert main(["solve", "--params", pfile, "--out", str(out)]) == EXIT_OK
-    other = params_file(
-        tmp_path, dataclasses.replace(SOLVE_PARAMS, aoi_cap=50), name="other.json"
-    )
-    code = main(["check", "--params", other, "--values", str(out / "values.csv")])
+    """Thresholds for batteries 0..4 are refused at an instance of batteries 0..3."""
+    pfile = params_file(tmp_path, dataclasses.replace(SOLVE_PARAMS, battery_cap=3))
+    code = main(["check", "--params", pfile, "--thresholds", thresholds_file(tmp_path, [1] * 5)])
     assert code == EXIT_USAGE
-    assert "value table shape (60, 5), expected (50, 5)" in capsys.readouterr().err
+    assert "policy covers battery 0..4, params expect 0..3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"erasure_prob": 1.0}, "solving requires erasure_prob < 1"),
+        ({"battery_cap": 1024, "aoi_cap": 2}, "1025 x 1025 (slot kernel rows x columns)"),
+    ],
+    ids=["p-one", "kernels-over-the-bound"],
+)
+def test_check_refuses_an_instance_outside_the_solver_domain(
+    tmp_path, monkeypatch, capsys, change, message
+):
+    """p = 1 and B >= 1024 exit 2 before the thresholds are read or the bias is built."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("check built an exact bias")
+
+    monkeypatch.setattr(cli, "threshold_bias", must_not_run)
+    params = dataclasses.replace(SOLVE_PARAMS, **change)
+    pfile = params_file(tmp_path, params)
+    thresholds = thresholds_file(tmp_path, [1] * (params.battery_cap + 1))
+    assert main(["check", "--params", pfile, "--thresholds", thresholds]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_check_refuses_a_level_that_never_transmits(tmp_path, capsys):
+    """A null level has no exact bias to certify: exit 5, no report."""
+    pfile = params_file(tmp_path, SOLVE_PARAMS)
+    thresholds = thresholds_file(tmp_path, [None, 1, 1, 1, 1])
+    assert main(["check", "--params", pfile, "--thresholds", thresholds]) == EXIT_TRUNCATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the thresholds are not optimal on the untruncated chain\n"
+
+
+def test_check_finds_value_iteration_one_age_late_at_the_corner(tmp_path, capsys):
+    """RVI's cap-200 thresholds at (0.9, 0.9, 100) pass every certificate but lose 0.883 at
+    age 181 of the empty battery: exit 5, after the report and the bounds."""
+    corner = SystemParams(0.9, 0.9, 100.0, 2.0, 20, 200)
+    rvi = [182, 10, 8, 6, 5, 4, 4] + [3] * 6 + [2] * 7 + [1]
+    argv = ["check", "--params", params_file(tmp_path, corner),
+            "--thresholds", thresholds_file(tmp_path, rvi)]
+    assert main(argv) == EXIT_TRUNCATION
+    captured = capsys.readouterr()
+    report, bounds = captured.out.splitlines()
+    assert structure_report_from_json(report).all_pass
+    low, high = (float(x) for x in bounds.split("[")[1].split("]")[0].split(", "))
+    assert high - low == pytest.approx(0.8834, abs=1e-4)
+    assert bounds.endswith("at age 181, battery 0")
+    assert "not optimal on the untruncated chain" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -997,6 +1005,24 @@ def test_check_truncation_grid_over_the_bound_is_refused_before_any_write(tmp_pa
     assert main(truncation_args(tmp_path, over)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"{over.aoi_cap} x 2" in err and "exceeds" in err and "doubled" not in err
+    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+
+
+def test_check_truncation_refuses_kernels_over_the_bound_before_the_solve(
+    tmp_path, monkeypatch, capsys
+):
+    """At B = 1024 the exact bias's slot kernels exceed the bound: exit 2 before any solve,
+    and no artifact is written."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solve ran before the kernel bound was checked")
+
+    monkeypatch.setattr(cli, "solve", must_not_run)
+    wide = SystemParams(0.2, 0.5, 10.0, 2.0, 1024, 40)
+    assert main(truncation_args(tmp_path, wide)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the 1025 x 1025 (slot kernel rows x columns) grid" in captured.err
     assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
 
 

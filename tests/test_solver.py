@@ -24,7 +24,6 @@ from aoi_energy import (
     evaluate_exact,
     extract_thresholds,
     greedy_policy,
-    read_value_csv,
     solve,
     solver,
     write_value_csv,
@@ -32,7 +31,7 @@ from aoi_energy import (
 from conftest import BENCH, EPSILON, MID
 from reference import bellman_qvalues_gathered, greedy_policy_shortcircuit, relative_value_iteration
 from reference import doubled_cap_adequacy, exact_bias_violation, threshold_table
-from reference import state_action, write_value_csv_rows
+from reference import read_value_csv, state_action, write_value_csv_rows
 
 SMALL = SystemParams(
     erasure_prob=0.3,
@@ -756,13 +755,52 @@ def test_policy_iteration_stops_at_max_iters_and_repeats_its_answer():
 def test_policy_iteration_refuses_what_it_cannot_certify(monkeypatch):
     """A stopping policy that fails Howard's test, or a round whose recurrent classes
     have unequal gains, raises ConvergenceError naming the thresholds."""
-    exact_bias = solver._exact_bias
-    monkeypatch.setattr(solver, "_exact_bias", lambda *args: (*exact_bias(*args)[:3], 1.0))
+    real = solver.threshold_bias
+    monkeypatch.setattr(solver, "threshold_bias", lambda *args: real(*args)._replace(gap=1.0))
     with pytest.raises(ConvergenceError, match=r"\[3, 3, 3, 2, 1\] fail Howard's improvement"):
         solver.policy_iteration(SMALL)
-    monkeypatch.setattr(solver, "_exact_bias", lambda *args: None)
+    monkeypatch.setattr(solver, "threshold_bias", lambda *args: None)
     with pytest.raises(ConvergenceError, match=r"\[1, 1, 1, 1, 1\] have recurrent classes of"):
         solver.policy_iteration(SMALL)
+
+
+# ---------------------------------------------------------------------------
+# Howard's test: the one exact-bias entry point
+
+
+@pytest.mark.parametrize("params", [BENCH, MID, PI_CASES["tiny"][0]], ids=["bench", "mid", "tiny"])
+@pytest.mark.parametrize("where", ["empty", "half", "full"])
+def test_a_threshold_one_age_late_is_its_own_witness(params, where):
+    """Raise one level of policy iteration's thresholds by one age: the gap is reached where
+    that level now idles, and [gain - gap, gain] holds the optimal gain, its upper end the
+    late policy's exact cost."""
+    v, _, policy = solver.policy_iteration(params, SolverConfig(epsilon=EPSILON))
+    level = {"empty": 0, "half": params.battery_cap // 2, "full": params.battery_cap}[where]
+    late = list(policy.thresholds)
+    late[level] += 1
+    test = solver.threshold_bias(ThresholdPolicy(tuple(late)), params)
+    assert test.witness == State(policy.thresholds[level], level)
+    assert test.gap > 1e-3
+    assert test.values.gain - test.gap <= v.gain <= test.values.gain
+    cost = evaluate_exact(ThresholdPolicy(tuple(late)), params).avg_total_cost
+    assert test.values.gain == pytest.approx(cost, rel=1e-12, abs=0.0)
+
+
+def test_policy_iteration_returns_the_bias_of_its_answer():
+    """Policy iteration's tables are threshold_bias's on its thresholds, bit for bit."""
+    v, q, policy = solver.policy_iteration(SMALL)
+    test = solver.threshold_bias(policy, SMALL)
+    assert test.gap <= EPSILON and v.iterations > 1 and test.values.iterations == 0
+    assert same_bits(v.values, test.values.values) and same_bits(q, test.q)
+    assert (v.gain, v.final_span) == (test.values.gain, test.values.final_span)
+
+
+def test_threshold_bias_refuses_what_has_no_finite_bias():
+    """A level that never transmits, or p = 1, has no exact bias to test."""
+    assert solver.threshold_bias(ThresholdPolicy((None, 1, 1, 1, 1)), SMALL) is None
+    certain_loss = dataclasses.replace(SMALL, erasure_prob=1.0)
+    assert solver.threshold_bias(ThresholdPolicy((1,) * 5), certain_loss) is None
+    assert not check_truncation_adequacy(ThresholdPolicy((1,) * 5), certain_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -786,25 +824,3 @@ def test_value_csv_matches_csv_writer_bytes(tmp_path, order):
     write_value_csv(str(tmp_path / "joined.csv"), v)
     write_value_csv_rows(str(tmp_path / "rows.csv"), v)
     assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-
-
-def test_value_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_value_csv(str(path))
-
-
-def test_value_csv_refuses_a_repeated_cell(tmp_path):
-    """A cell given twice is refused by name, even when the cell count still matches."""
-    path = tmp_path / "twice.csv"
-    path.write_text("delta,q,value\n1,0,1.0\n1,1,5.0\n2,0,2.0\n1,1,-7.0\n")
-    with pytest.raises(ValueError, match=r"\(delta, q\) = \(1, 1\) is given twice"):
-        read_value_csv(str(path))
-
-
-def test_value_csv_rejects_empty(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("delta,q,value\n")
-    with pytest.raises(ValueError):
-        read_value_csv(str(path))
