@@ -11,49 +11,27 @@ exact stationary analysis, Monte Carlo and brute-force enumeration.
 
 from .evaluation import (
     BoundaryMassError,
-    CSV_COLUMNS,
-    EvalReport,
-    METHOD_EXACT,
-    METHOD_MONTE_CARLO,
-    ReducibilityError,
     SimConfig,
     enumerate_optimal,
     evaluate_exact,
-    report_row_values,
     simulate,
-    stationary_distribution,
-    write_report_rows,
 )
-from .model import State, SystemParams
+from .model import SystemParams
 from .policies import (
     EnergyFirst,
     Periodic,
-    PolicySpec,
-    PolicyTable,
     Randomized,
-    ThresholdPolicy,
     ZeroWait,
     parse_policy_spec,
     policy_label,
 )
 from .solver import (
-    ConvergenceError,
     SolverConfig,
-    ThresholdStructureError,
-    ValueTable,
-    bellman_qvalues,
     check_truncation_adequacy,
     extract_thresholds,
     greedy_policy,
     solve,
-    write_value_csv,
 )
-from .structure import (
-    DEFAULT_TOLERANCE,
-    MarginCheck,
-    StructureReport,
-    certify_structure,
-    structure_checks,
-)
+from .structure import certify_structure, structure_checks
 
 __version__ = "0.1.0"

@@ -52,7 +52,7 @@ from .solver import (
     threshold_bias,
     write_value_csv,
 )
-from .structure import DEFAULT_TOLERANCE, certify_structure
+from .structure import certify_structure
 
 __all__ = [
     "EXIT_OK",
@@ -125,19 +125,13 @@ def _load_params(args: argparse.Namespace) -> SystemParams:
         return SystemParams.from_json(handle.read())
 
 
-def _tolerance(text: str) -> float:
-    if not 0.0 <= float(text) < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return float(text)
-
-
-def _howard(test: HowardTest | None, epsilon: float, why: str) -> int:
+def _howard(test: HowardTest | None, why: str) -> int:
     """Print the optimal cost's bounds from Howard's gap; exit 5, saying ``why``, over epsilon."""
     if test is not None:
         gain, gap, (age, battery) = test.values.gain, test.gap, test.witness
         print(f"optimal cost in [{gain - gap!r}, {gain!r}]: Howard's gap {gap!r} "
               f"at age {age}, battery {battery}")
-        if gap <= epsilon:
+        if gap <= SolverConfig.epsilon:
             return EXIT_OK
     print(f"{why}: the thresholds are not optimal on the untruncated chain", file=sys.stderr)
     return EXIT_TRUNCATION
@@ -145,7 +139,6 @@ def _howard(test: HowardTest | None, epsilon: float, why: str) -> int:
 
 def run_solve(args: argparse.Namespace) -> int:
     params = _load_params(args)
-    cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
     if args.check_truncation:
         _check_kernels(params)  # the exact bias needs them: B >= 1024 exits before the solve
     out_dir = args.out or "."
@@ -153,9 +146,9 @@ def run_solve(args: argparse.Namespace) -> int:
     if os.path.isdir(out_dir):
         for name in _SOLVE_ARTIFACTS:
             _check_output(os.path.join(out_dir, name))
-    v, q = solve(params, cfg)
+    v, q = solve(params, SolverConfig(max_iters=args.max_iters))
     thresholds = extract_thresholds(greedy_policy(v, q, params), params)
-    report = certify_structure(v, q, params, args.structure_tol)
+    report = certify_structure(v, q, params)
 
     os.makedirs(out_dir, exist_ok=True)
     values_csv, thresholds_json, thresholds_csv, report_json = (
@@ -174,8 +167,8 @@ def run_solve(args: argparse.Namespace) -> int:
     if not report.all_pass:
         raise StructureViolationError("structure certificate failed")
     if args.check_truncation:
-        test = threshold_bias(thresholds, params, cfg)
-        if _howard(test, cfg.epsilon, f"aoi_cap={params.aoi_cap} is inadequate"):
+        test = threshold_bias(thresholds, params)
+        if _howard(test, f"aoi_cap={params.aoi_cap} is inadequate"):
             return EXIT_TRUNCATION
         print("truncation adequate")
     return EXIT_OK
@@ -188,9 +181,9 @@ def run_check(args: argparse.Namespace) -> int:
     _check_kernels(params)
     test = threshold_bias(parse_policy_spec(f"threshold:{args.thresholds}"), params)
     if test is not None:
-        report = certify_structure(test.values, test.q, params, args.structure_tol)
+        report = certify_structure(test.values, test.q, params)
         print(report.to_json())
-    code = _howard(test, SolverConfig().epsilon, "error")
+    code = _howard(test, "error")
     return EXIT_STRUCTURE if test is not None and not report.all_pass else code
 
 
@@ -246,12 +239,12 @@ def run_sweep(args: argparse.Namespace) -> int:
     _check_output(args.out)
     policies = [text.strip() for text in args.policies.split(",")]
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in policies]
-    solver_cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+    solver_cfg = SolverConfig(max_iters=args.max_iters)
     rows: list[list] = []
     for value, point in zip(values, points):
         try:
             v, q, thresholds = policy_iteration(point, solver_cfg)
-            certificate = certify_structure(v, q, point, args.structure_tol)
+            certificate = certify_structure(v, q, point)
             if not certificate.all_pass:
                 raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
         except (ConvergenceError, StructureViolationError) as exc:
@@ -277,27 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     def solver_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--params", required=True, help="system parameter JSON file")
-        p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
-                       help="span stopping tolerance (solve), improvement margin (sweep)")
-        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
-        p.add_argument(
-            "--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-            help="certificate tolerance",
-        )
+        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+                       help="value iteration sweeps (solve) or policy iteration rounds "
+                            "(sweep) before giving up with exit 3")
 
     p_solve = sub.add_parser("solve", help="solve one instance and dump artifacts")
     solver_options(p_solve)
     p_solve.add_argument("--out", default=None, help="output directory (default: cwd)")
     p_solve.add_argument(
         "--check-truncation", action="store_true",
-        help="require the thresholds to be greedy, within --epsilon, for their own "
+        help="require the thresholds to be greedy, within 1e-9, for their own "
              "exact bias on the untruncated chain",
     )
 
     p_check = sub.add_parser("check", help="certify saved thresholds on their exact bias")
     p_check.add_argument("--params", required=True)
     p_check.add_argument("--thresholds", required=True, help="thresholds.json from solve")
-    p_check.add_argument("--structure-tol", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     p_eval = sub.add_parser("eval", help="evaluate explicit policies")
     p_eval.add_argument("--params", required=True, help="system parameter JSON file")

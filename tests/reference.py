@@ -76,23 +76,19 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from aoi_energy import (
-    ConvergenceError,
     EnergyFirst,
-    MarginCheck,
     Periodic,
-    PolicyTable,
     Randomized,
-    ReducibilityError,
     SolverConfig,
-    State,
-    StructureReport,
     SystemParams,
-    ThresholdPolicy,
     ZeroWait,
     solve,
-    stationary_distribution,
 )
-from aoi_energy.evaluation import _cycles
+from aoi_energy.evaluation import ReducibilityError, _cycles, stationary_distribution
+from aoi_energy.model import State
+from aoi_energy.policies import PolicyTable, ThresholdPolicy
+from aoi_energy.solver import ConvergenceError
+from aoi_energy.structure import MarginCheck, StructureReport
 
 _PROB_ATOL = 1e-12
 

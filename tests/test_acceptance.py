@@ -17,13 +17,9 @@ import pytest
 
 from aoi_energy import (
     EnergyFirst,
-    METHOD_EXACT,
     SimConfig,
     SolverConfig,
-    StructureReport,
     SystemParams,
-    ThresholdPolicy,
-    ThresholdStructureError,
     ZeroWait,
     certify_structure,
     check_truncation_adequacy,
@@ -35,7 +31,10 @@ from aoi_energy import (
     solve,
 )
 from aoi_energy.cli import build_parser, run_sweep
-from aoi_energy.solver import threshold_bias
+from aoi_energy.evaluation import METHOD_EXACT
+from aoi_energy.policies import ThresholdPolicy
+from aoi_energy.solver import ThresholdStructureError, threshold_bias
+from aoi_energy.structure import StructureReport
 from reference import doubled_cap_adequacy, params_to_json
 
 EPSILON = 1e-9
@@ -224,8 +223,7 @@ def sweep_args(axis, values, out_path):
     return build_parser().parse_args([
         "sweep", "--params", str(params), "--axis", axis,
         "--values", ",".join(repr(value) for value in values),
-        "--policies", ",".join(SWEEP_POLICIES), "--epsilon", repr(EPSILON),
-        "--out", str(out_path),
+        "--policies", ",".join(SWEEP_POLICIES), "--out", str(out_path),
     ])
 
 

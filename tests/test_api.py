@@ -1,6 +1,7 @@
 """The package keeps what its demos and benchmark use: every name they import
-from it, every function the benchmark's span recorder looks up by name, and
-each demo and the README's quick tour run end to end in a fresh interpreter."""
+from it (and at its root no other), every function the benchmark's span
+recorder looks up by name, and each demo and the README's quick tour run end
+to end in a fresh interpreter."""
 
 import ast
 import importlib
@@ -42,6 +43,21 @@ def package_names(path: Path) -> list[tuple[str, str]]:
 def test_imported_package_names_resolve(path):
     missing = [pair for pair in package_names(path) if not resolves(*pair)]
     assert not missing, f"{path.name} uses names the package no longer has: {missing}"
+
+
+def test_package_root_exports_only_what_its_callers_import():
+    """The root's names are those that a demo, a perfbench file or the README's quick tour
+    imports from it; everything else is imported from its own module."""
+    (tour,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    callers = [ast.parse(path.read_text()) for path in CALLERS] + [ast.parse(tour)]
+    imported = {alias.name for tree in callers for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == PACKAGE
+                for alias in node.names}
+    package = importlib.import_module(PACKAGE)
+    exported = {name for name, value in vars(package).items()
+                if not name.startswith("_") and not isinstance(value, type(package))}
+    modules = {module.name for module in pkgutil.iter_modules(package.__path__)}
+    assert exported == imported - modules
 
 
 def test_traced_functions_resolve(monkeypatch):

@@ -12,19 +12,7 @@ import numpy as np
 import pytest
 
 import aoi_energy
-from aoi_energy import (
-    METHOD_EXACT,
-    METHOD_MONTE_CARLO,
-    ConvergenceError,
-    PolicyTable,
-    Randomized,
-    SimConfig,
-    SystemParams,
-    ThresholdPolicy,
-    ZeroWait,
-    evaluate_exact,
-    simulate,
-)
+from aoi_energy import Randomized, SimConfig, SystemParams, ZeroWait, evaluate_exact, simulate
 from aoi_energy.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -34,8 +22,10 @@ from aoi_energy.cli import (
     main,
 )
 from aoi_energy import cli, evaluation, solver
-from aoi_energy.evaluation import MAX_HORIZON, MAX_REPLICATIONS
+from aoi_energy.evaluation import MAX_HORIZON, MAX_REPLICATIONS, METHOD_EXACT, METHOD_MONTE_CARLO
 from aoi_energy.model import MAX_GRID_STATES
+from aoi_energy.policies import PolicyTable, ThresholdPolicy
+from aoi_energy.solver import ConvergenceError
 from aoi_energy.structure import DEFAULT_TOLERANCE
 from reference import params_to_json, read_threshold_csv, read_value_csv
 from reference import structure_report_from_json
@@ -241,7 +231,7 @@ def test_solve_nonconvergence_exit(tmp_path, capsys):
 def test_hostile_tolerances_fail_before_any_work(
     tmp_path, capsys, monkeypatch, command, option, value
 ):
-    """Exit 2 before the solver or the certificates run, and write no file."""
+    """The bar of every verdict is fixed: the options are unknown, exit 2 before any work."""
 
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{command} {option} {value} reached the solver")
@@ -266,15 +256,12 @@ def test_parser_reuse_leaks_no_option(tmp_path, capsys):
     """The parser is built once per process; options of one call do not reach the next."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     first, second = tmp_path / "first", tmp_path / "second"
-    argv = ["solve", "--params", pfile, "--out", str(first), "--structure-tol", "1e-6"]
-    assert main(argv + ["--check-truncation"]) == EXIT_OK
-    assert "truncation adequate" in capsys.readouterr().out
-    report = structure_report_from_json((first / "structure_report.json").read_text())
-    assert report.tolerance == 1e-6
+    argv = ["solve", "--params", pfile, "--out", str(first), "--max-iters", "2"]
+    assert main(argv + ["--check-truncation"]) == EXIT_NO_CONVERGENCE
+    assert "after 2 sweeps" in capsys.readouterr().err
     assert main(["solve", "--params", pfile, "--out", str(second)]) == EXIT_OK
     assert "truncation" not in capsys.readouterr().out
-    report = structure_report_from_json((second / "structure_report.json").read_text())
-    assert report.tolerance == DEFAULT_TOLERANCE
+    assert sorted(path.name for path in second.iterdir()) == sorted(cli._SOLVE_ARTIFACTS)
 
 
 @pytest.mark.parametrize(
@@ -376,18 +363,37 @@ def test_solve_with_a_table_that_idles_after_transmitting_exits_4(tmp_path, monk
 
 
 def test_a_valid_structure_tolerance_reaches_the_report(tmp_path, capsys):
+    """The certificates of solve and check are held to the one default tolerance."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "run"
-    argv = ["solve", "--params", pfile, "--out", str(out), "--structure-tol", "1e-6"]
-    assert main(argv) == EXIT_OK
+    assert main(["solve", "--params", pfile, "--out", str(out)]) == EXIT_OK
     report = structure_report_from_json((out / "structure_report.json").read_text())
-    assert report.tolerance == 1e-6
+    assert report.tolerance == DEFAULT_TOLERANCE
     capsys.readouterr()
-    argv = ["check", "--params", pfile, "--thresholds", str(out / "thresholds.json"),
-            "--structure-tol", "0"]
+    argv = ["check", "--params", pfile, "--thresholds", str(out / "thresholds.json")]
     assert main(argv) == EXIT_OK
     report = capsys.readouterr().out.splitlines()[0]
-    assert structure_report_from_json(report).tolerance == 0.0
+    assert structure_report_from_json(report).tolerance == DEFAULT_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "p, lam, omega, code",
+    [(0.2, 0.5, 10.0, EXIT_OK), (0.5, 0.9, 10.0, EXIT_OK), (0.9, 0.9, 100.0, EXIT_TRUNCATION)],
+    ids=["readme", "p-half-lambda-0.9", "corner"],
+)
+def test_check_truncation_and_check_give_one_verdict(tmp_path, capsys, p, lam, omega, code):
+    """solve --check-truncation and check of its thresholds print the same bounds and exit
+    alike: both judge Howard's gap at the one epsilon of SolverConfig."""
+    pfile = params_file(tmp_path, SystemParams(p, lam, omega, 2.0, 20, 200))
+    out = tmp_path / "run"
+    assert main(["solve", "--params", pfile, "--out", str(out), "--check-truncation"]) == code
+    (solved,) = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("optimal cost in [")]
+    argv = ["check", "--params", pfile, "--thresholds", str(out / "thresholds.json")]
+    assert main(argv) == code
+    (checked,) = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("optimal cost in [")]
+    assert checked == solved
 
 
 def test_check_round_trip(tmp_path, capsys):
@@ -1261,18 +1267,29 @@ def test_eval_has_no_aoi_cap(tmp_path, capsys):
     assert "--aoi-cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_solve_and_sweep_have_no_aoi_cap(tmp_path, capsys, command):
-    """The params file's ``aoi_cap`` is the one way to set the age cap: the flag is unknown."""
+@pytest.mark.parametrize("command", ["solve", "sweep", "check"])
+def test_solve_and_sweep_have_no_aoi_cap(tmp_path, capsys, monkeypatch, command):
+    """The params file's ``aoi_cap`` is the one way to set the age cap, and the solver's
+    epsilon and the certificates' tolerance are fixed: each flag is unknown, exit 2 with
+    nothing solved or written."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{command} reached the solver")
+
+    for name in ("solve", "policy_iteration", "threshold_bias", "certify_structure"):
+        monkeypatch.setattr(cli, name, must_not_run)
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "out"
     argv = {
-        "solve": ["solve", "--params", pfile, "--out", str(out)],
+        "solve": ["solve", "--params", pfile, "--out", str(out), "--check-truncation"],
         "sweep": sweep_args(pfile, out, "p", "0.3", "zero-wait,solved"),
+        "check": ["check", "--params", pfile, "--thresholds", thresholds_file(tmp_path, [1] * 5)],
     }[command]
-    assert main(argv + ["--aoi-cap", "30"]) == EXIT_USAGE
-    assert "unrecognized arguments: --aoi-cap 30" in capsys.readouterr().err
-    assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
+    inputs = {path.name for path in tmp_path.iterdir()}
+    for flag, value in [("--aoi-cap", "30"), ("--epsilon", "1e-4"), ("--structure-tol", "1e-6")]:
+        assert main(argv + [flag, value]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert {path.name for path in tmp_path.iterdir()} == inputs
 
 
 def test_sweep_rows_do_not_read_aoi_cap(tmp_path):

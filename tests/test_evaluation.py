@@ -23,32 +23,34 @@ from scipy import stats
 
 from aoi_energy import (
     BoundaryMassError,
-    CSV_COLUMNS,
     EnergyFirst,
-    EvalReport,
-    METHOD_EXACT,
     Periodic,
-    PolicyTable,
     Randomized,
-    ReducibilityError,
     SimConfig,
     SolverConfig,
-    State,
     SystemParams,
-    ThresholdPolicy,
     ZeroWait,
     enumerate_optimal,
     evaluate_exact,
     extract_thresholds,
     greedy_policy,
-    report_row_values,
     simulate,
     solve,
+)
+from aoi_energy import evaluation
+from aoi_energy.evaluation import (
+    CSV_COLUMNS,
+    EvalReport,
+    METHOD_EXACT,
+    ReducibilityError,
+    _closure,
+    _t_quantile_975,
+    report_row_values,
     stationary_distribution,
     write_report_rows,
 )
-from aoi_energy import evaluation
-from aoi_energy.evaluation import _closure, _t_quantile_975
+from aoi_energy.model import State
+from aoi_energy.policies import PolicyTable, ThresholdPolicy
 from conftest import BENCH, MID
 from reference import (
     Action,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from aoi_energy import State, SystemParams
+from aoi_energy import SystemParams
+from aoi_energy.model import State
 from reference import (Action, StepOutcome, index_state, params_to_json, sample_step, sample_steps,
                        stage_cost, state_index, states, transition)
 

@@ -8,18 +8,17 @@ import pytest
 from aoi_energy import (
     EnergyFirst,
     Periodic,
-    PolicyTable,
     Randomized,
     SimConfig,
-    State,
     SystemParams,
-    ThresholdPolicy,
     ZeroWait,
     parse_policy_spec,
     policy_label,
     simulate,
 )
 from aoi_energy.evaluation import _transmit_rows
+from aoi_energy.model import State
+from aoi_energy.policies import PolicyTable, ThresholdPolicy
 from reference import Action, decide, read_threshold_csv, state_action, transmit_count
 
 PARAMS = SystemParams(

@@ -10,15 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from aoi_energy import (
     BoundaryMassError,
-    ConvergenceError,
-    PolicyTable,
     SolverConfig,
-    State,
     SystemParams,
-    ThresholdPolicy,
-    ThresholdStructureError,
-    ValueTable,
-    bellman_qvalues,
     certify_structure,
     check_truncation_adequacy,
     evaluate_exact,
@@ -26,6 +19,14 @@ from aoi_energy import (
     greedy_policy,
     solve,
     solver,
+)
+from aoi_energy.model import State
+from aoi_energy.policies import PolicyTable, ThresholdPolicy
+from aoi_energy.solver import (
+    ConvergenceError,
+    ThresholdStructureError,
+    ValueTable,
+    bellman_qvalues,
     write_value_csv,
 )
 from conftest import BENCH, EPSILON, MID

@@ -9,17 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aoi_energy import (
-    MarginCheck,
-    SolverConfig,
-    State,
-    StructureReport,
-    SystemParams,
-    bellman_qvalues,
-    certify_structure,
-    solve,
-    structure_checks,
-)
+from aoi_energy import SolverConfig, SystemParams, certify_structure, solve, structure_checks
+from aoi_energy.model import State
+from aoi_energy.solver import bellman_qvalues
+from aoi_energy.structure import MarginCheck, StructureReport
 from conftest import BENCH
 from reference import (
     Action,
