@@ -9,7 +9,6 @@ threshold per battery level.
 import numpy as np
 
 from aoi_energy import (
-    SolverConfig,
     SystemParams,
     extract_thresholds,
     greedy_policy,
@@ -25,7 +24,7 @@ params = SystemParams(
     aoi_cap=200,
 )
 
-v, q = solve(params, SolverConfig(epsilon=1e-9))
+v, q = solve(params)
 print(f"gain (average cost per slot): {v.gain:.6f}")
 print(f"converged in {v.iterations} sweeps, final span {v.final_span:.2e}")
 

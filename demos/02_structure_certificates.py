@@ -9,7 +9,6 @@ its worst signed margin (negative = violated) and the witnessing states.
 """
 
 from aoi_energy import (
-    SolverConfig,
     SystemParams,
     certify_structure,
     solve,
@@ -25,7 +24,7 @@ params = SystemParams(
     aoi_cap=100,
 )
 
-v, q = solve(params, SolverConfig(epsilon=1e-9))
+v, q = solve(params)
 
 print("certificate                margin        witness")
 for check in structure_checks(v, q, params):

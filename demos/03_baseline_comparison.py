@@ -11,7 +11,6 @@ from aoi_energy import (
     EnergyFirst,
     Periodic,
     Randomized,
-    SolverConfig,
     SystemParams,
     ZeroWait,
     evaluate_exact,
@@ -29,7 +28,7 @@ params = SystemParams(
     aoi_cap=200,
 )
 
-v, q = solve(params, SolverConfig(epsilon=1e-9))
+v, q = solve(params)
 solved = extract_thresholds(greedy_policy(v, q, params), params)
 
 contenders = [

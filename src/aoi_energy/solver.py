@@ -182,29 +182,20 @@ def bellman_qvalues(values: np.ndarray, params: SystemParams) -> tuple[np.ndarra
     return ws.table(ws.q_idle), ws.table(ws.q_tx)
 
 
-def solve(
-    params: SystemParams, cfg: SolverConfig | None = None, start: np.ndarray | None = None
-) -> tuple[ValueTable, np.ndarray]:
-    """Relative value iteration to a span of ``cfg.epsilon``.
+def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueTable, np.ndarray]:
+    """Relative value iteration from the zero table to a span of ``cfg.epsilon``.
 
-    Starts from ``start`` (finite, on the params grid) re-anchored at
-    (1, battery_cap), or from zero: RVI reaches the same fixed point from any
-    start (Puterman 1994, section 8.5), so a nearby table only shortens the
-    run. Returns the anchored value table (with
-    the gain estimate) and the (aoi_cap, B+1, 2) state-action table q of the
-    converged values: q[d-1, b, a] is the stage cost of action a (0 idle,
-    1 transmit) plus the expected next value, so its min over actions is
-    gain + V up to epsilon. Raises :class:`ConvergenceError` carrying the
-    last span when ``max_iters`` sweeps do not suffice. Every sweep works in
-    one :class:`_Workspace`, and measures the full span only on sweeps that
-    may stop (module docstring).
+    Returns the anchored value table (with the gain estimate) and the
+    (aoi_cap, B+1, 2) state-action table q of the converged values:
+    q[d-1, b, a] is the stage cost of action a (0 idle, 1 transmit) plus the
+    expected next value, so its min over actions is gain + V up to epsilon.
+    Raises :class:`ConvergenceError` carrying the last span when ``max_iters``
+    sweeps do not suffice. Every sweep works in one :class:`_Workspace`, and
+    measures the full span only on sweeps that may stop (module docstring).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
-    start = np.zeros(params.grid_shape) if start is None else np.asarray(start, dtype=np.float64)
-    if start.shape != params.grid_shape or not np.isfinite(start).all():
-        raise ValueError(f"start table must be finite with shape {params.grid_shape}")
-    ws = _Workspace(params, start - start[0, -1])
+    ws = _Workspace(params, np.zeros(params.grid_shape))
     ref_at = params.battery_cap * ws.row  # V(1, battery_cap) in the flat workspace
     updated, diff, real = ws.q_idle, ws.q_tx, ws.real  # T(V) and T(V) - V overwrite the backup
     sweep = [*ws.calls, partial(np.minimum, updated, ws.q_tx, out=updated)]

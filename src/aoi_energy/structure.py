@@ -4,8 +4,8 @@ A converged value table V over the states (d, b) of age and battery charge,
 and its action advantage A(d, b) = Q(d, b, idle) - Q(d, b, transmit), are
 expected to satisfy five inequalities; the last is what forces
 threshold-shaped optimal policies. Each is a margin over a pair of states,
-(d, b) and (d, b) plus a step, that must be at least ``-tol``, with p the
-erasure probability:
+(d, b) and (d, b) plus a step, that must be at least ``-DEFAULT_TOLERANCE``,
+with p the erasure probability:
 
 - ``monotone_in_aoi``, step (1, 0): V(d+1, b) - V(d, b);
 - ``monotone_in_battery``, step (0, 1): V(d, b) - V(d, b+1);
@@ -74,10 +74,7 @@ class StructureReport:
 
 
 def structure_checks(
-    v: ValueTable | np.ndarray,
-    q: np.ndarray,
-    params: SystemParams,
-    tol: float = DEFAULT_TOLERANCE,
+    v: ValueTable | np.ndarray, q: np.ndarray, params: SystemParams
 ) -> list[MarginCheck]:
     """The five certificates of the module docstring, in :class:`StructureReport` field order.
 
@@ -109,23 +106,20 @@ def structure_checks(
         row, b = (int(k) for k in np.unravel_index(np.argmin(margins), margins.shape))
         worst = float(margins[row, b])
         witness = (State(row + 1, b), State(row + 1 + age_step, b + battery_step))
-        checks.append(MarginCheck(name, worst >= -tol, worst, witness))
+        checks.append(MarginCheck(name, worst >= -DEFAULT_TOLERANCE, worst, witness))
     return checks
 
 
 def certify_structure(
-    v: ValueTable | np.ndarray,
-    q: np.ndarray,
-    params: SystemParams,
-    tol: float = DEFAULT_TOLERANCE,
+    v: ValueTable | np.ndarray, q: np.ndarray, params: SystemParams
 ) -> StructureReport:
     """Run every certificate and fold the results into one report."""
-    checks = structure_checks(v, q, params, tol)
+    checks = structure_checks(v, q, params)
     worst = min((c for c in checks if c.witness is not None), key=lambda c: c.worst_margin,
                 default=None)
     return StructureReport(
         **{check.name: check.passed for check in checks},
         worst_violation=np.inf if worst is None else worst.worst_margin,
         witness=None if worst is None else worst.witness,
-        tolerance=tol,
+        tolerance=DEFAULT_TOLERANCE,
     )

@@ -82,7 +82,6 @@ from aoi_energy import (
     SolverConfig,
     SystemParams,
     ZeroWait,
-    solve,
 )
 from aoi_energy.evaluation import ReducibilityError, _cycles, stationary_distribution
 from aoi_energy.model import State
@@ -690,19 +689,20 @@ def doubled_cap_adequacy(
 ) -> bool:
     """True when ``tp`` stays optimal after doubling ``aoi_cap``.
 
-    The doubled grid is solved with the same ``cfg``, starting from
-    ``values`` (the cap solution's table, its top age row repeated up to
-    twice the cap) when given, else from zero. ``tp`` passes when it is
-    greedy for the doubled state-action table within ``cfg.epsilon`` at
-    every state: a threshold may move only where the doubled solve cannot
-    tell the two actions apart, an exact tie that rounding breaks either
-    way. Every finite threshold must also sit strictly below the original
-    cap; a threshold pinned at the boundary is a truncation artifact.
+    The doubled grid is solved by :func:`relative_value_iteration` with the
+    same ``cfg``, starting from ``values`` (the cap solution's table, its top
+    age row repeated up to twice the cap) when given, else from zero. ``tp``
+    passes when it is greedy for the doubled state-action table within
+    ``cfg.epsilon`` at every state: a threshold may move only where the
+    doubled solve cannot tell the two actions apart, an exact tie that
+    rounding breaks either way. Every finite threshold must also sit strictly
+    below the original cap; a threshold pinned at the boundary is a
+    truncation artifact.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     doubled = replace(params, aoi_cap=2 * params.aoi_cap)
     start = None if values is None else np.pad(values, ((0, params.aoi_cap), (0, 0)), "edge")
-    _, q2 = solve(doubled, cfg, start)
+    _, q2, *_ = relative_value_iteration(doubled, cfg, start)
     chosen = np.take_along_axis(q2, threshold_table(tp, doubled).actions[..., None], axis=-1)
     if (chosen[..., 0] - q2.min(axis=-1)).max() > cfg.epsilon:
         return False

@@ -34,11 +34,10 @@ from aoi_energy.cli import build_parser, run_sweep
 from aoi_energy.evaluation import METHOD_EXACT
 from aoi_energy.policies import ThresholdPolicy
 from aoi_energy.solver import ThresholdStructureError, threshold_bias
-from aoi_energy.structure import StructureReport
+from aoi_energy.structure import DEFAULT_TOLERANCE, StructureReport
 from reference import doubled_cap_adequacy, params_to_json
 
 EPSILON = 1e-9
-CERT_TOL = 1e-8
 SOLVER_CFG = SolverConfig(epsilon=EPSILON)
 
 P_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -99,7 +98,7 @@ def grid():
                     shape_error = ""
                 except ThresholdStructureError as exc:
                     thresholds, shape_error = None, str(exc)
-                certificate = certify_structure(v, q, params, CERT_TOL)
+                certificate = certify_structure(v, q, params)
                 adequate = thresholds is not None and check_truncation_adequacy(
                     thresholds, params, SOLVER_CFG
                 )
@@ -108,7 +107,7 @@ def grid():
                 )
                 test = None if thresholds is None else threshold_bias(thresholds, params)
                 bias_certificate = None if test is None else certify_structure(
-                    test.values, test.q, params, CERT_TOL
+                    test.values, test.q, params
                 )
                 bias_adequate = test is not None and test.gap <= SOLVER_CFG.epsilon
                 points.append(GridPoint(params, thresholds, shape_error, certificate, adequate,
@@ -157,7 +156,7 @@ def test_criterion_2_structure_certificates(grid, capsys):
     announce(
         capsys,
         2,
-        f"value and advantage certificates hold at tol {CERT_TOL} on all "
+        f"value and advantage certificates hold at tol {DEFAULT_TOLERANCE} on all "
         f"{len(grid)} grid points",
         not bad,
         detail,

@@ -1,11 +1,14 @@
 """The package keeps what its demos and benchmark use: every name they import
-from it (and at its root no other), every function the benchmark's span
-recorder looks up by name, and each demo and the README's quick tour run end
-to end in a fresh interpreter."""
+from it (and at its root no other), every defaulted parameter of its public
+functions and classes, every function the benchmark's span recorder looks up
+by name, and each demo and the README's quick tour run end to end in a fresh
+interpreter."""
 
 import ast
 import importlib
+import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -18,6 +21,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
 PACKAGE = "aoi_energy"
+
+
+def quick_tour() -> str:
+    """The README's one python block."""
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return block
 
 
 def resolves(module: str, name: str) -> bool:
@@ -48,8 +57,7 @@ def test_imported_package_names_resolve(path):
 def test_package_root_exports_only_what_its_callers_import():
     """The root's names are those that a demo, a perfbench file or the README's quick tour
     imports from it; everything else is imported from its own module."""
-    (tour,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    callers = [ast.parse(path.read_text()) for path in CALLERS] + [ast.parse(tour)]
+    callers = [ast.parse(path.read_text()) for path in CALLERS] + [ast.parse(quick_tour())]
     imported = {alias.name for tree in callers for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == PACKAGE
                 for alias in node.names}
@@ -58,6 +66,51 @@ def test_package_root_exports_only_what_its_callers_import():
                 if not name.startswith("_") and not isinstance(value, type(package))}
     modules = {module.name for module in pkgutil.iter_modules(package.__path__)}
     assert exported == imported - modules
+
+
+def passed_arguments(trees: list[ast.AST]) -> tuple[dict[str, float], dict[str, set]]:
+    """For each called name, a bare name or an attribute's last part: the most positional
+    arguments a call passes (inf after a ``*``), and the keywords (None for ``**``)."""
+    positional, keywords = {}, {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = math.inf if starred else len(node.args)
+            positional[name] = max(positional.get(name, 0), count)
+            keywords.setdefault(name, set()).update(keyword.arg for keyword in node.keywords)
+    return positional, keywords
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """Each parameter with a default, of a function or class in a module's ``__all__``, is
+    passed by some call in src/, demos/, perfbench/ or the README's quick tour. Calls are
+    matched by the called name alone, so a call of another function of that name can hide
+    an unused parameter."""
+    sources = [*ROOT.glob("src/**/*.py"), *CALLERS]
+    trees = [ast.parse(path.read_text()) for path in sources] + [ast.parse(quick_tour())]
+    positional, keywords = passed_arguments(trees)
+    package = importlib.import_module(PACKAGE)
+    unused = []
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"{PACKAGE}.{info.name}")
+        for name in module.__all__:
+            target = getattr(module, name)
+            if not (inspect.isfunction(target) or inspect.isclass(target)):
+                continue
+            try:
+                parameters = inspect.signature(target).parameters.values()
+            except ValueError:  # an exception class that keeps its builtin constructor
+                continue
+            for index, parameter in enumerate(parameters):
+                by_position = parameter.kind in (parameter.POSITIONAL_ONLY,
+                                                 parameter.POSITIONAL_OR_KEYWORD)
+                by_keyword = {parameter.name, None} & keywords.get(name, set())
+                if parameter.default is not parameter.empty and not (
+                    by_keyword or (by_position and positional.get(name, 0) > index)
+                ):
+                    unused.append(f"{name}: {parameter.name}")
+    assert not unused, f"defaulted parameters that no caller passes: {unused}"
 
 
 def test_traced_functions_resolve(monkeypatch):
@@ -91,7 +144,7 @@ def test_benchmark_command_lines_parse(size, monkeypatch, tmp_path):
 @pytest.mark.parametrize("demo", sorted(ROOT.glob("demos/*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -99,9 +152,8 @@ def test_demo_runs(demo):
 def test_readme_quick_tour_runs():
     """The README's python block, the package's documented API, prints a gain, one
     threshold per battery level of its 21 and the exact cost of those thresholds."""
-    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", quick_tour()], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     gain, thresholds, cost = proc.stdout.splitlines()

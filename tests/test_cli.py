@@ -213,45 +213,6 @@ def test_solve_nonconvergence_exit(tmp_path, capsys):
     assert "converge" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, option, value",
-    [
-        ("solve", "--epsilon", "inf"),
-        ("solve", "--epsilon", "nan"),
-        ("solve", "--structure-tol", "nan"),
-        ("solve", "--structure-tol", "inf"),
-        ("solve", "--structure-tol", "-1e-8"),
-        ("check", "--structure-tol", "nan"),
-        ("check", "--structure-tol", "-inf"),
-        ("sweep", "--epsilon", "inf"),
-        ("sweep", "--structure-tol", "nan"),
-        ("sweep", "--structure-tol", "inf"),
-    ],
-)
-def test_hostile_tolerances_fail_before_any_work(
-    tmp_path, capsys, monkeypatch, command, option, value
-):
-    """The bar of every verdict is fixed: the options are unknown, exit 2 before any work."""
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError(f"{command} {option} {value} reached the solver")
-
-    for name in ("solve", "policy_iteration", "threshold_bias", "certify_structure"):
-        monkeypatch.setattr(aoi_energy.cli, name, must_not_run)
-    pfile = params_file(tmp_path, SOLVE_PARAMS)
-    out = tmp_path / "out"
-    if command == "solve":
-        argv = ["solve", "--params", pfile, "--out", str(out)]
-    elif command == "check":
-        argv = ["check", "--params", pfile, "--thresholds", thresholds_file(tmp_path, [1] * 5)]
-    else:
-        argv = sweep_args(pfile, out, "omega", "2.0", "zero-wait,solved")
-    assert main(argv + [f"{option}={value}"]) == EXIT_USAGE
-    assert option.lstrip("-") in capsys.readouterr().err
-    inputs = {"params.json", "thresholds.json"} if command == "check" else {"params.json"}
-    assert {path.name for path in tmp_path.iterdir()} == inputs
-
-
 def test_parser_reuse_leaks_no_option(tmp_path, capsys):
     """The parser is built once per process; options of one call do not reach the next."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
@@ -1035,7 +996,7 @@ def test_check_truncation_refuses_kernels_over_the_bound_before_the_solve(
 def test_check_truncation_admits_every_grid_the_solver_admits(tmp_path, monkeypatch, capsys):
     """At aoi_cap * (B+1) == the bound the solve starts; one row more is refused by the solver."""
 
-    def stub(params, cfg=None, start=None):
+    def stub(params, cfg=None):
         params.validate_for_solve()
         raise ConvergenceError("stub solve", span=1.0, iterations=1)
 
@@ -1052,9 +1013,9 @@ def test_check_truncation_solves_once(tmp_path, monkeypatch, capsys):
     """The check reads the solved policy's exact bias: the one solve is at the given cap."""
     real_solve, caps = solver.solve, []
 
-    def counted(params, cfg=None, start=None):
+    def counted(params, cfg=None):
         caps.append(params.aoi_cap)
-        return real_solve(params, cfg, start)
+        return real_solve(params, cfg)
 
     monkeypatch.setattr(solver, "solve", counted)
     monkeypatch.setattr(cli, "solve", counted)

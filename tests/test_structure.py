@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from aoi_energy import SolverConfig, SystemParams, certify_structure, solve, structure_checks
 from aoi_energy.model import State
 from aoi_energy.solver import bellman_qvalues
-from aoi_energy.structure import MarginCheck, StructureReport
+from aoi_energy.structure import DEFAULT_TOLERANCE, MarginCheck, StructureReport
 from conftest import BENCH
 from reference import (
     Action,
@@ -22,8 +22,6 @@ from reference import (
     structure_report_from_json,
     transition,
 )
-
-TOL = 1e-8
 
 TINY = SystemParams(
     erasure_prob=0.3,
@@ -47,19 +45,19 @@ def age_ramp():
 def checks(values, q=None):
     """TINY's checks by name; a zero Q table stands in where only values are under test."""
     q = np.zeros((*TINY.grid_shape, 2)) if q is None else q
-    return {check.name: check for check in structure_checks(values, q, TINY, TOL)}
+    return {check.name: check for check in structure_checks(values, q, TINY)}
 
 
 def test_benchmark_certificates_all_pass(bench_solution):
     v, q = bench_solution
-    report = certify_structure(v, q, BENCH, TOL)
+    report = certify_structure(v, q, BENCH)
     assert report.all_pass
     assert report.monotone_in_aoi
     assert report.monotone_in_battery
     assert report.increment_lower_bound
     assert report.cross_increment
     assert report.submodular_q
-    assert report.worst_violation >= -TOL
+    assert report.worst_violation >= -DEFAULT_TOLERANCE
     assert report.witness is not None
 
 
@@ -146,11 +144,11 @@ def test_cap_two_checks_only_battery_pairs():
     age step pass with no witness, and the report is the battery check's."""
     params = dataclasses.replace(TINY, aoi_cap=2)
     v, q = solve(params, SolverConfig())
-    found = {check.name: check for check in structure_checks(v, q, params, TOL)}
+    found = {check.name: check for check in structure_checks(v, q, params)}
     battery = found.pop("monotone_in_battery")
     assert battery.passed and battery.witness is not None
     assert list(found.values()) == [MarginCheck(name, True, math.inf, None) for name in found]
-    report = certify_structure(v, q, params, TOL)
+    report = certify_structure(v, q, params)
     assert report.all_pass
     assert report.worst_violation == battery.worst_margin
     assert report.witness == battery.witness
@@ -187,15 +185,15 @@ def test_structure_checks_match_pairwise_oracle(battery_cap, aoi_cap, erasure, t
     for row, level, k, value in data.draw(st.lists(planted, max_size=3)):
         tables[row, level, k] = value
     values, q = tables[:, :, 0], tables[:, :, 1:]
-    got = structure_checks(values, q, params, TOL)
-    assert repr(got) == repr(structure_checks_by_pair(values, q, params, TOL))
+    got = structure_checks(values, q, params)
+    assert repr(got) == repr(structure_checks_by_pair(values, q, params, DEFAULT_TOLERANCE))
 
 
 def test_certify_aggregates_planted_failure():
     values = age_ramp()
     values[2, 1] = values[1, 1] - 3.0
     _, q = solve(TINY, SolverConfig())
-    report = certify_structure(values, q, TINY, TOL)
+    report = certify_structure(values, q, TINY)
     assert not report.all_pass
     assert report.worst_violation < 0.0
     assert report.witness is not None
@@ -203,7 +201,7 @@ def test_certify_aggregates_planted_failure():
 
 def test_report_json_round_trip(bench_solution):
     v, q = bench_solution
-    report = certify_structure(v, q, BENCH, TOL)
+    report = certify_structure(v, q, BENCH)
     back = structure_report_from_json(report.to_json())
     assert back == report
     assert isinstance(back.witness[0], State)
@@ -224,7 +222,7 @@ REPORT = StructureReport(
     submodular_q=True,
     worst_violation=0.25,
     witness=(State(3, 0), State(4, 1)),
-    tolerance=TOL,
+    tolerance=DEFAULT_TOLERANCE,
 )
 FLAGS = ("monotone_in_aoi", "monotone_in_battery", "increment_lower_bound",
          "cross_increment", "submodular_q")
@@ -250,4 +248,4 @@ def test_any_failed_certificate_fails_the_report(flag):
 
 def test_checks_come_in_report_field_order(bench_solution):
     v, q = bench_solution
-    assert tuple(check.name for check in structure_checks(v, q, BENCH, TOL)) == FLAGS
+    assert tuple(check.name for check in structure_checks(v, q, BENCH)) == FLAGS
