@@ -1228,11 +1228,8 @@ def test_eval_has_no_aoi_cap(tmp_path, capsys):
     assert "--aoi-cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "check"])
-def test_solve_and_sweep_have_no_aoi_cap(tmp_path, capsys, monkeypatch, command):
-    """The params file's ``aoi_cap`` is the one way to set the age cap, and the solver's
-    epsilon and the certificates' tolerance are fixed: each flag is unknown, exit 2 with
-    nothing solved or written."""
+def _no_solve_argv(tmp_path, monkeypatch, command):
+    """Arguments for ``command`` on a small model, with every solver entry point made to fail."""
 
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{command} reached the solver")
@@ -1241,16 +1238,49 @@ def test_solve_and_sweep_have_no_aoi_cap(tmp_path, capsys, monkeypatch, command)
         monkeypatch.setattr(cli, name, must_not_run)
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     out = tmp_path / "out"
-    argv = {
+    return {
         "solve": ["solve", "--params", pfile, "--out", str(out), "--check-truncation"],
         "sweep": sweep_args(pfile, out, "p", "0.3", "zero-wait,solved"),
         "check": ["check", "--params", pfile, "--thresholds", thresholds_file(tmp_path, [1] * 5)],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "check"])
+def test_solve_and_sweep_have_no_aoi_cap(tmp_path, capsys, monkeypatch, command):
+    """The params file's ``aoi_cap`` is the one way to set the age cap: the flag is unknown,
+    exit 2 with nothing solved or written."""
+    argv = _no_solve_argv(tmp_path, monkeypatch, command)
     inputs = {path.name for path in tmp_path.iterdir()}
-    for flag, value in [("--aoi-cap", "30"), ("--epsilon", "1e-4"), ("--structure-tol", "1e-6")]:
-        assert main(argv + [flag, value]) == EXIT_USAGE
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-        assert {path.name for path in tmp_path.iterdir()} == inputs
+    assert main(argv + ["--aoi-cap", "30"]) == EXIT_USAGE
+    assert "unrecognized arguments: --aoi-cap 30" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} == inputs
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("solve", "--epsilon", "inf"),
+        ("solve", "--epsilon", "nan"),
+        ("solve", "--structure-tol", "nan"),
+        ("solve", "--structure-tol", "inf"),
+        ("solve", "--structure-tol", "-1e-8"),
+        ("check", "--structure-tol", "nan"),
+        ("check", "--structure-tol", "-inf"),
+        ("sweep", "--epsilon", "inf"),
+        ("sweep", "--structure-tol", "nan"),
+        ("sweep", "--structure-tol", "inf"),
+    ],
+)
+def test_hostile_tolerances_fail_before_any_work(
+    tmp_path, capsys, monkeypatch, command, option, value
+):
+    """The solver's epsilon and the certificates' tolerance are fixed, so no value of either
+    flag is taken: exit 2 before the solver or the certificates run, and write no file."""
+    argv = _no_solve_argv(tmp_path, monkeypatch, command)
+    inputs = {path.name for path in tmp_path.iterdir()}
+    assert main(argv + [f"{option}={value}"]) == EXIT_USAGE
+    assert f"unrecognized arguments: {option}={value}" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} == inputs
 
 
 def test_sweep_rows_do_not_read_aoi_cap(tmp_path):
