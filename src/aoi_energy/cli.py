@@ -225,10 +225,12 @@ def run_sweep(args: argparse.Namespace) -> int:
     Every point is held to the solver's domain (``validate_for_solve``) and the
     slot kernels' bound, the output path checked and every policy spec parsed,
     all before the first solve. Each point is solved where it is scored, by
-    :func:`policy_iteration`, whose exact bias the certificates read. A solver
-    or certificate failure aborts the whole sweep naming the grid point, and
-    nothing is written. Output rows are buffered and written once, in axis
-    order and then policy order, so equal arguments give byte-identical files.
+    :func:`policy_iteration`, whose exact bias the certificates read: the first
+    point from ZeroWait, each later one from its neighbour's thresholds in axis
+    order (a threshold at an exact tie may follow the neighbour, at equal cost).
+    A solver or certificate failure aborts the whole sweep naming the grid
+    point, and nothing is written. Output rows are buffered and written once, in
+    axis order and then policy order, so equal arguments give byte-identical files.
     """
     fixed = _load_params(args)
     values = [float(text) for text in args.values.split(",")]
@@ -241,9 +243,10 @@ def run_sweep(args: argparse.Namespace) -> int:
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in policies]
     solver_cfg = SolverConfig(max_iters=args.max_iters)
     rows: list[list] = []
+    thresholds = None
     for value, point in zip(values, points):
         try:
-            v, q, thresholds = policy_iteration(point, solver_cfg)
+            v, q, thresholds = policy_iteration(point, solver_cfg, thresholds)
             certificate = certify_structure(v, q, point)
             if not certificate.all_pass:
                 raise StructureViolationError(f"certificate failed, {certificate.to_json()}")

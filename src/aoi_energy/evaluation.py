@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -549,9 +550,12 @@ def stationary_distribution(kernel: np.ndarray, start: int) -> np.ndarray:
     n = dense.shape[-1]
     if not 0 <= start < n:
         raise ValueError(f"start index {start} outside [0, {n})")
-
     stack = dense.reshape(-1, n, n)
-    reach = _closure(stack != 0.0)
+    return _stationary(stack, start, _closure(stack != 0.0)).reshape(dense.shape[:-1])
+
+
+def _stationary(stack: np.ndarray, start: int, reach: np.ndarray) -> np.ndarray:
+    """:func:`stationary_distribution` of a (k, n, n) ``stack`` whose closures are ``reach``."""
     # A state is recurrent when everything it reaches reaches it back.
     recurrent = ~(reach & ~reach.swapaxes(1, 2)).any(axis=2)
     held = reach[:, start] & recurrent
@@ -567,16 +571,16 @@ def stationary_distribution(kernel: np.ndarray, start: int) -> np.ndarray:
             offending=offending,
         )
 
-    unit = np.eye(n)
+    unit = np.eye(stack.shape[-1])
     balance = unit - stack.swapaxes(1, 2)
     # Column i of the balance is row i of the kernel: point the rows start cannot reach at it.
     lost, state = np.nonzero(~reach[:, start])
     balance[lost, :, state] = unit[state] - unit[start]
     balance[:, -1] = 1.0
-    rhs = np.broadcast_to(unit[-1, :, None], (len(stack), n, 1))
+    rhs = np.broadcast_to(unit[-1, :, None], (*stack.shape[:2], 1))
     mu = np.clip(np.linalg.solve(balance, rhs)[..., 0], 0.0, None)
     mu /= mu.sum(axis=1, keepdims=True)
-    return mu.reshape(dense.shape[:-1])
+    return mu
 
 
 def _check_kernels(params: SystemParams, depth: int = 1) -> None:
@@ -591,21 +595,26 @@ def _slot_kernels(params: SystemParams, depth: int) -> np.ndarray:
     States are (age row, battery), age-major, over ``depth`` age rows. At
     depth 1 the age is gone and the two transmit kernels are the one battery
     kernel of exact evaluation; at ``aoi_cap`` enumeration mixes them by p.
+    Read-only, built once per (B, lambda, depth) by :func:`_kernels`, which keeps the last.
     """
-    width = params.battery_cap + 1
     _check_kernels(params, depth)
+    return _kernels(params.battery_cap, params.harvest_prob, depth)
+
+
+@lru_cache(maxsize=1)  # one stack in memory, at most 25 MB under the bound
+def _kernels(battery_cap: int, harvest_prob: float, depth: int) -> np.ndarray:
+    width = battery_cap + 1
     state = np.arange(depth * width)
     tx, erased = np.array([[[False], [True], [True]], [[False], [True], [False]]])
     kernels = np.zeros((3, state.size, state.size))
-    for harvest, chance in ((0, 1.0 - params.harvest_prob), (1, params.harvest_prob)):
+    for harvest, chance in ((0, 1.0 - harvest_prob), (1, harvest_prob)):
         step, _ = _slot(state // width, state % width, tx, harvest, erased, depth, width)
         kernels[np.arange(3)[:, None], state, step] += chance
+    kernels.flags.writeable = False
     return kernels
 
 
-def _cycles(
-    actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: SystemParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _cycles(actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: SystemParams) -> tuple:
     """Sums over one delivery cycle from each auxiliary state at age 1.
 
     Row d-1 of the boolean ``actions`` holds the transmit flag per
@@ -613,13 +622,14 @@ def _cycles(
     the walk is the occupation of the auxiliary states, starting from state
     i at age 1.
     Until the next delivery it evolves by the no-delivery kernel
-    T_d = diag(1-a_d) idle + p diag(a_d) tx. Before the last action row the
-    ages are walked one by one; from there T is constant, and the tail sums
+    T_d = diag(1-a_d) idle + p diag(a_d) tx, built once per run of equal rows
+    (at most B+2 in a threshold table). Before the last action row the ages
+    are walked one by one; from there T is constant, and the tail sums
     use N = (I-T)^-1: visits = walk N, and sum_k k walk T^k = (walk N - walk) N.
     Returns the delivery law (the renewal kernel), the expected cycle
     length, age sum and weighted backup spend, a mask of the states from
     which delivery is not certain (their walk reaches states from which the
-    tail never leaks), and N on the states from which the tail leaks.
+    tail never leaks), N on the states from which the tail leaks, and T_d by row.
     """
     p = params.erasure_prob
     n = idle.shape[0]
@@ -628,17 +638,17 @@ def _cycles(
     length = np.zeros(n)
     age_sum = np.zeros(n)
     sent = np.zeros((n, n))
-    age = 1
-    while age < len(actions):
-        a = actions[age - 1]
-        length += walk.sum(axis=1)
-        age_sum += age * walk.sum(axis=1)
+    steps = []  # each run's rows share one T
+    for a, new in zip(actions, [True, *(actions[1:] != actions[:-1]).any(axis=1).tolist()]):
+        steps.append((1.0 - a)[:, None] * idle + p * a[:, None] * tx if new else steps[-1])
+    for age, (a, stay) in enumerate(zip(actions[:-1], steps), 1):
+        visits = walk.sum(axis=1)
+        length += visits
+        age_sum += age * visits
         sent += walk * a
-        walk = (walk * (1.0 - a)) @ idle + p * (walk * a) @ tx
-        age += 1
+        walk = walk @ stay
 
-    a = actions[-1]
-    stay = (1.0 - a)[:, None] * idle + p * a[:, None] * tx
+    a, stay, age = actions[-1], steps[-1], len(actions)
     leaks = (a > 0.0) & (p < 1.0)
     reach = _closure(stay > 0.0)
     good = ~reach[:, ~reach[:, leaks].any(axis=1)].any(axis=1)
@@ -653,7 +663,7 @@ def _cycles(
 
     deliveries = (1.0 - p) * sent @ tx
     spend = params.energy_weight * params.backup_cost * (sent @ empty)
-    return deliveries, length, age_sum, spend, trapped, fundamental
+    return deliveries, length, age_sum, spend, trapped, fundamental, steps
 
 
 def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
@@ -690,15 +700,16 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     if rows is None:
         dies = p < 1.0 and (isinstance(spec, Periodic) or spec.p_tx > 0.0)
     else:
-        deliveries, length, age_sum, spend, trapped, _ = _cycles(rows, idle, tx, params)
-        dies = not trapped[_closure(deliveries != 0.0)[0]].any()
+        deliveries, length, age_sum, spend, trapped, _, _ = _cycles(rows, idle, tx, params)
+        reach = _closure(deliveries != 0.0)
+        dies = not trapped[reach[0]].any()
     if not dies:
         raise BoundaryMassError(
             f"the age tail never dies: from {State(1, 0)} this policy reaches states "
             "from which delivery is not certain, so its average age is infinite"
         )
     if rows is not None:
-        nu = stationary_distribution(deliveries, 0)
+        nu = _stationary(deliveries[None], 0, reach[None])[0]
         cycle = float(nu @ length)
         avg_aoi = float(nu @ age_sum) / cycle
         avg_energy = float(nu @ spend) / cycle

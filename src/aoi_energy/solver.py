@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluation import _closure, _cycles, _slot_kernels, _transmit_rows, stationary_distribution
+from .evaluation import _closure, _cycles, _slot_kernels, _stationary, _transmit_rows
 from .model import State, SystemParams, is_int
 from .policies import PolicyTable, ThresholdPolicy
 
@@ -291,19 +291,21 @@ class HowardTest(NamedTuple):
 def _exact_bias(rows: np.ndarray, params: SystemParams, cfg: SolverConfig) -> tuple | None:
     """Gain, bias h (ages 1..n+1) and q table (ages 1..n) of ``rows``, n = max(D, aoi_cap).
 
-    Every level transmits at the last row D and p < 1. With S_d = diag(1-a_d)
-    idle + p diag(a_d) tx, h_d = c_d - g + S_d h_(d+1) + (1-p) diag(a_d) tx h_1,
-    and (I - M) h_1 = C - g L by :func:`_cycles`, with nu h_1 = 0 on each
-    recurrent class of M. Past D, h grows by 1/(1-p) per age. None when class
-    gains differ by more than epsilon.
+    Every level transmits at the last row D and p < 1. With T_d = diag(1-a_d)
+    idle + p diag(a_d) tx, built by :func:`_cycles` once per run of equal rows,
+    h_d = c_d - g + T_d h_(d+1) + (1-p) diag(a_d) tx h_1, and (I - M) h_1 =
+    C - g L by :func:`_cycles`, with nu h_1 = 0 on each recurrent class of M
+    (one closure of M serves every class). Past D, h grows by 1/(1-p) per age.
+    None when class gains differ by more than epsilon.
     """
     p = params.erasure_prob
     idle, tx, _ = _slot_kernels(params, 1)
-    deliveries, length, age_sum, spend, _, tail = _cycles(rows, idle, tx, params)
+    deliveries, length, age_sum, spend, _, tail, steps = _cycles(rows, idle, tx, params)
     reach = _closure(deliveries != 0.0)
     # A recurrent state reaches just its class; the lowest member stands for it.
     lowest = ~(reach & ~reach.T).any(axis=1) & (reach.argmax(axis=1) == np.arange(len(idle)))
-    laws = np.array([stationary_distribution(deliveries, i) for i in np.flatnonzero(lowest)])
+    stack, closures = deliveries[None], reach[None]
+    laws = np.concatenate([_stationary(stack, i, closures) for i in np.flatnonzero(lowest)])
     gains = laws @ (age_sum + spend) / (laws @ length)
     if not gains.max() - gains.min() <= cfg.epsilon:
         return None
@@ -318,7 +320,7 @@ def _exact_bias(rows: np.ndarray, params: SystemParams, cfg: SolverConfig) -> tu
     h[depth - 1] = tail @ (cost[-1] + p / (1.0 - p))  # tail = (I - p tx)^-1: all transmit at D
     h[depth:] = h[depth - 1] + np.arange(1.0, n + 2 - depth)[:, None] / (1.0 - p)
     for d in range(depth - 2, -1, -1):
-        h[d] = cost[d] + (1.0 - rows[d]) * (idle @ h[d + 1]) + p * rows[d] * (tx @ h[d + 1])
+        h[d] = cost[d] + steps[d] @ h[d + 1]
     q = np.stack([age + h[1:] @ idle.T, age + backup + p * h[1:] @ tx.T + fresh], axis=-1)
     return float(gains[0]), h, q
 
@@ -360,22 +362,26 @@ def check_truncation_adequacy(
 
 
 def policy_iteration(
-    params: SystemParams, cfg: SolverConfig | None = None
+    params: SystemParams, cfg: SolverConfig | None = None, start: ThresholdPolicy | None = None
 ) -> tuple[ValueTable, np.ndarray, ThresholdPolicy]:
     """Howard's policy iteration over threshold policies, on the untruncated chain.
 
-    From ZeroWait (always of finite cost), a round keeps each action unless the
+    From the thresholds of ``start`` (a neighbour's answer, say), else from
+    ZeroWait (always of finite cost), a round keeps each action unless the
     other wins by more than ``cfg.epsilon`` on the exact bias. A new threshold
     is the first transmitting age; a level idle at the last row D by G moves to
     D + floor(G - eps) + 1, at most 2D, so each grid stays under the bound. A
     cumulative min makes them non-increasing in battery, the paper's structure.
     Stops when they stop moving and pass :func:`threshold_bias`'s test, else
-    raises :class:`ConvergenceError`. Returns the last round's bias and q table
-    on the ``aoi_cap`` grid anchored at (1, battery_cap), and the thresholds.
+    raises :class:`ConvergenceError`. A threshold at an exact tie may depend on
+    the start, the cost not. Returns the last round's bias and q table on the
+    ``aoi_cap`` grid anchored at (1, battery_cap), and the thresholds.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
-    thresholds, seen = (1,) * (params.battery_cap + 1), []
+    thresholds, seen = (1,) * (params.battery_cap + 1) if start is None else start.thresholds, []
+    if None in thresholds:
+        raise ValueError(f"a start must transmit at every battery level, got {start!r}")
     why = f"still move after {cfg.max_iters} rounds"  # unless a round breaks off
     for rounds in range(1, cfg.max_iters + 1):
         seen.append(thresholds)

@@ -499,7 +499,7 @@ def dense_periodic_cost(spec: Periodic, params: SystemParams) -> tuple[float, fl
     advance = np.roll(np.eye(spec.period), 1, axis=1)
     on_phase = np.arange(spec.period) == 0
     actions = np.repeat(on_phase, params.battery_cap + 1)[None, :].astype(float)
-    deliveries, length, age_sum, spend, trapped, _ = _cycles(
+    deliveries, length, age_sum, spend, trapped, _, _ = _cycles(
         actions, np.kron(advance, idle), np.kron(advance, tx), params
     )
     assert not trapped.any(), "a phase slot comes every period, so delivery is certain at p < 1"

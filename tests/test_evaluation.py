@@ -109,6 +109,27 @@ def test_slot_kernels_equal_transition_kernels(battery_cap, harvest, erasure):
     assert np.array_equal(mixed, dense_kernel(params, Action.TRANSMIT, params.aoi_cap))
 
 
+def test_slot_kernels_are_read_only_and_built_once_per_battery_law():
+    """The stack reads only B, lambda and the depth: params that differ in p, omega or the
+    age cap share one cache entry, which equals a fresh build and cannot be written."""
+    evaluation._kernels.cache_clear()
+    params = SystemParams(0.2, 0.4, 1.0, 2.0, 3, 30)
+    kernels = evaluation._slot_kernels(params, 1)
+    fresh = evaluation._kernels.__wrapped__(3, 0.4, 1)
+    assert fresh is not kernels and np.array_equal(kernels, fresh)
+    for kernel in (kernels, *kernels):
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kernel[0, 0] = 1.0
+    for change in ({"erasure_prob": 0.7}, {"energy_weight": 9.0}, {"aoi_cap": 60}):
+        assert evaluation._slot_kernels(dataclasses.replace(params, **change), 1) is kernels
+    info = evaluation._kernels.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (3, 1, 1, 1)
+    other = evaluation._slot_kernels(dataclasses.replace(params, harvest_prob=0.5), 1)
+    assert not np.array_equal(other, kernels)
+    assert evaluation._kernels.cache_info()[1:3] == (2, 1)  # misses, then the one stack kept
+
+
 # ---------------------------------------------------------------------------
 # closed-form anchors
 
@@ -411,6 +432,26 @@ def random_kernels(count, max_states=40):
         n = int(rng.integers(1, max_states + 1))
         density = rng.choice([0.02, 0.05, 0.1, 0.3])
         yield rng.random((n, n)) * (rng.random((n, n)) < density), int(rng.integers(n))
+
+
+def test_stationary_on_a_given_closure_is_stationary_distribution():
+    """``_stationary`` with the stack's own closure, as exact evaluation and the exact bias
+    call it, gives ``stationary_distribution``'s law bit for bit, or its refusal."""
+    refused = 0
+    for kernel, start in random_kernels(300):
+        stack = kernel[None]
+        try:
+            want = stationary_distribution(kernel, start)
+        except ReducibilityError as err:
+            with pytest.raises(ReducibilityError) as again:
+                evaluation._stationary(stack, start, _closure(stack != 0.0))
+            assert again.value.offending == err.offending
+            refused += 1
+            continue
+        got = evaluation._stationary(stack, start, _closure(stack != 0.0))
+        assert got.shape == (1, len(kernel))
+        assert np.array_equal(got[0].view(np.uint64), want.view(np.uint64))
+    assert 0 < refused < 300
 
 
 def test_class_analysis_matches_csgraph_oracle():

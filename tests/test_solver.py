@@ -703,6 +703,80 @@ def test_policy_iteration_refuses_what_it_cannot_certify(monkeypatch):
         solver.policy_iteration(SMALL)
 
 
+SWEEP_AXES = {"p": "erasure_prob", "lambda": "harvest_prob", "omega": "energy_weight"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    battery_cap=st.integers(1, 4),
+    p=st.floats(0.0, 0.95),
+    lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    omega=st.floats(0.0, 100.0),
+    axis=st.sampled_from(sorted(SWEEP_AXES)),
+    values=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4),
+)
+def test_warm_start_from_the_neighbour_reaches_the_cold_cost_property(
+    battery_cap, p, lam, omega, axis, values
+):
+    """Along an axis, as ``sweep`` runs it, each point starts from the thresholds of the
+    point before it: its exact cost is the cold start's within 1e-12 relative, Howard's
+    gap is at most 1e-9, and the thresholds fall with the battery level."""
+    base = SystemParams(p, lam, omega, 2.0, battery_cap, 40)
+    scale = {"p": 0.95, "lambda": 1.0, "omega": 100.0}[axis]
+    cfg, start = SolverConfig(epsilon=EPSILON), None
+    for value in values:
+        point = dataclasses.replace(base, **{SWEEP_AXES[axis]: value * scale})
+        _, _, warm = solver.policy_iteration(point, cfg, start)
+        _, _, cold = solver.policy_iteration(point, cfg)
+        cost = evaluate_exact(warm, point).avg_total_cost
+        assert cost == pytest.approx(evaluate_exact(cold, point).avg_total_cost, rel=1e-12)
+        assert solver.threshold_bias(warm, point, cfg).gap <= 1e-9
+        assert list(warm.thresholds) == sorted(warm.thresholds, reverse=True)
+        start = warm
+
+
+def test_warm_start_may_keep_a_tied_threshold_at_equal_cost():
+    """At lambda = 1 a charged battery refills in the slot it spends, so once a charged
+    level transmits at age 1 the chain stays there at cost 1/(1-p), and how the battery
+    climbs to it is transient: the thresholds of levels 1..19 tie. From the lambda = 0.9
+    answer the warm start keeps its 2s there in fewer rounds, the cold start finds 1s,
+    and gain and cost agree to the last bit."""
+    near, sure = (dataclasses.replace(BENCH, harvest_prob=lam) for lam in (0.9, 1.0))
+    _, _, start = solver.policy_iteration(near)
+    warm, cold = solver.policy_iteration(sure, start=start), solver.policy_iteration(sure)
+    assert start.thresholds == (19,) + (2,) * 19 + (1,)
+    assert warm[2].thresholds == (20,) + (2,) * 19 + (1,)
+    assert cold[2].thresholds == (20,) + (1,) * 20
+    assert warm[0].iterations < cold[0].iterations
+    assert warm[0].gain == cold[0].gain
+    costs = [evaluate_exact(policy, sure).avg_total_cost for policy in (warm[2], cold[2])]
+    assert costs[0] == costs[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    battery_cap=st.integers(1, 4),
+    p=st.floats(0.0, 0.95),
+    lam=st.sampled_from([0.0, 1.0]),
+    omega=st.floats(0.0, 100.0),
+    data=st.data(),
+)
+def test_no_falling_start_has_unequal_class_gains_property(battery_cap, p, lam, omega, data):
+    """Policy iteration has no restart branch: at lambda 0 or 1, where the renewal kernel
+    can have several recurrent classes, every start whose thresholds fall with the battery
+    level still has equal class gains, so its first round has an exact bias to improve."""
+    params = SystemParams(p, lam, omega, 2.0, battery_cap, 40)
+    steps = data.draw(st.lists(st.integers(0, 12), min_size=battery_cap + 1,
+                               max_size=battery_cap + 1))
+    thresholds = tuple(1 + int(t) for t in np.cumsum(steps[::-1])[::-1])
+    assert solver.threshold_bias(ThresholdPolicy(thresholds), params) is not None
+
+
+def test_policy_iteration_refuses_a_start_that_never_transmits():
+    with pytest.raises(ValueError, match="a start must transmit at every battery level"):
+        solver.policy_iteration(SMALL, start=ThresholdPolicy((None, 2, 1, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Howard's test: the one exact-bias entry point
 
