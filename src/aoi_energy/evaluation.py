@@ -18,8 +18,10 @@ and ``Randomized`` a closed form. A policy whose age tail never dies
 refused with :class:`BoundaryMassError`. Exhaustive
 enumeration scores every deterministic stationary policy of the
 truncated-saturating chain the solver works on, on desk-size instances,
-as a ground-truth oracle for the solver. Both take their stationary laws
-from :func:`stationary_distribution`, one batched solve per stack of kernels.
+as a ground-truth oracle for the solver. One solver, :func:`_stationary`,
+gives every stationary law: a threshold rule's renewal kernel, in exact
+evaluation and Howard's test, passes it the closure already built, and the
+rest go through :func:`stationary_distribution`.
 All three run the slot law of :func:`_slot`, its one statement here.
 """
 
@@ -37,7 +39,6 @@ from .policies import (
     EnergyFirst,
     Periodic,
     PolicySpec,
-    PolicyTable,
     Randomized,
     ThresholdPolicy,
     ZeroWait,
@@ -162,21 +163,18 @@ def _bounds(spec: PolicySpec, params: SystemParams) -> list | None:
     """Per-battery age thresholds of the policy's slot rule, checked before any allocation.
 
     ZeroWait and EnergyFirst are thresholds of 1 (EnergyFirst's is inf at
-    an empty battery), and a ThresholdPolicy's None is inf. None for a
-    ``PolicyTable``, whose table is its rule, and for the one age row of
-    ``Periodic`` and ``Randomized``, which read the outside bit. A policy for
-    another battery size, or whose (age rows x battery levels) grid exceeds
-    ``MAX_GRID_STATES``, is refused with ``ValueError``; the rows run to the
-    largest finite threshold (see :func:`_transmit_rows`).
+    an empty battery), and a ThresholdPolicy's None is inf. None for the one
+    age row of ``Periodic`` and ``Randomized``, which read the outside bit.
+    Thresholds for another battery size, or an (age rows x battery levels)
+    grid over ``MAX_GRID_STATES``, are a ``ValueError`` (the rows run to the
+    largest finite threshold, see :func:`_transmit_rows`), and what is no
+    spec, an action array say, a ``TypeError``.
     """
     width = params.battery_cap + 1
-    if isinstance(spec, (ThresholdPolicy, PolicyTable)) and spec.battery_cap != params.battery_cap:
+    if isinstance(spec, ThresholdPolicy) and spec.battery_cap != params.battery_cap:
         raise ValueError(
             f"policy covers battery 0..{spec.battery_cap}, params expect 0..{params.battery_cap}"
         )
-    if isinstance(spec, PolicyTable):
-        check_grid(spec.aoi_cap, width, "policy table rows x battery levels")
-        return None
     if isinstance(spec, (Periodic, Randomized)):
         check_grid(1, width, "outside-bit age rows x battery levels")
         return None
@@ -200,14 +198,14 @@ def _depth(bounds: list) -> int:
 def _transmit_rows(spec: PolicySpec, params: SystemParams) -> np.ndarray | None:
     """The one checked decoder of a policy: transmit flags by age row and battery level.
 
-    Row d-1 holds age d and the last row every older age too: the rows of a
-    ``PolicyTable``, or :func:`_depth` rows of a threshold rule. None for
-    ``Periodic`` and ``Randomized``; every kind is held to :func:`_bounds` first.
+    Row d-1 holds age d and the last row every older age too: :func:`_depth`
+    rows of a threshold rule. None for ``Periodic`` and ``Randomized``; every
+    kind is held to :func:`_bounds` first.
     """
     bounds = _bounds(spec, params)
-    if bounds is not None:
-        return np.arange(1, _depth(bounds) + 1)[:, None] >= np.array(bounds)[None, :]
-    return spec.actions.astype(bool) if isinstance(spec, PolicyTable) else None
+    if bounds is None:
+        return None
+    return np.arange(1, _depth(bounds) + 1)[:, None] >= np.array(bounds)[None, :]
 
 
 def _word_slots(n_sym: int, n_z: int) -> int:
@@ -486,7 +484,8 @@ def simulate(
     replication keeps one byte per slot of the horizon and walks it in
     spans of 2^20 slots (:func:`_walk_rep`), at most 8 bytes per word of k
     slots in flight, so a replication of up to 2^20 slots is one span. A
-    bare policy, not in a list, is refused with ``TypeError``.
+    bare policy, not in a list, or a list item that is none of the five
+    kinds (an action array, say) is refused with ``TypeError``.
     """
     if not isinstance(policies, (list, tuple)):
         raise TypeError(
@@ -673,9 +672,8 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     renews at each delivery. The renewal kernel M over the battery level at
     age 1, and the expected length, age sum and backup spend of a cycle,
     come from :func:`_cycles`; the cost is nu (A + E) / nu L with nu the
-    stationary law of M on the class reachable from (1, 0). ``aoi_cap``
-    plays no part, except through a ``PolicyTable``'s rows. The kinds that
-    :func:`_transmit_rows` decodes to no rows are scored in closed form:
+    stationary law of M on the class reachable from (1, 0). ``aoi_cap`` plays
+    no part. The kinds :func:`_transmit_rows` decodes to no rows have closed forms:
 
     ``Periodic`` with period m delivers only in its slots 0, m, 2m, ..., so
     a cycle is G m slots, G geometric with success 1-p: the average age is
@@ -763,13 +761,14 @@ def _table_costs(params: SystemParams) -> np.ndarray:
     return costs
 
 
-def enumerate_optimal(params: SystemParams) -> tuple[PolicyTable, float]:
+def enumerate_optimal(params: SystemParams) -> tuple[np.ndarray, float]:
     """Best deterministic stationary policy by brute force.
 
     Scores all 2^(states) action tables on the truncated-saturating chain at
     ``params.aoi_cap`` (the model the solver works on) from the start state
     (1, 0), in batched solves (see :func:`_table_costs`), and returns the
-    cheapest. Cost ties within ``_ENUM_TIE`` resolve to the table with fewer
+    cheapest, as an int8 (aoi_cap, B+1) array with 1 for transmit, and its
+    cost. Cost ties within ``_ENUM_TIE`` resolve to the table with fewer
     Transmit entries, then the lowest bitmask. Raises
     :class:`ReducibilityError` for the lowest mask whose chain reaches more
     than one closed class. Refuses instances above 24 states: the policy
@@ -788,7 +787,7 @@ def enumerate_optimal(params: SystemParams) -> tuple[PolicyTable, float]:
     tied = np.flatnonzero(costs <= best_cost + _ENUM_TIE)
     best_mask = int(min(tied, key=lambda m: (int(m).bit_count(), int(m))))
     bits = (best_mask >> np.arange(n) & 1).astype(np.int8)
-    return PolicyTable(bits.reshape(params.grid_shape)), float(costs[best_mask])
+    return bits.reshape(params.grid_shape), float(costs[best_mask])
 
 
 def report_row_values(

@@ -1,11 +1,12 @@
 """Uniform policy abstraction: the solved policy and the baselines.
 
-A policy spec is any of six kinds: ``ZeroWait`` (transmit every slot),
-``Periodic`` (transmit every m-th slot), ``Randomized`` (coin-flip
-each slot), ``EnergyFirst`` (transmit whenever the battery is charged, so the
-backup supply is never touched), a ``ThresholdPolicy`` (transmit once the age
-reaches a per-battery-level threshold), or an explicit ``PolicyTable``.
-Each kind is plain data; the evaluators read its actions off it directly.
+A policy spec is any of five kinds, the ones :func:`parse_policy_spec`
+builds: ``ZeroWait`` (transmit every slot), ``Periodic`` (transmit every
+m-th slot), ``Randomized`` (coin-flip each slot), ``EnergyFirst`` (transmit
+whenever the battery is charged, so the backup supply is never touched), or
+a ``ThresholdPolicy`` (transmit once the age reaches a per-battery-level
+threshold). Each kind is plain data; the evaluators read its actions off it
+directly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .model import is_int, is_real, unique_keys
 
 __all__ = [
-    "PolicyTable",
     "ThresholdPolicy",
     "ZeroWait",
     "Periodic",
@@ -30,33 +30,6 @@ __all__ = [
     "parse_policy_spec",
     "policy_label",
 ]
-
-
-@dataclass(frozen=True)
-class PolicyTable:
-    """Deterministic stationary policy as a dense (aoi, battery) action grid.
-
-    ``actions[d - 1, q]`` is the action at age d, battery q. Exact evaluation
-    and the simulator apply the top row at every older age too.
-    """
-
-    actions: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.actions)
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-            raise ValueError(f"action table shape {arr.shape} is not a valid (aoi, battery) grid")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("action table entries must be 0 (idle) or 1 (transmit)")
-        object.__setattr__(self, "actions", arr.astype(np.int8))
-
-    @property
-    def aoi_cap(self) -> int:
-        return self.actions.shape[0]
-
-    @property
-    def battery_cap(self) -> int:
-        return self.actions.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -140,7 +113,7 @@ class Randomized:
             raise ValueError(f"p_tx must lie in [0, 1], got {self.p_tx!r}")
 
 
-PolicySpec = Union[ZeroWait, Periodic, Randomized, EnergyFirst, ThresholdPolicy, PolicyTable]
+PolicySpec = Union[ZeroWait, Periodic, Randomized, EnergyFirst, ThresholdPolicy]
 
 
 def parse_policy_spec(text: str) -> PolicySpec:
@@ -180,6 +153,4 @@ def policy_label(spec: PolicySpec) -> str:
         return f"random:{short if float(short) == spec.p_tx else repr(float(spec.p_tx))}"
     if isinstance(spec, ThresholdPolicy):
         return "threshold"
-    if isinstance(spec, PolicyTable):
-        return "table"
     raise TypeError(f"unknown policy spec {spec!r}")

@@ -39,7 +39,7 @@ import numpy as np
 
 from .evaluation import _closure, _cycles, _slot_kernels, _stationary, _transmit_rows
 from .model import State, SystemParams, is_int
-from .policies import PolicyTable, ThresholdPolicy
+from .policies import ThresholdPolicy
 
 __all__ = [
     "SolverConfig",
@@ -235,26 +235,26 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
     return ValueTable(ws.table(ws.real), float(gain), iterations, float(span)), q_values
 
 
-def greedy_policy(v: ValueTable, q: np.ndarray, params: SystemParams) -> PolicyTable:
-    """Argmin-over-actions policy of the state-action table ``q``; exact ties resolve to Idle."""
+def greedy_policy(v: ValueTable, q: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Argmin-over-actions table of ``q``: int8 (aoi_cap, B+1), 1 = transmit, exact ties idle."""
     if q.shape[:2] != v.values.shape or v.values.shape != params.grid_shape:
         raise ValueError("value, q and params grids disagree")
-    return PolicyTable((q[:, :, 1] < q[:, :, 0]).astype(np.int8))
+    return (q[:, :, 1] < q[:, :, 0]).astype(np.int8)
 
 
-def extract_thresholds(policy: PolicyTable, params: SystemParams) -> ThresholdPolicy:
-    """Read per-battery age thresholds off a policy table.
+def extract_thresholds(actions: np.ndarray, params: SystemParams) -> ThresholdPolicy:
+    """Read per-battery age thresholds off an (aoi_cap, B+1) action table, 1 = transmit.
 
     Fails with :class:`ThresholdStructureError` when any battery column is
     not of the form idle-below / transmit-at-and-above a single age, which
     makes a successful extraction an executable certificate of threshold
     structure.
     """
-    if policy.actions.shape != params.grid_shape:
-        raise ValueError(f"policy shape {policy.actions.shape}, expected {params.grid_shape}")
+    if actions.shape != params.grid_shape:
+        raise ValueError(f"policy shape {actions.shape}, expected {params.grid_shape}")
     thresholds: list[int | None] = []
     for battery in range(params.battery_cap + 1):
-        column = policy.actions[:, battery]
+        column = actions[:, battery]
         transmit_rows = np.flatnonzero(column)
         if transmit_rows.size == 0:
             thresholds.append(None)

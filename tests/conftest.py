@@ -1,5 +1,6 @@
-"""Shared fixtures: the benchmark instance is solved once per session."""
+"""Shared fixtures and helpers: the benchmark instance is solved once per session."""
 
+import numpy as np
 import pytest
 
 from aoi_energy import SolverConfig, SystemParams, solve
@@ -31,3 +32,13 @@ EPSILON = 1e-9
 @pytest.fixture(scope="session")
 def bench_solution():
     return solve(BENCH, SolverConfig(epsilon=EPSILON))
+
+
+def refuse_allocation(monkeypatch):
+    """Make the numpy constructors a grid would be built with fail if called."""
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("an array was allocated before the size check")
+
+    for name in ("full", "empty", "zeros", "arange"):
+        monkeypatch.setattr(np, name, allocated)

@@ -85,7 +85,7 @@ from aoi_energy import (
 )
 from aoi_energy.evaluation import ReducibilityError, _cycles, stationary_distribution
 from aoi_energy.model import State
-from aoi_energy.policies import PolicyTable, ThresholdPolicy
+from aoi_energy.policies import ThresholdPolicy
 from aoi_energy.solver import ConvergenceError
 from aoi_energy.structure import MarginCheck, StructureReport
 
@@ -258,21 +258,21 @@ def index_state(index: int, params: SystemParams) -> State:
     return State(index // width + 1, index % width)
 
 
-def state_action(spec: ThresholdPolicy | PolicyTable, state: State) -> Action:
-    """Action of a threshold policy or a table; ages beyond a table use its top row."""
+def state_action(spec: ThresholdPolicy | np.ndarray, state: State) -> Action:
+    """Action of a threshold policy or an (age, battery) table, whose last row holds older ages."""
     if state.aoi < 1:
         raise ValueError(f"aoi {state.aoi} < 1")
-    if isinstance(spec, PolicyTable):
-        row = min(state.aoi, spec.aoi_cap) - 1
-        return Action(int(spec.actions[row, state.battery]))
+    if isinstance(spec, np.ndarray):
+        row = min(state.aoi, spec.shape[0]) - 1
+        return Action(int(spec[row, state.battery]))
     threshold = spec.thresholds[state.battery]
     if threshold is not None and state.aoi >= threshold:
         return Action.TRANSMIT
     return Action.IDLE
 
 
-def threshold_table(tp: ThresholdPolicy, params: SystemParams) -> PolicyTable:
-    """The (aoi_cap, battery levels) action table of ``tp``; None never transmits."""
+def threshold_table(tp: ThresholdPolicy, params: SystemParams) -> np.ndarray:
+    """The int8 (aoi_cap, battery levels) action table of ``tp``; None never transmits."""
     if params.battery_cap != tp.battery_cap:
         raise ValueError(
             f"threshold policy covers battery 0..{tp.battery_cap}, "
@@ -280,15 +280,18 @@ def threshold_table(tp: ThresholdPolicy, params: SystemParams) -> PolicyTable:
         )
     ages = np.arange(1, params.aoi_cap + 1)[:, None]
     bound = np.array([params.aoi_cap + 1 if t is None else t for t in tp.thresholds])[None, :]
-    return PolicyTable((ages >= bound).astype(np.int8))
+    return (ages >= bound).astype(np.int8)
 
 
-def transmit_count(table: PolicyTable) -> int:
-    return int(table.actions.sum())
+def transmit_count(table: np.ndarray) -> int:
+    return int(table.sum())
 
 
 def decide(spec, s: State, t: int, rng: np.random.Generator) -> Action:
-    """Action of ``spec`` at state ``s`` in slot ``t``; ``rng`` only serves ``Randomized``."""
+    """Action of ``spec``, a policy spec or an action table, at state ``s`` in slot ``t``.
+
+    ``rng`` only serves ``Randomized``.
+    """
     if s.aoi < 1 or s.battery < 0:
         raise ValueError(f"invalid state {s}")
     if isinstance(spec, ZeroWait):
@@ -299,7 +302,7 @@ def decide(spec, s: State, t: int, rng: np.random.Generator) -> Action:
         return Action.TRANSMIT if t % spec.period == 0 else Action.IDLE
     if isinstance(spec, Randomized):
         return Action.TRANSMIT if rng.random() < spec.p_tx else Action.IDLE
-    if isinstance(spec, (ThresholdPolicy, PolicyTable)):
+    if isinstance(spec, (ThresholdPolicy, np.ndarray)):
         return state_action(spec, s)
     raise TypeError(f"unknown policy spec {spec!r}")
 
@@ -409,8 +412,9 @@ def transmit_probability(spec, state: State, phase: int) -> float:
 def truncated_chain(spec, params: SystemParams):
     """Kernel, per-state age and weighted backup cost, and the cap mask.
 
-    States are phase-major, then in ``states`` order; the start state
-    (1, 0) in phase 0 has index 0.
+    ``spec`` is a policy spec or an (age, battery) action table (see
+    :func:`decide`). States are phase-major, then in ``states`` order; the
+    start state (1, 0) in phase 0 has index 0.
     """
     period = spec.period if isinstance(spec, Periodic) else 1
     n_base = params.n_states
@@ -597,7 +601,7 @@ def csgraph_classes(kernel: np.ndarray, start: int) -> tuple[np.ndarray, list[np
     return reachable, sorted(classes, key=lambda members: members[0])
 
 
-def greedy_policy_shortcircuit(q: np.ndarray, params: SystemParams) -> PolicyTable:
+def greedy_policy_shortcircuit(q: np.ndarray, params: SystemParams) -> np.ndarray:
     """Policy extraction that inherits Transmit from the next-younger age.
 
     Scans ages upward per battery level and skips the argmin once a Transmit
@@ -614,7 +618,7 @@ def greedy_policy_shortcircuit(q: np.ndarray, params: SystemParams) -> PolicyTab
             if not transmitting:
                 transmitting = bool(q[row, battery, 1] < q[row, battery, 0])
             actions[row, battery] = 1 if transmitting else 0
-    return PolicyTable(actions)
+    return actions
 
 
 def bellman_qvalues_gathered(
@@ -703,7 +707,7 @@ def doubled_cap_adequacy(
     doubled = replace(params, aoi_cap=2 * params.aoi_cap)
     start = None if values is None else np.pad(values, ((0, params.aoi_cap), (0, 0)), "edge")
     _, q2, *_ = relative_value_iteration(doubled, cfg, start)
-    chosen = np.take_along_axis(q2, threshold_table(tp, doubled).actions[..., None], axis=-1)
+    chosen = np.take_along_axis(q2, threshold_table(tp, doubled)[..., None], axis=-1)
     if (chosen[..., 0] - q2.min(axis=-1)).max() > cfg.epsilon:
         return False
     return all(t < params.aoi_cap for t in tp.thresholds if t is not None)

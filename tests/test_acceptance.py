@@ -297,7 +297,7 @@ def test_criterion_6_degenerate_corners(capsys):
 
     free = dataclasses.replace(BASE, energy_weight=0.0)
     v, q = solve(free, SOLVER_CFG)
-    if not greedy_policy(v, q, free).actions.all():
+    if not greedy_policy(v, q, free).all():
         failures.append("omega=0: greedy policy idles somewhere")
     gain_gap = abs(v.gain - 1.0 / (1.0 - free.erasure_prob))
     if gain_gap > 1e-6:

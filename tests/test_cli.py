@@ -24,9 +24,10 @@ from aoi_energy.cli import (
 from aoi_energy import cli, evaluation, solver
 from aoi_energy.evaluation import MAX_HORIZON, MAX_REPLICATIONS, METHOD_EXACT, METHOD_MONTE_CARLO
 from aoi_energy.model import MAX_GRID_STATES
-from aoi_energy.policies import PolicyTable, ThresholdPolicy
+from aoi_energy.policies import ThresholdPolicy
 from aoi_energy.solver import ConvergenceError
 from aoi_energy.structure import DEFAULT_TOLERANCE
+from conftest import refuse_allocation
 from reference import params_to_json, read_threshold_csv, read_value_csv
 from reference import structure_report_from_json
 
@@ -313,7 +314,7 @@ def test_solve_with_a_table_that_idles_after_transmitting_exits_4(tmp_path, monk
     def greedy(v, q, params):
         actions = np.ones(params.grid_shape, dtype=np.int8)
         actions[[0, 1, 4], 2] = 0
-        return PolicyTable(actions)
+        return actions
 
     monkeypatch.setattr(cli, "greedy_policy", greedy)
     out = tmp_path / "run"
@@ -930,16 +931,6 @@ def test_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "out of memory" in err
     assert "1000000000 x 10001" in err
     assert "10001000000000 states" in err
-
-
-def refuse_allocation(monkeypatch):
-    """Make the numpy constructors a grid would be built with fail if called."""
-
-    def allocated(*args, **kwargs):
-        raise AssertionError("an array was allocated before the size check")
-
-    for name in ("full", "empty", "zeros", "arange"):
-        monkeypatch.setattr(np, name, allocated)
 
 
 def test_solve_grid_over_the_bound_is_refused_before_allocation(tmp_path, monkeypatch, capsys):

@@ -50,7 +50,7 @@ from aoi_energy.evaluation import (
     write_report_rows,
 )
 from aoi_energy.model import State
-from aoi_energy.policies import PolicyTable, ThresholdPolicy
+from aoi_energy.policies import ThresholdPolicy
 from conftest import BENCH, MID
 from reference import (
     Action,
@@ -185,18 +185,8 @@ def test_closed_forms_hold_to_rounding(params):
     assert always.avg_total_cost == pytest.approx(target, rel=0.0, abs=1e-12)
 
 
-def table_policy(params):
-    """Not threshold-shaped: with charge, transmit at ages 1, 3 and 5 on; empty, from 6 on."""
-    actions = np.ones(params.grid_shape, dtype=np.int8)
-    actions[:5, 0] = 0
-    actions[1:5:2, 1:] = 0
-    return PolicyTable(actions)
-
-
 @pytest.mark.parametrize("params", [EVAL_BENCH, MID_400], ids=["bench", "mid"])
-@pytest.mark.parametrize(
-    "kind", ["zero-wait", "energy-first", "periodic", "random", "threshold", "table"]
-)
+@pytest.mark.parametrize("kind", ["zero-wait", "energy-first", "periodic", "random", "threshold"])
 def test_exact_matches_truncated_oracle(params, kind):
     battery = params.battery_cap
     spec = {
@@ -205,7 +195,6 @@ def test_exact_matches_truncated_oracle(params, kind):
         "periodic": Periodic(3),
         "random": Randomized(0.5),
         "threshold": ThresholdPolicy(thresholds=(6,) + (3,) * (battery - 1) + (1,)),
-        "table": table_policy(params),
     }[kind]
     age, energy, mass = truncated_cost(spec, params)
     assert mass <= 1e-9  # the cap is invisible, so both score the same chain
@@ -494,7 +483,7 @@ def test_enumeration_matches_solver_gain():
 def test_enumeration_free_energy_keeps_zero_wait_optimal():
     free = dataclasses.replace(DESK, energy_weight=0.0)
     _, best = enumerate_optimal(free)
-    always = PolicyTable(np.ones(free.grid_shape, dtype=np.int8))
+    always = np.ones(free.grid_shape, dtype=np.int8)
     age, energy, _ = truncated_cost(always, free)  # the chain enumeration scores
     assert energy == 0.0
     assert age <= best + 1e-9
@@ -505,7 +494,7 @@ def test_enumeration_huge_weight_never_buys_energy():
     table, best = enumerate_optimal(dear)
     v, _ = solve(dear, SolverConfig())
     assert best == pytest.approx(v.gain, abs=1e-6)
-    assert not table.actions[:, 0].any()
+    assert not table[:, 0].any()
 
 
 def seeded_enumeration_case(p_kind, lam_kind, seed):
@@ -565,7 +554,7 @@ def test_batched_enumeration_matches_per_table_oracle(params):
     tied = np.flatnonzero(expected <= expected.min() + 1e-9)
     mask = int(min(tied, key=lambda m: (int(m).bit_count(), int(m))))
     table, best = enumerate_optimal(params)
-    assert table.actions.ravel().tolist() == [mask >> i & 1 for i in range(params.n_states)]
+    assert table.ravel().tolist() == [mask >> i & 1 for i in range(params.n_states)]
     assert best == pytest.approx(expected[mask], rel=1e-12, abs=0.0)
 
 
@@ -612,12 +601,6 @@ SHARED_DRAWS = [
     Randomized(0.7),
     Periodic(3),
     ThresholdPolicy(thresholds=(4, 2, 1, 1)),
-    PolicyTable(
-        np.array(
-            [[0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]],
-            dtype=np.int8,
-        )
-    ),
 ]
 
 
@@ -727,14 +710,8 @@ def reference_replication(spec, params, cfg, rep=0):
         Periodic(3),
         Randomized(0.3),
         ThresholdPolicy(thresholds=(None, 2, 1, 1)),
-        PolicyTable(
-            np.array(
-                [[0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]],
-                dtype=np.int8,
-            )
-        ),
     ],
-    ids=["zero-wait", "energy-first", "periodic", "random", "threshold", "table"],
+    ids=["zero-wait", "energy-first", "periodic", "random", "threshold"],
 )
 def test_fast_loops_match_reference_stepping(spec):
     params = SystemParams(
@@ -768,10 +745,10 @@ def test_replication_seeds_are_the_spawned_children():
 
 @st.composite
 def policy_specs(draw, battery_cap):
-    """Any of the six policy kinds over batteries 0..battery_cap."""
+    """Any of the five policy kinds over batteries 0..battery_cap."""
     width = battery_cap + 1
     kind = draw(st.sampled_from(["zero-wait", "energy-first", "periodic", "random",
-                                 "threshold", "table"]))
+                                 "threshold"]))
     if kind == "zero-wait":
         return ZeroWait()
     if kind == "energy-first":
@@ -780,12 +757,8 @@ def policy_specs(draw, battery_cap):
         return Periodic(draw(st.integers(1, 6)))
     if kind == "random":
         return Randomized(draw(st.sampled_from([0.0, 1.0, 0.3, 0.77])))
-    if kind == "threshold":
-        levels = st.none() | st.integers(1, 7)
-        return ThresholdPolicy(tuple(draw(st.lists(levels, min_size=width, max_size=width))))
-    rows = draw(st.integers(2, 6))
-    bits = draw(st.lists(st.integers(0, 1), min_size=rows * width, max_size=rows * width))
-    return PolicyTable(np.array(bits, dtype=np.int8).reshape(rows, width))
+    levels = st.none() | st.integers(1, 7)
+    return ThresholdPolicy(tuple(draw(st.lists(levels, min_size=width, max_size=width))))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -1,6 +1,7 @@
 """Policy abstraction tests: decisions, parsing, serialization."""
 
 import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -10,15 +11,20 @@ from aoi_energy import (
     Periodic,
     Randomized,
     SimConfig,
+    SolverConfig,
     SystemParams,
     ZeroWait,
+    evaluate_exact,
+    greedy_policy,
     parse_policy_spec,
     policy_label,
     simulate,
+    solve,
 )
 from aoi_energy.evaluation import _transmit_rows
 from aoi_energy.model import State
-from aoi_energy.policies import PolicyTable, ThresholdPolicy
+from aoi_energy.policies import PolicySpec, ThresholdPolicy
+from conftest import refuse_allocation
 from reference import Action, decide, read_threshold_csv, state_action, transmit_count
 
 PARAMS = SystemParams(
@@ -70,9 +76,8 @@ def test_randomized_extremes_and_rate():
 
 
 def test_policy_table_lookup_clamps_old_ages():
-    actions = np.zeros((4, 3), dtype=np.int8)
-    actions[3, :] = 1
-    table = PolicyTable(actions)
+    table = np.zeros((4, 3), dtype=np.int8)
+    table[3, :] = 1
     assert state_action(table, State(4, 0)) == Action.TRANSMIT
     assert state_action(table, State(100, 0)) == Action.TRANSMIT  # beyond grid: top row
     assert state_action(table, State(3, 0)) == Action.IDLE
@@ -113,8 +118,6 @@ def test_threshold_battery_mismatch_rejected():
         lambda: ThresholdPolicy(thresholds=(1,)),
         lambda: ThresholdPolicy(thresholds=(0, 1)),
         lambda: ThresholdPolicy(thresholds=(1.5, 1)),
-        lambda: PolicyTable(np.array([[2, 0], [0, 0]])),
-        lambda: PolicyTable(np.zeros((1, 5), dtype=np.int8)),
         lambda: Randomized(True),
         lambda: Randomized(False),
         lambda: Randomized("0.5"),
@@ -164,15 +167,34 @@ def test_parse_labels_round_trip():
 
 def test_solver_policies_have_fixed_labels():
     assert policy_label(ThresholdPolicy(thresholds=(None, 6, 2))) == "threshold"
-    assert policy_label(PolicyTable(np.zeros((3, 2)))) == "table"
 
 
-def test_an_unknown_spec_is_refused_by_label_and_simulator():
-    """An object that is no policy spec is a TypeError, naming it, not a silent default."""
+def test_policy_spec_holds_the_kinds_the_parser_builds(tmp_path):
+    """Every kind of ``PolicySpec`` has a command-line form, and every form builds one."""
+    path = tmp_path / "tp.json"
+    path.write_text(ThresholdPolicy(thresholds=(None, 6, 2)).to_json())
+    texts = ["zero-wait", "energy-first", "periodic:5", "random:0.5", f"threshold:{path}"]
+    assert set(typing.get_args(PolicySpec)) == {type(parse_policy_spec(t)) for t in texts}
+
+
+def test_an_unknown_spec_is_refused_by_label_and_simulator(monkeypatch):
+    """An object that is no policy spec is a TypeError, naming it, not a silent default.
+
+    The solver's action table is no spec either: scoring it takes its thresholds first.
+    """
     with pytest.raises(TypeError, match="unknown policy spec 'zero-wait'"):
         policy_label("zero-wait")
     with pytest.raises(TypeError, match="unknown policy spec 'zero-wait'"):
         simulate([ZeroWait(), "zero-wait"], PARAMS, SimConfig(horizon=10))
+    table = greedy_policy(*solve(PARAMS, SolverConfig()), PARAMS)
+    assert table.dtype == np.int8 and table.shape == PARAMS.grid_shape
+    with pytest.raises(TypeError, match="unknown policy spec array"):
+        policy_label(table)
+    with pytest.raises(TypeError, match="unknown policy spec array"):
+        evaluate_exact(table, PARAMS)
+    refuse_allocation(monkeypatch)
+    with pytest.raises(TypeError, match="unknown policy spec array"):
+        simulate([ZeroWait(), table], PARAMS, SimConfig(horizon=10))
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from aoi_energy import (
     solver,
 )
 from aoi_energy.model import State
-from aoi_energy.policies import PolicyTable, ThresholdPolicy
+from aoi_energy.policies import ThresholdPolicy
 from aoi_energy.solver import (
     ConvergenceError,
     ThresholdStructureError,
@@ -72,7 +72,7 @@ def test_free_transmission_chain_has_geometric_age():
     )
     v, q = solve(params, SolverConfig())
     assert v.gain == pytest.approx(1.0 / (1.0 - params.erasure_prob), abs=1e-6)
-    assert greedy_policy(v, q, params).actions.all()
+    assert greedy_policy(v, q, params).all()
 
 
 def test_converged_tables_satisfy_fixed_point(bench_solution):
@@ -106,7 +106,7 @@ def test_greedy_matches_thresholds_everywhere(bench_solution):
     v, q = bench_solution
     policy = greedy_policy(v, q, BENCH)
     thresholds = extract_thresholds(policy, BENCH)
-    assert np.array_equal(policy.actions, threshold_table(thresholds, BENCH).actions)
+    assert np.array_equal(policy, threshold_table(thresholds, BENCH))
 
 
 def test_greedy_ties_resolve_to_idle():
@@ -120,11 +120,11 @@ def test_greedy_ties_resolve_to_idle():
     )
     v = ValueTable(values=np.zeros((4, 3)), gain=0.0, iterations=0, final_span=0.0)
     policy = greedy_policy(v, np.zeros((4, 3, 2)), params)
-    assert not policy.actions.any()
+    assert not policy.any()
 
 
 def test_greedy_and_extraction_refuse_grids_that_disagree():
-    """A q table, value table or policy table of another grid than the params' is refused."""
+    """A q table, value table or action table of another grid than the params' is refused."""
     params = SystemParams(
         erasure_prob=0.2,
         harvest_prob=0.5,
@@ -139,14 +139,14 @@ def test_greedy_and_extraction_refuse_grids_that_disagree():
     with pytest.raises(ValueError, match="value, q and params grids disagree"):
         greedy_policy(v, np.zeros((4, 3, 2)), dataclasses.replace(params, aoi_cap=5))
     with pytest.raises(ValueError, match=r"policy shape \(5, 3\), expected \(4, 3\)"):
-        extract_thresholds(PolicyTable(np.zeros((5, 3))), params)
+        extract_thresholds(np.zeros((5, 3), dtype=np.int8), params)
 
 
 def test_shortcircuit_extraction_agrees_with_argmin(bench_solution):
     v, q = bench_solution
     fast = greedy_policy_shortcircuit(q, BENCH)
     full = greedy_policy(v, q, BENCH)
-    assert np.array_equal(fast.actions, full.actions)
+    assert np.array_equal(fast, full)
 
 
 def test_gain_monotone_in_energy_weight():
@@ -400,9 +400,9 @@ def test_extract_thresholds_uniform_tables():
         battery_cap=2,
         aoi_cap=5,
     )
-    ones = PolicyTable(np.ones(params.grid_shape, dtype=np.int8))
+    ones = np.ones(params.grid_shape, dtype=np.int8)
     assert extract_thresholds(ones, params).thresholds == (1, 1, 1)
-    zeros = PolicyTable(np.zeros(params.grid_shape, dtype=np.int8))
+    zeros = np.zeros(params.grid_shape, dtype=np.int8)
     assert extract_thresholds(zeros, params).thresholds == (None, None, None)
 
 
@@ -418,7 +418,7 @@ def test_extract_thresholds_flags_gap_with_witnesses():
     actions = np.zeros(params.grid_shape, dtype=np.int8)
     actions[:, 0] = [0, 1, 0, 1, 1]  # transmit at age 2, idle again at age 3
     with pytest.raises(ThresholdStructureError) as err:
-        extract_thresholds(PolicyTable(actions), params)
+        extract_thresholds(actions, params)
     assert err.value.witnesses == [State(2, 0), State(3, 0)]
 
 
