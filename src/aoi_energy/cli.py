@@ -250,7 +250,7 @@ def run_sweep(args: argparse.Namespace) -> int:
             certificate = certify_structure(v, q, point)
             if not certificate.all_pass:
                 raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
-        except (ConvergenceError, StructureViolationError) as exc:
+        except (ConvergenceError, StructureViolationError, ThresholdStructureError) as exc:
             exc.args = (f"sweep aborted at {args.axis}={value!r}: {exc}",)
             raise
         for policy in parsed:

@@ -629,6 +629,8 @@ def _cycles(actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: Syste
     length, age sum and weighted backup spend, a mask of the states from
     which delivery is not certain (their walk reaches states from which the
     tail never leaks), N on the states from which the tail leaks, and T_d by row.
+    When every level transmits at the last row and p < 1, every state leaks,
+    so the tail's closure is not built.
     """
     p = params.erasure_prob
     n = idle.shape[0]
@@ -648,12 +650,16 @@ def _cycles(actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: Syste
         walk = walk @ stay
 
     a, stay, age = actions[-1], steps[-1], len(actions)
-    leaks = (a > 0.0) & (p < 1.0)
-    reach = _closure(stay > 0.0)
-    good = ~reach[:, ~reach[:, leaks].any(axis=1)].any(axis=1)
-    trapped = (walk[:, ~good] > 0.0).any(axis=1)
-    fundamental = np.linalg.inv(np.eye(good.sum()) - stay[np.ix_(good, good)])
-    entry = walk[:, good]
+    if a.all() and p < 1.0:  # every state leaks: all are good and none trapped
+        good, trapped, kept = np.ones(n, dtype=bool), np.zeros(n, dtype=bool), stay
+    else:
+        leaks = (a > 0.0) & (p < 1.0)
+        reach = _closure(stay > 0.0)
+        good = ~reach[:, ~reach[:, leaks].any(axis=1)].any(axis=1)
+        trapped = (walk[:, ~good] > 0.0).any(axis=1)
+        kept = stay[np.ix_(good, good)]
+    fundamental = np.linalg.inv(np.eye(len(kept)) - kept)
+    entry = walk[:, good]  # a column gather: Fortran-ordered, which the product's bits follow
     visits = entry @ fundamental
     later = (visits - entry) @ fundamental
     length += visits.sum(axis=1)
@@ -692,6 +698,7 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     is not certain, as for a policy that never transmits or ``Periodic`` at
     p = 1: the age tail never dies and the average cost is infinite.
     """
+    _bounds(spec, params)  # a refused spec builds no kernels and evicts none
     idle, tx, _ = _slot_kernels(params, 1)
     p = params.erasure_prob
     rows = _transmit_rows(spec, params)

@@ -20,6 +20,16 @@ the loop that measures every sweep.
 Sweeps run in one flat workspace (:class:`_Workspace`). The backup's float
 association is part of its contract: results repeat bit for bit.
 
+Policy iteration (Howard 1960) works on boolean action rows, age by battery
+level, the last row standing for every older age. A round
+(:func:`_exact_bias`) builds the exact bias on those rows' ages alone and
+switches every action that loses by more than epsilon; no round projects
+onto thresholds, which are read off the rows once they stop switching. Only
+the converged round's tables are extended to the ``aoi_cap`` grid, in closed
+form (:func:`_on_grid`). Howard's test of a threshold policy
+(:func:`threshold_bias`) is one such round on its rows, so both give the
+same tables bit for bit.
+
 A sweep is about fifteen numpy calls, and on the default grid their fixed
 dispatch cost is about half its time. So each call is bound once per solve
 (``functools.partial``); the weights lam, 1-lam, p, 1-p and the anchor entry
@@ -38,8 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .evaluation import _closure, _cycles, _slot_kernels, _stationary, _transmit_rows
-from .model import State, SystemParams, is_int
-from .policies import ThresholdPolicy
+from .model import State, SystemParams, check_grid, is_int
+from .policies import ThresholdPolicy, ZeroWait
 
 __all__ = [
     "SolverConfig",
@@ -252,24 +262,22 @@ def extract_thresholds(actions: np.ndarray, params: SystemParams) -> ThresholdPo
     """
     if actions.shape != params.grid_shape:
         raise ValueError(f"policy shape {actions.shape}, expected {params.grid_shape}")
-    thresholds: list[int | None] = []
-    for battery in range(params.battery_cap + 1):
-        column = actions[:, battery]
-        transmit_rows = np.flatnonzero(column)
-        if transmit_rows.size == 0:
-            thresholds.append(None)
-            continue
-        first = int(transmit_rows[0])
-        gaps = np.flatnonzero(column[first:] == 0)
-        if gaps.size:
-            witnesses = [State(first + 1, battery), State(first + int(gaps[0]) + 1, battery)]
-            raise ThresholdStructureError(
-                f"battery {battery}: transmit at age {first + 1} but idle again at "
-                f"age {first + int(gaps[0]) + 1}; column is not threshold-shaped",
-                witnesses=witnesses,
-            )
-        thresholds.append(first + 1)
-    return ThresholdPolicy(thresholds=tuple(thresholds))
+    return _thresholds(actions)
+
+
+def _thresholds(actions: np.ndarray) -> ThresholdPolicy:
+    """:func:`extract_thresholds` of a table of any number of age rows."""
+    transmits, first = actions.any(axis=0), actions.argmax(axis=0)
+    idle_again = (np.arange(len(actions))[:, None] > first) & (actions == 0) & transmits
+    if idle_again.any():
+        battery = int(idle_again.any(axis=0).argmax())
+        start, gap = int(first[battery]) + 1, int(idle_again[:, battery].argmax()) + 1
+        raise ThresholdStructureError(
+            f"battery {battery}: transmit at age {start} but idle again at age {gap}; "
+            "column is not threshold-shaped",
+            witnesses=[State(start, battery), State(gap, battery)],
+        )
+    return ThresholdPolicy(tuple(int(f) + 1 if t else None for f, t in zip(first, transmits)))
 
 
 class HowardTest(NamedTuple):
@@ -289,16 +297,21 @@ class HowardTest(NamedTuple):
 
 
 def _exact_bias(rows: np.ndarray, params: SystemParams, cfg: SolverConfig) -> tuple | None:
-    """Gain, bias h (ages 1..n+1) and q table (ages 1..n) of ``rows``, n = max(D, aoi_cap).
+    """One Howard round on ``rows``: gain, bias h (ages 1..D+1), q (ages 1..D) and fresh.
 
-    Every level transmits at the last row D and p < 1. With T_d = diag(1-a_d)
-    idle + p diag(a_d) tx, built by :func:`_cycles` once per run of equal rows,
-    h_d = c_d - g + T_d h_(d+1) + (1-p) diag(a_d) tx h_1, and (I - M) h_1 =
-    C - g L by :func:`_cycles`, with nu h_1 = 0 on each recurrent class of M
-    (one closure of M serves every class). Past D, h grows by 1/(1-p) per age.
-    None when class gains differ by more than epsilon.
+    ``rows`` are boolean action rows, 1 = transmit, the last row D for every
+    older age too. None unless every level transmits at row D, p < 1 and the
+    class gains agree within epsilon. With T_d = diag(1-a_d) idle + p diag(a_d)
+    tx, built by :func:`_cycles` once per run of equal rows, h_d = c_d - g +
+    T_d h_(d+1) + diag(a_d) fresh, where fresh = (1-p) tx h_1 is what a
+    delivery lands on, and (I - M) h_1 = C - g L by :func:`_cycles`, with
+    nu h_1 = 0 on each recurrent class of M (one closure of M serves every
+    class). Past D, h grows by 1/(1-p) per age: :func:`_on_grid` extends the
+    tables that way.
     """
     p = params.erasure_prob
+    if not (rows[-1].all() and p < 1.0):
+        return None
     idle, tx, _ = _slot_kernels(params, 1)
     deliveries, length, age_sum, spend, _, tail, steps = _cycles(rows, idle, tx, params)
     reach = _closure(deliveries != 0.0)
@@ -311,45 +324,75 @@ def _exact_bias(rows: np.ndarray, params: SystemParams, cfg: SolverConfig) -> tu
         return None
     renewal = np.eye(len(idle)) - deliveries + reach[lowest].T @ laws  # + 1_k nu_k: invertible
     first = np.linalg.solve(renewal, age_sum + spend - gains[0] * length)
-    backup = params.energy_weight * params.backup_cost * (np.arange(len(idle)) == 0)
     fresh = (1.0 - p) * (tx @ first)  # a delivery lands on h_1
-    depth, n = len(rows), max(len(rows), params.aoi_cap)
-    age = np.arange(1.0, n + 1)[:, None]
-    cost = age[:depth] + rows * (backup + fresh) - gains[0]
-    h = np.empty((n + 1, len(idle)))
+    depth = len(rows)
+    cost = np.arange(1.0, depth + 1)[:, None] + rows * (_backup(params) + fresh) - gains[0]
+    h = np.empty((depth + 1, len(idle)))
     h[depth - 1] = tail @ (cost[-1] + p / (1.0 - p))  # tail = (I - p tx)^-1: all transmit at D
-    h[depth:] = h[depth - 1] + np.arange(1.0, n + 2 - depth)[:, None] / (1.0 - p)
+    h[depth] = h[depth - 1] + 1.0 / (1.0 - p)
     for d in range(depth - 2, -1, -1):
         h[d] = cost[d] + steps[d] @ h[d + 1]
-    q = np.stack([age + h[1:] @ idle.T, age + backup + p * h[1:] @ tx.T + fresh], axis=-1)
-    return float(gains[0]), h, q
+    return float(gains[0]), h, _q(h, fresh, params), fresh
+
+
+def _backup(params: SystemParams) -> np.ndarray:
+    """The weighted backup cost of transmitting, by battery level: paid at an empty one."""
+    return params.energy_weight * params.backup_cost * (np.arange(params.battery_cap + 1) == 0)
+
+
+def _q(h: np.ndarray, fresh: np.ndarray, params: SystemParams) -> np.ndarray:
+    """The (ages 1..len(h)-1, B+1, 2) q table of the bias ``h`` (ages 1..len(h))."""
+    idle, tx, _ = _slot_kernels(params, 1)
+    age, later, p = np.arange(1.0, len(h))[:, None], h[1:], params.erasure_prob
+    return np.stack([age + later @ idle.T, age + _backup(params) + p * later @ tx.T + fresh], -1)
+
+
+def _losses(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """What each action of ``rows`` loses to the better one on the round's ``q``."""
+    return np.where(rows, q[..., 1], q[..., 0]) - np.minimum(q[..., 0], q[..., 1])
+
+
+def _on_grid(exact: tuple, params: SystemParams) -> tuple[ValueTable, np.ndarray]:
+    """A round's value and q tables on the ``aoi_cap`` grid, anchored at (1, battery_cap).
+
+    Past D, h grows by 1/(1-p) per age, so the rows a round did not build
+    follow in closed form; q is then built over the whole grid at once.
+    ``final_span`` is the span of min(q) - h, and ``iterations`` 0.
+    """
+    gain, h, q, fresh = exact
+    depth, cap = len(q), params.aoi_cap
+    if cap > depth:
+        older = np.arange(2.0, cap + 2 - depth)[:, None] / (1.0 - params.erasure_prob)
+        h = np.concatenate([h, h[depth - 1] + older])
+        q = _q(h, fresh, params)
+    anchor = h[0, -1]
+    values, q = h[:cap] - anchor, q[:cap] - anchor
+    span = float(np.ptp(np.minimum(q[..., 0], q[..., 1]) - values))
+    return ValueTable(values, gain, 0, span), q
 
 
 def threshold_bias(
     tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
 ) -> HowardTest | None:
-    """Howard's (1960) improvement test of ``tp`` on its exact bias (:func:`_exact_bias`).
+    """Howard's (1960) improvement test of ``tp``: one round (:func:`_exact_bias`) on its rows.
 
     None unless every level transmits at the last row D, p < 1 and the class
     gains agree. A level that never transmits fails the test anyway: a slot
     delivers with chance at most 1-p, so the wait T for delivery is at least
     1 + 1/(1-p) at an idle level, and at the idle level m of longest wait
     idling loses at least (1-p) T_m - 1 > 0 more per age. Past D the advantage
-    of idling grows by 1 per age, so rows 1..D hold the gap.
+    of idling grows by 1 per age, so rows 1..D hold the gap. The tables are
+    the round's on the ``aoi_cap`` grid (:func:`_on_grid`).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     rows = _transmit_rows(tp, params)
-    exact = _exact_bias(rows, params, cfg) if rows[-1].all() and params.erasure_prob < 1.0 else None
+    exact = _exact_bias(rows, params, cfg)
     if exact is None:
         return None
-    gain, h, q = exact
-    head, best = q[: len(rows)], np.minimum(q[..., 0], q[..., 1])  # min(axis=-1) is 30x slower
-    losses = np.where(rows, head[..., 1], head[..., 0]) - best[: len(rows)]
-    cap, anchor = params.aoi_cap, h[0, -1]
-    values, q = h[:cap] - anchor, q[:cap] - anchor
-    v = ValueTable(values, gain, 0, float(np.ptp(best[:cap] - anchor - values)))
+    losses = _losses(rows, exact[2])
     age, battery = np.unravel_index(losses.argmax(), losses.shape)
-    return HowardTest(v, q, rows, losses, float(losses.max()), State(int(age) + 1, int(battery)))
+    return HowardTest(*_on_grid(exact, params), rows, losses, float(losses.max()),
+                      State(int(age) + 1, int(battery)))
 
 
 def check_truncation_adequacy(
@@ -364,44 +407,59 @@ def check_truncation_adequacy(
 def policy_iteration(
     params: SystemParams, cfg: SolverConfig | None = None, start: ThresholdPolicy | None = None
 ) -> tuple[ValueTable, np.ndarray, ThresholdPolicy]:
-    """Howard's policy iteration over threshold policies, on the untruncated chain.
+    """Howard's policy iteration on boolean action rows, on the untruncated chain.
 
-    From the thresholds of ``start`` (a neighbour's answer, say), else from
-    ZeroWait (always of finite cost), a round keeps each action unless the
-    other wins by more than ``cfg.epsilon`` on the exact bias. A new threshold
-    is the first transmitting age; a level idle at the last row D by G moves to
-    D + floor(G - eps) + 1, at most 2D, so each grid stays under the bound. A
-    cumulative min makes them non-increasing in battery, the paper's structure.
-    Stops when they stop moving and pass :func:`threshold_bias`'s test, else
-    raises :class:`ConvergenceError`. A threshold at an exact tie may depend on
-    the start, the cost not. Returns the last round's bias and q table on the
-    ``aoi_cap`` grid anchored at (1, battery_cap), and the thresholds.
+    From the rows of ``start`` (a neighbour's answer, say), else of ZeroWait
+    (always of finite cost), each round (:func:`_exact_bias`) switches every
+    action that loses by more than ``cfg.epsilon``. A level that then idles
+    at the last row D by G idles on to D + floor(G - eps), and transmits from
+    the next age, at most 2D, so each grid stays under the bound; trailing
+    all-transmit rows are trimmed, so threshold rows have the depth of
+    :func:`_transmit_rows`. Stops when no action switches, so Howard's gap is
+    within epsilon, and reads the thresholds off the rows: rows that are not
+    threshold-shaped raise :class:`ThresholdStructureError`. Raises
+    :class:`ConvergenceError`, naming each level's first transmitting age,
+    when the rows repeat an earlier round's, a round's class gains differ or
+    ``cfg.max_iters`` rounds do not suffice. A threshold at an exact tie may
+    depend on the start, the cost not. Returns the last round's bias and q
+    table on the ``aoi_cap`` grid (:func:`_on_grid`), and the thresholds.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
-    thresholds, seen = (1,) * (params.battery_cap + 1) if start is None else start.thresholds, []
-    if None in thresholds:
+    if start is not None and None in start.thresholds:
         raise ValueError(f"a start must transmit at every battery level, got {start!r}")
-    why = f"still move after {cfg.max_iters} rounds"  # unless a round breaks off
+    rows = _transmit_rows(start if start is not None else ZeroWait(), params)
+    seen, why = set(), f"still move after {cfg.max_iters} rounds"  # unless a round breaks off
     for rounds in range(1, cfg.max_iters + 1):
-        seen.append(thresholds)
-        test = threshold_bias(ThresholdPolicy(thresholds), params, cfg)
-        if test is None:
+        seen.add(rows.tobytes())  # the width is fixed, so the bytes fix the rows
+        exact = _exact_bias(rows, params, cfg)
+        if exact is None:
             why = "have recurrent classes of unequal gain"
             break
-        tx = test.rows ^ (test.losses > cfg.epsilon)  # an action that loses by more switches
-        late = np.minimum(len(tx) + np.floor(test.losses[-1] - cfg.epsilon) + 1, 2 * len(tx))
-        firsts = np.where(tx.any(axis=0), tx.argmax(axis=0) + 1, late)
-        thresholds = tuple(int(t) for t in np.minimum.accumulate(firsts))
-        if thresholds in seen:
-            why = "" if thresholds == seen[-1] else "repeat an earlier round's"
+        losses = _losses(rows, exact[2])
+        switch = losses > cfg.epsilon
+        if not switch.any():
+            why = ""
             break
-    if not (why or test.gap <= cfg.epsilon):
-        why = "fail Howard's improvement test"
+        rows, depth = rows ^ switch, len(rows)
+        idle = ~rows[-1]
+        if idle.any():  # idle on while idling still wins, then transmit
+            late = np.minimum(depth + np.floor(losses[-1] - cfg.epsilon) + 1, 2 * depth)
+            top = int(late[idle].max())
+            check_grid(top, rows.shape[1], "threshold age rows x battery levels")
+            older = np.arange(depth + 1, top + 1)[:, None]
+            rows = np.concatenate([rows, np.where(idle, older >= late, rows[-1])])
+        mixed = np.flatnonzero(~rows.all(axis=1))
+        rows = rows[: mixed[-1] + 2 if mixed.size else 1]  # trim trailing all-transmit rows
+        if rows.tobytes() in seen:
+            why = "repeat an earlier round's"
+            break
     if why:
         raise ConvergenceError(f"policy iteration did not converge: thresholds "
-                               f"{list(thresholds)} {why}", span=math.nan, iterations=rounds)
-    return replace(test.values, iterations=rounds), test.q, ThresholdPolicy(thresholds)
+                               f"{(rows.argmax(axis=0) + 1).tolist()} {why}",
+                               span=math.nan, iterations=rounds)
+    v, q = _on_grid(exact, params)
+    return replace(v, iterations=rounds), q, _thresholds(rows)
 
 
 def write_value_csv(path: str, v: ValueTable) -> None:

@@ -283,6 +283,22 @@ def threshold_table(tp: ThresholdPolicy, params: SystemParams) -> np.ndarray:
     return (ages >= bound).astype(np.int8)
 
 
+def column_thresholds(actions: np.ndarray) -> tuple[tuple, list[State] | None]:
+    """Each battery column's first transmitting age (None if it never transmits), column by
+    column, and the witnesses of the first column that idles again after it, else None."""
+    thresholds = []
+    for battery in range(actions.shape[1]):
+        ages = [age for age, tx in enumerate(actions[:, battery].tolist(), 1) if tx]
+        if not ages:
+            thresholds.append(None)
+            continue
+        for age in range(ages[0], len(actions) + 1):
+            if not actions[age - 1, battery]:
+                return tuple(thresholds), [State(ages[0], battery), State(age, battery)]
+        thresholds.append(ages[0])
+    return tuple(thresholds), None
+
+
 def transmit_count(table: np.ndarray) -> int:
     return int(table.sum())
 

@@ -756,6 +756,24 @@ def test_sweep_with_a_false_certificate_exits_4_and_writes_nothing(
     assert not out.exists()
 
 
+def test_sweep_with_rows_that_are_not_threshold_shaped_exits_4_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    """Policy iteration's last rows that are not threshold-shaped abort the sweep naming
+    the point, as its other solver failures do."""
+
+    def solve(*args):
+        raise solver.ThresholdStructureError("battery 1: transmit at age 1 but idle again at "
+                                             "age 2; column is not threshold-shaped", [])
+
+    monkeypatch.setattr(cli, "policy_iteration", solve)
+    pfile = params_file(tmp_path, SWEEP_PARAMS)
+    out = tmp_path / "rows.csv"
+    assert main(sweep_args(pfile, out, "p", "0.3", "zero-wait,solved")) == EXIT_STRUCTURE
+    assert "error: sweep aborted at p=0.3: battery 1: transmit at age 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def refuse_solve(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("solve called")
@@ -833,6 +851,45 @@ def test_sweep_refuses_a_threshold_beyond_the_grid_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "32768 x 41 (threshold age rows x battery levels)" in err and "exceeds" in err
     assert not out.exists()
+
+
+# Found by a seeded search (random.Random(1); p = 1 - 10^u for u in [-3.3, -2], lambda in
+# [0.9, 0.996], omega * c_r = 10^u for u in [2, 3.3], B in 1..10, cap 200), the fastest of
+# the instances there where rounds that projected their improved actions onto thresholds,
+# with a cumulative min over battery levels, cycled: "thresholds [102, 62, 62, 52, 43, 36,
+# 30, 24, 1] repeat an earlier round's", exit 3.
+CYCLING = SystemParams(0.99213, 0.9682, 40.7, 2.5642, 8, 200)
+
+
+def test_sweep_converges_where_projected_rounds_cycled(tmp_path, monkeypatch, capsys):
+    """Howard's rounds on the action rows converge here, in 16 rounds, and the gain never
+    rises from one round to the next. The answer passes Howard's test, and its thresholds
+    do not rise with the battery level, though no round forces them to."""
+    answers, gains = [], []
+    real_solve, real_round = cli.policy_iteration, solver._exact_bias
+
+    def solve(*args):
+        answers.append(real_solve(*args))
+        return answers[-1]
+
+    def round_(*args):
+        exact = real_round(*args)
+        gains.append(exact[0])
+        return exact
+
+    monkeypatch.setattr(cli, "policy_iteration", solve)
+    monkeypatch.setattr(solver, "_exact_bias", round_)
+    out = tmp_path / "rows.csv"
+    args = sweep_args(params_file(tmp_path, CYCLING), out, "omega", "40.7", "solved")
+    assert main(args) == EXIT_OK
+    ((v, _, policy),) = answers
+    assert (v.iterations, len(gains)) == (16, 16)
+    assert all(later <= earlier for earlier, later in zip(gains, gains[1:])), gains
+    assert policy.thresholds == (102, 75, 62, 52, 43, 36, 30, 24, 1)
+    assert list(policy.thresholds) == sorted(policy.thresholds, reverse=True)
+    assert solver.threshold_bias(policy, CYCLING).gap <= 1e-9
+    (row,) = read_rows(out)
+    assert float(row["avg_total"]) == pytest.approx(v.gain, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["eval-exact", "eval-mc"])

@@ -37,7 +37,7 @@ from aoi_energy import (
     simulate,
     solve,
 )
-from aoi_energy import evaluation
+from aoi_energy import evaluation, solver
 from aoi_energy.evaluation import (
     CSV_COLUMNS,
     EvalReport,
@@ -128,6 +128,53 @@ def test_slot_kernels_are_read_only_and_built_once_per_battery_law():
     other = evaluation._slot_kernels(dataclasses.replace(params, harvest_prob=0.5), 1)
     assert not np.array_equal(other, kernels)
     assert evaluation._kernels.cache_info()[1:3] == (2, 1)  # misses, then the one stack kept
+
+
+def test_a_refused_spec_builds_no_kernels():
+    """Exact evaluation checks the spec before it builds the (B+1) x (B+1) slot kernels, so
+    at B = 1000 an action array or a threshold past the grid bound leaves the cache empty."""
+    params = dataclasses.replace(MID, battery_cap=1000)
+    for spec, error in ((np.ones(params.grid_shape, np.int8), TypeError),
+                        (ThresholdPolicy((10**9,) * 1001), ValueError)):
+        evaluation._kernels.cache_clear()
+        with pytest.raises(error):
+            evaluate_exact(spec, params)
+        assert evaluation._kernels.cache_info().currsize == 0
+
+
+# The README instance's thresholds, and reprs recorded before the renewal tail skipped its
+# reachability closure when every level transmits at the last row: zero-wait and the
+# solved thresholds take that branch, energy-first (idle at an empty battery) the general one.
+README_SOLVED = ThresholdPolicy((11, 4) + (3,) * 7 + (2,) * 11 + (1,))
+RECORDED_BITS = {
+    0.0: {"zero-wait": (1.0, 10.0), "energy-first": (2.0, 0.0),
+          "solved": (1.5203106757591494, 1.5228047440204055e-09),
+          "bias-zero-wait": (11.0, 19.0), "bias-solved": (1.520310677281954, 0.4224431058253373)},
+    0.3: {"zero-wait": (1.4285714285714286, 10.0), "energy-first": (2.8571428571428568, 0.0),
+          "solved": (2.0816301940872104, 0.0004859335575458567),
+          "bias-zero-wait": (11.428571428571429, 19.000000000000057),
+          "bias-solved": (2.082116127644756, 0.02250193404713885)},
+    0.9: {"zero-wait": (10.0, 9.999999999999998), "energy-first": (19.99999999999998, 0.0),
+          "solved": (11.227526501534046, 4.127134870016505),
+          "bias-zero-wait": (20.0, 19.000000000000057),
+          "bias-solved": (15.354661371550549, 9.788136381223353)},
+}
+
+
+@pytest.mark.parametrize("p", sorted(RECORDED_BITS))
+def test_renewal_tail_keeps_its_recorded_bits(p):
+    """evaluate_exact's (avg_aoi, avg_weighted_energy) and threshold_bias's (gain, gap) at
+    the README instance's p axis repeat the recorded reprs exactly."""
+    params = dataclasses.replace(BENCH, erasure_prob=p)
+    found = {}
+    for name, spec in (("zero-wait", ZeroWait()), ("energy-first", EnergyFirst()),
+                       ("solved", README_SOLVED)):
+        report = evaluate_exact(spec, params)
+        found[name] = (report.avg_aoi, report.avg_weighted_energy)
+    for name, spec in (("zero-wait", ThresholdPolicy((1,) * 21)), ("solved", README_SOLVED)):
+        test = solver.threshold_bias(spec, params)
+        found[f"bias-{name}"] = (test.values.gain, test.gap)
+    assert repr(found) == repr(RECORDED_BITS[p])
 
 
 # ---------------------------------------------------------------------------

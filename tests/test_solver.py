@@ -31,7 +31,8 @@ from aoi_energy.solver import (
 )
 from conftest import BENCH, EPSILON, MID
 from reference import bellman_qvalues_gathered, greedy_policy_shortcircuit, relative_value_iteration
-from reference import doubled_cap_adequacy, exact_bias_violation, threshold_table
+from reference import column_thresholds, doubled_cap_adequacy, exact_bias_violation
+from reference import threshold_table
 from reference import read_value_csv, state_action, write_value_csv_rows
 
 SMALL = SystemParams(
@@ -602,6 +603,25 @@ def test_truncation_adequate_once_cap_covers_thresholds():
     assert check_truncation_adequacy(thresholds, roomy, SolverConfig())
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    table=arrays(np.int8, st.tuples(st.integers(1, 7), st.integers(2, 5)),
+                 elements=st.integers(0, 1)),
+    as_rows=st.booleans(),
+)
+def test_threshold_reading_matches_the_column_loop_property(table, as_rows):
+    """The thresholds read off an int8 table, or off boolean rows, are the column loop's,
+    and a column that idles again is refused with the loop's witnesses."""
+    expected, witnesses = column_thresholds(table)
+    actions = table.astype(bool) if as_rows else table
+    if witnesses is None:
+        assert solver._thresholds(actions).thresholds == expected
+    else:
+        with pytest.raises(ThresholdStructureError) as err:
+            solver._thresholds(actions)
+        assert err.value.witnesses == witnesses
+
+
 # ---------------------------------------------------------------------------
 # policy iteration
 
@@ -692,15 +712,25 @@ def test_policy_iteration_stops_at_max_iters_and_repeats_its_answer():
 
 
 def test_policy_iteration_refuses_what_it_cannot_certify(monkeypatch):
-    """A stopping policy that fails Howard's test, or a round whose recurrent classes
-    have unequal gains, raises ConvergenceError naming the thresholds."""
-    real = solver.threshold_bias
-    monkeypatch.setattr(solver, "threshold_bias", lambda *args: real(*args)._replace(gap=1.0))
-    with pytest.raises(ConvergenceError, match=r"\[3, 3, 3, 2, 1\] fail Howard's improvement"):
-        solver.policy_iteration(SMALL)
-    monkeypatch.setattr(solver, "threshold_bias", lambda *args: None)
+    """A round whose recurrent classes have unequal gains raises ConvergenceError naming
+    the thresholds; rows that stop switching but are not threshold-shaped raise
+    ThresholdStructureError with the ages where a level transmits and then idles again."""
+    real = solver._exact_bias
+    monkeypatch.setattr(solver, "_exact_bias", lambda *args: None)
     with pytest.raises(ConvergenceError, match=r"\[1, 1, 1, 1, 1\] have recurrent classes of"):
         solver.policy_iteration(SMALL)
+
+    def tied(*args):  # both actions tie everywhere, so no action switches
+        gain, h, q, fresh = real(*args)
+        return gain, h, np.repeat(q.min(axis=-1, keepdims=True), 2, axis=-1), fresh
+
+    rows = np.array([[0, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1]], dtype=bool)
+    monkeypatch.setattr(solver, "_exact_bias", tied)
+    monkeypatch.setattr(solver, "_transmit_rows", lambda *args: rows)
+    with pytest.raises(ThresholdStructureError, match="battery 1: transmit at age 1 but idle "
+                       "again at age 2") as raised:
+        solver.policy_iteration(SMALL)
+    assert raised.value.witnesses == [State(1, 1), State(2, 1)]
 
 
 SWEEP_AXES = {"p": "erasure_prob", "lambda": "harvest_prob", "omega": "energy_weight"}
@@ -800,12 +830,18 @@ def test_a_threshold_one_age_late_is_its_own_witness(params, where):
 
 
 def test_policy_iteration_returns_the_bias_of_its_answer():
-    """Policy iteration's tables are threshold_bias's on its thresholds, bit for bit."""
-    v, q, policy = solver.policy_iteration(SMALL)
-    test = solver.threshold_bias(policy, SMALL)
-    assert test.gap <= EPSILON and v.iterations > 1 and test.values.iterations == 0
-    assert same_bits(v.values, test.values.values) and same_bits(q, test.q)
-    assert (v.gain, v.final_span) == (test.values.gain, test.values.final_span)
+    """Policy iteration's tables are threshold_bias's on its thresholds, bit for bit: at
+    SMALL, and at the three points of the benchmark's p sweep, each started from the one
+    before it as ``sweep`` starts them. Its rows are trimmed to the depth threshold_bias
+    decodes: at p = 0.9 an all-transmit row left below them moves the tables by 4.5e-13."""
+    start = None
+    for params in (SMALL, *(dataclasses.replace(BENCH, erasure_prob=p) for p in (0.0, 0.3, 0.9))):
+        v, q, policy = solver.policy_iteration(params, None, start)
+        test = solver.threshold_bias(policy, params)
+        assert test.gap <= EPSILON and v.iterations > 1 and test.values.iterations == 0
+        assert same_bits(v.values, test.values.values) and same_bits(q, test.q)
+        assert (v.gain, v.final_span) == (test.values.gain, test.values.final_span)
+        start = policy if params is not SMALL else None
 
 
 def test_threshold_bias_refuses_what_has_no_finite_bias():
