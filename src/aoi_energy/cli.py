@@ -41,9 +41,9 @@ from .evaluation import (
 from .model import SystemParams
 from .policies import PolicySpec, parse_policy_spec, policy_label
 from .solver import (
+    EPSILON,
     ConvergenceError,
     HowardTest,
-    SolverConfig,
     ThresholdStructureError,
     extract_thresholds,
     greedy_policy,
@@ -131,7 +131,7 @@ def _howard(test: HowardTest | None, why: str) -> int:
         gain, gap, (age, battery) = test.values.gain, test.gap, test.witness
         print(f"optimal cost in [{gain - gap!r}, {gain!r}]: Howard's gap {gap!r} "
               f"at age {age}, battery {battery}")
-        if gap <= SolverConfig.epsilon:
+        if gap <= EPSILON:
             return EXIT_OK
     print(f"{why}: the thresholds are not optimal on the untruncated chain", file=sys.stderr)
     return EXIT_TRUNCATION
@@ -146,7 +146,7 @@ def run_solve(args: argparse.Namespace) -> int:
     if os.path.isdir(out_dir):
         for name in _SOLVE_ARTIFACTS:
             _check_output(os.path.join(out_dir, name))
-    v, q = solve(params, SolverConfig(max_iters=args.max_iters))
+    v, q = solve(params)
     thresholds = extract_thresholds(greedy_policy(v, q, params), params)
     report = certify_structure(v, q, params)
 
@@ -241,12 +241,11 @@ def run_sweep(args: argparse.Namespace) -> int:
     _check_output(args.out)
     policies = [text.strip() for text in args.policies.split(",")]
     parsed = [None if text == "solved" else parse_policy_spec(text) for text in policies]
-    solver_cfg = SolverConfig(max_iters=args.max_iters)
     rows: list[list] = []
     thresholds = None
     for value, point in zip(values, points):
         try:
-            v, q, thresholds = policy_iteration(point, solver_cfg, thresholds)
+            v, q, thresholds = policy_iteration(point, thresholds)
             certificate = certify_structure(v, q, point)
             if not certificate.all_pass:
                 raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
@@ -271,14 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def solver_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--params", required=True, help="system parameter JSON file")
-        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
-                       help="value iteration sweeps (solve) or policy iteration rounds "
-                            "(sweep) before giving up with exit 3")
-
     p_solve = sub.add_parser("solve", help="solve one instance and dump artifacts")
-    solver_options(p_solve)
+    p_solve.add_argument("--params", required=True, help="system parameter JSON file")
     p_solve.add_argument("--out", default=None, help="output directory (default: cwd)")
     p_solve.add_argument(
         "--check-truncation", action="store_true",
@@ -307,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=None, help="append result rows to this CSV")
 
     p_sweep = sub.add_parser("sweep", help="solve along one axis and score all policies")
-    solver_options(p_sweep)
+    p_sweep.add_argument("--params", required=True, help="system parameter JSON file")
     # The benchmark's sweep command still passes these Monte Carlo flags; sweep reads none.
     for flag in ("--horizon", "--reps", "--seed"):
         p_sweep.add_argument(flag, help=argparse.SUPPRESS)

@@ -13,7 +13,7 @@ the difference at the two slots that held the extremes at the last full
 pass, a lower bound on the span: for any i, j, fl(d_i - d_j) <= fl(max -
 min), since rounding is monotone. While that bound exceeds ``epsilon`` the
 plain loop could not stop either, so the pass is skipped; NaN fails the
-comparison and takes the pass. The last sweep ``max_iters`` allows always
+comparison and takes the pass. The last sweep ``MAX_SWEEPS`` allows always
 takes it, so values, gain, sweep count and span stay bit for bit those of
 the loop that measures every sweep.
 
@@ -43,15 +43,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 
 from .evaluation import _closure, _cycles, _slot_kernels, _stationary, _transmit_rows
-from .model import State, SystemParams, check_grid, is_int
+from .model import State, SystemParams, check_grid
 from .policies import ThresholdPolicy, ZeroWait
 
 __all__ = [
+    "EPSILON",
     "SolverConfig",
     "ValueTable",
     "ConvergenceError",
@@ -67,9 +69,12 @@ __all__ = [
     "write_value_csv",
 ]
 
+EPSILON = 1e-9  # RVI's span tolerance, policy iteration's margin, Howard's largest gap
+MAX_SWEEPS = 500_000  # RVI's sweep budget, read by each solve
+
 
 class ConvergenceError(RuntimeError):
-    """A solve did not converge; ``span`` is RVI's last span, NaN from policy iteration."""
+    """RVI ran out of sweeps (``span`` its last span) or policy iteration broke off (NaN)."""
 
     def __init__(self, message: str, span: float, iterations: int):
         super().__init__(message)
@@ -87,16 +92,13 @@ class ThresholdStructureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerance and budget: RVI's span and sweeps, or policy iteration's margin and rounds."""
+    """RVI's span tolerance (:func:`solve`) and the gap :func:`check_truncation_adequacy` passes."""
 
-    epsilon: float = 1e-9
-    max_iters: int = 500_000
+    epsilon: float = EPSILON
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if not (is_int(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
     (aoi_cap, B+1, 2) state-action table q of the converged values:
     q[d-1, b, a] is the stage cost of action a (0 idle, 1 transmit) plus the
     expected next value, so its min over actions is gain + V up to epsilon.
-    Raises :class:`ConvergenceError` carrying the last span when ``max_iters``
+    Raises :class:`ConvergenceError` carrying the last span when ``MAX_SWEEPS``
     sweeps do not suffice. Every sweep works in one :class:`_Workspace`, and
     measures the full span only on sweeps that may stop (module docstring).
     """
@@ -214,7 +216,7 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
     new, old = updated.item, real.item
     gain, span, iterations = np.nan, np.inf, 0
     hi = lo = 0  # real slots of the last full check's extremes; equal, so sweep 1 checks
-    epsilon, last = cfg.epsilon, cfg.max_iters
+    epsilon, last = cfg.epsilon, MAX_SWEEPS
     for iterations in range(1, last + 1):
         for call in sweep:
             call()
@@ -235,9 +237,9 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
     else:
         raise ConvergenceError(
             f"value iteration did not converge: span {span:.3e} > epsilon "
-            f"{cfg.epsilon:.3e} after {cfg.max_iters} sweeps",
+            f"{epsilon:.3e} after {last} sweeps",
             span=span,
-            iterations=cfg.max_iters,
+            iterations=last,
         )
 
     ws.backup()
@@ -283,31 +285,29 @@ def _thresholds(actions: np.ndarray) -> ThresholdPolicy:
 class HowardTest(NamedTuple):
     """A threshold policy's exact bias, ``values`` (ages 1..aoi_cap, its cost as gain) and ``q``.
 
-    ``losses`` is what each action of the transmit ``rows`` (ages 1..D) loses
-    on it, at most ``gap``, first at ``witness`` (ages before batteries). The
-    optimal cost lies in [gain - gap, gain] (Odoni 1969).
+    ``gap`` is the most an action of its transmit rows (ages 1..D) loses on
+    it, first at ``witness`` (ages before batteries). The optimal cost lies
+    in [gain - gap, gain] (Odoni 1969).
     """
 
     values: ValueTable
     q: np.ndarray
-    rows: np.ndarray
-    losses: np.ndarray
     gap: float
     witness: State
 
 
-def _exact_bias(rows: np.ndarray, params: SystemParams, cfg: SolverConfig) -> tuple | None:
+def _exact_bias(rows: np.ndarray, params: SystemParams) -> tuple | None:
     """One Howard round on ``rows``: gain, bias h (ages 1..D+1), q (ages 1..D) and fresh.
 
     ``rows`` are boolean action rows, 1 = transmit, the last row D for every
     older age too. None unless every level transmits at row D, p < 1 and the
-    class gains agree within epsilon. With T_d = diag(1-a_d) idle + p diag(a_d)
-    tx, built by :func:`_cycles` once per run of equal rows, h_d = c_d - g +
-    T_d h_(d+1) + diag(a_d) fresh, where fresh = (1-p) tx h_1 is what a
-    delivery lands on, and (I - M) h_1 = C - g L by :func:`_cycles`, with
-    nu h_1 = 0 on each recurrent class of M (one closure of M serves every
-    class). Past D, h grows by 1/(1-p) per age: :func:`_on_grid` extends the
-    tables that way.
+    class gains agree within ``EPSILON``. With T_d = diag(1-a_d) idle +
+    p diag(a_d) tx, built by :func:`_cycles` once per run of equal rows,
+    h_d = c_d - g + T_d h_(d+1) + diag(a_d) fresh, where fresh = (1-p) tx h_1
+    is what a delivery lands on, and (I - M) h_1 = C - g L by :func:`_cycles`,
+    with nu h_1 = 0 on each recurrent class of M (one closure of M serves
+    every class). Past D, h grows by 1/(1-p) per age: :func:`_on_grid`
+    extends the tables that way.
     """
     p = params.erasure_prob
     if not (rows[-1].all() and p < 1.0):
@@ -320,7 +320,7 @@ def _exact_bias(rows: np.ndarray, params: SystemParams, cfg: SolverConfig) -> tu
     stack, closures = deliveries[None], reach[None]
     laws = np.concatenate([_stationary(stack, i, closures) for i in np.flatnonzero(lowest)])
     gains = laws @ (age_sum + spend) / (laws @ length)
-    if not gains.max() - gains.min() <= cfg.epsilon:
+    if not gains.max() - gains.min() <= EPSILON:
         return None
     renewal = np.eye(len(idle)) - deliveries + reach[lowest].T @ laws  # + 1_k nu_k: invertible
     first = np.linalg.solve(renewal, age_sum + spend - gains[0] * length)
@@ -371,9 +371,7 @@ def _on_grid(exact: tuple, params: SystemParams) -> tuple[ValueTable, np.ndarray
     return ValueTable(values, gain, 0, span), q
 
 
-def threshold_bias(
-    tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
-) -> HowardTest | None:
+def threshold_bias(tp: ThresholdPolicy, params: SystemParams) -> HowardTest | None:
     """Howard's (1960) improvement test of ``tp``: one round (:func:`_exact_bias`) on its rows.
 
     None unless every level transmits at the last row D, p < 1 and the class
@@ -384,67 +382,72 @@ def threshold_bias(
     of idling grows by 1 per age, so rows 1..D hold the gap. The tables are
     the round's on the ``aoi_cap`` grid (:func:`_on_grid`).
     """
-    cfg = cfg if cfg is not None else SolverConfig()
     rows = _transmit_rows(tp, params)
-    exact = _exact_bias(rows, params, cfg)
+    exact = _exact_bias(rows, params)
     if exact is None:
         return None
     losses = _losses(rows, exact[2])
     age, battery = np.unravel_index(losses.argmax(), losses.shape)
-    return HowardTest(*_on_grid(exact, params), rows, losses, float(losses.max()),
+    return HowardTest(*_on_grid(exact, params), float(losses.max()),
                       State(int(age) + 1, int(battery)))
 
 
 def check_truncation_adequacy(
     tp: ThresholdPolicy, params: SystemParams, cfg: SolverConfig | None = None
 ) -> bool:
-    """True when Howard's gap of ``tp`` (:func:`threshold_bias`) is within ``cfg.epsilon``."""
+    """True when Howard's gap of ``tp`` (:func:`threshold_bias`) is within ``cfg.epsilon``.
+
+    No package code calls it: ``perfbench/make_reference.py`` does, and
+    ``perfbench/spans.py`` traces it by name, which ``tests/test_api.py``
+    requires to resolve.
+    """
     cfg = cfg if cfg is not None else SolverConfig()
-    test = threshold_bias(tp, params, cfg)
+    test = threshold_bias(tp, params)
     return test is not None and test.gap <= cfg.epsilon
 
 
 def policy_iteration(
-    params: SystemParams, cfg: SolverConfig | None = None, start: ThresholdPolicy | None = None
+    params: SystemParams, start: ThresholdPolicy | None = None
 ) -> tuple[ValueTable, np.ndarray, ThresholdPolicy]:
     """Howard's policy iteration on boolean action rows, on the untruncated chain.
 
     From the rows of ``start`` (a neighbour's answer, say), else of ZeroWait
     (always of finite cost), each round (:func:`_exact_bias`) switches every
-    action that loses by more than ``cfg.epsilon``. A level that then idles
-    at the last row D by G idles on to D + floor(G - eps), and transmits from
+    action that loses by more than ``EPSILON``. A level that then idles at
+    the last row D by G idles on to D + floor(G - eps), and transmits from
     the next age, at most 2D, so each grid stays under the bound; trailing
     all-transmit rows are trimmed, so threshold rows have the depth of
-    :func:`_transmit_rows`. Stops when no action switches, so Howard's gap is
-    within epsilon, and reads the thresholds off the rows: rows that are not
+    :func:`_transmit_rows`. Each round switches only actions that lose by
+    more than epsilon, so the gain never rises and no rows repeat: the rounds
+    need no budget. Stops when no action switches, so Howard's gap is within
+    epsilon, and reads the thresholds off the rows: rows that are not
     threshold-shaped raise :class:`ThresholdStructureError`. Raises
     :class:`ConvergenceError`, naming each level's first transmitting age,
-    when the rows repeat an earlier round's, a round's class gains differ or
-    ``cfg.max_iters`` rounds do not suffice. A threshold at an exact tie may
-    depend on the start, the cost not. Returns the last round's bias and q
-    table on the ``aoi_cap`` grid (:func:`_on_grid`), and the thresholds.
+    when rounding makes the rows repeat an earlier round's or a round's class
+    gains differ. A threshold at an exact tie may depend on the start, the
+    cost not. Returns the last round's bias and q table on the ``aoi_cap``
+    grid (:func:`_on_grid`), and the thresholds.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
     params.validate_for_solve()
     if start is not None and None in start.thresholds:
         raise ValueError(f"a start must transmit at every battery level, got {start!r}")
     rows = _transmit_rows(start if start is not None else ZeroWait(), params)
-    seen, why = set(), f"still move after {cfg.max_iters} rounds"  # unless a round breaks off
-    for rounds in range(1, cfg.max_iters + 1):
+    seen = set()
+    for rounds in count(1):
         seen.add(rows.tobytes())  # the width is fixed, so the bytes fix the rows
-        exact = _exact_bias(rows, params, cfg)
+        exact = _exact_bias(rows, params)
         if exact is None:
             why = "have recurrent classes of unequal gain"
             break
         losses = _losses(rows, exact[2])
-        switch = losses > cfg.epsilon
+        switch = losses > EPSILON
         if not switch.any():
-            why = ""
-            break
+            v, q = _on_grid(exact, params)
+            return replace(v, iterations=rounds), q, _thresholds(rows)
         rows, depth = rows ^ switch, len(rows)
         idle = ~rows[-1]
         if idle.any():  # idle on while idling still wins, then transmit
-            late = np.minimum(depth + np.floor(losses[-1] - cfg.epsilon) + 1, 2 * depth)
+            late = np.minimum(depth + np.floor(losses[-1] - EPSILON) + 1, 2 * depth)
             top = int(late[idle].max())
             check_grid(top, rows.shape[1], "threshold age rows x battery levels")
             older = np.arange(depth + 1, top + 1)[:, None]
@@ -454,12 +457,9 @@ def policy_iteration(
         if rows.tobytes() in seen:
             why = "repeat an earlier round's"
             break
-    if why:
-        raise ConvergenceError(f"policy iteration did not converge: thresholds "
-                               f"{(rows.argmax(axis=0) + 1).tolist()} {why}",
-                               span=math.nan, iterations=rounds)
-    v, q = _on_grid(exact, params)
-    return replace(v, iterations=rounds), q, _thresholds(rows)
+    raise ConvergenceError(f"policy iteration did not converge: thresholds "
+                           f"{(rows.argmax(axis=0) + 1).tolist()} {why}",
+                           span=math.nan, iterations=rounds)
 
 
 def write_value_csv(path: str, v: ValueTable) -> None:

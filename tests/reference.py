@@ -86,7 +86,7 @@ from aoi_energy import (
 from aoi_energy.evaluation import ReducibilityError, _cycles, stationary_distribution
 from aoi_energy.model import State
 from aoi_energy.policies import ThresholdPolicy
-from aoi_energy.solver import ConvergenceError
+from aoi_energy.solver import MAX_SWEEPS, ConvergenceError
 from aoi_energy.structure import MarginCheck, StructureReport
 
 _PROB_ATOL = 1e-12
@@ -597,8 +597,11 @@ def bitset_classes(kernel: np.ndarray, start: int) -> list[list[int]]:
     return [list(c) for c in sorted(closed)]
 
 
-def csgraph_classes(kernel: np.ndarray, start: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Reachable mask from ``start`` and the closed classes reachable from it.
+def csgraph_classes(
+    kernel: np.ndarray, start: int | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Reachable mask from ``start`` and the closed classes reachable from it (every state
+    and every closed class when ``start`` is None).
 
     Each class is its sorted member indices; classes are ordered by their
     lowest member. A strongly connected component is closed when no edge
@@ -606,9 +609,10 @@ def csgraph_classes(kernel: np.ndarray, start: int) -> tuple[np.ndarray, list[np
     """
     graph = sp.csr_matrix(kernel)
     n = graph.shape[0]
-    order = csgraph.breadth_first_order(graph, start, directed=True, return_predecessors=False)
-    reachable = np.zeros(n, dtype=bool)
-    reachable[order] = True
+    reachable = np.ones(n, dtype=bool)
+    if start is not None:
+        reachable = np.zeros(n, dtype=bool)
+        reachable[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
     n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     rows, cols = graph.nonzero()
     closed = np.ones(n_comp, dtype=bool)
@@ -671,12 +675,15 @@ def bellman_qvalues_gathered(
     return q_idle, q_tx
 
 
-def relative_value_iteration(params: SystemParams, cfg: SolverConfig, start=None):
+def relative_value_iteration(
+    params: SystemParams, cfg: SolverConfig, start=None, sweeps: int = MAX_SWEEPS
+):
     """(values, q_values, gain, iterations, final_span) by the plain RVI loop.
 
     Starts from ``start`` (default zero) and re-anchors at (1, battery_cap)
     before the first sweep and after every sweep, with a fresh table each
-    time.
+    time. Raises :class:`ConvergenceError` when ``sweeps`` sweeps do not
+    reach a span of ``cfg.epsilon``.
     """
     params.validate_for_solve()
     ref_idx = (0, params.battery_cap)
@@ -684,7 +691,7 @@ def relative_value_iteration(params: SystemParams, cfg: SolverConfig, start=None
     values -= values[ref_idx]
     gain = np.nan
     span = np.inf
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, sweeps + 1):
         q_idle, q_tx = bellman_qvalues_gathered(values, params)
         updated = np.minimum(q_idle, q_tx)
         diff = updated - values
@@ -730,12 +737,15 @@ def doubled_cap_adequacy(
 
 
 def exact_bias_violation(
-    tp: ThresholdPolicy, params: SystemParams
+    tp: ThresholdPolicy | np.ndarray, params: SystemParams
 ) -> tuple[float, np.ndarray, float]:
     """(largest Q(tp's action) - min Q, the (K, B+1, 2) Q table, gain) of ``tp``'s exact bias.
 
-    States are (age, battery) at ages 1..K, K = max(2D, 4) with D the
-    largest finite threshold (1 when there is none), age-major. With a the
+    ``tp`` is a threshold policy or an (age, battery) action table whose last
+    row holds every older age, as :func:`state_action` reads both. States are
+    (age, battery) at ages 1..K, age-major: K = max(2D, 4) with D the largest
+    finite threshold (1 when there is none), or max(D + 1, 4) for a table of
+    D rows, the fewest ages whose last two follow the last row. With a the
     action of ``tp``, the dense system g + h(s) - sum P(s, s') h(s') = c(s)
     is solved with h(1, 0) = 0; a successor at age K + 1 is read as
     h(K, b) + T(b), T the expected slots to delivery from age K under
@@ -743,12 +753,17 @@ def exact_bias_violation(
     age K each level's advantage of idling moves by its step from age K - 1
     to K, so a level whose action loses by more at every older age makes
     the violation ``inf``; so does a level from which delivery is not
-    certain. Needs p < 1 and a policy with one recurrent class (the harvest
-    chance below 1 gives one): the dense solve is dense, so keep B small.
+    certain. Needs p < 1; the dense solve is dense, so keep B small. Where
+    the policy has several recurrent classes (a harvest chance of 1 can give
+    them), h is also 0 at the lowest state of each class but the first that
+    (1, 0) reaches, and that state's equation is dropped: the answer is the
+    bias when the classes' gains agree, as they must for Howard's test.
     """
     width = params.battery_cap + 1
-    finite = [t for t in tp.thresholds if t is not None]
-    depth = max(2 * max(finite, default=1), 4)
+    if isinstance(tp, np.ndarray):
+        depth = max(len(tp) + 1, 4)
+    else:
+        depth = max(2 * max((t for t in tp.thresholds if t is not None), default=1), 4)
     deep = replace(params, aoi_cap=depth + 1)  # so that age K's successors reach age K + 1
     n = depth * width
     p = params.erasure_prob
@@ -776,7 +791,13 @@ def exact_bias_violation(
     chosen = kernels[acts, rows]
     system = np.eye(n) - chosen
     system[:, 0] = 1.0  # h(1, 0) = 0 frees its column for the gain
-    solution = np.linalg.solve(system, costs[acts, rows] + beyond[acts, rows] @ slope)
+    graph = sp.csr_matrix(chosen)
+    first = csgraph_classes(graph, 0)[1][0]
+    keep = np.ones(n, dtype=bool)
+    keep[[c[0] for c in csgraph_classes(graph)[1] if c[0] != first[0]]] = False
+    solution = np.zeros(n)
+    solution[keep] = np.linalg.solve(system[np.ix_(keep, keep)],
+                                     (costs[acts, rows] + beyond[acts, rows] @ slope)[keep])
     gain, bias = solution[0], np.concatenate([[0.0], solution[1:]])
     q = costs + kernels @ bias + beyond @ slope
     gap = q[acts, rows] - q.min(axis=0)

@@ -1,9 +1,10 @@
 """The package keeps what its demos and benchmark use: every name they import
 from it (and at its root no other), every defaulted parameter of its public
-functions and classes, every function the benchmark's span recorder looks up
-by name, and each demo and the README's quick tour run end to end in a fresh
-interpreter."""
+functions and classes, every command-line option, every function the
+benchmark's span recorder looks up by name, and each demo and the README's
+quick tour run end to end in a fresh interpreter."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -121,24 +122,59 @@ def test_traced_functions_resolve(monkeypatch):
     assert not missing, f"traced functions missing from their modules: {missing}"
 
 
-@pytest.mark.parametrize("size", ["full", "tiny"])
-def test_benchmark_command_lines_parse(size, monkeypatch, tmp_path):
-    """Every command line a benchmark workload passes to ``cli.main`` is still accepted."""
+def benchmark_argvs(size: str, monkeypatch, tmp_path: Path) -> list[list[str]]:
+    """Every command line a benchmark workload of ``size`` passes to ``cli.main``."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
-    cli = importlib.import_module(f"{PACKAGE}.cli")
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     argvs = []
     for name in sorted(workloads.WORKLOAD_CLASSES):
         workload = workloads.make(name, size, 0, reference, tmp_path / name)
         argvs += [argv for _, argv in getattr(workload, "jobs", [])]
         argvs += [workload.argv] if hasattr(workload, "argv") else []
+    return argvs
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_benchmark_command_lines_parse(size, monkeypatch, tmp_path):
+    """Every command line a benchmark workload passes to ``cli.main`` is still accepted."""
+    cli = importlib.import_module(f"{PACKAGE}.cli")
+    argvs = benchmark_argvs(size, monkeypatch, tmp_path)
     assert len(argvs) == (30 if size == "full" else 5)
     for argv in argvs:
         try:
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"the command line no longer parses: {argv}")
+
+
+def shell_options(text: str) -> set[tuple[str, str]]:
+    """(subcommand, option) for each option on an ``aoi-energy`` or ``aoi_energy.cli`` command
+    line of a shell text, lines joined at a trailing backslash."""
+    lines = text.replace("\\\n", " ").splitlines()
+    return {(command, option)
+            for line in lines
+            for command, rest in re.findall(r"aoi[-_]energy(?:\.cli)? +(\w+)(.*)", line)
+            for option in re.findall(r"(?<!\S)\[?(--[\w-]+)", rest)}
+
+
+def test_every_cli_option_has_a_caller(monkeypatch, tmp_path):
+    """Each option of each subcommand, hidden ones included, is on a command line of that
+    subcommand in the README's "Command line" block, in the CI workflow or in a benchmark
+    workload's argv. An option that none of them passes is a knob only tests turn."""
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", (ROOT / "README.md").read_text(),
+                      re.S).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    passed = shell_options(block) | shell_options(workflow)
+    passed |= {(argv[0], arg) for argv in benchmark_argvs("full", monkeypatch, tmp_path)
+               for arg in argv if arg.startswith("--")}
+    cli = importlib.import_module(f"{PACKAGE}.cli")
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {(name, action.option_strings[-1])
+               for name, parser in commands.choices.items() for action in parser._actions
+               if action.option_strings and action.dest != "help"}
+    assert not options - passed, f"options that no command line passes: {sorted(options - passed)}"
 
 
 @pytest.mark.parametrize("demo", sorted(ROOT.glob("demos/*.py")), ids=lambda p: p.name)

@@ -198,29 +198,24 @@ def test_params_reject_json_booleans(tmp_path, capsys, key):
     assert f"{key!r} must be" in capsys.readouterr().err
 
 
-def test_solve_nonconvergence_exit(tmp_path, capsys):
-    code = main(
-        [
-            "solve",
-            "--params",
-            params_file(tmp_path, SOLVE_PARAMS),
-            "--out",
-            str(tmp_path / "run"),
-            "--max-iters",
-            "2",
-        ]
-    )
+def test_solve_nonconvergence_exit(tmp_path, monkeypatch, capsys):
+    """A solve that runs out of sweeps exits 3, naming the budget."""
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
+    code = main(["solve", "--params", params_file(tmp_path, SOLVE_PARAMS),
+                 "--out", str(tmp_path / "run")])
     assert code == EXIT_NO_CONVERGENCE
-    assert "converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: value iteration did not converge: span ")
+    assert err.endswith(" after 2 sweeps\n")
 
 
 def test_parser_reuse_leaks_no_option(tmp_path, capsys):
     """The parser is built once per process; options of one call do not reach the next."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     first, second = tmp_path / "first", tmp_path / "second"
-    argv = ["solve", "--params", pfile, "--out", str(first), "--max-iters", "2"]
-    assert main(argv + ["--check-truncation"]) == EXIT_NO_CONVERGENCE
-    assert "after 2 sweeps" in capsys.readouterr().err
+    argv = ["solve", "--params", pfile, "--out", str(first), "--check-truncation"]
+    assert main(argv) == EXIT_OK
+    assert "truncation adequate" in capsys.readouterr().out
     assert main(["solve", "--params", pfile, "--out", str(second)]) == EXIT_OK
     assert "truncation" not in capsys.readouterr().out
     assert sorted(path.name for path in second.iterdir()) == sorted(cli._SOLVE_ARTIFACTS)
@@ -345,7 +340,7 @@ def test_a_valid_structure_tolerance_reaches_the_report(tmp_path, capsys):
 )
 def test_check_truncation_and_check_give_one_verdict(tmp_path, capsys, p, lam, omega, code):
     """solve --check-truncation and check of its thresholds print the same bounds and exit
-    alike: both judge Howard's gap at the one epsilon of SolverConfig."""
+    alike: both judge Howard's gap at the one epsilon, ``solver.EPSILON``."""
     pfile = params_file(tmp_path, SystemParams(p, lam, omega, 2.0, 20, 200))
     out = tmp_path / "run"
     assert main(["solve", "--params", pfile, "--out", str(out), "--check-truncation"]) == code
@@ -731,15 +726,24 @@ def test_sweep_writes_the_inf_row_without_simulating(tmp_path, monkeypatch, caps
     assert inf_fields(never) == INF_ROW
 
 
-def test_sweep_abort_writes_nothing(tmp_path, capsys):
-    """Policy iteration needs 3 rounds at this point, so 2 run out."""
+def test_sweep_abort_writes_nothing(tmp_path, monkeypatch, capsys):
+    """A point whose policy iteration breaks off aborts the whole sweep with exit 3, naming
+    the point, and writes nothing, not even the rows of the point solved before it."""
+
+    def broken(params, start=None):
+        if params.energy_weight == 2.0:
+            raise ConvergenceError("policy iteration did not converge: thresholds [3, 1] "
+                                   "repeat an earlier round's", span=float("nan"), iterations=4)
+        return real(params, start)
+
+    real = cli.policy_iteration
+    monkeypatch.setattr(cli, "policy_iteration", broken)
     pfile = params_file(tmp_path, SWEEP_PARAMS)
     out = tmp_path / "rows.csv"
-    args = sweep_args(pfile, out, "omega", "2.0", "zero-wait") + ["--max-iters", "2"]
-    assert main(args) == EXIT_NO_CONVERGENCE
+    assert main(sweep_args(pfile, out, "omega", "1.0,2.0", "zero-wait")) == EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
-    assert "sweep aborted at omega=2.0: policy iteration did not converge: thresholds [" in err
-    assert "] still move after 2 rounds" in err
+    assert err == ("error: sweep aborted at omega=2.0: policy iteration did not converge: "
+                   "thresholds [3, 1] repeat an earlier round's\n")
     assert not out.exists()
 
 
@@ -1044,7 +1048,7 @@ def test_check_truncation_refuses_kernels_over_the_bound_before_the_solve(
 def test_check_truncation_admits_every_grid_the_solver_admits(tmp_path, monkeypatch, capsys):
     """At aoi_cap * (B+1) == the bound the solve starts; one row more is refused by the solver."""
 
-    def stub(params, cfg=None):
+    def stub(params):
         params.validate_for_solve()
         raise ConvergenceError("stub solve", span=1.0, iterations=1)
 
@@ -1061,9 +1065,9 @@ def test_check_truncation_solves_once(tmp_path, monkeypatch, capsys):
     """The check reads the solved policy's exact bias: the one solve is at the given cap."""
     real_solve, caps = solver.solve, []
 
-    def counted(params, cfg=None):
+    def counted(params):
         caps.append(params.aoi_cap)
-        return real_solve(params, cfg)
+        return real_solve(params)
 
     monkeypatch.setattr(solver, "solve", counted)
     monkeypatch.setattr(cli, "solve", counted)
@@ -1317,13 +1321,16 @@ def test_solve_and_sweep_have_no_aoi_cap(tmp_path, capsys, monkeypatch, command)
         ("sweep", "--epsilon", "inf"),
         ("sweep", "--structure-tol", "nan"),
         ("sweep", "--structure-tol", "inf"),
+        ("solve", "--max-iters", "2"),
+        ("sweep", "--max-iters", "2"),
     ],
 )
 def test_hostile_tolerances_fail_before_any_work(
     tmp_path, capsys, monkeypatch, command, option, value
 ):
-    """The solver's epsilon and the certificates' tolerance are fixed, so no value of either
-    flag is taken: exit 2 before the solver or the certificates run, and write no file."""
+    """The solver's epsilon and budget and the certificates' tolerance are fixed, so no value
+    of any of these flags is taken: exit 2 before the solver or the certificates run, and
+    write no file."""
     argv = _no_solve_argv(tmp_path, monkeypatch, command)
     inputs = {path.name for path in tmp_path.iterdir()}
     assert main(argv + [f"{option}={value}"]) == EXIT_USAGE
