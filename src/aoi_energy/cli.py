@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Four subcommands: ``solve`` (single-point solve, threshold dump, structure
-certificates), ``check`` (certify saved thresholds on their exact bias),
-``eval`` (score explicit policies exactly or by Monte Carlo), and ``sweep``
-(solve along one parameter axis and score the solved policy against the
-baselines at every point, writing the rows to a results CSV once, in place
-of any earlier file).
+Four subcommands: ``solve`` (single-point solve; writes ``thresholds.json``
+and ``structure_report.json``), ``check`` (certify saved thresholds on their
+exact bias), ``eval`` (score explicit policies exactly or by Monte Carlo),
+and ``sweep`` (solve along one parameter axis and score the solved policy
+against the baselines at every point). ``eval --out`` and ``sweep --out``
+write the results CSV once, header first, in place of any earlier file.
 
 A policy whose age tail never dies scores an exact row of infinite cost (age
 ``inf``, energy ``nan``: no renewal to average over; note ``infinite_cost``).
@@ -28,7 +28,6 @@ from functools import cache
 
 from .evaluation import (
     BoundaryMassError,
-    CSV_COLUMNS,
     EvalReport,
     METHOD_EXACT,
     SimConfig,
@@ -50,7 +49,6 @@ from .solver import (
     policy_iteration,
     solve,
     threshold_bias,
-    write_value_csv,
 )
 from .structure import certify_structure
 
@@ -79,7 +77,7 @@ P_SOLVE_CLAMP = 1e-9
 
 _AXES = {"omega": "energy_weight", "lambda": "harvest_prob", "p": "erasure_prob"}
 
-_SOLVE_ARTIFACTS = ("values.csv", "thresholds.json", "thresholds.csv", "structure_report.json")
+_SOLVE_ARTIFACTS = ("thresholds.json", "structure_report.json")
 
 
 class StructureViolationError(RuntimeError):
@@ -151,15 +149,9 @@ def run_solve(args: argparse.Namespace) -> int:
     report = certify_structure(v, q, params)
 
     os.makedirs(out_dir, exist_ok=True)
-    values_csv, thresholds_json, thresholds_csv, report_json = (
-        os.path.join(out_dir, name) for name in _SOLVE_ARTIFACTS
-    )
-    write_value_csv(values_csv, v)
-    with open(thresholds_json, "w") as handle:
-        handle.write(thresholds.to_json() + "\n")
-    thresholds.write_csv(thresholds_csv)
-    with open(report_json, "w") as handle:
-        handle.write(report.to_json() + "\n")
+    for name, artifact in zip(_SOLVE_ARTIFACTS, (thresholds, report)):
+        with open(os.path.join(out_dir, name), "w") as handle:
+            handle.write(artifact.to_json() + "\n")
 
     print(f"gain {v.gain!r} after {v.iterations} sweeps (span {v.final_span:.3e})")
     print("thresholds " + json.dumps(list(thresholds.thresholds)))
@@ -193,14 +185,7 @@ def run_eval(args: argparse.Namespace) -> int:
     policies = [parse_policy_spec(text.strip()) for text in args.policies.split(",")]
     if args.out:
         _check_output(args.out)
-        header = ",".join(CSV_COLUMNS)
-        if os.path.exists(args.out) and os.path.getsize(args.out):
-            with open(args.out) as handle:
-                text = handle.read()
-            if not (text.startswith(header + "\n") and text.endswith("\n")):
-                raise ValueError(f"cannot append to {args.out!r}: it does not start with the "
-                                 f"results header {header!r} and end in a newline")
-    # Every policy is scored before any output, so a refused policy leaves no row behind.
+    # Every policy is scored before any output, so a refused policy leaves any old file as it was.
     if args.method == "mc":
         scored, seed = [(report, "") for report in simulate(policies, params, sim)], sim.seed
     else:
@@ -215,7 +200,7 @@ def run_eval(args: argparse.Namespace) -> int:
         )
         rows.append(report_row_values(label, params, report, seed, note))
     if args.out:
-        write_report_rows(args.out, rows, append=True)
+        write_report_rows(args.out, rows)
     return EXIT_OK
 
 
@@ -297,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo slots per replication; the first tenth is uncounted")
     p_eval.add_argument("--reps", type=int, default=10, help="Monte Carlo replications")
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--out", default=None, help="append result rows to this CSV")
+    p_eval.add_argument("--out", default=None, help="results CSV path")
 
     p_sweep = sub.add_parser("sweep", help="solve along one axis and score all policies")
     p_sweep.add_argument("--params", required=True, help="system parameter JSON file")

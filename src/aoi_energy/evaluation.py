@@ -626,7 +626,8 @@ def _cycles(actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: Syste
     are walked one by one; from there T is constant, and the tail sums
     use N = (I-T)^-1: visits = walk N, and sum_k k walk T^k = (walk N - walk) N.
     Returns the delivery law (the renewal kernel), the expected cycle
-    length, age sum and weighted backup spend, a mask of the states from
+    length, age sum and weighted backup spend (paid where state 0, the empty
+    battery, transmits), a mask of the states from
     which delivery is not certain (their walk reaches states from which the
     tail never leaks), N on the states from which the tail leaks, and T_d by row.
     When every level transmits at the last row and p < 1, every state leaks,
@@ -634,7 +635,6 @@ def _cycles(actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: Syste
     """
     p = params.erasure_prob
     n = idle.shape[0]
-    empty = np.arange(n) % (params.battery_cap + 1) == 0
     walk = np.eye(n)
     length = np.zeros(n)
     age_sum = np.zeros(n)
@@ -667,7 +667,7 @@ def _cycles(actions: np.ndarray, idle: np.ndarray, tx: np.ndarray, params: Syste
     sent[:, good] += visits * a[good]
 
     deliveries = (1.0 - p) * sent @ tx
-    spend = params.energy_weight * params.backup_cost * (sent @ empty)
+    spend = params.energy_weight * params.backup_cost * sent[:, 0]
     return deliveries, length, age_sum, spend, trapped, fundamental, steps
 
 
@@ -698,10 +698,10 @@ def evaluate_exact(spec: PolicySpec, params: SystemParams) -> EvalReport:
     is not certain, as for a policy that never transmits or ``Periodic`` at
     p = 1: the age tail never dies and the average cost is infinite.
     """
-    _bounds(spec, params)  # a refused spec builds no kernels and evicts none
+    _check_kernels(params)  # B >= 1024 is refused before any array exists
+    rows = _transmit_rows(spec, params)  # a refused spec builds no kernels and evicts none
     idle, tx, _ = _slot_kernels(params, 1)
     p = params.erasure_prob
-    rows = _transmit_rows(spec, params)
     if rows is None:
         dies = p < 1.0 and (isinstance(spec, Periodic) or spec.p_tx > 0.0)
     else:
@@ -825,10 +825,9 @@ def report_row_values(
     ]
 
 
-def write_report_rows(path: str, rows: list[list], append: bool = False) -> None:
-    """Write result rows in one shot, after the header unless appending to a non-empty file."""
-    with open(path, "a" if append else "w", newline="") as handle:
+def write_report_rows(path: str, rows: list[list]) -> None:
+    """Write the :data:`CSV_COLUMNS` header and ``rows`` at once, replacing any earlier file."""
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        if handle.tell() == 0:  # appending opens at the end of the file
-            writer.writerow(CSV_COLUMNS)
+        writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)

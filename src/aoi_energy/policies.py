@@ -11,7 +11,6 @@ directly.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Union
@@ -72,13 +71,6 @@ class ThresholdPolicy:
         if unknown:
             raise ValueError(f"threshold JSON has unknown keys: {sorted(unknown)}")
         return cls(thresholds=tuple(data["thresholds"]))
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["q", "threshold"])
-            for q, value in enumerate(self.thresholds):
-                writer.writerow([q, "never" if value is None else value])
 
 
 @dataclass(frozen=True)

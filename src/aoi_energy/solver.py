@@ -66,7 +66,6 @@ __all__ = [
     "threshold_bias",
     "check_truncation_adequacy",
     "policy_iteration",
-    "write_value_csv",
 ]
 
 EPSILON = 1e-9  # RVI's span tolerance, policy iteration's margin, Howard's largest gap
@@ -460,11 +459,3 @@ def policy_iteration(
     raise ConvergenceError(f"policy iteration did not converge: thresholds "
                            f"{(rows.argmax(axis=0) + 1).tolist()} {why}",
                            span=math.nan, iterations=rounds)
-
-
-def write_value_csv(path: str, v: ValueTable) -> None:
-    """Dump values as (delta, q, value) rows, age-major, full float precision."""
-    rows = v.values.tolist()
-    lines = [f"{d},{q},{x!r}\n" for d, row in enumerate(rows, 1) for q, x in enumerate(row)]
-    with open(path, "w", newline="") as handle:
-        handle.write("delta,q,value\n" + "".join(lines))

@@ -6,9 +6,7 @@ Model: the slot law per state. ``transition`` is the exact successor law
 ``decide`` gives any policy's action at a state and slot, ages uncapped.
 The package's three statements of the law (the solver's backup, the
 evaluation kernels, the simulator's automaton) are checked against these.
-So do the (de)serialisers of CLI files that the package never needs, and
-the ``csv.writer`` form of the value CSV writer, which the package's
-joined-string writer must match byte for byte.
+The reader of ``structure_report.json``, which the package never needs, is here too.
 
 Exact evaluation: the policy-induced kernel is built state by state from
 ``transition`` on the (aoi_cap x battery) grid, where age saturates at the
@@ -64,7 +62,6 @@ relative value iteration at twice the age cap.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, replace
@@ -74,6 +71,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import spsolve
 
 from aoi_energy import (
     EnergyFirst,
@@ -330,42 +328,6 @@ def params_to_json(params: SystemParams) -> str:
     return json.dumps({keys.get(k, k): v for k, v in asdict(params).items()}, allow_nan=False)
 
 
-def write_value_csv_rows(path: str, v) -> None:
-    """Value CSV through ``csv.writer``, one ``repr(float(cell))`` per row, age-major."""
-    cap, width = v.values.shape
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["delta", "q", "value"])
-        for row in range(cap):
-            for battery in range(width):
-                writer.writerow([row + 1, battery, repr(float(v.values[row, battery]))])
-
-
-def read_value_csv(path: str) -> np.ndarray:
-    """Read back what ``write_value_csv`` wrote: the dense (aoi_cap, B+1) value grid."""
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    values = np.empty((int(rows[-1]["delta"]), int(rows[-1]["q"]) + 1))  # age-major: last is max
-    for row in rows:
-        values[int(row["delta"]) - 1, int(row["q"])] = float(row["value"])
-    return values
-
-
-def read_threshold_csv(path: str) -> ThresholdPolicy:
-    """Read back what ``ThresholdPolicy.write_csv`` wrote."""
-    rows: dict[int, int | None] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != ["q", "threshold"]:
-            raise ValueError(f"unexpected threshold CSV header {reader.fieldnames}")
-        for row in reader:
-            value = row["threshold"]
-            rows[int(row["q"])] = None if value == "never" else int(value)
-    if sorted(rows) != list(range(len(rows))):
-        raise ValueError("threshold CSV battery levels are not contiguous from 0")
-    return ThresholdPolicy(thresholds=tuple(rows[q] for q in sorted(rows)))
-
-
 def structure_report_from_json(text: str) -> StructureReport:
     """Read back what ``StructureReport.to_json`` wrote."""
     data = json.loads(text)
@@ -518,6 +480,8 @@ def dense_periodic_cost(spec: Periodic, params: SystemParams) -> tuple[float, fl
     tx = dense_kernel(replace(params, erasure_prob=0.0), Action.TRANSMIT, 1)
     advance = np.roll(np.eye(spec.period), 1, axis=1)
     on_phase = np.arange(spec.period) == 0
+    # Only phase 0 transmits, so all backup spend is at state 0, (phase 0, battery 0),
+    # the one state where _cycles reads it.
     actions = np.repeat(on_phase, params.battery_cap + 1)[None, :].astype(float)
     deliveries, length, age_sum, spend, trapped, _, _ = _cycles(
         actions, np.kron(advance, idle), np.kron(advance, tx), params
@@ -746,14 +710,14 @@ def exact_bias_violation(
     (age, battery) at ages 1..K, age-major: K = max(2D, 4) with D the largest
     finite threshold (1 when there is none), or max(D + 1, 4) for a table of
     D rows, the fewest ages whose last two follow the last row. With a the
-    action of ``tp``, the dense system g + h(s) - sum P(s, s') h(s') = c(s)
+    action of ``tp``, the sparse system g + h(s) - sum P(s, s') h(s') = c(s)
     is solved with h(1, 0) = 0; a successor at age K + 1 is read as
     h(K, b) + T(b), T the expected slots to delivery from age K under
     ``tp``'s actions there (T = 1/(1-p) when every level transmits). Past
     age K each level's advantage of idling moves by its step from age K - 1
     to K, so a level whose action loses by more at every older age makes
     the violation ``inf``; so does a level from which delivery is not
-    certain. Needs p < 1; the dense solve is dense, so keep B small. Where
+    certain. Needs p < 1; the kernels are sparse, a few entries a row. Where
     the policy has several recurrent classes (a harvest chance of 1 can give
     them), h is also 0 at the lowest state of each class but the first that
     (1, 0) reaches, and that state's equation is dropped: the answer is the
@@ -766,40 +730,42 @@ def exact_bias_violation(
         depth = max(2 * max((t for t in tp.thresholds if t is not None), default=1), 4)
     deep = replace(params, aoi_cap=depth + 1)  # so that age K's successors reach age K + 1
     n = depth * width
-    p = params.erasure_prob
-    kernels = np.zeros((2, n, n))
-    beyond = np.zeros((2, n, width))  # mass on age K + 1, by battery
     costs = np.zeros((2, n))
+    entries = []  # (action, probability, state, successor, whether the successor is past age K)
     for s in states(replace(params, aoi_cap=depth)):
         i = state_index(s, params)
         for action in Action:
             costs[action, i] = stage_cost(s, action, deep)
             for nxt, prob in transition(s, action, deep):
-                if nxt.aoi > depth:
-                    beyond[action, i, nxt.battery] += prob
-                    kernels[action, i, state_index(State(depth, nxt.battery), params)] += prob
-                else:
-                    kernels[action, i, state_index(nxt, params)] += prob
+                j = state_index(State(min(nxt.aoi, depth), nxt.battery), params)
+                entries.append((action, prob, i, j, nxt.aoi > depth))
+    taken, prob, origin, target, past = map(np.array, zip(*entries))
     acts = np.array([state_action(tp, s) for s in states(replace(params, aoi_cap=depth))])
     rows = np.arange(n)
-    tail = beyond[acts[-width:], rows[-width:]]  # no-delivery law from age K under tp
+
+    def kernel(mask):
+        """The entries in ``mask`` as a sparse kernel, and their mass on age K + 1 by battery."""
+        far = mask & past
+        return (sp.csr_matrix((prob[mask], (origin[mask], target[mask])), shape=(n, n)),
+                sp.csr_matrix((prob[far], (origin[far], target[far] % width)), shape=(n, width)))
+
+    chosen, beyond = kernel(taken == acts[origin])
+    tail = beyond[-width:].toarray()  # no-delivery law from age K under tp
     leaking = acts[-width:] == Action.TRANSMIT
     hops = csgraph.shortest_path(sp.csr_matrix(tail > 0.0), unweighted=True)
     if not np.isfinite(hops[:, leaking]).any(axis=1).all():
         return math.inf, np.full((depth, width, 2), np.nan), math.inf
     slope = np.linalg.solve(np.eye(width) - tail, np.ones(width))
-    chosen = kernels[acts, rows]
-    system = np.eye(n) - chosen
+    system = (sp.eye(n) - chosen).tolil()
     system[:, 0] = 1.0  # h(1, 0) = 0 frees its column for the gain
-    graph = sp.csr_matrix(chosen)
-    first = csgraph_classes(graph, 0)[1][0]
+    first = csgraph_classes(chosen, 0)[1][0]
     keep = np.ones(n, dtype=bool)
-    keep[[c[0] for c in csgraph_classes(graph)[1] if c[0] != first[0]]] = False
+    keep[[c[0] for c in csgraph_classes(chosen)[1] if c[0] != first[0]]] = False
     solution = np.zeros(n)
-    solution[keep] = np.linalg.solve(system[np.ix_(keep, keep)],
-                                     (costs[acts, rows] + beyond[acts, rows] @ slope)[keep])
+    solution[keep] = spsolve(system.tocsc()[:, keep][keep],
+                             (costs[acts, rows] + beyond @ slope)[keep])
     gain, bias = solution[0], np.concatenate([[0.0], solution[1:]])
-    q = costs + kernels @ bias + beyond @ slope
+    q = costs + np.stack([k @ bias + b @ slope for k, b in (kernel(taken == a) for a in Action)])
     gap = q[acts, rows] - q.min(axis=0)
     step = (q[0] - q[1])[-width:] - (q[0] - q[1])[-2 * width : -width]
     if np.where(leaking, step < 0.0, step > 0.0).any():

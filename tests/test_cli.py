@@ -28,8 +28,7 @@ from aoi_energy.policies import ThresholdPolicy
 from aoi_energy.solver import ConvergenceError
 from aoi_energy.structure import DEFAULT_TOLERANCE
 from conftest import refuse_allocation
-from reference import params_to_json, read_threshold_csv, read_value_csv
-from reference import structure_report_from_json
+from reference import params_to_json, structure_report_from_json
 
 SOLVE_PARAMS = SystemParams(
     erasure_prob=0.3,
@@ -85,15 +84,15 @@ def read_rows(path):
 
 
 def test_solve_writes_all_artifacts(tmp_path, capsys):
+    """solve --out writes the thresholds and the certificates, and nothing else."""
     out = tmp_path / "missing" / "nested" / "run"  # every missing ancestor is made
     code = main(["solve", "--params", params_file(tmp_path, SOLVE_PARAMS), "--out", str(out)])
     assert code == EXIT_OK
 
-    values = read_value_csv(str(out / "values.csv"))
-    assert values.shape == SOLVE_PARAMS.grid_shape
+    assert sorted(path.name for path in out.iterdir()) == ["structure_report.json",
+                                                          "thresholds.json"]
     thresholds = ThresholdPolicy.from_json((out / "thresholds.json").read_text())
     assert thresholds.battery_cap == SOLVE_PARAMS.battery_cap
-    assert read_threshold_csv(str(out / "thresholds.csv")) == thresholds
     report = structure_report_from_json((out / "structure_report.json").read_text())
     assert report.all_pass
 
@@ -118,7 +117,7 @@ def test_solve_is_deterministic(tmp_path):
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     for name in ("a", "b"):
         assert main(["solve", "--params", pfile, "--out", str(tmp_path / name)]) == EXIT_OK
-    for artifact in ("values.csv", "thresholds.json", "thresholds.csv"):
+    for artifact in ("thresholds.json", "structure_report.json"):
         assert (tmp_path / "a" / artifact).read_bytes() == (tmp_path / "b" / artifact).read_bytes()
 
 
@@ -249,7 +248,7 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys, 
     pfile = params_file(tmp_path, SOLVE_PARAMS)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
-    (tmp_path / "dir" / "values.csv").mkdir()
+    (tmp_path / "dir" / "thresholds.json").mkdir()
     out = {
         "under-file": tmp_path / "file" / "sub",
         "missing-dir": tmp_path / "missing" / "rows.csv",
@@ -517,7 +516,7 @@ def test_eval_mc_is_seed_deterministic(tmp_path):
 
 
 def test_eval_mc_rows_match_one_policy_runs(tmp_path, capsys):
-    """One mc eval of three policies prints and writes what three one-policy evals do."""
+    """One mc eval of three policies prints and writes the rows that three one-policy evals do."""
     pfile = params_file(tmp_path, EVAL_PARAMS)
     policies = ["random:0.3", "periodic:4", "zero-wait"]
     base = ["eval", "--params", pfile, "--method", "mc", "--horizon", "3000", "--reps", "3",
@@ -525,10 +524,12 @@ def test_eval_mc_rows_match_one_policy_runs(tmp_path, capsys):
     together = base + ["--policies", ",".join(policies), "--out", str(tmp_path / "all.csv")]
     assert main(together) == EXIT_OK
     printed = capsys.readouterr().out
-    for policy in policies:
-        assert main(base + ["--policies", policy, "--out", str(tmp_path / "one.csv")]) == EXIT_OK
+    ones = [tmp_path / f"one-{i}.csv" for i in range(len(policies))]
+    for policy, one in zip(policies, ones):
+        assert main(base + ["--policies", policy, "--out", str(one)]) == EXIT_OK
     assert capsys.readouterr().out == printed
-    assert (tmp_path / "all.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    header, *rows = (tmp_path / "all.csv").read_text().splitlines(keepends=True)
+    assert [one.read_text() for one in ones] == [header + row for row in rows]
     assert [row["policy"] for row in read_rows(tmp_path / "all.csv")] == policies
 
 
@@ -1219,46 +1220,32 @@ def test_refused_policy_leaves_no_exact_rows(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_eval_out_appends_after_one_header(tmp_path, capsys):
-    """eval --out writes the header to a new or empty file only, then appends its rows in order."""
+def test_eval_out_writes_the_whole_file(tmp_path, capsys):
+    """A second eval --out leaves the header and that run's rows, whatever the file held.
+
+    Over a results CSV or another file, the file ends as a fresh path's would.
+    A refused policy exits 2 and leaves the file byte for byte as it was.
+    """
     pfile = params_file(tmp_path, EVAL_PARAMS)
-    out = tmp_path / "rows.csv"
-    out.write_text("")
-    for policies in ("zero-wait,energy-first", "periodic:3"):
-        argv = ["eval", "--params", pfile, "--policies", policies, "--out", str(out)]
-        assert main(argv) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(evaluation.CSV_COLUMNS) and lines.count(lines[0]) == 1
-    assert [row["policy"] for row in read_rows(out)] == ["zero-wait", "energy-first", "periodic:3"]
+    out, fresh = tmp_path / "rows.csv", tmp_path / "fresh.csv"
 
+    def run(policies, path):
+        return main(["eval", "--params", pfile, "--policies", policies, "--out", str(path)])
 
-HEADER = ",".join(evaluation.CSV_COLUMNS)
-
-
-ROW = ",".join(["zero-wait", *["1"] * (len(evaluation.CSV_COLUMNS) - 1)])
-
-
-@pytest.mark.parametrize(
-    "content",
-    ["delta,q,value\n1,0,0.0\n", "\n" + HEADER + "\n", HEADER, HEADER + "\n" + ROW],
-    ids=["value-csv", "blank-first-line", "header-without-newline", "row-without-newline"],
-)
-def test_eval_out_refuses_a_file_that_is_not_a_results_csv(
-    tmp_path, monkeypatch, capsys, content
-):
-    """Exit 2 before anything is scored, naming the file, and leave it unchanged."""
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("eval scored a policy")
-
-    monkeypatch.setattr(cli, "evaluate_exact", must_not_run)
-    pfile = params_file(tmp_path, EVAL_PARAMS)
-    out = tmp_path / "values.csv"
-    out.write_text(content)
-    argv = ["eval", "--params", pfile, "--policies", "zero-wait", "--out", str(out)]
-    assert main(argv) == EXIT_USAGE
-    assert f"cannot append to {str(out)!r}" in capsys.readouterr().err
-    assert out.read_text() == content
+    assert run("periodic:3", fresh) == EXIT_OK
+    assert fresh.read_text().splitlines()[0] == ",".join(evaluation.CSV_COLUMNS)
+    assert [row["policy"] for row in read_rows(fresh)] == ["periodic:3"]
+    for earlier in ("results CSV", "delta,q,value\n1,0,0.0\n", "\n", "no newline"):
+        if earlier == "results CSV":
+            assert run("zero-wait,energy-first", out) == EXIT_OK
+        else:
+            out.write_text(earlier)
+        assert run("periodic:3", out) == EXIT_OK
+        assert out.read_bytes() == fresh.read_bytes()
+    capsys.readouterr()
+    assert run(f"zero-wait,periodic:{'9' * 401}", out) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_eval_refuses_unknown_parameter_keys(tmp_path, capsys):

@@ -1065,13 +1065,13 @@ def test_report_rows_round_trip(tmp_path):
     assert float(row[7]) == report.avg_total_cost  # repr survives the trip
 
     path = tmp_path / "rows.csv"
-    for seed in (42, 43):
+    for seed in (42, 43):  # each write replaces the file: the header, then its own rows
         values = report_row_values("zero-wait", EVAL_BENCH, report, seed)
-        write_report_rows(str(path), [values], append=True)
+        write_report_rows(str(path), [values])
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == CSV_COLUMNS
-    assert len(rows) == 3
+    assert [row[CSV_COLUMNS.index("seed")] for row in rows[1:]] == ["43"]
 
     bulk = tmp_path / "bulk.csv"
     write_report_rows(str(bulk), [row])

@@ -25,7 +25,7 @@ from aoi_energy.evaluation import _transmit_rows
 from aoi_energy.model import State
 from aoi_energy.policies import PolicySpec, ThresholdPolicy
 from conftest import refuse_allocation
-from reference import Action, decide, read_threshold_csv, state_action, transmit_count
+from reference import Action, decide, state_action, transmit_count
 
 PARAMS = SystemParams(
     erasure_prob=0.2,
@@ -229,23 +229,6 @@ def test_threshold_json_refuses_a_repeated_key():
     """A repeated key is refused by name; the last list does not silently win."""
     with pytest.raises(ValueError, match="JSON key 'thresholds' is given twice"):
         ThresholdPolicy.from_json('{"thresholds": [null, 2], "thresholds": [1, 1]}')
-
-
-def test_threshold_csv_round_trip(tmp_path):
-    spec = ThresholdPolicy(thresholds=(None, 12, 3, 1))
-    path = tmp_path / "tp.csv"
-    spec.write_csv(str(path))
-    assert read_threshold_csv(str(path)) == spec
-    lines = path.read_text().splitlines()
-    assert lines[0] == "q,threshold"
-    assert lines[1] == "0,never"
-
-
-def test_threshold_csv_rejects_gaps(tmp_path):
-    path = tmp_path / "tp.csv"
-    path.write_text("q,threshold\n0,3\n2,1\n")
-    with pytest.raises(ValueError):
-        read_threshold_csv(str(path))
 
 
 # ---------------------------------------------------------------------------

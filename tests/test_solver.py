@@ -28,13 +28,12 @@ from aoi_energy.solver import (
     ThresholdStructureError,
     ValueTable,
     bellman_qvalues,
-    write_value_csv,
 )
 from conftest import BENCH, EPSILON, MID
 from reference import bellman_qvalues_gathered, greedy_policy_shortcircuit, relative_value_iteration
 from reference import column_thresholds, doubled_cap_adequacy, exact_bias_violation
 from reference import threshold_table
-from reference import read_value_csv, state_action, write_value_csv_rows
+from reference import state_action
 
 SMALL = SystemParams(
     erasure_prob=0.3,
@@ -703,15 +702,15 @@ def test_policy_iteration_pinned_cases(params, expected):
     p=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
     lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     omega=st.floats(0.0, 100.0),
-    cost=st.floats(0.0, 5.0),
+    cost=st.floats(0.0, 10.0),
 )
 def test_policy_iteration_gain_never_rises_property(battery_cap, p, lam, omega, cost):
     """Each round's gain is the dense oracle's for that round's action rows, to 1e-9
     relative, and no round's gain rises above the one before by more than 1e-9 relative.
     Howard's rule switches only actions that lose by more than epsilon, so the gain never
     rises and no rows repeat: the rounds end with no budget. At a harvest chance of 1 the
-    rows reach about omega * c_r ages, so omega * c_r stays within 500 to keep the dense
-    oracle small."""
+    rows reach about omega * c_r ages, so omega * c_r stays within 1,000 to keep the
+    oracle's sparse kernels small."""
     params = SystemParams(p, lam, omega, cost, battery_cap, 40)
     rounds, real = [], solver._exact_bias
 
@@ -760,6 +759,26 @@ def test_policy_iteration_refuses_what_it_cannot_certify(monkeypatch):
                        "again at age 2") as raised:
         solver.policy_iteration(SMALL)
     assert raised.value.witnesses == [State(1, 1), State(2, 1)]
+
+
+def test_policy_iteration_stops_when_rows_repeat(monkeypatch):
+    """Rows that come back to an earlier round's raise ConvergenceError after that round.
+
+    The stub makes the action at age 1, battery 0 lose by 1.0 whichever it is: ZeroWait's
+    row idles there in round 1, which adds an all-transmit row, and transmits again in
+    round 2, which trims the rows back to ZeroWait's.
+    """
+
+    def flipping(rows, params):
+        q = np.zeros((*rows.shape, 2))
+        q[0, 0, int(rows[0, 0])] = 1.0
+        return 0.0, None, q, None
+
+    monkeypatch.setattr(solver, "_exact_bias", flipping)
+    message = r"\[1, 1, 1, 1, 1\] repeat an earlier round's"
+    with pytest.raises(ConvergenceError, match=message) as raised:
+        solver.policy_iteration(SMALL)
+    assert raised.value.iterations == 2
 
 
 SWEEP_AXES = {"p": "erasure_prob", "lambda": "harvest_prob", "omega": "energy_weight"}
@@ -879,26 +898,3 @@ def test_threshold_bias_refuses_what_has_no_finite_bias():
     certain_loss = dataclasses.replace(SMALL, erasure_prob=1.0)
     assert solver.threshold_bias(ThresholdPolicy((1,) * 5), certain_loss) is None
     assert not check_truncation_adequacy(ThresholdPolicy((1,) * 5), certain_loss)
-
-
-# ---------------------------------------------------------------------------
-# value table serialization
-
-
-def test_value_csv_round_trip(tmp_path, bench_solution):
-    v, _ = bench_solution
-    path = tmp_path / "values.csv"
-    write_value_csv(str(path), v)
-    back = read_value_csv(str(path))
-    assert back.shape == v.values.shape
-    assert np.array_equal(back, v.values)  # repr round-trips floats exactly
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_value_csv_matches_csv_writer_bytes(tmp_path, order):
-    cells = [-0.0, 0.0, 1e-300, 5e-324, -5e-324, 1.7976931348623157e308, -1e308, 3.0, -7.0,
-             2.0**53, 1e16, 0.1, 1 / 3, 123456.789, float("inf"), float("nan")]
-    v = ValueTable(np.asarray(np.reshape(cells, (4, 4)), order=order), 0.0, 0, 0.0)
-    write_value_csv(str(tmp_path / "joined.csv"), v)
-    write_value_csv_rows(str(tmp_path / "rows.csv"), v)
-    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
