@@ -318,12 +318,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        params = _load_params(args)
-        what = (f"the {params.aoi_cap} x {params.battery_cap + 1} (aoi_cap x battery levels) "
-                f"grid of {params.n_states} states")
-        if args.command == "eval":  # name only the evaluator that ran
-            what = (f"the Monte Carlo horizon of {args.horizon} slots (a byte per slot)"
-                    if args.method == "mc" else "exact evaluation")
+        what = "exact evaluation"  # what check, sweep and eval --method exact run
+        if args.command == "solve":
+            cap, width = _load_params(args).grid_shape
+            what = f"the {cap} x {width} (aoi_cap x battery levels) grid of {cap * width} states"
+        elif args.command == "eval" and args.method == "mc":
+            what = f"the Monte Carlo horizon of {args.horizon} slots (a byte per slot)"
         print(f"error: out of memory for {what}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,10 +10,10 @@ is credited after the spend, so a unit arriving in the same slot never
 rescues an already-empty battery.
 
 The age axis is truncated at ``aoi_cap`` for finite-state computation: age
-increments saturate there. The cap truncates the solver's grid and
-enumeration's chain; exact evaluation and the Monte Carlo simulator work on
-the untruncated chain and ignore it. Whether the truncation is adequate is
-tested by the solver, on the untruncated chain, not assumed here.
+increments saturate there. The cap truncates value iteration's grid and
+enumeration's chain; exact evaluation, Monte Carlo, policy iteration and
+Howard's test work on the untruncated chain and ignore it. Whether the
+truncation is adequate is tested by the solver there, not assumed here.
 
 This module holds the parameters and the state. The slot law is written
 where it runs, twice: in the solver's Bellman backup, and in

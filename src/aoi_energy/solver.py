@@ -24,11 +24,11 @@ Policy iteration (Howard 1960) works on boolean action rows, age by battery
 level, the last row standing for every older age. A round
 (:func:`_exact_bias`) builds the exact bias on those rows' ages alone and
 switches every action that loses by more than epsilon; no round projects
-onto thresholds, which are read off the rows once they stop switching. Only
-the converged round's tables are extended to the ``aoi_cap`` grid, in closed
-form (:func:`_on_grid`). Howard's test of a threshold policy
-(:func:`threshold_bias`) is one such round on its rows, so both give the
-same tables bit for bit.
+onto thresholds, which are read off the rows once they stop switching. A
+round's tables cover ages 1..D+2 at every ``aoi_cap``, D its last row: past
+D they grow in closed form, so the structure certificates read every age off
+them. Howard's test of a threshold policy (:func:`threshold_bias`) is one
+such round on its rows, so both give the same tables bit for bit.
 
 A sweep is about fifteen numpy calls, and on the default grid their fixed
 dispatch cost is about half its time. So each call is bound once per solve
@@ -282,7 +282,7 @@ def _thresholds(actions: np.ndarray) -> ThresholdPolicy:
 
 
 class HowardTest(NamedTuple):
-    """A threshold policy's exact bias, ``values`` (ages 1..aoi_cap, its cost as gain) and ``q``.
+    """A threshold policy's exact bias, ``values`` (ages 1..D+2, its cost as gain) and ``q``.
 
     ``gap`` is the most an action of its transmit rows (ages 1..D) loses on
     it, first at ``witness`` (ages before batteries). The optimal cost lies
@@ -296,7 +296,7 @@ class HowardTest(NamedTuple):
 
 
 def _exact_bias(rows: np.ndarray, params: SystemParams) -> tuple | None:
-    """One Howard round on ``rows``: gain, bias h (ages 1..D+1), q (ages 1..D) and fresh.
+    """One Howard round on ``rows``: gain, bias h (ages 1..D+3), q (ages 1..D+2) and losses.
 
     ``rows`` are boolean action rows, 1 = transmit, the last row D for every
     older age too. None unless every level transmits at row D, p < 1 and the
@@ -305,8 +305,10 @@ def _exact_bias(rows: np.ndarray, params: SystemParams) -> tuple | None:
     h_d = c_d - g + T_d h_(d+1) + diag(a_d) fresh, where fresh = (1-p) tx h_1
     is what a delivery lands on, and (I - M) h_1 = C - g L by :func:`_cycles`,
     with nu h_1 = 0 on each recurrent class of M (one closure of M serves
-    every class). Past D, h grows by 1/(1-p) per age: :func:`_on_grid`
-    extends the tables that way.
+    every class). Past D, h grows by 1/(1-p) per age, and the idle advantage
+    by 1, so rows D+1..D+3 follow in closed form and the pair (D, D+1)
+    stands for every older one. ``losses`` is what each action of ``rows``
+    loses to the better one on q.
     """
     p = params.erasure_prob
     if not (rows[-1].all() and p < 1.0):
@@ -326,12 +328,15 @@ def _exact_bias(rows: np.ndarray, params: SystemParams) -> tuple | None:
     fresh = (1.0 - p) * (tx @ first)  # a delivery lands on h_1
     depth = len(rows)
     cost = np.arange(1.0, depth + 1)[:, None] + rows * (_backup(params) + fresh) - gains[0]
-    h = np.empty((depth + 1, len(idle)))
+    h = np.empty((depth + 3, len(idle)))
     h[depth - 1] = tail @ (cost[-1] + p / (1.0 - p))  # tail = (I - p tx)^-1: all transmit at D
-    h[depth] = h[depth - 1] + 1.0 / (1.0 - p)
+    h[depth:] = h[depth - 1] + np.arange(1.0, 4.0)[:, None] / (1.0 - p)
     for d in range(depth - 2, -1, -1):
         h[d] = cost[d] + steps[d] @ h[d + 1]
-    return float(gains[0]), h, _q(h, fresh, params), fresh
+    q = _q(h, fresh, params)
+    idles, sends = q[:depth, :, 0], q[:depth, :, 1]
+    losses = np.where(rows, sends, idles) - np.minimum(idles, sends)
+    return float(gains[0]), h, q, losses
 
 
 def _backup(params: SystemParams) -> np.ndarray:
@@ -346,26 +351,10 @@ def _q(h: np.ndarray, fresh: np.ndarray, params: SystemParams) -> np.ndarray:
     return np.stack([age + later @ idle.T, age + _backup(params) + p * later @ tx.T + fresh], -1)
 
 
-def _losses(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """What each action of ``rows`` loses to the better one on the round's ``q``."""
-    return np.where(rows, q[..., 1], q[..., 0]) - np.minimum(q[..., 0], q[..., 1])
-
-
-def _on_grid(exact: tuple, params: SystemParams) -> tuple[ValueTable, np.ndarray]:
-    """A round's value and q tables on the ``aoi_cap`` grid, anchored at (1, battery_cap).
-
-    Past D, h grows by 1/(1-p) per age, so the rows a round did not build
-    follow in closed form; q is then built over the whole grid at once.
-    ``final_span`` is the span of min(q) - h, and ``iterations`` 0.
-    """
-    gain, h, q, fresh = exact
-    depth, cap = len(q), params.aoi_cap
-    if cap > depth:
-        older = np.arange(2.0, cap + 2 - depth)[:, None] / (1.0 - params.erasure_prob)
-        h = np.concatenate([h, h[depth - 1] + older])
-        q = _q(h, fresh, params)
+def _anchored(gain: float, h: np.ndarray, q: np.ndarray) -> tuple[ValueTable, np.ndarray]:
+    """A round's tables on q's ages, anchored at (1, battery_cap); ``final_span`` of min(q) - h."""
     anchor = h[0, -1]
-    values, q = h[:cap] - anchor, q[:cap] - anchor
+    values, q = h[: len(q)] - anchor, q - anchor
     span = float(np.ptp(np.minimum(q[..., 0], q[..., 1]) - values))
     return ValueTable(values, gain, 0, span), q
 
@@ -379,15 +368,15 @@ def threshold_bias(tp: ThresholdPolicy, params: SystemParams) -> HowardTest | No
     1 + 1/(1-p) at an idle level, and at the idle level m of longest wait
     idling loses at least (1-p) T_m - 1 > 0 more per age. Past D the advantage
     of idling grows by 1 per age, so rows 1..D hold the gap. The tables are
-    the round's on the ``aoi_cap`` grid (:func:`_on_grid`).
+    the round's, on ages 1..D+2 (:func:`_anchored`).
     """
     rows = _transmit_rows(tp, params)
     exact = _exact_bias(rows, params)
     if exact is None:
         return None
-    losses = _losses(rows, exact[2])
+    gain, h, q, losses = exact
     age, battery = np.unravel_index(losses.argmax(), losses.shape)
-    return HowardTest(*_on_grid(exact, params), float(losses.max()),
+    return HowardTest(*_anchored(gain, h, q), float(losses.max()),
                       State(int(age) + 1, int(battery)))
 
 
@@ -424,8 +413,8 @@ def policy_iteration(
     :class:`ConvergenceError`, naming each level's first transmitting age,
     when rounding makes the rows repeat an earlier round's or a round's class
     gains differ. A threshold at an exact tie may depend on the start, the
-    cost not. Returns the last round's bias and q table on the ``aoi_cap``
-    grid (:func:`_on_grid`), and the thresholds.
+    cost not. Returns the last round's bias and q table on ages 1..D+2 at
+    every ``aoi_cap`` (:func:`_anchored`), and the thresholds.
     """
     params.validate_for_solve()
     if start is not None and None in start.thresholds:
@@ -438,10 +427,10 @@ def policy_iteration(
         if exact is None:
             why = "have recurrent classes of unequal gain"
             break
-        losses = _losses(rows, exact[2])
+        gain, h, q, losses = exact
         switch = losses > EPSILON
         if not switch.any():
-            v, q = _on_grid(exact, params)
+            v, q = _anchored(gain, h, q)
             return replace(v, iterations=rounds), q, _thresholds(rows)
         rows, depth = rows ^ switch, len(rows)
         idle = ~rows[-1]

@@ -14,10 +14,12 @@ with p the erasure probability:
 - ``submodular_q``, step (1, 0): A(d+1, b) - A(d, b).
 
 Each check reports its worst signed margin (negative = violated) and the
-first pair, ages before batteries, that attains it. Age pairs stop at
-d+1 = aoi_cap-1 because saturation distorts increments at the cap, so at
-aoi_cap 2 the four checks with an age step pass with margin ``inf`` and no
-witness.
+first pair, ages before batteries, that attains it. Age pairs stop one row
+before a table's last: the cap of ``solve``'s grid, where saturation distorts
+increments, or the closed-form row D+2 of an exact bias, D its last action
+row, past which every pair repeats the margins of the pair (D, D+1), so the
+certificate covers every age. With 2 rows the four checks with an age step
+pass with margin ``inf`` and no witness.
 """
 
 from __future__ import annotations
@@ -78,17 +80,19 @@ def structure_checks(
 ) -> list[MarginCheck]:
     """The five certificates of the module docstring, in :class:`StructureReport` field order.
 
-    ``v`` is the (aoi_cap, B+1) value table and ``q`` the (aoi_cap, B+1, 2)
-    table :func:`solve` returns.
+    ``v`` is a value table of R >= 2 age rows by the B+1 battery levels and
+    ``q`` the (R, B+1, 2) state-action table on the same rows: the tables
+    :func:`solve` returns (R = aoi_cap), or an exact bias (R = D+2).
     """
     values = np.asarray(v.values if isinstance(v, ValueTable) else v, dtype=float)
     q_values = np.asarray(q, dtype=float)
-    cap, width = params.grid_shape
-    for what, table, shape in (("value", values, (cap, width)), ("q", q_values, (cap, width, 2))):
-        if table.shape != shape:
-            raise ValueError(f"{what} shape {table.shape}, expected {shape}")
-    p = params.erasure_prob
-    lower, upper = values[: cap - 2], values[1 : cap - 1]  # V(d, b) and V(d+1, b)
+    width = params.battery_cap + 1
+    if values.shape[1:] != (width,) or len(values) < 2:
+        raise ValueError(f"value shape {values.shape}, expected (R, {width}) with R >= 2")
+    if q_values.shape != (*values.shape, 2):
+        raise ValueError(f"q shape {q_values.shape}, expected {(*values.shape, 2)}")
+    p, last = params.erasure_prob, len(values) - 1
+    lower, upper = values[: last - 1], values[1:last]  # V(d, b) and V(d+1, b)
     advantage = q_values[:, :, 0] - q_values[:, :, 1]
     rows = (
         ("monotone_in_aoi", upper - lower, (1, 0)),
@@ -96,7 +100,7 @@ def structure_checks(
         ("increment_lower_bound", upper - lower - 1.0, (1, 0)),
         ("cross_increment",
          upper[:, 1:] + p * lower[:, :-1] - lower[:, 1:] - p * upper[:, :-1], (1, 1)),
-        ("submodular_q", advantage[1 : cap - 1] - advantage[: cap - 2], (1, 0)),
+        ("submodular_q", advantage[1:last] - advantage[: last - 1], (1, 0)),
     )
     checks = []
     for name, margins, (age_step, battery_step) in rows:

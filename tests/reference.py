@@ -43,7 +43,10 @@ scipy's), which the batched scoring of ``enumerate_optimal`` must match.
 
 Structure certificates: the five margins of ``aoi_energy.structure``,
 each computed from its formula in that module's docstring at one state
-pair after another, for ``structure_checks`` to agree with exactly.
+pair after another, for ``structure_checks`` to agree with exactly. And
+:func:`extended_bias`, an exact bias carried past its last action row in
+closed form to as many ages as asked, on which the certificates must
+agree with those of the bias's own rows.
 
 Policy extraction: a short-circuit scan that inherits Transmit from the
 next-younger age, which agrees with the full argmin when the action
@@ -340,13 +343,13 @@ def structure_report_from_json(text: str) -> StructureReport:
 def structure_checks_by_pair(values, q, params: SystemParams, tol: float) -> list[MarginCheck]:
     """The five certificates, one state pair at a time.
 
-    Each check visits the pairs (s, s + step) in :func:`states` order, the
-    second state on the grid and, for an age step, below ``aoi_cap``. It
-    keeps the first least margin, or the first NaN once one is met, and
-    passes when that margin is at least ``-tol``; with no pairs it passes
-    with margin ``inf`` and no witness.
+    Each check visits the pairs (s, s + step) in :func:`states` order over
+    the R age rows of ``values``, the second state on the table and, for an
+    age step, below its last row R. It keeps the first least margin, or the
+    first NaN once one is met, and passes when that margin is at least
+    ``-tol``; with no pairs it passes with margin ``inf`` and no witness.
     """
-    p = params.erasure_prob
+    p, last = params.erasure_prob, len(values)
 
     def V(d, b):
         return float(values[d - 1, b])
@@ -366,16 +369,42 @@ def structure_checks_by_pair(values, q, params: SystemParams, tol: float) -> lis
     checks = []
     for name, ((age_step, battery_step), margin) in rules.items():
         worst, witness = math.inf, None
-        for s in states(params):
+        for s in states(replace(params, aoi_cap=last)):
             if s.battery + battery_step > params.battery_cap:
                 continue
-            if age_step and s.aoi + age_step > params.aoi_cap - 1:
+            if age_step and s.aoi + age_step > last - 1:
                 continue
             m = margin(s.aoi, s.battery)
             if witness is None or m < worst or (math.isnan(m) and not math.isnan(worst)):
                 worst, witness = m, (s, State(s.aoi + age_step, s.battery + battery_step))
         checks.append(MarginCheck(name, worst >= -tol, worst, witness))
     return checks
+
+
+def extended_bias(
+    values: np.ndarray, q: np.ndarray, depth: int, ages: int, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """An exact bias's value and q tables on ages 1..``ages``, from its rows 1..``depth``.
+
+    ``values`` and ``q`` are a threshold policy's exact bias and its q table
+    (stage cost plus the expected bias one slot on), ``depth`` its last
+    action row D, from which every level transmits. Rows 1..D are kept. Past
+    D every slot delivers with chance 1-p whatever the battery, so the bias
+    grows by the expected wait 1/(1-p) per age; q at each older age is
+    summed over :func:`transition`, one age past ``ages`` included.
+    """
+    older = np.arange(1.0, ages - depth + 2)[:, None] / (1.0 - params.erasure_prob)
+    bias = np.concatenate([values[:depth], values[depth - 1] + older])  # ages 1..ages+1
+    deep = replace(params, aoi_cap=ages + 1)  # no age below ages + 1 saturates
+    table = np.concatenate([q[:depth], np.empty((ages - depth, *q.shape[1:]))])
+    for s in states(replace(params, aoi_cap=ages)):
+        if s.aoi > depth:
+            for action in Action:
+                table[s.aoi - 1, s.battery, action] = stage_cost(s, action, deep) + sum(
+                    prob * bias[nxt.aoi - 1, nxt.battery]
+                    for nxt, prob in transition(s, action, deep)
+                )
+    return bias[:ages], table
 
 
 def transmit_probability(spec, state: State, phase: int) -> float:

@@ -375,6 +375,27 @@ def test_check_round_trip(tmp_path, capsys):
     assert bounds.endswith("at age 2, battery 3")
 
 
+# With no harvest, backup at 10^6 a use and p = 0.2, both levels transmit from age 1581,
+# far past the cap of 50.
+NO_HARVEST = SystemParams(0.2, 0.0, 1000.0, 1000.0, 1, 50)
+
+
+def test_check_certifies_every_age_past_a_threshold_beyond_the_cap(tmp_path, capsys):
+    """Policy iteration's tables have D+2 = 1,583 rows at cap 50, and check reads every age
+    off them: the worst margin is the unit-rate margin p/(1-p) = 0.25 of the closed-form
+    pair (D, D+1), not one of rows 48 and 49 below the cap."""
+    v, q, policy = solver.policy_iteration(NO_HARVEST)
+    assert policy.thresholds == (1581, 1581)
+    assert v.values.shape == (1583, 2) and q.shape == (1583, 2, 2)
+    pfile = params_file(tmp_path, NO_HARVEST)
+    argv = ["check", "--params", pfile, "--thresholds", thresholds_file(tmp_path, [1581, 1581])]
+    assert main(argv) == EXIT_OK
+    report, bounds = capsys.readouterr().out.splitlines()
+    assert json.loads(report)["witness"] == [[1581, 0], [1582, 0]]
+    assert structure_report_from_json(report).worst_violation == pytest.approx(0.25, rel=1e-9)
+    assert bounds.endswith("Howard's gap 0.0 at age 1, battery 0")
+
+
 def test_check_rejects_malformed_values(tmp_path, capsys):
     """A thresholds file that is not JSON exits 2 before any work."""
     pfile = params_file(tmp_path, SOLVE_PARAMS)
@@ -1127,18 +1148,25 @@ def test_out_of_memory_in_exact_eval_names_no_horizon(tmp_path, monkeypatch, cap
     assert not (tmp_path / "rows.csv").exists()
 
 
-def test_out_of_memory_in_sweep_names_only_the_grid(tmp_path, monkeypatch, capsys):
-    """sweep simulates nothing, so its out-of-memory message names the grid alone."""
+@pytest.mark.parametrize("command", ["sweep", "check"])
+def test_out_of_memory_in_sweep_and_check_names_exact_evaluation(
+    tmp_path, monkeypatch, capsys, command
+):
+    """sweep and check build exact biases and scores, no aoi_cap grid and no horizon, so
+    their out-of-memory message names exact evaluation alone."""
 
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(cli, "evaluate_exact", exhausted)
+    monkeypatch.setattr(cli, "threshold_bias", exhausted)
     pfile = params_file(tmp_path, SWEEP_PARAMS)
-    assert main(sweep_args(pfile, tmp_path / "rows.csv", "p", "0.8", "random:0")) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == ("error: out of memory for the 100 x 4 (aoi_cap x battery levels) grid "
-                   "of 400 states\n")
+    argv = {
+        "sweep": sweep_args(pfile, tmp_path / "rows.csv", "p", "0.8", "random:0"),
+        "check": ["check", "--params", pfile, "--thresholds", thresholds_file(tmp_path, [1] * 4)],
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: out of memory for exact evaluation\n"
     assert not (tmp_path / "rows.csv").exists()
 
 
@@ -1326,7 +1354,7 @@ def test_hostile_tolerances_fail_before_any_work(
 
 
 def test_sweep_rows_do_not_read_aoi_cap(tmp_path):
-    """The cap sets only the bias rows the certificates read: equal rows at caps 5 and 200."""
+    """sweep works on the untruncated chain, so its rows are equal at caps 5 and 200."""
     written = []
     for cap in (5, 200):
         pfile = params_file(tmp_path, dataclasses.replace(README_PARAMS, aoi_cap=cap),

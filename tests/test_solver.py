@@ -641,7 +641,8 @@ def assert_policy_iteration_is_optimal(params, cfg):
     cost = evaluate_exact(policy, params).avg_total_cost
     assert v.gain == pytest.approx(cost, rel=1e-9)
     assert list(policy.thresholds) == sorted(policy.thresholds, reverse=True)
-    assert v.values.shape == params.grid_shape and q.shape == (*params.grid_shape, 2)
+    shape = (max(policy.thresholds) + 2, params.battery_cap + 1)  # ages 1..D+2 at any cap
+    assert v.values.shape == shape and q.shape == (*shape, 2)
     assert v.values[0, -1] == 0.0
     rvi = rvi_cost(params, cfg)
     assert rvi is None or cost <= rvi.avg_total_cost * (1.0 + 1e-12)
@@ -748,9 +749,9 @@ def test_policy_iteration_refuses_what_it_cannot_certify(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"\[1, 1, 1, 1, 1\] have recurrent classes of"):
         solver.policy_iteration(SMALL)
 
-    def tied(*args):  # both actions tie everywhere, so no action switches
-        gain, h, q, fresh = real(*args)
-        return gain, h, np.repeat(q.min(axis=-1, keepdims=True), 2, axis=-1), fresh
+    def tied(*args):  # no action loses, so none switches
+        gain, h, q, losses = real(*args)
+        return gain, h, q, np.zeros_like(losses)
 
     rows = np.array([[0, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1]], dtype=bool)
     monkeypatch.setattr(solver, "_exact_bias", tied)
@@ -770,9 +771,9 @@ def test_policy_iteration_stops_when_rows_repeat(monkeypatch):
     """
 
     def flipping(rows, params):
-        q = np.zeros((*rows.shape, 2))
-        q[0, 0, int(rows[0, 0])] = 1.0
-        return 0.0, None, q, None
+        losses = np.zeros(rows.shape)
+        losses[0, 0] = 1.0
+        return 0.0, None, None, losses
 
     monkeypatch.setattr(solver, "_exact_bias", flipping)
     message = r"\[1, 1, 1, 1, 1\] repeat an earlier round's"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from hypothesis.extra.numpy import arrays
 
 from aoi_energy import SolverConfig, SystemParams, certify_structure, solve, structure_checks
 from aoi_energy.model import State
-from aoi_energy.solver import bellman_qvalues
+from aoi_energy.solver import bellman_qvalues, policy_iteration
 from aoi_energy.structure import DEFAULT_TOLERANCE, MarginCheck, StructureReport
 from conftest import BENCH
 from reference import (
     Action,
+    extended_bias,
     stage_cost,
     states,
     structure_checks_by_pair,
@@ -157,36 +159,56 @@ def test_cap_two_checks_only_battery_pairs():
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
     battery_cap=st.integers(1, 4),
-    aoi_cap=st.integers(2, 12),
+    rows=st.integers(2, 12),
     erasure=st.floats(0.0, 1.0),
     ties=st.booleans(),
     slopes=st.tuples(st.floats(-1.0, 3.0), st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
     data=st.data(),
 )
-def test_structure_checks_match_pairwise_oracle(battery_cap, aoi_cap, erasure, ties, slopes, data):
+def test_structure_checks_match_pairwise_oracle(battery_cap, rows, erasure, ties, slopes, data):
     """Smooth tables, which pass or fail a check at every pair at once, and
     small-integer tables full of ties, each with up to three planted entries
-    (NaN among them). Equal reprs mean the same flags, the same worst margins
-    bit for bit (NaN included) and the same witnesses, as Python ints."""
-    params = dataclasses.replace(
-        TINY, erasure_prob=erasure, battery_cap=battery_cap, aoi_cap=aoi_cap
-    )
-    shape = (*params.grid_shape, 3)  # V, Q idle and Q transmit
+    (NaN among them), of 2 to 12 age rows whatever the cap. Equal reprs mean
+    the same flags, the same worst margins bit for bit (NaN included) and the
+    same witnesses, as Python ints."""
+    params = dataclasses.replace(TINY, erasure_prob=erasure, battery_cap=battery_cap)
+    shape = (rows, battery_cap + 1, 3)  # V, Q idle and Q transmit
     if ties:
         small = st.integers(-3, 3).map(float)
         tables = np.array(data.draw(arrays(np.float64, shape, elements=small)))
     else:
         age, charge, advantage = slopes
-        row, level = np.indices(params.grid_shape)
+        row, level = np.indices(shape[:2])
         tables = np.stack([age * (row + 1) - charge * level, advantage * (row + 1), 0.0 * row],
                           axis=-1)
-    planted = st.tuples(st.integers(0, aoi_cap - 1), st.integers(0, battery_cap),
+    planted = st.tuples(st.integers(0, rows - 1), st.integers(0, battery_cap),
                         st.integers(0, 2), st.floats(-1e6, 1e6) | st.just(math.nan))
     for row, level, k, value in data.draw(st.lists(planted, max_size=3)):
         tables[row, level, k] = value
     values, q = tables[:, :, 0], tables[:, :, 1:]
     got = structure_checks(values, q, params)
     assert repr(got) == repr(structure_checks_by_pair(values, q, params, DEFAULT_TOLERANCE))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    battery_cap=st.integers(1, 3),
+    p=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    omega=st.floats(0.0, 100.0),
+)
+def test_an_exact_bias_certifies_every_age_property(battery_cap, p, lam, omega):
+    """Policy iteration's bias on its D+2 rows and the same bias carried on in closed form
+    to 4(D+2) ages give the same five flags, each worst margin within 1e-9 relative (1e-9
+    absolute for a margin of 0, such as the unit-rate margin p/(1-p) at p = 0): the rows
+    past D+1 add no margin that the pair (D, D+1) does not already show."""
+    params = SystemParams(p, lam, omega, 2.0, battery_cap, 40)
+    v, q, policy = policy_iteration(params)
+    depth = max(policy.thresholds)
+    long = extended_bias(v.values, q, depth, 4 * (depth + 2), params)
+    for own, far in zip(structure_checks(v, q, params), structure_checks(*long, params)):
+        assert own.passed == far.passed, (own, far)
+        assert far.worst_margin == pytest.approx(own.worst_margin, rel=1e-9, abs=1e-9), (own, far)
 
 
 def test_certify_aggregates_planted_failure():
@@ -208,9 +230,14 @@ def test_report_json_round_trip(bench_solution):
 
 
 def test_shape_guards():
-    with pytest.raises(ValueError, match="value shape"):
-        checks(np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="q shape"):
+    """A table of any R >= 2 rows of the B+1 levels is checked; fewer rows, another width, or
+    q on other rows is refused, naming both shapes."""
+    assert len(checks(np.zeros((3, 3)), np.zeros((3, 3, 2)))) == 5
+    for shape in ((1, 3), (8, 4)):
+        with pytest.raises(ValueError) as raised:
+            checks(np.zeros(shape))
+        assert str(raised.value) == f"value shape {shape}, expected (R, 3) with R >= 2"
+    with pytest.raises(ValueError, match=re.escape("q shape (3, 3, 2), expected (8, 3, 2)")):
         checks(age_ramp(), np.zeros((3, 3, 2)))
 
 
