@@ -27,12 +27,12 @@ params = SystemParams(
 v, q = solve(params)
 
 print("certificate                margin        witness")
-for check in structure_checks(v, q, params):
+for check in structure_checks(v.values, q, params):
     a, b = check.witness
     status = "ok " if check.passed else "BAD"
     print(f"{check.name:<22} {status} {check.worst_margin:+.3e}  {tuple(a)} vs {tuple(b)}")
 
-report = certify_structure(v, q, params)
+report = certify_structure(v.values, q, params)
 print(f"\nall certificates pass: {report.all_pass}")
 
 # Now sabotage the table: push the age-2 row below the age-1 row. The

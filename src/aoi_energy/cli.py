@@ -126,7 +126,7 @@ def _load_params(args: argparse.Namespace) -> SystemParams:
 def _howard(test: HowardTest | None, why: str) -> int:
     """Print the optimal cost's bounds from Howard's gap; exit 5, saying ``why``, over epsilon."""
     if test is not None:
-        gain, gap, (age, battery) = test.values.gain, test.gap, test.witness
+        gain, gap, (age, battery) = test.gain, test.gap, test.witness
         print(f"optimal cost in [{gain - gap!r}, {gain!r}]: Howard's gap {gap!r} "
               f"at age {age}, battery {battery}")
         if gap <= EPSILON:
@@ -146,7 +146,7 @@ def run_solve(args: argparse.Namespace) -> int:
             _check_output(os.path.join(out_dir, name))
     v, q = solve(params)
     thresholds = extract_thresholds(greedy_policy(v, q, params), params)
-    report = certify_structure(v, q, params)
+    report = certify_structure(v.values, q, params)
 
     os.makedirs(out_dir, exist_ok=True)
     for name, artifact in zip(_SOLVE_ARTIFACTS, (thresholds, report)):
@@ -207,10 +207,11 @@ def run_eval(args: argparse.Namespace) -> int:
 def run_sweep(args: argparse.Namespace) -> int:
     """Solve along the axis and score every policy at every grid point.
 
-    Every point is held to the solver's domain (``validate_for_solve``) and the
-    slot kernels' bound, the output path checked and every policy spec parsed,
-    all before the first solve. Each point is solved where it is scored, by
-    :func:`policy_iteration`, whose exact bias the certificates read: the first
+    Every point is held to the solver's domain (``validate_for_solve``: p < 1,
+    at any ``aoi_cap``) and the slot kernels' bound, the output path checked and
+    every policy spec parsed, all before the first solve. Each point is solved
+    where it is scored, by :func:`policy_iteration`, whose :class:`HowardTest`
+    the certificates read: the first
     point from ZeroWait, each later one from its neighbour's thresholds in axis
     order (a threshold at an exact tie may follow the neighbour, at equal cost).
     A solver or certificate failure aborts the whole sweep naming the grid
@@ -230,8 +231,8 @@ def run_sweep(args: argparse.Namespace) -> int:
     thresholds = None
     for value, point in zip(values, points):
         try:
-            v, q, thresholds = policy_iteration(point, thresholds)
-            certificate = certify_structure(v, q, point)
+            test, thresholds, _ = policy_iteration(point, thresholds)
+            certificate = certify_structure(test.values, test.q, point)
             if not certificate.all_pass:
                 raise StructureViolationError(f"certificate failed, {certificate.to_json()}")
         except (ConvergenceError, StructureViolationError, ThresholdStructureError) as exc:

@@ -13,7 +13,8 @@ The age axis is truncated at ``aoi_cap`` for finite-state computation: age
 increments saturate there. The cap truncates value iteration's grid and
 enumeration's chain; exact evaluation, Monte Carlo, policy iteration and
 Howard's test work on the untruncated chain and ignore it. Whether the
-truncation is adequate is tested by the solver there, not assumed here.
+truncation is adequate is tested by the solver there, not assumed here, and
+only value iteration holds the cap's grid to :data:`MAX_GRID_STATES`.
 
 This module holds the parameters and the state. The slot law is written
 where it runs, twice: in the solver's Bellman backup, and in
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 __all__ = ["State", "SystemParams"]
 
-# Largest (age rows x battery levels) grid the solver or the simulator builds.
+# Largest (age rows x battery levels) grid any solver, evaluator or the simulator builds.
 MAX_GRID_STATES = 1 << 20
 
 
@@ -116,14 +117,13 @@ class SystemParams:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def validate_for_solve(self) -> None:
-        """The solver's domain, stated once: erasure_prob < 1 and a grid it can hold.
+        """The solvers' domain, stated once: erasure_prob < 1.
 
         At erasure_prob = 1 no update is ever delivered and every policy's
         average age is infinite, so that corner is evaluation-only; every
-        p in [0, 1) is solved as given, p = 0 included. The grid may hold at
-        most :data:`MAX_GRID_STATES` states.
+        p in [0, 1) is solved as given, p = 0 included. Each grid is bounded
+        where it is built: value iteration's ``aoi_cap`` grid by ``solve``.
         """
-        check_grid(self.aoi_cap, self.battery_cap + 1, "aoi_cap x battery levels")
         if not self.erasure_prob < 1.0:
             raise ValueError(
                 f"solving requires erasure_prob < 1, got {self.erasure_prob!r}: "

@@ -6,7 +6,9 @@ sweep applies the Bellman operator synchronously over the whole grid,
 measures the span of the raw difference T(V) - V (whose min and max bracket
 the optimal gain), and subtracts the anchor entry so the iterates stay
 bounded. Convergence is declared when the span drops to ``epsilon``; the
-returned gain is the midpoint of the final difference's extremes.
+returned gain is the midpoint of the final difference's extremes, in a
+:class:`ValueTable`. Only this solver builds the ``aoi_cap`` grid, so only
+:func:`solve` holds it to ``model.MAX_GRID_STATES``.
 
 The full span pass runs only on sweeps that may stop. A sweep first forms
 the difference at the two slots that held the extremes at the last full
@@ -25,10 +27,11 @@ level, the last row standing for every older age. A round
 (:func:`_exact_bias`) builds the exact bias on those rows' ages alone and
 switches every action that loses by more than epsilon; no round projects
 onto thresholds, which are read off the rows once they stop switching. A
-round's tables cover ages 1..D+2 at every ``aoi_cap``, D its last row: past
-D they grow in closed form, so the structure certificates read every age off
-them. Howard's test of a threshold policy (:func:`threshold_bias`) is one
-such round on its rows, so both give the same tables bit for bit.
+round returns one :class:`HowardTest`: gain, bias and q on ages 1..D+2 at
+every ``aoi_cap``, D its last row (past D they grow in closed form, so the
+structure certificates read every age off them), and Howard's gap and
+witness. Howard's test of a threshold policy (:func:`threshold_bias`) is one
+such round on its rows, so both give the same result bit for bit.
 
 A sweep is about fifteen numpy calls, and on the default grid their fixed
 dispatch cost is about half its time. So each call is bound once per solve
@@ -41,7 +44,7 @@ operation, its operands' values or their order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from typing import NamedTuple
@@ -102,7 +105,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Converged relative values (V(1, battery_cap) pinned to zero) and gain."""
+    """RVI's converged relative values (V(1, battery_cap) pinned to zero), gain, sweeps, span."""
 
     values: np.ndarray
     gain: float
@@ -201,10 +204,13 @@ def solve(params: SystemParams, cfg: SolverConfig | None = None) -> tuple[ValueT
     q[d-1, b, a] is the stage cost of action a (0 idle, 1 transmit) plus the
     expected next value, so its min over actions is gain + V up to epsilon.
     Raises :class:`ConvergenceError` carrying the last span when ``MAX_SWEEPS``
-    sweeps do not suffice. Every sweep works in one :class:`_Workspace`, and
-    measures the full span only on sweeps that may stop (module docstring).
+    sweeps do not suffice. An (aoi_cap, B+1) grid over ``MAX_GRID_STATES``
+    states is refused before anything is allocated, then p = 1. Every sweep
+    works in one :class:`_Workspace`, and measures the full span only on
+    sweeps that may stop (module docstring).
     """
     cfg = cfg if cfg is not None else SolverConfig()
+    check_grid(params.aoi_cap, params.battery_cap + 1, "aoi_cap x battery levels")
     params.validate_for_solve()
     ws = _Workspace(params, np.zeros(params.grid_shape))
     ref_at = params.battery_cap * ws.row  # V(1, battery_cap) in the flat workspace
@@ -282,21 +288,24 @@ def _thresholds(actions: np.ndarray) -> ThresholdPolicy:
 
 
 class HowardTest(NamedTuple):
-    """A threshold policy's exact bias, ``values`` (ages 1..D+2, its cost as gain) and ``q``.
+    """One Howard round on a policy's rows: its exact bias and how much its actions lose.
 
-    ``gap`` is the most an action of its transmit rows (ages 1..D) loses on
-    it, first at ``witness`` (ages before batteries). The optimal cost lies
-    in [gain - gap, gain] (Odoni 1969).
+    ``gain`` is the policy's cost, ``values`` its bias h on ages 1..D+2 and
+    ``q`` the (D+2, B+1, 2) state-action table of h, both anchored at
+    h(1, battery_cap) = 0, D the last action row. ``gap`` is the most an
+    action of rows 1..D loses on q, first at ``witness`` (ages before
+    batteries). The optimal cost lies in [gain - gap, gain] (Odoni 1969).
     """
 
-    values: ValueTable
+    gain: float
+    values: np.ndarray
     q: np.ndarray
     gap: float
     witness: State
 
 
-def _exact_bias(rows: np.ndarray, params: SystemParams) -> tuple | None:
-    """One Howard round on ``rows``: gain, bias h (ages 1..D+3), q (ages 1..D+2) and losses.
+def _exact_bias(rows: np.ndarray, params: SystemParams) -> tuple[HowardTest, np.ndarray] | None:
+    """One Howard round on ``rows``: its :class:`HowardTest` and each action's loss.
 
     ``rows`` are boolean action rows, 1 = transmit, the last row D for every
     older age too. None unless every level transmits at row D, p < 1 and the
@@ -306,9 +315,9 @@ def _exact_bias(rows: np.ndarray, params: SystemParams) -> tuple | None:
     is what a delivery lands on, and (I - M) h_1 = C - g L by :func:`_cycles`,
     with nu h_1 = 0 on each recurrent class of M (one closure of M serves
     every class). Past D, h grows by 1/(1-p) per age, and the idle advantage
-    by 1, so rows D+1..D+3 follow in closed form and the pair (D, D+1)
-    stands for every older one. ``losses`` is what each action of ``rows``
-    loses to the better one on q.
+    by 1, so rows D+1..D+3 of h follow in closed form, q is read on ages
+    1..D+2, and the pair (D, D+1) stands for every older one. The losses,
+    one per action of ``rows``, are what it loses to the better one on q.
     """
     p = params.erasure_prob
     if not (rows[-1].all() and p < 1.0):
@@ -326,37 +335,28 @@ def _exact_bias(rows: np.ndarray, params: SystemParams) -> tuple | None:
     renewal = np.eye(len(idle)) - deliveries + reach[lowest].T @ laws  # + 1_k nu_k: invertible
     first = np.linalg.solve(renewal, age_sum + spend - gains[0] * length)
     fresh = (1.0 - p) * (tx @ first)  # a delivery lands on h_1
-    depth = len(rows)
-    cost = np.arange(1.0, depth + 1)[:, None] + rows * (_backup(params) + fresh) - gains[0]
+    depth, backup = len(rows), _backup(params)
+    ages = np.arange(1.0, depth + 3)[:, None]
+    cost = ages[:depth] + rows * (backup + fresh) - gains[0]
     h = np.empty((depth + 3, len(idle)))
     h[depth - 1] = tail @ (cost[-1] + p / (1.0 - p))  # tail = (I - p tx)^-1: all transmit at D
     h[depth:] = h[depth - 1] + np.arange(1.0, 4.0)[:, None] / (1.0 - p)
     for d in range(depth - 2, -1, -1):
         h[d] = cost[d] + steps[d] @ h[d + 1]
-    q = _q(h, fresh, params)
+    later = h[1:]
+    q = np.stack([ages + later @ idle.T, ages + backup + p * later @ tx.T + fresh], -1)
     idles, sends = q[:depth, :, 0], q[:depth, :, 1]
     losses = np.where(rows, sends, idles) - np.minimum(idles, sends)
-    return float(gains[0]), h, q, losses
+    age, battery = np.unravel_index(losses.argmax(), losses.shape)
+    anchor = h[0, -1]
+    test = HowardTest(float(gains[0]), h[:-1] - anchor, q - anchor, float(losses.max()),
+                      State(int(age) + 1, int(battery)))
+    return test, losses
 
 
 def _backup(params: SystemParams) -> np.ndarray:
     """The weighted backup cost of transmitting, by battery level: paid at an empty one."""
     return params.energy_weight * params.backup_cost * (np.arange(params.battery_cap + 1) == 0)
-
-
-def _q(h: np.ndarray, fresh: np.ndarray, params: SystemParams) -> np.ndarray:
-    """The (ages 1..len(h)-1, B+1, 2) q table of the bias ``h`` (ages 1..len(h))."""
-    idle, tx, _ = _slot_kernels(params, 1)
-    age, later, p = np.arange(1.0, len(h))[:, None], h[1:], params.erasure_prob
-    return np.stack([age + later @ idle.T, age + _backup(params) + p * later @ tx.T + fresh], -1)
-
-
-def _anchored(gain: float, h: np.ndarray, q: np.ndarray) -> tuple[ValueTable, np.ndarray]:
-    """A round's tables on q's ages, anchored at (1, battery_cap); ``final_span`` of min(q) - h."""
-    anchor = h[0, -1]
-    values, q = h[: len(q)] - anchor, q - anchor
-    span = float(np.ptp(np.minimum(q[..., 0], q[..., 1]) - values))
-    return ValueTable(values, gain, 0, span), q
 
 
 def threshold_bias(tp: ThresholdPolicy, params: SystemParams) -> HowardTest | None:
@@ -367,17 +367,11 @@ def threshold_bias(tp: ThresholdPolicy, params: SystemParams) -> HowardTest | No
     delivers with chance at most 1-p, so the wait T for delivery is at least
     1 + 1/(1-p) at an idle level, and at the idle level m of longest wait
     idling loses at least (1-p) T_m - 1 > 0 more per age. Past D the advantage
-    of idling grows by 1 per age, so rows 1..D hold the gap. The tables are
-    the round's, on ages 1..D+2 (:func:`_anchored`).
+    of idling grows by 1 per age, so rows 1..D hold the gap. Returns the
+    round's :class:`HowardTest`, its tables on ages 1..D+2 at every ``aoi_cap``.
     """
-    rows = _transmit_rows(tp, params)
-    exact = _exact_bias(rows, params)
-    if exact is None:
-        return None
-    gain, h, q, losses = exact
-    age, battery = np.unravel_index(losses.argmax(), losses.shape)
-    return HowardTest(*_anchored(gain, h, q), float(losses.max()),
-                      State(int(age) + 1, int(battery)))
+    exact = _exact_bias(_transmit_rows(tp, params), params)
+    return None if exact is None else exact[0]
 
 
 def check_truncation_adequacy(
@@ -396,7 +390,7 @@ def check_truncation_adequacy(
 
 def policy_iteration(
     params: SystemParams, start: ThresholdPolicy | None = None
-) -> tuple[ValueTable, np.ndarray, ThresholdPolicy]:
+) -> tuple[HowardTest, ThresholdPolicy, int]:
     """Howard's policy iteration on boolean action rows, on the untruncated chain.
 
     From the rows of ``start`` (a neighbour's answer, say), else of ZeroWait
@@ -413,8 +407,9 @@ def policy_iteration(
     :class:`ConvergenceError`, naming each level's first transmitting age,
     when rounding makes the rows repeat an earlier round's or a round's class
     gains differ. A threshold at an exact tie may depend on the start, the
-    cost not. Returns the last round's bias and q table on ages 1..D+2 at
-    every ``aoi_cap`` (:func:`_anchored`), and the thresholds.
+    cost not. Returns the last round's :class:`HowardTest`, the same as
+    :func:`threshold_bias` of the thresholds, the thresholds and the number
+    of rounds. ``aoi_cap`` plays no part.
     """
     params.validate_for_solve()
     if start is not None and None in start.thresholds:
@@ -427,11 +422,10 @@ def policy_iteration(
         if exact is None:
             why = "have recurrent classes of unequal gain"
             break
-        gain, h, q, losses = exact
+        test, losses = exact
         switch = losses > EPSILON
         if not switch.any():
-            v, q = _anchored(gain, h, q)
-            return replace(v, iterations=rounds), q, _thresholds(rows)
+            return test, _thresholds(rows), rounds
         rows, depth = rows ^ switch, len(rows)
         idle = ~rows[-1]
         if idle.any():  # idle on while idling still wins, then transmit

@@ -1,11 +1,11 @@
 """Numerical certificates of value-function and policy structure.
 
-A converged value table V over the states (d, b) of age and battery charge,
-and its action advantage A(d, b) = Q(d, b, idle) - Q(d, b, transmit), are
-expected to satisfy five inequalities; the last is what forces
-threshold-shaped optimal policies. Each is a margin over a pair of states,
-(d, b) and (d, b) plus a step, that must be at least ``-DEFAULT_TOLERANCE``,
-with p the erasure probability:
+A value array V over the states (d, b) of age and battery charge, the
+``values`` of value iteration or of a Howard round, and its action advantage
+A(d, b) = Q(d, b, idle) - Q(d, b, transmit), are expected to satisfy five
+inequalities; the last is what forces threshold-shaped optimal policies. Each
+is a margin over a pair of states, (d, b) and (d, b) plus a step, that must be
+at least ``-DEFAULT_TOLERANCE``, with p the erasure probability:
 
 - ``monotone_in_aoi``, step (1, 0): V(d+1, b) - V(d, b);
 - ``monotone_in_battery``, step (0, 1): V(d, b) - V(d, b+1);
@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .model import State, SystemParams
-from .solver import ValueTable
 
 __all__ = [
     "MarginCheck",
@@ -75,16 +74,14 @@ class StructureReport:
         return json.dumps(asdict(self), allow_nan=False)
 
 
-def structure_checks(
-    v: ValueTable | np.ndarray, q: np.ndarray, params: SystemParams
-) -> list[MarginCheck]:
+def structure_checks(values: np.ndarray, q: np.ndarray, params: SystemParams) -> list[MarginCheck]:
     """The five certificates of the module docstring, in :class:`StructureReport` field order.
 
-    ``v`` is a value table of R >= 2 age rows by the B+1 battery levels and
-    ``q`` the (R, B+1, 2) state-action table on the same rows: the tables
-    :func:`solve` returns (R = aoi_cap), or an exact bias (R = D+2).
+    ``values`` is an array of R >= 2 age rows by the B+1 battery levels and
+    ``q`` the (R, B+1, 2) state-action table on the same rows: those of
+    ``solve`` (R = aoi_cap), or of a Howard round's exact bias (R = D+2).
     """
-    values = np.asarray(v.values if isinstance(v, ValueTable) else v, dtype=float)
+    values = np.asarray(values, dtype=float)
     q_values = np.asarray(q, dtype=float)
     width = params.battery_cap + 1
     if values.shape[1:] != (width,) or len(values) < 2:
@@ -114,11 +111,9 @@ def structure_checks(
     return checks
 
 
-def certify_structure(
-    v: ValueTable | np.ndarray, q: np.ndarray, params: SystemParams
-) -> StructureReport:
-    """Run every certificate and fold the results into one report."""
-    checks = structure_checks(v, q, params)
+def certify_structure(values: np.ndarray, q: np.ndarray, params: SystemParams) -> StructureReport:
+    """Run every certificate on ``values`` and ``q`` and fold the results into one report."""
+    checks = structure_checks(values, q, params)
     worst = min((c for c in checks if c.witness is not None), key=lambda c: c.worst_margin,
                 default=None)
     return StructureReport(

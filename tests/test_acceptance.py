@@ -98,7 +98,7 @@ def grid():
                     shape_error = ""
                 except ThresholdStructureError as exc:
                     thresholds, shape_error = None, str(exc)
-                certificate = certify_structure(v, q, params)
+                certificate = certify_structure(v.values, q, params)
                 adequate = thresholds is not None and check_truncation_adequacy(
                     thresholds, params, SOLVER_CFG
                 )

@@ -83,6 +83,28 @@ def passed_arguments(trees: list[ast.AST]) -> tuple[dict[str, float], dict[str, 
     return positional, keywords
 
 
+def package_modules(path: Path) -> set[str]:
+    """The package modules ``path`` imports, named within the package (``model`` for
+    ``from .model import State``); a name imported from the root counts as a module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[2] or PACKAGE for alias in node.names
+                         if alias.name.split(".")[0] == PACKAGE)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == PACKAGE
+        ):
+            module = node.module if node.level else node.module.partition(".")[2]
+            found.update([module] if module else [alias.name for alias in node.names])
+    return found
+
+
+def test_structure_imports_only_the_model():
+    """The certificates take the value array, so ``aoi_energy.structure`` imports no package
+    module but ``model``: neither solver's result type can leak back into them."""
+    assert package_modules(ROOT / "src" / PACKAGE / "structure.py") == {"model"}
+
+
 def test_every_defaulted_parameter_has_a_caller():
     """Each parameter with a default, of a function or class in a module's ``__all__``, is
     passed by some call in src/, demos/, perfbench/ or the README's quick tour. Calls are

@@ -384,9 +384,9 @@ def test_check_certifies_every_age_past_a_threshold_beyond_the_cap(tmp_path, cap
     """Policy iteration's tables have D+2 = 1,583 rows at cap 50, and check reads every age
     off them: the worst margin is the unit-rate margin p/(1-p) = 0.25 of the closed-form
     pair (D, D+1), not one of rows 48 and 49 below the cap."""
-    v, q, policy = solver.policy_iteration(NO_HARVEST)
+    test, policy, _ = solver.policy_iteration(NO_HARVEST)
     assert policy.thresholds == (1581, 1581)
-    assert v.values.shape == (1583, 2) and q.shape == (1583, 2, 2)
+    assert test.values.shape == (1583, 2) and test.q.shape == (1583, 2, 2)
     pfile = params_file(tmp_path, NO_HARVEST)
     argv = ["check", "--params", pfile, "--thresholds", thresholds_file(tmp_path, [1581, 1581])]
     assert main(argv) == EXIT_OK
@@ -900,7 +900,7 @@ def test_sweep_converges_where_projected_rounds_cycled(tmp_path, monkeypatch, ca
 
     def round_(*args):
         exact = real_round(*args)
-        gains.append(exact[0])
+        gains.append(exact[0].gain)
         return exact
 
     monkeypatch.setattr(cli, "policy_iteration", solve)
@@ -908,14 +908,14 @@ def test_sweep_converges_where_projected_rounds_cycled(tmp_path, monkeypatch, ca
     out = tmp_path / "rows.csv"
     args = sweep_args(params_file(tmp_path, CYCLING), out, "omega", "40.7", "solved")
     assert main(args) == EXIT_OK
-    ((v, _, policy),) = answers
-    assert (v.iterations, len(gains)) == (16, 16)
+    ((test, policy, rounds),) = answers
+    assert (rounds, len(gains)) == (16, 16)
     assert all(later <= earlier for earlier, later in zip(gains, gains[1:])), gains
     assert policy.thresholds == (102, 75, 62, 52, 43, 36, 30, 24, 1)
     assert list(policy.thresholds) == sorted(policy.thresholds, reverse=True)
     assert solver.threshold_bias(policy, CYCLING).gap <= 1e-9
     (row,) = read_rows(out)
-    assert float(row["avg_total"]) == pytest.approx(v.gain, rel=1e-12)
+    assert float(row["avg_total"]) == pytest.approx(test.gain, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["eval-exact", "eval-mc"])
@@ -1027,11 +1027,49 @@ def test_solve_grid_over_the_bound_is_refused_before_allocation(tmp_path, monkey
     assert {path.name for path in tmp_path.iterdir()} == {"params.json"}
 
 
-def test_grid_bound_admits_its_limit():
-    edge = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 2)
-    edge.validate_for_solve()
+def test_grid_bound_admits_its_limit(monkeypatch):
+    """solve's own bound admits an aoi_cap x (B+1) grid of exactly MAX_GRID_STATES states,
+    on to the p check, and refuses one row more first, before any allocation."""
+    refuse_allocation(monkeypatch)
+    edge = dataclasses.replace(
+        SOLVE_PARAMS, erasure_prob=1.0, battery_cap=1, aoi_cap=MAX_GRID_STATES // 2
+    )
+    with pytest.raises(ValueError, match="erasure_prob < 1"):
+        solver.solve(edge)
     with pytest.raises(ValueError, match="exceeds"):
-        dataclasses.replace(edge, aoi_cap=edge.aoi_cap + 1).validate_for_solve()
+        solver.solve(dataclasses.replace(edge, aoi_cap=edge.aoi_cap + 1))
+
+
+# Only solve builds the aoi_cap grid: at cap 10^6 its 2 x 10^6 states exceed the bound, and
+# sweep and check, which never build it, answer as at cap 200.
+CAP_FREE = SystemParams(0.2, 0.5, 10.0, 2.0, 1, 200)
+
+
+def test_only_solve_refuses_a_cap_over_the_grid_bound(tmp_path, capsys):
+    """sweep writes the same bytes and check prints the same report and interval at cap 200
+    and at cap 10^6; solve still exits 2 there, naming its grid, and creates nothing."""
+    out, files = {}, {}
+    for cap in (200, 10**6):
+        here = tmp_path / str(cap)
+        here.mkdir()
+        pfile = params_file(here, dataclasses.replace(CAP_FREE, aoi_cap=cap))
+        csv_path = here / "rows.csv"
+        args = sweep_args(pfile, csv_path, "omega", "10", "zero-wait,solved")
+        assert main(args) == EXIT_OK
+        files[cap] = csv_path.read_bytes()
+        capsys.readouterr()
+        argv = ["check", "--params", pfile, "--thresholds", thresholds_file(here, [12, 1])]
+        assert main(argv) == EXIT_OK
+        out[cap] = capsys.readouterr().out
+    assert files[200] == files[10**6]
+    assert out[200] == out[10**6]
+    report, bounds = out[200].splitlines()
+    assert structure_report_from_json(report).all_pass
+    assert bounds.startswith("optimal cost in [2.4959111159445118, 2.4959111159445118]")
+    pfile = params_file(tmp_path, dataclasses.replace(CAP_FREE, aoi_cap=10**6))
+    assert main(["solve", "--params", pfile, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "1000000 x 2 (aoi_cap x battery levels)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def truncation_args(tmp_path, params):
@@ -1068,16 +1106,17 @@ def test_check_truncation_refuses_kernels_over_the_bound_before_the_solve(
 
 
 def test_check_truncation_admits_every_grid_the_solver_admits(tmp_path, monkeypatch, capsys):
-    """At aoi_cap * (B+1) == the bound the solve starts; one row more is refused by the solver."""
+    """At aoi_cap * (B+1) == the bound the solve gets to its workspace; one row more is
+    refused by the solver's own bound, before any allocation."""
 
-    def stub(params):
-        params.validate_for_solve()
-        raise ConvergenceError("stub solve", span=1.0, iterations=1)
+    def stub(*args):
+        raise ConvergenceError("stub workspace", span=1.0, iterations=1)
 
-    monkeypatch.setattr("aoi_energy.cli.solve", stub)
+    monkeypatch.setattr(solver, "_Workspace", stub)
     edge = dataclasses.replace(SOLVE_PARAMS, battery_cap=1, aoi_cap=MAX_GRID_STATES // 2)
     assert main(truncation_args(tmp_path, edge)) == EXIT_NO_CONVERGENCE
-    assert "stub solve" in capsys.readouterr().err
+    assert "stub workspace" in capsys.readouterr().err
+    refuse_allocation(monkeypatch)
     over = dataclasses.replace(edge, aoi_cap=edge.aoi_cap + 1)
     assert main(truncation_args(tmp_path, over)) == EXIT_USAGE
     assert "exceeds" in capsys.readouterr().err

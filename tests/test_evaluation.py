@@ -173,7 +173,7 @@ def test_renewal_tail_keeps_its_recorded_bits(p):
         found[name] = (report.avg_aoi, report.avg_weighted_energy)
     for name, spec in (("zero-wait", ThresholdPolicy((1,) * 21)), ("solved", README_SOLVED)):
         test = solver.threshold_bias(spec, params)
-        found[f"bias-{name}"] = (test.values.gain, test.gap)
+        found[f"bias-{name}"] = (test.gain, test.gap)
     assert repr(found) == repr(RECORDED_BITS[p])
 
 

@@ -636,17 +636,17 @@ def rvi_cost(params, cfg):
 def assert_policy_iteration_is_optimal(params, cfg):
     """Howard's test passes, the gain is the policy's exact cost, the thresholds fall with
     the battery level, and the cost is no more than that of RVI's thresholds."""
-    v, q, policy = solver.policy_iteration(params)
+    test, policy, _ = solver.policy_iteration(params)
     assert check_truncation_adequacy(policy, params, cfg)
     cost = evaluate_exact(policy, params).avg_total_cost
-    assert v.gain == pytest.approx(cost, rel=1e-9)
+    assert test.gain == pytest.approx(cost, rel=1e-9)
     assert list(policy.thresholds) == sorted(policy.thresholds, reverse=True)
     shape = (max(policy.thresholds) + 2, params.battery_cap + 1)  # ages 1..D+2 at any cap
-    assert v.values.shape == shape and q.shape == (*shape, 2)
-    assert v.values[0, -1] == 0.0
+    assert test.values.shape == shape and test.q.shape == (*shape, 2)
+    assert test.values[0, -1] == 0.0
     rvi = rvi_cost(params, cfg)
     assert rvi is None or cost <= rvi.avg_total_cost * (1.0 + 1e-12)
-    return v, q, policy, rvi
+    return test, policy, rvi
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -689,9 +689,9 @@ PI_CASES = {
 @pytest.mark.parametrize("params, expected", PI_CASES.values(), ids=PI_CASES.keys())
 def test_policy_iteration_pinned_cases(params, expected):
     cfg = SolverConfig(epsilon=EPSILON)
-    v, q, policy, rvi = assert_policy_iteration_is_optimal(params, cfg)
+    test, policy, rvi = assert_policy_iteration_is_optimal(params, cfg)
     assert policy.thresholds == expected
-    assert certify_structure(v, q, params).all_pass
+    assert certify_structure(test.values, test.q, params).all_pass
     if params.harvest_prob == 0.0:
         assert rvi is None
         assert evaluate_exact(policy, params).avg_total_cost == pytest.approx(1581.64, abs=5e-3)
@@ -717,12 +717,12 @@ def test_policy_iteration_gain_never_rises_property(battery_cap, p, lam, omega, 
 
     def recorded(rows, params):
         exact = real(rows, params)
-        rounds.append((rows.copy(), exact[0]))
+        rounds.append((rows.copy(), exact[0].gain))
         return exact
 
     with mock.patch.object(solver, "_exact_bias", recorded):
-        v, _, _ = solver.policy_iteration(params)
-    assert len(rounds) == v.iterations
+        _, _, count = solver.policy_iteration(params)
+    assert len(rounds) == count
     for rows, gain in rounds:
         assert gain == pytest.approx(exact_bias_violation(rows, params)[2], rel=1e-9, abs=0.0)
     gains = [gain for _, gain in rounds]
@@ -734,10 +734,10 @@ def test_policy_iteration_repeats_its_answer():
     """ZeroWait is optimal when backup is free: one round. SMALL needs more than two, and a
     second run gives the same thresholds and q table bit for bit."""
     free = dataclasses.replace(SMALL, energy_weight=0.0)
-    assert solver.policy_iteration(free)[0].iterations == 1
+    assert solver.policy_iteration(free)[2] == 1
     first, second = solver.policy_iteration(SMALL), solver.policy_iteration(SMALL)
-    assert first[0].iterations > 2
-    assert first[2] == second[2] and same_bits(first[1], second[1])
+    assert first[2] > 2
+    assert first[1] == second[1] and same_bits(first[0].q, second[0].q)
 
 
 def test_policy_iteration_refuses_what_it_cannot_certify(monkeypatch):
@@ -750,8 +750,8 @@ def test_policy_iteration_refuses_what_it_cannot_certify(monkeypatch):
         solver.policy_iteration(SMALL)
 
     def tied(*args):  # no action loses, so none switches
-        gain, h, q, losses = real(*args)
-        return gain, h, q, np.zeros_like(losses)
+        test, losses = real(*args)
+        return test, np.zeros_like(losses)
 
     rows = np.array([[0, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1]], dtype=bool)
     monkeypatch.setattr(solver, "_exact_bias", tied)
@@ -773,7 +773,7 @@ def test_policy_iteration_stops_when_rows_repeat(monkeypatch):
     def flipping(rows, params):
         losses = np.zeros(rows.shape)
         losses[0, 0] = 1.0
-        return 0.0, None, None, losses
+        return None, losses
 
     monkeypatch.setattr(solver, "_exact_bias", flipping)
     message = r"\[1, 1, 1, 1, 1\] repeat an earlier round's"
@@ -805,8 +805,8 @@ def test_warm_start_from_the_neighbour_reaches_the_cold_cost_property(
     start = None
     for value in values:
         point = dataclasses.replace(base, **{SWEEP_AXES[axis]: value * scale})
-        _, _, warm = solver.policy_iteration(point, start)
-        _, _, cold = solver.policy_iteration(point)
+        _, warm, _ = solver.policy_iteration(point, start)
+        _, cold, _ = solver.policy_iteration(point)
         cost = evaluate_exact(warm, point).avg_total_cost
         assert cost == pytest.approx(evaluate_exact(cold, point).avg_total_cost, rel=1e-12)
         assert solver.threshold_bias(warm, point).gap <= 1e-9
@@ -821,14 +821,14 @@ def test_warm_start_may_keep_a_tied_threshold_at_equal_cost():
     answer the warm start keeps its 2s there in fewer rounds, the cold start finds 1s,
     and gain and cost agree to the last bit."""
     near, sure = (dataclasses.replace(BENCH, harvest_prob=lam) for lam in (0.9, 1.0))
-    _, _, start = solver.policy_iteration(near)
+    _, start, _ = solver.policy_iteration(near)
     warm, cold = solver.policy_iteration(sure, start=start), solver.policy_iteration(sure)
     assert start.thresholds == (19,) + (2,) * 19 + (1,)
-    assert warm[2].thresholds == (20,) + (2,) * 19 + (1,)
-    assert cold[2].thresholds == (20,) + (1,) * 20
-    assert warm[0].iterations < cold[0].iterations
+    assert warm[1].thresholds == (20,) + (2,) * 19 + (1,)
+    assert cold[1].thresholds == (20,) + (1,) * 20
+    assert warm[2] < cold[2]
     assert warm[0].gain == cold[0].gain
-    costs = [evaluate_exact(policy, sure).avg_total_cost for policy in (warm[2], cold[2])]
+    costs = [evaluate_exact(policy, sure).avg_total_cost for policy in (warm[1], cold[1])]
     assert costs[0] == costs[1]
 
 
@@ -866,30 +866,30 @@ def test_a_threshold_one_age_late_is_its_own_witness(params, where):
     """Raise one level of policy iteration's thresholds by one age: the gap is reached where
     that level now idles, and [gain - gap, gain] holds the optimal gain, its upper end the
     late policy's exact cost."""
-    v, _, policy = solver.policy_iteration(params)
+    best, policy, _ = solver.policy_iteration(params)
     level = {"empty": 0, "half": params.battery_cap // 2, "full": params.battery_cap}[where]
     late = list(policy.thresholds)
     late[level] += 1
     test = solver.threshold_bias(ThresholdPolicy(tuple(late)), params)
     assert test.witness == State(policy.thresholds[level], level)
     assert test.gap > 1e-3
-    assert test.values.gain - test.gap <= v.gain <= test.values.gain
+    assert test.gain - test.gap <= best.gain <= test.gain
     cost = evaluate_exact(ThresholdPolicy(tuple(late)), params).avg_total_cost
-    assert test.values.gain == pytest.approx(cost, rel=1e-12, abs=0.0)
+    assert test.gain == pytest.approx(cost, rel=1e-12, abs=0.0)
 
 
 def test_policy_iteration_returns_the_bias_of_its_answer():
-    """Policy iteration's tables are threshold_bias's on its thresholds, bit for bit: at
+    """Policy iteration's HowardTest is threshold_bias's on its thresholds, bit for bit: at
     SMALL, and at the three points of the benchmark's p sweep, each started from the one
     before it as ``sweep`` starts them. Its rows are trimmed to the depth threshold_bias
     decodes: at p = 0.9 an all-transmit row left below them moves the tables by 4.5e-13."""
     start = None
     for params in (SMALL, *(dataclasses.replace(BENCH, erasure_prob=p) for p in (0.0, 0.3, 0.9))):
-        v, q, policy = solver.policy_iteration(params, start)
+        found, policy, rounds = solver.policy_iteration(params, start)
         test = solver.threshold_bias(policy, params)
-        assert test.gap <= EPSILON and v.iterations > 1 and test.values.iterations == 0
-        assert same_bits(v.values, test.values.values) and same_bits(q, test.q)
-        assert (v.gain, v.final_span) == (test.values.gain, test.values.final_span)
+        assert test.gap <= EPSILON and rounds > 1
+        assert same_bits(found.values, test.values) and same_bits(found.q, test.q)
+        assert (found.gain, found.gap, found.witness) == (test.gain, test.gap, test.witness)
         start = policy if params is not SMALL else None
 
 

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from aoi_energy import SolverConfig, SystemParams, certify_structure, solve, structure_checks
 from aoi_energy.model import State
-from aoi_energy.solver import bellman_qvalues, policy_iteration
+from aoi_energy.solver import EPSILON, HowardTest, bellman_qvalues, policy_iteration
 from aoi_energy.structure import DEFAULT_TOLERANCE, MarginCheck, StructureReport
 from conftest import BENCH
 from reference import (
@@ -52,7 +52,7 @@ def checks(values, q=None):
 
 def test_benchmark_certificates_all_pass(bench_solution):
     v, q = bench_solution
-    report = certify_structure(v, q, BENCH)
+    report = certify_structure(v.values, q, BENCH)
     assert report.all_pass
     assert report.monotone_in_aoi
     assert report.monotone_in_battery
@@ -146,11 +146,11 @@ def test_cap_two_checks_only_battery_pairs():
     age step pass with no witness, and the report is the battery check's."""
     params = dataclasses.replace(TINY, aoi_cap=2)
     v, q = solve(params, SolverConfig())
-    found = {check.name: check for check in structure_checks(v, q, params)}
+    found = {check.name: check for check in structure_checks(v.values, q, params)}
     battery = found.pop("monotone_in_battery")
     assert battery.passed and battery.witness is not None
     assert list(found.values()) == [MarginCheck(name, True, math.inf, None) for name in found]
-    report = certify_structure(v, q, params)
+    report = certify_structure(v.values, q, params)
     assert report.all_pass
     assert report.worst_violation == battery.worst_margin
     assert report.witness == battery.witness
@@ -203,12 +203,30 @@ def test_an_exact_bias_certifies_every_age_property(battery_cap, p, lam, omega):
     absolute for a margin of 0, such as the unit-rate margin p/(1-p) at p = 0): the rows
     past D+1 add no margin that the pair (D, D+1) does not already show."""
     params = SystemParams(p, lam, omega, 2.0, battery_cap, 40)
-    v, q, policy = policy_iteration(params)
+    test, policy, _ = policy_iteration(params)
     depth = max(policy.thresholds)
-    long = extended_bias(v.values, q, depth, 4 * (depth + 2), params)
-    for own, far in zip(structure_checks(v, q, params), structure_checks(*long, params)):
+    long = extended_bias(test.values, test.q, depth, 4 * (depth + 2), params)
+    own_checks = structure_checks(test.values, test.q, params)
+    for own, far in zip(own_checks, structure_checks(*long, params)):
         assert own.passed == far.passed, (own, far)
         assert far.worst_margin == pytest.approx(own.worst_margin, rel=1e-9, abs=1e-9), (own, far)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    battery_cap=st.integers(1, 12),
+    p=st.one_of(st.sampled_from([0.0, 0.9995]), st.floats(0.0, 0.9995)),
+    lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    penalty=st.one_of(st.just(0.0), st.floats(0.1, 1000.0)),
+)
+def test_policy_iteration_answer_passes_every_certificate_property(battery_cap, p, lam, penalty):
+    """The paper's theorem on the untruncated chain: over B up to 12, p up to 0.9995, lambda
+    from 0 to 1 and omega * c_r up to 1,000, policy iteration's answer passes Howard's test
+    (gap at most EPSILON) and its exact bias, on every age, all five certificates."""
+    params = SystemParams(p, lam, penalty, 1.0, battery_cap, 40)
+    test, _, _ = policy_iteration(params)
+    assert isinstance(test, HowardTest) and test.gap <= EPSILON
+    assert certify_structure(test.values, test.q, params).all_pass
 
 
 def test_certify_aggregates_planted_failure():
@@ -223,7 +241,7 @@ def test_certify_aggregates_planted_failure():
 
 def test_report_json_round_trip(bench_solution):
     v, q = bench_solution
-    report = certify_structure(v, q, BENCH)
+    report = certify_structure(v.values, q, BENCH)
     back = structure_report_from_json(report.to_json())
     assert back == report
     assert isinstance(back.witness[0], State)
@@ -275,4 +293,4 @@ def test_any_failed_certificate_fails_the_report(flag):
 
 def test_checks_come_in_report_field_order(bench_solution):
     v, q = bench_solution
-    assert tuple(check.name for check in structure_checks(v, q, BENCH)) == FLAGS
+    assert tuple(check.name for check in structure_checks(v.values, q, BENCH)) == FLAGS
